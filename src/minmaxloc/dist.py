@@ -42,6 +42,13 @@ from .model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibili
 from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, scalar_block, solve
 
 
+# The per-node solver accepts dual feasibility at 1e-6 rather than the solver
+# default: symmetric anchor layouts put these tiny programs on degenerate
+# faces where pushing the dual residual to 1e-8 exceeds what finite precision
+# delivers, and every consumer of the certificates works at 1e-6 anyway.
+_NODE_SOLVER = SolverConfig(feas_tol=1e-6)
+
+
 class UnreachableAnchor(RuntimeError):
     """A sensor never acquired a distance bound to some anchor."""
 
@@ -94,16 +101,11 @@ class DisMinMaxConfig:
     """Knobs for the distributed run.
 
     ``epsilon`` declares a node localized once its certified squared radius
-    stops shrinking by more than this.  The per-node solver accepts dual
-    feasibility at 1e-6 rather than the solver default: symmetric anchor
-    layouts put these tiny programs on degenerate faces where pushing the
-    dual residual to 1e-8 exceeds what finite precision delivers, and every
-    consumer of the certificates works at 1e-6 anyway.
+    stops shrinking by more than this.
     """
 
     epsilon: float = 1e-6
     max_rounds: int = 200
-    solver: SolverConfig = SolverConfig(feas_tol=1e-6)
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -252,16 +254,14 @@ def initial_estimate(
     sensor: int,
     table: BoundTable,
     anchors: Mapping[int, Point2],
-    config: Optional[DisMinMaxConfig] = None,
 ) -> NodeState:
     """First position fix from the propagated anchor distance intervals."""
-    cfg = config or DisMinMaxConfig()
     refs = [
         (anchors[k], table[(sensor, k)].lower, table[(sensor, k)].upper)
         for k in sorted(anchors)
     ]
     problem, first_ref = _chebyshev_dual(refs, ball=None)
-    sol = solve(problem, cfg.solver)
+    sol = solve(problem, _NODE_SOLVER)
     if sol.status != SolveStatus.OPTIMAL:
         raise RuntimeError(
             f"initial estimate for sensor {sensor} failed: {sol.status.value}"
@@ -322,7 +322,7 @@ def iterate_node(
     ball = (own.estimate, own.radius_sq)
 
     problem, first_ref = _chebyshev_dual(refs, ball)
-    sol = solve(problem, cfg.solver)
+    sol = solve(problem, _NODE_SOLVER)
     keep = replace(
         own,
         iteration=own.iteration + 1,
@@ -386,7 +386,7 @@ def run_dis_minmax(
     table = propagate_distance_bounds(scenario, bounds)
 
     states = {
-        i: initial_estimate(i, table, scenario.anchors, cfg) for i in scenario.sensors
+        i: initial_estimate(i, table, scenario.anchors) for i in scenario.sensors
     }
     rounds = [RoundRecord(0, dict(states), _rmse_upper_bound(states), 0)]
 

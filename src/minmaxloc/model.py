@@ -292,7 +292,7 @@ def apply_errors(scenario: NetworkScenario, model: ErrorModel, seed: int) -> Net
     elif isinstance(model, GaussianError):
         errs = rng.normal(0.0, model.sigma, size=n_edges)
     elif isinstance(model, MixtureError):
-        n_out = int(round(n_edges * model.ratio / (1.0 + model.ratio)))
+        _, n_out = mixture_counts(n_edges, model.ratio)
         errs = rng.normal(0.0, model.sigma, size=n_edges)
         outliers = rng.permutation(n_edges)[:n_out]
         errs[outliers] = rng.uniform(-3.0 * model.sigma, 3.0 * model.sigma, size=n_out)
@@ -383,6 +383,8 @@ def scenario_from_json(text: str) -> NetworkScenario:
     sensor_edges, anchor_edges, measurements = [], [], {}
     for rec in doc["edges"]:
         a, b, z = int(rec["a"]), int(rec["b"]), float(rec["z"])
+        if not math.isfinite(z):
+            raise ValueError(f"edge ({a}, {b}) has non-finite measurement {z}")
         if a in sensor_set and b in sensor_set:
             e = (min(a, b), max(a, b))
             sensor_edges.append(e)
@@ -395,6 +397,10 @@ def scenario_from_json(text: str) -> NetworkScenario:
             anchor_edges.append(e)
         measurements[e] = z
 
+    gamma = float(doc["gamma"])
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+
     return NetworkScenario(
         sensors=sensors,
         anchors=anchors,
@@ -402,6 +408,6 @@ def scenario_from_json(text: str) -> NetworkScenario:
         sensor_edges=sorted(sensor_edges),
         anchor_edges=sorted(anchor_edges),
         measurements=measurements,
-        gamma=float(doc["gamma"]),
+        gamma=gamma,
         sensing_range=float(doc["sensing_range"]),
     )

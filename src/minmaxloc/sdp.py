@@ -27,12 +27,18 @@ and M[k,j] = sum_b <A_{b,k}, W_b A_{b,j} W_b> is symmetric positive
 definite.  Steps take a fixed fraction of the largest cone-preserving step.
 The solver is deterministic: identical inputs produce identical outputs.
 
-Two internal representations are compiled per block.  Small blocks keep a
-dense coefficient stack.  Large blocks factor every coefficient matrix into
-signed rank-one terms (via an exact eigendecomposition on its support), so
-the Schur matrix assembles from squared inner products of scaled columns
-instead of full congruences; this is what makes networks of a few hundred
-variables cheap.  All 1x1 blocks are fused into one diagonal "linear" block.
+Each block is compiled to an object with one per-block interface: start
+point, inner product, NT scaling (returning W and S^-1), Schur contribution,
+centering term, the congruence W R W, step length, corrector,
+symmetrization and dual output.  The solver loops over one list of such
+blocks and never asks what kind a block is.  Dense blocks keep one of two
+coefficient representations.  Small ones keep a dense coefficient stack.
+Large ones factor every coefficient matrix into signed rank-one terms (via
+an exact eigendecomposition on its support), so the Schur matrix assembles
+from squared inner products of scaled columns instead of full congruences;
+this is what makes networks of a few hundred variables cheap.  All 1x1
+blocks are fused into one diagonal block of vectors, kept last in the list,
+whose methods do the same steps row by row.
 
 ``dump_problem`` writes a plain-text sparse listing for cross-checking
 against external tools: one line per structural nonzero,
@@ -214,17 +220,24 @@ def dump_problem(problem: SdpProblem) -> str:
 
 
 class _LinBlock:
-    """All 1x1 blocks fused: rows d0 + D x >= 0."""
+    """All 1x1 blocks fused: rows a0 + D x >= 0, slack and dual as vectors.
+
+    Implements the per-block interface of :class:`_DenseBlock` row by row.
+    Where a dense block multiplies by S^-1, a row divides by s, so the
+    scaling hands back s itself in the place of S^-1.
+    """
 
     def __init__(self, blocks: List[Tuple[int, Block]], num_vars: int):
         self.src = [bi for bi, _ in blocks]
         q = len(blocks)
         self.q = q
-        self.d0 = np.zeros(q)
+        self.vars = slice(None)  # rows may touch any variable
+        self.pairs = (slice(None), slice(None))
+        self.a0 = np.zeros(q)
         rows, cols, vals = [], [], []
         for r, (_, blk) in enumerate(blocks):
             for _, _, v in blk.const:
-                self.d0[r] += v
+                self.a0[r] += v
             for k, trips in blk.coeffs.items():
                 coef = sum(v for _, _, v in trips)
                 rows.append(r)
@@ -232,15 +245,56 @@ class _LinBlock:
                 vals.append(coef)
         self.D = sp.csr_matrix((vals, (rows, cols)), shape=(q, num_vars))
         self.Dt = self.D.T.tocsr()
-        self.norm_a0 = float(np.linalg.norm(self.d0))
+        self.norm_a0 = float(np.linalg.norm(self.a0))
         col_norms = np.sqrt(np.asarray(self.D.multiply(self.D).sum(axis=0)).ravel())
         self.coeff_scale = float(col_norms.max()) if q else 0.0
+
+    def start(self) -> Tuple[np.ndarray, np.ndarray]:
+        return np.full(self.q, 1.0 + self.norm_a0 + self.coeff_scale), np.ones(self.q)
 
     def combine(self, y: np.ndarray) -> np.ndarray:
         return self.D @ y
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         return self.Dt @ u
+
+    def schur(self, w2: np.ndarray) -> np.ndarray:
+        return (self.Dt @ self.D.multiply(w2[:, None])).toarray()
+
+    @staticmethod
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        return float(a @ b)
+
+    @staticmethod
+    def scaling(s: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(W^2, s): the diagonal scaling Z / S, and s in the place of S^-1."""
+        return z / s, s
+
+    @staticmethod
+    def centering(sigma_mu: float, s: np.ndarray) -> np.ndarray:
+        return sigma_mu / s
+
+    @staticmethod
+    def congruence(w2: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return w2 * r
+
+    @staticmethod
+    def corrector(s: np.ndarray, ds: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        return -ds * dz / s
+
+    @staticmethod
+    def max_step(s: np.ndarray, ds: np.ndarray) -> float:
+        neg = ds < 0
+        if not neg.any():
+            return np.inf
+        return float(np.min(-s[neg] / ds[neg]))
+
+    @staticmethod
+    def sym(v: np.ndarray) -> np.ndarray:
+        return v
+
+    def duals(self, z: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        return [(src, np.array([[v]])) for src, v in zip(self.src, z)]
 
 
 class _DenseBlock:
@@ -249,6 +303,7 @@ class _DenseBlock:
         self.dim = d = block.dim
         self.a0 = block.dense_const()
         self.vars = np.array(sorted(block.coeffs), dtype=np.intp)
+        self.pairs = np.ix_(self.vars, self.vars)  # its entries of the Schur matrix
         mb = len(self.vars)
         self.norm_a0 = float(np.linalg.norm(self.a0))
         self.rank1 = d > _DENSE_DIM_LIMIT
@@ -307,6 +362,9 @@ class _DenseBlock:
         )
         self.Ut = self.U.T.tocsr()
 
+    def start(self) -> Tuple[np.ndarray, np.ndarray]:
+        return np.eye(self.dim) * (1.0 + self.norm_a0 + self.coeff_scale), np.eye(self.dim)
+
     def combine(self, y: np.ndarray) -> np.ndarray:
         """sum_k y_k A_k as a dense matrix (y indexed by problem variable)."""
         ysub = y[self.vars]
@@ -315,7 +373,7 @@ class _DenseBlock:
         else:
             w = ysub[self.term_var] * self.term_sign
             m = (self.U.multiply(w) @ self.Ut).toarray()
-        return 0.5 * (m + m.T)
+        return self.sym(m)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         """<A_k, U> for each local variable, as a dense (mb,) vector."""
@@ -340,8 +398,65 @@ class _DenseBlock:
         t1 = np.add.reduceat(h, self.group_starts[:-1], axis=0)
         return np.add.reduceat(t1, self.group_starts[:-1], axis=1)
 
+    @staticmethod
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.tensordot(a, b))
+
+    @staticmethod
+    def scaling(s: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(W, S^-1): the NT scaling point W with W S W = Z, and the inverse
+        of S, both from one eigendecomposition of S."""
+        w_s, v_s = np.linalg.eigh(s)
+        if w_s[0] <= 0:
+            raise FloatingPointError("slack block lost positive definiteness")
+        rt = np.sqrt(w_s)
+        s_half = (v_s * rt) @ v_s.T
+        s_ihalf = (v_s / rt) @ v_s.T
+        b = s_half @ z @ s_half
+        b = 0.5 * (b + b.T)
+        w_b, v_b = np.linalg.eigh(b)
+        w_b = np.clip(w_b, 0.0, None)
+        b_half = (v_b * np.sqrt(w_b)) @ v_b.T
+        w = s_ihalf @ b_half @ s_ihalf
+        return 0.5 * (w + w.T), (v_s / w_s) @ v_s.T
+
+    @staticmethod
+    def centering(sigma_mu: float, s_inv: np.ndarray) -> np.ndarray:
+        return sigma_mu * s_inv
+
+    @staticmethod
+    def congruence(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return w @ r @ w
+
+    @staticmethod
+    def corrector(s_inv: np.ndarray, ds: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """-sym(S^-1 dS dZ); a row's -ds*dz/s is its 1x1 case."""
+        p = s_inv @ ds @ dz
+        return -0.5 * (p + p.T)
+
+    @staticmethod
+    def max_step(mat: np.ndarray, delta: np.ndarray) -> float:
+        """Largest alpha with mat + alpha*delta >= 0 (mat must be PD)."""
+        chol = np.linalg.cholesky(mat)
+        y = sla.solve_triangular(chol, delta, lower=True)
+        t = sla.solve_triangular(chol, y.T, lower=True)
+        t = 0.5 * (t + t.T)
+        lam = np.linalg.eigvalsh(t)[0]
+        if lam >= -1e-14:
+            return np.inf
+        return -1.0 / lam
+
+    @staticmethod
+    def sym(m: np.ndarray) -> np.ndarray:
+        return 0.5 * (m + m.T)
+
+    def duals(self, z: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        return [(self.src, z)]
+
 
 def _compile(problem: SdpProblem):
+    """Compiled blocks, dense ones in problem order and the fused rows last,
+    plus the map :func:`_abs_adjoint` builds for that layout."""
     lin_parts: List[Tuple[int, Block]] = []
     dense: List[_DenseBlock] = []
     for bi, blk in enumerate(problem.blocks):
@@ -350,7 +465,8 @@ def _compile(problem: SdpProblem):
         else:
             dense.append(_DenseBlock(bi, blk, problem.num_vars))
     lin = _LinBlock(lin_parts, problem.num_vars) if lin_parts else None
-    return dense, lin, _abs_adjoint(problem, dense, lin)
+    blocks = dense + ([lin] if lin is not None else [])
+    return blocks, _abs_adjoint(problem, dense, lin)
 
 
 def _abs_adjoint(problem: SdpProblem, dense, lin) -> sp.csr_matrix:
@@ -394,63 +510,7 @@ def _abs_adjoint(problem: SdpProblem, dense, lin) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# interior-point iteration helpers
-
-
-def _nt_scaling(s_mat: np.ndarray, z_mat: np.ndarray) -> np.ndarray:
-    """NT scaling point W with W S W = Z (eigendecomposition route)."""
-    w_s, v_s = np.linalg.eigh(s_mat)
-    if w_s[0] <= 0:
-        raise FloatingPointError("slack block lost positive definiteness")
-    rt = np.sqrt(w_s)
-    s_half = (v_s * rt) @ v_s.T
-    s_ihalf = (v_s / rt) @ v_s.T
-    b = s_half @ z_mat @ s_half
-    b = 0.5 * (b + b.T)
-    w_b, v_b = np.linalg.eigh(b)
-    w_b = np.clip(w_b, 0.0, None)
-    b_half = (v_b * np.sqrt(w_b)) @ v_b.T
-    w = s_ihalf @ b_half @ s_ihalf
-    return 0.5 * (w + w.T)
-
-
-def _max_step(mat: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with mat + alpha*delta >= 0 (mat must be PD)."""
-    chol = np.linalg.cholesky(mat)
-    y = sla.solve_triangular(chol, delta, lower=True)
-    t = sla.solve_triangular(chol, y.T, lower=True)
-    t = 0.5 * (t + t.T)
-    lam = np.linalg.eigvalsh(t)[0]
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
-
-
-def _max_step_vec(s: np.ndarray, ds: np.ndarray) -> float:
-    neg = ds < 0
-    if not neg.any():
-        return np.inf
-    return float(np.min(-s[neg] / ds[neg]))
-
-
-class _State:
-    """One interior-point iterate: x plus per-block slack/dual matrices."""
-
-    def __init__(self, x, s_dense, z_dense, s_lin, z_lin):
-        self.x = x
-        self.s_dense = s_dense
-        self.z_dense = z_dense
-        self.s_lin = s_lin
-        self.z_lin = z_lin
-
-    def copy(self):
-        return _State(
-            self.x.copy(),
-            [m.copy() for m in self.s_dense],
-            [m.copy() for m in self.z_dense],
-            None if self.s_lin is None else self.s_lin.copy(),
-            None if self.z_lin is None else self.z_lin.copy(),
-        )
+# interior-point method
 
 
 def solve(
@@ -472,30 +532,24 @@ def solve(
     use it to check weak duality along the whole path.
     """
     cfg = config or SolverConfig()
-    dense, lin, abs_adj = _compile(problem)
-    if not dense and lin is None:
+    blocks, abs_adj = _compile(problem)
+    if not blocks:
         raise ValueError("problem has no blocks")
     c = problem.objective
     m = problem.num_vars
-    nu = sum(b.dim for b in dense) + (lin.q if lin is not None else 0)
 
     data_scale = 1.0 + max(
-        [b.norm_a0 for b in dense]
-        + [b.coeff_scale for b in dense]
-        + ([lin.norm_a0, lin.coeff_scale] if lin is not None else [0.0])
+        [b.norm_a0 for b in blocks] + [b.coeff_scale for b in blocks]
     )
     c_scale = 1.0 + float(np.linalg.norm(c))
 
+    # Iterates are never updated in place, so the best one is kept by
+    # reference.  S and Z hold one matrix per dense block and one vector
+    # for the fused rows.
     x = np.zeros(m)
-    s_dense = [np.eye(b.dim) * (1.0 + b.norm_a0 + b.coeff_scale) for b in dense]
-    z_dense = [np.eye(b.dim) for b in dense]
-    s_lin = z_lin = None
-    if lin is not None:
-        s_lin = np.full(lin.q, 1.0 + lin.norm_a0 + lin.coeff_scale)
-        z_lin = np.ones(lin.q)
-
-    state = _State(x, s_dense, z_dense, s_lin, z_lin)
-    best: Tuple[float, _State, dict] = (np.inf, state.copy(), {})
+    s_blk, z_blk = zip(*(b.start() for b in blocks))
+    nu = sum(len(s) for s in s_blk)  # barrier degree: the order of each block
+    best: Tuple[float, np.ndarray, Sequence[np.ndarray], dict] = (np.inf, x, z_blk, {})
     status = SolveStatus.MAX_ITERATIONS
     iters_done = 0
     stall = 0
@@ -504,38 +558,23 @@ def solve(
     for it in range(cfg.max_iters):
         iters_done = it
         # residuals and merit ------------------------------------------------
-        r_s = [b.a0 + b.combine(state.x) - s for b, s in zip(dense, state.s_dense)]
-        r_lin = (
-            lin.d0 + lin.combine(state.x) - state.s_lin if lin is not None else None
-        )
+        r_s = [b.a0 + b.combine(x) - s for b, s in zip(blocks, s_blk)]
         a_z = np.zeros(m)
-        for b, z in zip(dense, state.z_dense):
+        for b, z in zip(blocks, z_blk):
             a_z[b.vars] += b.adjoint(z)
-        if lin is not None:
-            a_z += lin.adjoint(state.z_lin)
         r_z = c - a_z
 
-        gap = sum(float(np.tensordot(s, z)) for s, z in zip(state.s_dense, state.z_dense))
-        if lin is not None:
-            gap += float(state.s_lin @ state.z_lin)
+        gap = sum(b.inner(s, z) for b, s, z in zip(blocks, s_blk, z_blk))
         mu = gap / nu
 
-        pobj = float(c @ state.x)
-        dobj = -sum(float(np.tensordot(b.a0, z)) for b, z in zip(dense, state.z_dense))
-        if lin is not None:
-            dobj -= float(lin.d0 @ state.z_lin)
+        pobj = float(c @ x)
+        dobj = -sum(b.inner(b.a0, z) for b, z in zip(blocks, z_blk))
 
-        pinf = math.sqrt(
-            sum(float(np.linalg.norm(r) ** 2) for r in r_s)
-            + (float(np.linalg.norm(r_lin) ** 2) if r_lin is not None else 0.0)
-        ) / data_scale
+        pinf = math.sqrt(sum(float(np.linalg.norm(r) ** 2) for r in r_s)) / data_scale
         # Dual residual measured componentwise against the magnitudes that
         # actually entered its computation (backward-error style); a plain
         # norm over c_scale has an unreachable floor when Z is huge.
-        zabs = [np.abs(z).ravel() for z in state.z_dense]
-        if lin is not None:
-            zabs.append(np.abs(state.z_lin))
-        abs_prod = abs_adj @ np.concatenate(zabs)
+        abs_prod = abs_adj @ np.concatenate([np.abs(z).ravel() for z in z_blk])
         dinf = float(np.max(np.abs(r_z) / (1.0 + np.abs(c) + abs_prod)))
         relgap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
         merit = max(relgap, pinf, dinf)
@@ -553,16 +592,11 @@ def solve(
             info.update(last_step)
             callback(info)
 
-        if merit < best[0]:
-            best = (
-                merit,
-                state.copy(),
-                {"gap": relgap, "pinf": pinf, "dinf": dinf, "pobj": pobj},
-            )
-
-        if relgap <= cfg.gap_tol and pinf <= cfg.feas_tol and dinf <= cfg.feas_tol:
+        optimal = relgap <= cfg.gap_tol and pinf <= cfg.feas_tol and dinf <= cfg.feas_tol
+        if optimal or merit < best[0]:
+            best = (merit, x, z_blk, {"gap": relgap, "pinf": pinf, "dinf": dinf})
+        if optimal:
             status = SolveStatus.OPTIMAL
-            best = (merit, state.copy(), {"gap": relgap, "pinf": pinf, "dinf": dinf, "pobj": pobj})
             break
 
         # A diverging dual along a ray with A(Z) ~ 0 and improving objective
@@ -575,9 +609,7 @@ def solve(
             and float(np.linalg.norm(a_z)) <= 1e-3 * (1.0 + dobj)
         )
         iterate_scale = max(
-            float(np.abs(state.x).max(initial=0.0)),
-            max(float(np.abs(z).max()) for z in state.z_dense) if dense else 0.0,
-            float(np.abs(state.z_lin).max()) if lin is not None else 0.0,
+            [float(np.abs(x).max(initial=0.0))] + [float(np.abs(z).max()) for z in z_blk]
         )
         if iterate_scale > 1e14 * data_scale or not math.isfinite(merit):
             status = SolveStatus.INFEASIBLE if dual_ray else SolveStatus.NUMERICAL_FAILURE
@@ -588,21 +620,15 @@ def solve(
             SolveStatus.INFEASIBLE if dual_ray else SolveStatus.NUMERICAL_FAILURE
         )
         try:
-            w_dense = [
-                _nt_scaling(s, z) for s, z in zip(state.s_dense, state.z_dense)
-            ]
+            # per block (W, S^-1), in the forms the block's methods expect
+            scal = [b.scaling(s, z) for b, s, z in zip(blocks, s_blk, z_blk)]
         except FloatingPointError:
             status = fail_status
             break
-        w2_lin = state.z_lin / state.s_lin if lin is not None else None
 
         schur = np.zeros((m, m))
-        for b, w in zip(dense, w_dense):
-            sub = b.schur(w)
-            schur[np.ix_(b.vars, b.vars)] += sub
-        if lin is not None:
-            dw = lin.D.multiply(w2_lin[:, None])
-            schur += (lin.Dt @ dw).toarray()
+        for b, (w, _) in zip(blocks, scal):
+            schur[b.pairs] += b.schur(w)
 
         chol = None
         jitter = _JITTER * (1.0 + float(np.trace(schur)) / max(m, 1))
@@ -621,101 +647,65 @@ def solve(
             status = fail_status
             break
 
-        s_inv = []
-        for s in state.s_dense:
-            w_e, v_e = np.linalg.eigh(s)
-            if w_e[0] <= 0:
-                break
-            s_inv.append((v_e / w_e) @ v_e.T)
-        if len(s_inv) != len(dense):
-            status = fail_status
-            break
-
-        def newton(sigma_mu: float, corr_dense, corr_lin):
-            """Solve one Newton system; returns (dx, dS..., dZ...)."""
-            r3 = []
-            for bi in range(len(dense)):
-                r = sigma_mu * s_inv[bi] - state.z_dense[bi]
-                if corr_dense is not None:
-                    r = r + corr_dense[bi]
-                r3.append(r)
-            r3_lin = None
-            if lin is not None:
-                r3_lin = sigma_mu / state.s_lin - state.z_lin
-                if corr_lin is not None:
-                    r3_lin = r3_lin + corr_lin
+        def newton(sigma_mu: float, corr):
+            """Solve one Newton system; returns (dx, [dS], [dZ])."""
+            r3 = [
+                b.centering(sigma_mu, s_inv) - z
+                for b, (_, s_inv), z in zip(blocks, scal, z_blk)
+            ]
+            if corr is not None:
+                r3 = [r + cr for r, cr in zip(r3, corr)]
 
             rhs = -r_z.copy()
-            for bi, b in enumerate(dense):
-                w = w_dense[bi]
-                rhs[b.vars] += b.adjoint(r3[bi])
-                rhs[b.vars] -= b.adjoint(w @ r_s[bi] @ w)
-            if lin is not None:
-                rhs += lin.adjoint(r3_lin)
-                rhs -= lin.adjoint(w2_lin * r_lin)
+            for b, (w, _), r3b, rsb in zip(blocks, scal, r3, r_s):
+                rhs[b.vars] += b.adjoint(r3b)
+                rhs[b.vars] -= b.adjoint(b.congruence(w, rsb))
 
             dx = sla.cho_solve(chol, rhs)
             # one round of iterative refinement keeps the dual residual from
             # flooring at the Schur matrix's condition-number noise
             dx += sla.cho_solve(chol, rhs - schur @ dx)
-            ds_dense, dz_dense = [], []
-            for bi, b in enumerate(dense):
-                ds = r_s[bi] + b.combine(dx)
-                ds = 0.5 * (ds + ds.T)
-                dz = r3[bi] - w_dense[bi] @ ds @ w_dense[bi]
-                dz = 0.5 * (dz + dz.T)
-                ds_dense.append(ds)
-                dz_dense.append(dz)
-            ds_lin = dz_lin = None
-            if lin is not None:
-                ds_lin = r_lin + lin.combine(dx)
-                dz_lin = r3_lin - w2_lin * ds_lin
-            return dx, ds_dense, dz_dense, ds_lin, dz_lin
+            ds = [b.sym(rsb + b.combine(dx)) for b, rsb in zip(blocks, r_s)]
+            dz = [
+                b.sym(r3b - b.congruence(w, dsb))
+                for b, (w, _), r3b, dsb in zip(blocks, scal, r3, ds)
+            ]
+            return dx, ds, dz
 
-        def step_length(ds_dense, dz_dense, ds_lin, dz_lin):
+        def step_length(ds, dz):
             # a single step length for primal and dual keeps the iterate
             # near the central path; separate lengths let one side race
             # ahead, which poisons the NT scaling and stalls the other
             a = np.inf
-            for bi in range(len(dense)):
-                a = min(a, _max_step(state.s_dense[bi], ds_dense[bi]))
-                a = min(a, _max_step(state.z_dense[bi], dz_dense[bi]))
-            if lin is not None:
-                a = min(a, _max_step_vec(state.s_lin, ds_lin))
-                a = min(a, _max_step_vec(state.z_lin, dz_lin))
+            for b, s, z, dsb, dzb in zip(blocks, s_blk, z_blk, ds, dz):
+                a = min(a, b.max_step(s, dsb))
+                a = min(a, b.max_step(z, dzb))
             return min(1.0, cfg.step_fraction * a)
 
         try:
             # predictor
-            dxa, dsa, dza, dsla, dzla = newton(0.0, None, None)
-            a_aff = step_length(dsa, dza, dsla, dzla)
+            dxa, dsa, dza = newton(0.0, None)
+            a_aff = step_length(dsa, dza)
             gap_aff = sum(
-                float(np.tensordot(state.s_dense[bi] + a_aff * dsa[bi],
-                                   state.z_dense[bi] + a_aff * dza[bi]))
-                for bi in range(len(dense))
+                b.inner(s + a_aff * dsb, z + a_aff * dzb)
+                for b, s, z, dsb, dzb in zip(blocks, s_blk, z_blk, dsa, dza)
             )
-            if lin is not None:
-                gap_aff += float(
-                    (state.s_lin + a_aff * dsla) @ (state.z_lin + a_aff * dzla)
-                )
             sigma = min(1.0, max((gap_aff / gap) ** 3 if gap > 0 else 0.0, 0.0))
 
-            # corrector: second-order term -sym(S^-1 dS_a dZ_a), the scalar
-            # case of which is the familiar -ds*dz/s
-            corr_dense = []
-            for bi in range(len(dense)):
-                p = s_inv[bi] @ dsa[bi] @ dza[bi]
-                corr_dense.append(-0.5 * (p + p.T))
-            corr_lin = -dsla * dzla / state.s_lin if lin is not None else None
-            dx, dsd, dzd, dsl, dzl = newton(sigma * mu, corr_dense, corr_lin)
-            alpha = step_length(dsd, dzd, dsl, dzl)
+            # corrector: second-order term -sym(S^-1 dS_a dZ_a)
+            corr = [
+                b.corrector(s_inv, dsb, dzb)
+                for b, (_, s_inv), dsb, dzb in zip(blocks, scal, dsa, dza)
+            ]
+            dx, ds, dz = newton(sigma * mu, corr)
+            alpha = step_length(ds, dz)
             if alpha < 0.05:
                 # off-center iterates block the Mehrotra direction almost
                 # immediately; fall back to a plain centering step, which
                 # always points into the cone and restores balance
                 sigma = max(sigma, 0.8)
-                dx, dsd, dzd, dsl, dzl = newton(sigma * mu, None, None)
-                alpha = step_length(dsd, dzd, dsl, dzl)
+                dx, ds, dz = newton(sigma * mu, None)
+                alpha = step_length(ds, dz)
         except (np.linalg.LinAlgError, FloatingPointError):
             status = fail_status
             break
@@ -729,29 +719,21 @@ def solve(
         else:
             stall = 0
 
-        state.x = state.x + alpha * dx
-        for bi in range(len(dense)):
-            s_new = state.s_dense[bi] + alpha * dsd[bi]
-            z_new = state.z_dense[bi] + alpha * dzd[bi]
-            state.s_dense[bi] = 0.5 * (s_new + s_new.T)
-            state.z_dense[bi] = 0.5 * (z_new + z_new.T)
-        if lin is not None:
-            state.s_lin = state.s_lin + alpha * dsl
-            state.z_lin = state.z_lin + alpha * dzl
+        x = x + alpha * dx
+        s_blk = [b.sym(s + alpha * d) for b, s, d in zip(blocks, s_blk, ds)]
+        z_blk = [b.sym(z + alpha * d) for b, z, d in zip(blocks, z_blk, dz)]
     else:
         iters_done = cfg.max_iters
 
-    _, bstate, binfo = best
+    _, x_best, z_best, binfo = best
     dual_blocks: List[np.ndarray] = [np.zeros((0, 0))] * len(problem.blocks)
-    for bi, b in enumerate(dense):
-        dual_blocks[b.src] = bstate.z_dense[bi]
-    if lin is not None:
-        for r, src in enumerate(lin.src):
-            dual_blocks[src] = np.array([[bstate.z_lin[r]]])
+    for b, z in zip(blocks, z_best):
+        for src, zb in b.duals(z):
+            dual_blocks[src] = zb
 
     return SdpSolution(
-        x=bstate.x,
-        objective_value=float(problem.objective @ bstate.x),
+        x=x_best,
+        objective_value=float(problem.objective @ x_best),
         dual_blocks=dual_blocks,
         status=status,
         gap=float(binfo.get("gap", np.inf)),

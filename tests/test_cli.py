@@ -188,6 +188,26 @@ def test_malformed_scenario_is_usage_error(tmp_path, capsys):
     assert "not a scenario file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "solve-central", "solve-dist", "oracle"])
+@pytest.mark.parametrize("field, value", [("z", math.nan), ("gamma", -0.02)])
+def test_nonfinite_or_negative_numbers_are_usage_errors(
+    tmp_path, capsys, command, field, value
+):
+    path = str(tmp_path / "scen.json")
+    assert main(
+        ["generate", "--seed", "4", "--n-sensors", "1", "--gamma", "0.02", "--out", path]
+    ) == 0
+    doc = json.loads(open(path).read())
+    if field == "z":
+        doc["edges"][0]["z"] = value
+    else:
+        doc["gamma"] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main([command, path]) == 1
+    assert "not a scenario file" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "error:" in capsys.readouterr().err

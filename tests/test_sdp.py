@@ -171,6 +171,33 @@ def test_dual_blocks_shape_and_order():
     assert sol.dual_blocks[1][0, 0] == pytest.approx(1.0, abs=1e-5)
     assert sol.dual_blocks[2][0, 0] == pytest.approx(0.0, abs=1e-5)
 
+    # min t + y  s.t.  [[y, 1], [1, y]] >= 0, t >= 0, y <= 5 and t I - A >= 0
+    # with A wider than the dense cutoff: y = 1 and t = lambda_max(A) > 0
+    n = sdp._DENSE_DIM_LIMIT + 1
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((n, n))
+    a = 0.5 * (a + a.T)
+    mixed = sdp.SdpProblem(
+        num_vars=2,
+        objective=np.array([1.0, 1.0]),
+        blocks=[
+            sdp.Block(2, [(1, 0, 1.0)], {1: [(0, 0, 1.0), (1, 1, 1.0)]}),
+            sdp.scalar_block(0.0, {0: 1.0}),
+            sdp.scalar_block(5.0, {1: -1.0}),
+            sdp.Block.from_dense(-a, {0: np.eye(n)}),
+        ],
+    )
+    sol = sdp.solve(mixed)
+    assert sol.status == sdp.SolveStatus.OPTIMAL
+    assert len(sol.dual_blocks) == len(mixed.blocks)
+    for z, block in zip(sol.dual_blocks, mixed.blocks):
+        assert z.shape == (block.dim, block.dim)
+    # only the 2x2 and the wide block are active, each carrying unit weight
+    assert np.trace(sol.dual_blocks[0]) == pytest.approx(1.0, abs=1e-5)
+    assert sol.dual_blocks[1][0, 0] == pytest.approx(0.0, abs=1e-5)
+    assert sol.dual_blocks[2][0, 0] == pytest.approx(0.0, abs=1e-5)
+    assert np.trace(sol.dual_blocks[3]) == pytest.approx(1.0, abs=1e-5)
+
 
 def test_block_triplet_canonicalization():
     b = sdp.Block(3, [(0, 1, 2.0), (1, 0, 1.0), (2, 2, 0.0)], {0: [(2, 0, 1.0)]})
