@@ -41,6 +41,11 @@ ERROR_FAMILIES = ("uniform", "gaussian", "mixture")
 
 _ROLES = {"scenario": 0, "errors": 1, "baseline": 2}
 
+# What scenario generation and the estimators raise on bad data or a failed
+# solve (geom.EmptyRegionError is a ValueError).  A trial records these as
+# failures; any other exception is a programming error and propagates.
+_TRIAL_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError, FloatingPointError)
+
 
 def trial_seed(master: int, sweep_index: int, trial: int, role: str) -> int:
     """Derived seed for one role of one trial.
@@ -325,7 +330,7 @@ def _run_one_trial(
     try:
         scen = generate_scenario(spec.scenario, seed=seeds["scenario"])
         scen = apply_errors(scen, spec.error_model(v), seed=seeds["errors"])
-    except Exception as exc:
+    except _TRIAL_ERRORS as exc:
         out.failures["scenario"] = f"{type(exc).__name__}: {exc}"
         return out
 
@@ -357,7 +362,7 @@ def _run_one_trial(
                 res = baseline_least_squares(scen, seed=seeds["baseline"])
                 out.rmse_baseline = rmse(res.positions, truth)
                 out.baseline_converged = res.converged
-        except Exception as exc:
+        except _TRIAL_ERRORS as exc:
             out.failures[name] = f"{type(exc).__name__}: {exc}"
         out.runtimes[name] = time.perf_counter() - t0
     return out

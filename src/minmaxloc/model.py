@@ -379,12 +379,17 @@ def scenario_from_json(text: str) -> NetworkScenario:
     sensor_set = set(sensors)
     anchors = {int(a["id"]): (float(a["x"]), float(a["y"])) for a in doc["anchors"]}
     truth = {int(i): (float(p[0]), float(p[1])) for i, p in doc["true_positions"].items()}
+    shared = sorted(sensor_set & anchors.keys())
+    if shared:
+        raise ValueError(f"ids {shared} are both sensors and anchors")
 
     sensor_edges, anchor_edges, measurements = [], [], {}
     for rec in doc["edges"]:
         a, b, z = int(rec["a"]), int(rec["b"]), float(rec["z"])
-        if not math.isfinite(z):
-            raise ValueError(f"edge ({a}, {b}) has non-finite measurement {z}")
+        if not (math.isfinite(z) and z >= 0.0):
+            raise ValueError(f"edge ({a}, {b}) has non-finite or negative measurement {z}")
+        if a == b:
+            raise ValueError(f"edge ({a}, {b}) joins a node to itself")
         if a in sensor_set and b in sensor_set:
             e = (min(a, b), max(a, b))
             sensor_edges.append(e)
@@ -395,6 +400,8 @@ def scenario_from_json(text: str) -> NetworkScenario:
                 raise ValueError(f"edge ({rec['a']}, {rec['b']}) links unknown nodes")
             e = (a, b)
             anchor_edges.append(e)
+        if e in measurements:
+            raise ValueError(f"edge ({rec['a']}, {rec['b']}) appears more than once")
         measurements[e] = z
 
     gamma = float(doc["gamma"])

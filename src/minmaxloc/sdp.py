@@ -33,20 +33,23 @@ centering term, the congruence W R W, step length, corrector,
 symmetrization and dual output.  The solver loops over one list of such
 blocks and never asks what kind a block is.  Dense blocks keep one of two
 coefficient representations.  Small ones keep a dense coefficient stack.
-Large ones factor every coefficient matrix into signed rank-one terms (via
-an exact eigendecomposition on its support), so the Schur matrix assembles
-from squared inner products of scaled columns instead of full congruences;
-this is what makes networks of a few hundred variables cheap.  All 1x1
-blocks are fused into one diagonal block of vectors, kept last in the list,
-whose methods do the same steps row by row.
 
-``dump_problem`` writes a plain-text sparse listing for cross-checking
-against external tools: one line per structural nonzero,
+Large ones first sort their variables into sign classes: a variable whose
+coefficient matrix equals, or exactly negates, an earlier one's joins that
+class with sign s_k = +1 or -1, so A_k = s_k A_c(k).  Each two-sided
+measurement interval gives such a negated pair, and a duplicated edge a
+same-sign copy.  Only one member per class is factored into signed rank-one
+terms, A_c = sum_r sign_r u_r u_r^T (an exact eigendecomposition on its
+support).  The Schur matrix then assembles from H[r, t] = (u_r^T W u_t)^2
+over the class terms only.  One signed indicator G, built at compile time
+with G[c, r] = sign_r for each term r of class c, forms every group sum at
+once, M_cls = G H G^T, which expands to the variables as
+M[k, j] = s_k s_j M_cls[c(k), c(j)].  The adjoint and the combination go
+through the same class map.  This is what makes networks of a few hundred
+variables cheap.
 
-    <var> <block> <i> <j> <value>
-
-with var 0 denoting the constant matrix A0, variables numbered from 1,
-blocks numbered from 1, and 1-based upper-triangle indices i <= j.
+All 1x1 blocks are fused into one diagonal block of vectors, kept last in
+the list, whose methods do the same steps row by row.
 """
 
 from __future__ import annotations
@@ -198,23 +201,6 @@ class SdpSolution:
     iterations: int
 
 
-def dump_problem(problem: SdpProblem) -> str:
-    """Sparse text listing of the problem (format in the module docstring)."""
-    lines = [f"{problem.num_vars} {len(problem.blocks)}"]
-    lines.append(" ".join(repr(float(v)) for v in problem.objective))
-    entries = []
-    for bi, block in enumerate(problem.blocks, start=1):
-        for i, j, v in block.const:
-            entries.append((0, bi, j + 1, i + 1, v))
-        for k in sorted(block.coeffs):
-            for i, j, v in block.coeffs[k]:
-                entries.append((k + 1, bi, j + 1, i + 1, v))
-    entries.sort(key=lambda e: e[:4])
-    for var, bi, i, j, v in entries:
-        lines.append(f"{var} {bi} {i} {j} {v!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # compiled internal representation
 
@@ -316,15 +302,31 @@ class _DenseBlock:
             )
             return
 
-        # Factor each coefficient matrix into signed rank-one terms on its
-        # support: A_k = sum_r sign_r u_r u_r^T exactly (eigendecomposition).
-        term_var: List[int] = []
+        # Sign classes: a variable whose coefficient matrix equals, or exactly
+        # negates, an earlier one's joins that class, A_k = var_sign_k A_c.
+        classes: Dict[Tuple[Triplet, ...], Tuple[int, float]] = {}
+        reps: List[List[Triplet]] = []
+        var_cls: List[int] = []
+        var_sign: List[float] = []
+        for k in self.vars:
+            trips = block.coeffs[k]
+            key = tuple(trips)
+            if key not in classes:
+                classes[key] = (len(reps), 1.0)
+                classes[tuple((i, j, -v) for i, j, v in trips)] = (len(reps), -1.0)
+                reps.append(trips)
+            c, sign = classes[key]
+            var_cls.append(c)
+            var_sign.append(sign)
+
+        # Factor each class's first member into signed rank-one terms on its
+        # support: A_c = sum_r sign_r u_r u_r^T exactly (eigendecomposition).
+        term_cls: List[int] = []
         term_sign: List[float] = []
         term_vecs: List[np.ndarray] = []
         term_idx: List[np.ndarray] = []
         scale = 0.0
-        for t, k in enumerate(self.vars):
-            trips = block.coeffs[k]
+        for c, trips in enumerate(reps):
             support = sorted({i for i, _, _ in trips} | {j for _, j, _ in trips})
             pos = {g: l for l, g in enumerate(support)}
             a = np.zeros((len(support), len(support)))
@@ -337,24 +339,27 @@ class _DenseBlock:
             top = float(np.abs(w).max())
             for r in range(len(w)):
                 if abs(w[r]) > 1e-14 * max(top, 1.0):
-                    term_var.append(t)
+                    term_cls.append(c)
                     term_sign.append(1.0 if w[r] > 0 else -1.0)
                     term_vecs.append(v[:, r] * math.sqrt(abs(w[r])))
                     term_idx.append(np.asarray(support, dtype=np.intp))
         self.coeff_scale = scale
 
-        nterms = len(term_var)
+        nterms = len(term_cls)
         smax = max((len(ix) for ix in term_idx), default=1)
-        self.term_var = np.asarray(term_var, dtype=np.intp)
-        self.term_sign = np.asarray(term_sign)
+        self.var_cls = np.asarray(var_cls, dtype=np.intp)
+        self.var_sign = np.asarray(var_sign)
+        # signed indicator G[c, r] = sign_r for each term r of class c, so a
+        # group sum over classes is one product with G
+        self.G = sp.csr_matrix(
+            (term_sign, (term_cls, np.arange(nterms))), shape=(len(reps), nterms)
+        )
         self.u_idx = np.zeros((nterms, smax), dtype=np.intp)
         self.u_val = np.zeros((nterms, smax))
         for r in range(nterms):
             s = len(term_idx[r])
             self.u_idx[r, :s] = term_idx[r]
             self.u_val[r, :s] = term_vecs[r]
-        # terms are grouped by variable already (built in ascending order)
-        self.group_starts = np.searchsorted(self.term_var, np.arange(mb + 1))
         rows = self.u_idx.ravel()
         cols = np.repeat(np.arange(nterms), smax)
         self.U = sp.csc_matrix(
@@ -371,8 +376,10 @@ class _DenseBlock:
         if not self.rank1:
             m = np.tensordot(ysub, self.stack, axes=1)
         else:
-            w = ysub[self.term_var] * self.term_sign
-            m = (self.U.multiply(w) @ self.Ut).toarray()
+            y_cls = np.bincount(
+                self.var_cls, weights=self.var_sign * ysub, minlength=self.G.shape[0]
+            )
+            m = (self.U.multiply(self.G.T @ y_cls) @ self.Ut).toarray()
         return self.sym(m)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
@@ -381,7 +388,7 @@ class _DenseBlock:
             return np.einsum("kij,ij->k", self.stack, u)
         g = u[self.u_idx[:, :, None], self.u_idx[:, None, :]]
         t = np.einsum("ras,ra,rs->r", g, self.u_val, self.u_val)
-        return np.add.reduceat(t * self.term_sign, self.group_starts[:-1])
+        return self.var_sign * (self.G @ t)[self.var_cls]
 
     def schur(self, w: np.ndarray) -> np.ndarray:
         """M_sub[k, j] = <A_k, W A_j W> over the block's local variables."""
@@ -393,10 +400,15 @@ class _DenseBlock:
         wu = (self.Ut @ w).T  # (d, R) dense
         h = self.Ut @ wu  # (R, R)
         np.square(h, out=h)
-        h *= self.term_sign[:, None]
-        h *= self.term_sign[None, :]
-        t1 = np.add.reduceat(h, self.group_starts[:-1], axis=0)
-        return np.add.reduceat(t1, self.group_starts[:-1], axis=1)
+        # H is symmetric only up to rounding; the Cholesky reads one triangle
+        # of the Schur matrix and the refinement step multiplies by all of it,
+        # so both must see the same symmetric matrix
+        m_cls = self.sym(self.G @ (self.G @ h).T)
+        rows = m_cls[self.var_cls]
+        rows *= self.var_sign[:, None]
+        out = rows[:, self.var_cls]
+        out *= self.var_sign
+        return out
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -42,6 +42,7 @@ import pytest
 from fixtures import NONCONVEX_FIXTURES, ORACLE_FIXTURES, trilateration_instance
 from minmaxloc import central, dist, experiment, geom, model
 from minmaxloc.sdp import SolveStatus, SolverConfig, solve
+from primal_sdp import assemble_primal_sdp
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
 GRID_RES = 1e-3
@@ -145,7 +146,7 @@ def test_both_program_forms_agree():
     for k in range(10):
         scen = _gaussian_scenario(3 + k % 3, 300 + k, 1300 + k, sensing=0.7)
         est = central.solve_minmax_sdp(scen)
-        problem, _ = central.assemble_primal_sdp(scen)
+        problem, _ = assemble_primal_sdp(scen)
         lifted = solve(problem)
         assert est.solver_status == SolveStatus.OPTIMAL
         assert lifted.status == SolveStatus.OPTIMAL

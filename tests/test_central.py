@@ -7,6 +7,7 @@ import pytest
 from fixtures import ORACLE_FIXTURES, single_sensor_fixture
 from minmaxloc import central, geom, model
 from minmaxloc.sdp import SolveStatus, solve
+from primal_sdp import assemble_primal_sdp, sample_feasible_positions
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
 
@@ -115,7 +116,7 @@ def test_sampled_configurations_within_certificate():
     scen = model.generate_scenario(cfg, seed=3)
     scen = model.apply_errors(scen, model.UniformError(gamma=0.1), seed=3)
     est = central.solve_minmax_sdp(scen)
-    samples = central.sample_feasible_positions(scen, n_samples=50, seed=5)
+    samples = sample_feasible_positions(scen, n_samples=50, seed=5)
     assert samples.shape[0] > 0
     order = list(scen.sensors)
     for config in samples:
@@ -135,7 +136,7 @@ def test_strong_duality(n_sensors, seed):
     scen = model.generate_scenario(cfg, seed=seed)
     scen = model.apply_errors(scen, model.GaussianError(sigma=0.02), seed=seed)
     est = central.solve_minmax_sdp(scen)
-    primal_problem, _ = central.assemble_primal_sdp(scen)
+    primal_problem, _ = assemble_primal_sdp(scen)
     primal = solve(primal_problem)
     assert primal.status == SolveStatus.OPTIMAL
     primal_value = -primal.objective_value
@@ -157,7 +158,7 @@ def test_unanchored_scenario_rejected():
     with pytest.raises(ValueError):
         central.assemble_dual_sdp(scen)
     with pytest.raises(ValueError):
-        central.assemble_primal_sdp(scen)
+        assemble_primal_sdp(scen)
 
 
 def test_multipliers_cover_all_edges(solved_fixtures):
@@ -223,8 +224,8 @@ def test_solve_is_deterministic():
 
 def test_sampler_output_is_feasible_and_deterministic():
     scen, bounds = ORACLE_FIXTURES["lens"][0]
-    s1 = central.sample_feasible_positions(scen, bounds, n_samples=40, seed=9)
-    s2 = central.sample_feasible_positions(scen, bounds, n_samples=40, seed=9)
+    s1 = sample_feasible_positions(scen, bounds, n_samples=40, seed=9)
+    s2 = sample_feasible_positions(scen, bounds, n_samples=40, seed=9)
     assert s1.shape == (40, 1, 2)
     assert np.array_equal(s1, s2)
     for (u, k), b in bounds.items():

@@ -188,23 +188,58 @@ def test_malformed_scenario_is_usage_error(tmp_path, capsys):
     assert "not a scenario file" in capsys.readouterr().err
 
 
+def _edited_scenario(tmp_path, n_sensors, edit):
+    """Path of a generated scenario file after ``edit`` changed its JSON."""
+    path = str(tmp_path / "scen.json")
+    assert main(
+        ["generate", "--seed", "4", "--n-sensors", str(n_sensors), "--gamma", "0.02",
+         "--out", path]
+    ) == 0
+    doc = json.loads(open(path).read())
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
 @pytest.mark.parametrize("command", ["validate", "solve-central", "solve-dist", "oracle"])
-@pytest.mark.parametrize("field, value", [("z", math.nan), ("gamma", -0.02)])
+@pytest.mark.parametrize("field, value", [("z", math.nan), ("gamma", -0.02), ("z", -0.1)])
 def test_nonfinite_or_negative_numbers_are_usage_errors(
     tmp_path, capsys, command, field, value
 ):
-    path = str(tmp_path / "scen.json")
-    assert main(
-        ["generate", "--seed", "4", "--n-sensors", "1", "--gamma", "0.02", "--out", path]
-    ) == 0
-    doc = json.loads(open(path).read())
-    if field == "z":
-        doc["edges"][0]["z"] = value
-    else:
-        doc["gamma"] = value
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    assert main([command, path]) == 1
+    def edit(doc):
+        if field == "z":
+            doc["edges"][0]["z"] = value
+        else:
+            doc["gamma"] = value
+
+    assert main([command, _edited_scenario(tmp_path, 1, edit)]) == 1
+    assert "not a scenario file" in capsys.readouterr().err
+
+
+def _self_edge(doc):
+    doc["edges"].append({"a": doc["sensors"][0], "b": doc["sensors"][0], "z": 0.1})
+
+
+def _duplicate_edge(doc):
+    doc["edges"].append(dict(doc["edges"][0]))
+
+
+def _reversed_duplicate_edge(doc):
+    e = doc["edges"][0]
+    doc["edges"].append({"a": e["b"], "b": e["a"], "z": e["z"]})
+
+
+def _sensor_id_as_anchor(doc):
+    doc["anchors"].append({"id": doc["sensors"][0], "x": 0.0, "y": 0.0})
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-central", "solve-dist", "oracle"])
+@pytest.mark.parametrize(
+    "edit", [_self_edge, _duplicate_edge, _reversed_duplicate_edge, _sensor_id_as_anchor]
+)
+def test_malformed_graphs_are_usage_errors(tmp_path, capsys, command, edit):
+    assert main([command, _edited_scenario(tmp_path, 6, edit)]) == 1
     assert "not a scenario file" in capsys.readouterr().err
 
 

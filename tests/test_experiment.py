@@ -199,6 +199,30 @@ def test_scenario_failure_is_recorded_not_raised():
     assert rep.aggregates == []
 
 
+@pytest.mark.parametrize("error, recorded", [(RuntimeError, True), (TypeError, False)])
+def test_estimator_errors_recorded_programming_errors_raised(monkeypatch, error, recorded):
+    def broken(scen, seed=None):
+        raise error("boom")
+
+    monkeypatch.setattr(experiment, "baseline_least_squares", broken)
+    spec = experiment.ExperimentSpec(
+        scenario=model.ScenarioConfig(
+            n_sensors=3, anchor_positions=ANCHORS4, sensing_range=0.8
+        ),
+        error_family="uniform",
+        sweep_values=(0.02,),
+        estimators=("baseline",),
+        trials=1,
+    )
+    if recorded:
+        rep = experiment.run_experiment(spec)
+        assert rep.trials[0].failures == {"baseline": "RuntimeError: boom"}
+        assert rep.trials[0].rmse_baseline is None
+    else:
+        with pytest.raises(TypeError, match="boom"):
+            experiment.run_experiment(spec)
+
+
 # --- outputs ---------------------------------------------------------------------
 
 

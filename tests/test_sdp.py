@@ -115,6 +115,45 @@ def test_rank_one_path_matches_dense_path():
         assert sol.objective_value == pytest.approx(target, abs=1e-6)
 
 
+def test_sign_classes_reproduce_dense_operators():
+    # a block wider than the dense cutoff with an exact-negative pair (1, 3),
+    # a same-sign duplicate of 1 (6, the shape a duplicated edge gives) and
+    # unpaired variables (4, 7); variables 0, 2, 5 and 8 appear elsewhere
+    n = sdp._DENSE_DIM_LIMIT + 3
+    rng = np.random.default_rng(11)
+
+    def on_support(idx):
+        m = np.zeros((n, n))
+        r = rng.standard_normal((len(idx), len(idx)))
+        m[np.ix_(idx, idx)] = r + r.T
+        return m
+
+    a, b = on_support([0, 5, 9, n - 1]), on_support([1, 2, 3])
+    full = on_support(list(range(n)))
+    coeffs = {1: a, 3: -a, 4: b, 6: a.copy(), 7: full}
+    block = sdp.Block.from_dense(on_support([2, 4]), coeffs)
+    compiled = sdp._DenseBlock(0, block, 9)
+    assert compiled.rank1
+    assert compiled.var_cls.tolist() == [0, 0, 1, 0, 2]
+    assert compiled.var_sign.tolist() == [1.0, -1.0, 1.0, 1.0, 1.0]
+
+    dense = [block.dense_coeff(k) for k in sorted(coeffs)]
+    x = rng.standard_normal((n, n))
+    w = x @ x.T / n + np.eye(n)
+    u = on_support(list(range(n)))
+    y = rng.standard_normal(9)
+
+    def close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    close(
+        compiled.schur(w),
+        np.array([[np.tensordot(ak, w @ aj @ w) for aj in dense] for ak in dense]),
+    )
+    close(compiled.adjoint(u), np.array([np.tensordot(ak, u) for ak in dense]))
+    close(compiled.combine(y), sum(y[k] * block.dense_coeff(k) for k in coeffs))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_matches_cutting_plane_reference(seed):
     prob, interior = random_bounded_instance(seed)
@@ -214,13 +253,38 @@ def test_from_dense_rejects_asymmetric():
         sdp.Block.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]), {})
 
 
+def dump_problem(problem):
+    """Plain-text sparse listing of a problem, for cross-checking against
+    external tools.  Line 1 holds the variable and block counts, line 2 the
+    objective, then one line per structural nonzero,
+
+        <var> <block> <i> <j> <value>
+
+    with var 0 denoting the constant matrix A0, variables numbered from 1,
+    blocks numbered from 1, and 1-based upper-triangle indices i <= j.
+    """
+    lines = [f"{problem.num_vars} {len(problem.blocks)}"]
+    lines.append(" ".join(repr(float(v)) for v in problem.objective))
+    entries = []
+    for bi, block in enumerate(problem.blocks, start=1):
+        for i, j, v in block.const:
+            entries.append((0, bi, j + 1, i + 1, v))
+        for k in sorted(block.coeffs):
+            for i, j, v in block.coeffs[k]:
+                entries.append((k + 1, bi, j + 1, i + 1, v))
+    entries.sort(key=lambda e: e[:4])
+    for var, bi, i, j, v in entries:
+        lines.append(f"{var} {bi} {i} {j} {v!r}")
+    return "\n".join(lines) + "\n"
+
+
 def test_dump_problem_format():
     prob = sdp.SdpProblem(
         num_vars=1,
         objective=np.array([2.0]),
         blocks=[sdp.Block(2, [(1, 0, -0.5)], {0: [(0, 0, 1.0), (1, 1, 1.0)]})],
     )
-    text = sdp.dump_problem(prob)
+    text = dump_problem(prob)
     lines = text.strip().split("\n")
     assert lines[0] == "1 1"
     assert lines[1] == "2.0"
@@ -233,7 +297,7 @@ def test_dump_problem_format():
 
 def test_dump_round_trips_through_parser():
     prob, _ = random_bounded_instance(2)
-    text = sdp.dump_problem(prob)
+    text = dump_problem(prob)
     lines = text.strip().split("\n")
     m, nblocks = (int(v) for v in lines[0].split())
     assert m == prob.num_vars and nblocks == len(prob.blocks)
