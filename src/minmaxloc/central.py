@@ -17,7 +17,9 @@ estimate is the optimum of
 with h collecting the interval endpoints.  The minimizing estimate is read
 off the optimal multipliers as y = -M^{-1} f, and the optimal value bounds
 sum_i |y_i - x_i|^2 for every network configuration x consistent with the
-measurement intervals.
+measurement intervals.  Recovery evaluates the assembled first block at the
+multipliers and reads M and f off it, so the estimate is by construction the
+one the solved LMI certifies.
 
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
@@ -106,7 +108,8 @@ def assemble_dual_sdp(
 ) -> Tuple[SdpProblem, DualIndex]:
     """Build the multiplier SDP for a scenario.
 
-    Needs at least one sensor-anchor edge; without one the worst case is
+    The first block is [[M, f], [f^T, t]] and the second M - I.  Needs at
+    least one sensor-anchor edge; without one the worst case is
     unbounded (the whole network can translate freely) and the program would
     be infeasible.
     """
@@ -169,52 +172,30 @@ def assemble_dual_sdp(
 
 
 def recover_estimate(
-    scenario: NetworkScenario, idx: DualIndex, x: np.ndarray
+    scenario: NetworkScenario, problem: SdpProblem, x: np.ndarray
 ) -> Tuple[Dict[int, Point2], bool]:
     """Positions encoded by optimal multipliers, plus a health flag.
 
-    Solves M y = -f for the stacked coordinates.  M >= I at any feasible
-    point, so an M with smallest eigenvalue materially below 1 means the
-    solver returned garbage; the flag comes back False and the solve is
-    attempted anyway with a tiny diagonal lift.
+    Evaluates the assembled first block at ``x``, which is exactly
+    [[M, f], [f^T, t]], and solves M y = -f for the stacked coordinates.
+    M >= I at any feasible point, so an M with smallest eigenvalue
+    materially below 1 means the solver returned garbage; the flag comes
+    back False and the solve is attempted anyway with a tiny diagonal lift.
     """
-    sensor_index = {s: i for i, s in enumerate(scenario.sensors)}
-    n = len(scenario.sensors)
-    m_mat = np.zeros((2 * n, 2 * n))
-    f = np.zeros(2 * n)
-
-    def add_coupling(i, j, w):
-        for off in (0, 1):
-            p, q = 2 * i + off, 2 * j + off
-            m_mat[p, p] += w
-            m_mat[q, q] += w
-            m_mat[p, q] -= w
-            m_mat[q, p] -= w
-
-    for e, (u, v) in enumerate(idx.sensor_edges):
-        i, j = sensor_index[u], sensor_index[v]
-        add_coupling(i, j, -(x[idx.alpha(e)] - x[idx.beta(e)]))
-    for e, (u, k) in enumerate(idx.anchor_edges):
-        i = sensor_index[u]
-        w = x[idx.omega(e)] - x[idx.phi(e)]
-        m_mat[2 * i, 2 * i] -= w
-        m_mat[2 * i + 1, 2 * i + 1] -= w
-        ax, ay = scenario.anchors[k]
-        f[2 * i] += w * ax
-        f[2 * i + 1] += w * ay
+    lmi = problem.blocks[0].evaluate(x)
+    m_mat, f = lmi[:-1, :-1], lmi[-1, :-1]
 
     eigmin = float(np.linalg.eigvalsh(m_mat)[0])
     healthy = eigmin >= 1.0 - 1e-6
     try:
-        chol = np.linalg.cholesky(m_mat + 1e-10 * np.eye(2 * n))
+        chol = np.linalg.cholesky(m_mat + 1e-10 * np.eye(len(f)))
         y = np.linalg.solve(chol.T, np.linalg.solve(chol, -f))
     except np.linalg.LinAlgError:
         y, *_ = np.linalg.lstsq(m_mat, -f, rcond=None)
         healthy = False
 
     positions = {
-        s: (float(y[2 * sensor_index[s]]), float(y[2 * sensor_index[s] + 1]))
-        for s in scenario.sensors
+        s: (float(y[2 * i]), float(y[2 * i + 1])) for i, s in enumerate(scenario.sensors)
     }
     return positions, healthy
 
@@ -230,7 +211,7 @@ def solve_minmax_sdp(
         intervals = build_feasibility_intervals(scenario)
     problem, idx = assemble_dual_sdp(scenario, intervals)
     sol = solve(problem, config)
-    positions, healthy = recover_estimate(scenario, idx, sol.x)
+    positions, healthy = recover_estimate(scenario, problem, sol.x)
     status = sol.status
     if status == SolveStatus.OPTIMAL and not healthy:
         status = SolveStatus.NUMERICAL_FAILURE

@@ -18,7 +18,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -418,22 +418,7 @@ def report_to_csv_rows(report: ExperimentReport) -> List[Dict[str, object]]:
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "scenario": {
-            "n_sensors": spec.scenario.n_sensors,
-            "anchor_positions": [list(p) for p in spec.scenario.anchor_positions],
-            "sensing_range": spec.scenario.sensing_range,
-            "area": [list(ax) for ax in spec.scenario.area],
-        },
-        "error_family": spec.error_family,
-        "sweep_values": list(spec.sweep_values),
-        "estimators": list(spec.estimators),
-        "trials": spec.trials,
-        "master_seed": spec.master_seed,
-        "mixture_sigma": spec.mixture_sigma,
-        "epsilon": spec.epsilon,
-        "max_rounds": spec.max_rounds,
-    }
+    return asdict(spec)
 
 
 def spec_from_dict(doc: Mapping) -> ExperimentSpec:
@@ -458,72 +443,16 @@ def spec_from_dict(doc: Mapping) -> ExperimentSpec:
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    doc = {
-        "spec": spec_to_dict(report.spec),
-        "trials": [
-            {
-                "sweep_value": t.sweep_value,
-                "trial": t.trial,
-                "seeds": t.seeds,
-                "rmse_central": t.rmse_central,
-                "worst_case_value": t.worst_case_value,
-                "rmse_distributed_by_round": t.rmse_distributed_by_round,
-                "rmse_upper_bound_by_round": t.rmse_upper_bound_by_round,
-                "dist_rounds": t.dist_rounds,
-                "dist_converged": t.dist_converged,
-                "rmse_baseline": t.rmse_baseline,
-                "baseline_converged": t.baseline_converged,
-                "runtimes": t.runtimes,
-                "failures": t.failures,
-            }
-            for t in report.trials
-        ],
-        "aggregates": [
-            {
-                "sweep_value": a.sweep_value,
-                "estimator": a.estimator,
-                "mean_rmse": a.mean_rmse,
-                "stdev_rmse": a.stdev_rmse,
-                "count": a.count,
-            }
-            for a in report.aggregates
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    """The report as JSON, keyed and ordered by the dataclass fields."""
+    return json.dumps(asdict(report), indent=2)
 
 
 def report_from_json(text: str) -> ExperimentReport:
     doc = json.loads(text)
-    trials = [
-        TrialResult(
-            sweep_value=float(t["sweep_value"]),
-            trial=int(t["trial"]),
-            seeds={k: int(v) for k, v in t["seeds"].items()},
-            rmse_central=t["rmse_central"],
-            worst_case_value=t["worst_case_value"],
-            rmse_distributed_by_round=list(t["rmse_distributed_by_round"]),
-            rmse_upper_bound_by_round=list(t["rmse_upper_bound_by_round"]),
-            dist_rounds=t["dist_rounds"],
-            dist_converged=t["dist_converged"],
-            rmse_baseline=t["rmse_baseline"],
-            baseline_converged=t["baseline_converged"],
-            runtimes=dict(t["runtimes"]),
-            failures=dict(t["failures"]),
-        )
-        for t in doc["trials"]
-    ]
-    aggregates = [
-        AggregateRow(
-            sweep_value=float(a["sweep_value"]),
-            estimator=a["estimator"],
-            mean_rmse=float(a["mean_rmse"]),
-            stdev_rmse=float(a["stdev_rmse"]),
-            count=int(a["count"]),
-        )
-        for a in doc["aggregates"]
-    ]
     return ExperimentReport(
-        spec=spec_from_dict(doc["spec"]), trials=trials, aggregates=aggregates
+        spec=spec_from_dict(doc["spec"]),
+        trials=[TrialResult(**t) for t in doc["trials"]],
+        aggregates=[AggregateRow(**a) for a in doc["aggregates"]],
     )
 
 

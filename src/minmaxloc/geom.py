@@ -158,13 +158,30 @@ def _extreme_points(feasible: np.ndarray) -> np.ndarray:
     """
     if len(feasible) < 3:
         return feasible
-    try:
-        from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
+    try:
         hull = ConvexHull(feasible)
-        return feasible[hull.vertices]
-    except Exception:
+    except QhullError:
         return feasible
+    return feasible[hull.vertices]
+
+
+def _feasible_grid(
+    reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid over ``bbox`` (default: :func:`default_bbox`) and its
+    feasible points, both in x-major order.
+
+    Raises :class:`EmptyRegionError` when no grid point is feasible.
+    """
+    if bbox is None:
+        bbox = default_bbox(reg, resolution)
+    points = _grid_points(bbox, resolution)
+    mask = _feasible_mask(points, reg)
+    if not mask.any():
+        raise EmptyRegionError(f"no feasible grid point at resolution {resolution}")
+    return points, points[mask]
 
 
 def _min_max_distance(
@@ -196,13 +213,8 @@ def grid_chebyshev_center(
     necessarily feasible) minimizing the maximum distance to F, together
     with that maximum.  Raises :class:`EmptyRegionError` when F is empty.
     """
-    if bbox is None:
-        bbox = default_bbox(reg, resolution)
-    points = _grid_points(bbox, resolution)
-    mask = _feasible_mask(points, reg)
-    if not mask.any():
-        raise EmptyRegionError(f"no feasible grid point at resolution {resolution}")
-    targets = _extreme_points(points[mask])
+    points, feasible = _feasible_grid(reg, bbox, resolution)
+    targets = _extreme_points(feasible)
     idx, radius = _min_max_distance(points, targets)
     cx, cy = points[idx]
     return ChebyshevResult((float(cx), float(cy)), radius, resolution)
@@ -215,13 +227,7 @@ def project_to_region(
     resolution: float = DEFAULT_RESOLUTION,
 ) -> Tuple[float, float]:
     """Feasible grid point nearest to ``p`` (lexicographic tie-break)."""
-    if bbox is None:
-        bbox = default_bbox(reg, resolution)
-    points = _grid_points(bbox, resolution)
-    mask = _feasible_mask(points, reg)
-    if not mask.any():
-        raise EmptyRegionError(f"no feasible grid point at resolution {resolution}")
-    feas = points[mask]
+    _, feas = _feasible_grid(reg, bbox, resolution)
     d2 = (feas[:, 0] - float(p[0])) ** 2 + (feas[:, 1] - float(p[1])) ** 2
     q = feas[int(np.argmin(d2))]
     return (float(q[0]), float(q[1]))
@@ -234,13 +240,8 @@ def grid_max_distance(
     resolution: float = DEFAULT_RESOLUTION,
 ) -> float:
     """Largest distance from ``p`` to any feasible grid point."""
-    if bbox is None:
-        bbox = default_bbox(reg, resolution)
-    points = _grid_points(bbox, resolution)
-    mask = _feasible_mask(points, reg)
-    if not mask.any():
-        raise EmptyRegionError(f"no feasible grid point at resolution {resolution}")
-    targets = _extreme_points(points[mask])
+    _, feasible = _feasible_grid(reg, bbox, resolution)
+    targets = _extreme_points(feasible)
     dx = targets[:, 0] - float(p[0])
     dy = targets[:, 1] - float(p[1])
     return math.sqrt(float(np.max(dx * dx + dy * dy)))

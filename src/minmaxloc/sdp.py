@@ -30,9 +30,11 @@ The solver is deterministic: identical inputs produce identical outputs.
 Each block is compiled to an object with one per-block interface: start
 point, inner product, NT scaling (returning W and S^-1), Schur contribution,
 centering term, the congruence W R W, step length, corrector,
-symmetrization and dual output.  The solver loops over one list of such
-blocks and never asks what kind a block is.  Dense blocks keep one of two
-coefficient representations.  Small ones keep a dense coefficient stack.
+symmetrization, dual output, and the roundoff scale of the dual residual,
+<|A_k|, |Z|> per variable, through a map the block builds from its own
+triplets.  The solver loops over one list of such blocks and never asks
+what kind a block is.  Dense blocks keep one of two coefficient
+representations.  Small ones keep a dense coefficient stack.
 
 Large ones first sort their variables into sign classes: a variable whose
 coefficient matrix equals, or exactly negates, an earlier one's joins that
@@ -66,7 +68,6 @@ import scipy.sparse as sp
 Triplet = Tuple[int, int, float]
 
 _DENSE_DIM_LIMIT = 12  # blocks at most this wide skip the rank-one machinery
-_EIG_FLOOR = 1e-9  # PSD tolerance scale used by certificate checks
 _JITTER = 1e-12
 
 
@@ -123,6 +124,11 @@ class Block:
 
     def dense_coeff(self, k: int) -> np.ndarray:
         return _triplets_to_dense(self.coeffs.get(k, []), self.dim)
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """``A0 + sum_k x_k A_k`` as a dense matrix, formed from the triplets."""
+        scaled = [(i, j, x[k] * v) for k, trips in self.coeffs.items() for i, j, v in trips]
+        return _triplets_to_dense(self.const + scaled, self.dim)
 
 
 def scalar_block(const: float, coeffs: Dict[int, float]) -> Block:
@@ -231,6 +237,7 @@ class _LinBlock:
                 vals.append(coef)
         self.D = sp.csr_matrix((vals, (rows, cols)), shape=(q, num_vars))
         self.Dt = self.D.T.tocsr()
+        self.abs_Dt = abs(self.Dt)
         self.norm_a0 = float(np.linalg.norm(self.a0))
         col_norms = np.sqrt(np.asarray(self.D.multiply(self.D).sum(axis=0)).ravel())
         self.coeff_scale = float(col_norms.max()) if q else 0.0
@@ -243,6 +250,9 @@ class _LinBlock:
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         return self.Dt @ u
+
+    def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
+        return self.abs_Dt @ np.abs(z)
 
     def schur(self, w2: np.ndarray) -> np.ndarray:
         return (self.Dt @ self.D.multiply(w2[:, None])).toarray()
@@ -292,6 +302,15 @@ class _DenseBlock:
         self.pairs = np.ix_(self.vars, self.vars)  # its entries of the Schur matrix
         mb = len(self.vars)
         self.norm_a0 = float(np.linalg.norm(self.a0))
+        # |A_k| flattened row by row, one row per local variable; see abs_adjoint
+        rows, cols, vals = [], [], []
+        for t, k in enumerate(self.vars):
+            for i, j, v in block.coeffs[k]:
+                for p, q in ((i, j), (j, i)) if i != j else ((i, i),):
+                    rows.append(t)
+                    cols.append(p * d + q)
+                    vals.append(abs(v))
+        self.abs_coeff = sp.csr_matrix((vals, (rows, cols)), shape=(mb, d * d))
         self.rank1 = d > _DENSE_DIM_LIMIT
         if not self.rank1:
             self.stack = np.zeros((mb, d, d))
@@ -390,6 +409,10 @@ class _DenseBlock:
         t = np.einsum("ras,ra,rs->r", g, self.u_val, self.u_val)
         return self.var_sign * (self.G @ t)[self.var_cls]
 
+    def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
+        """<|A_k|, |Z|> for each local variable, as a dense (mb,) vector."""
+        return self.abs_coeff @ np.abs(z).ravel()
+
     def schur(self, w: np.ndarray) -> np.ndarray:
         """M_sub[k, j] = <A_k, W A_j W> over the block's local variables."""
         if not self.rank1:
@@ -466,59 +489,18 @@ class _DenseBlock:
         return [(self.src, z)]
 
 
-def _compile(problem: SdpProblem):
-    """Compiled blocks, dense ones in problem order and the fused rows last,
-    plus the map :func:`_abs_adjoint` builds for that layout."""
+def _compile(problem: SdpProblem) -> list:
+    """Compiled blocks, dense ones in problem order and the fused rows last."""
     lin_parts: List[Tuple[int, Block]] = []
-    dense: List[_DenseBlock] = []
+    blocks: list = []
     for bi, blk in enumerate(problem.blocks):
         if blk.dim == 1:
             lin_parts.append((bi, blk))
         else:
-            dense.append(_DenseBlock(bi, blk, problem.num_vars))
-    lin = _LinBlock(lin_parts, problem.num_vars) if lin_parts else None
-    blocks = dense + ([lin] if lin is not None else [])
-    return blocks, _abs_adjoint(problem, dense, lin)
-
-
-def _abs_adjoint(problem: SdpProblem, dense, lin) -> sp.csr_matrix:
-    """Sparse map from stacked |Z| entries to sum_entries |A_k| * |Z| per var.
-
-    The dual residual c - A(Z) is computed with exactly these products, so
-    this per-variable absolute sum is the natural scale of its floating-point
-    roundoff.  Feasibility would otherwise look unattainable on problems
-    whose dual variables are huge with cancelling contributions.
-    """
-    offsets = {}
-    total = 0
-    for b in dense:
-        offsets[b.src] = total
-        total += b.dim * b.dim
-    lin_offset = {}
-    if lin is not None:
-        for r, src in enumerate(lin.src):
-            lin_offset[src] = total + r
-        total += lin.q
-    rows, cols, vals = [], [], []
-    for bi, blk in enumerate(problem.blocks):
-        if blk.dim == 1:
-            col = lin_offset[bi]
-            for k, trips in blk.coeffs.items():
-                rows.append(k)
-                cols.append(col)
-                vals.append(abs(sum(v for _, _, v in trips)))
-        else:
-            off = offsets[bi]
-            for k, trips in blk.coeffs.items():
-                for i, j, v in trips:
-                    rows.append(k)
-                    cols.append(off + i * blk.dim + j)
-                    vals.append(abs(v))
-                    if i != j:
-                        rows.append(k)
-                        cols.append(off + j * blk.dim + i)
-                        vals.append(abs(v))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(problem.num_vars, total))
+            blocks.append(_DenseBlock(bi, blk, problem.num_vars))
+    if lin_parts:
+        blocks.append(_LinBlock(lin_parts, problem.num_vars))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +526,7 @@ def solve(
     use it to check weak duality along the whole path.
     """
     cfg = config or SolverConfig()
-    blocks, abs_adj = _compile(problem)
+    blocks = _compile(problem)
     if not blocks:
         raise ValueError("problem has no blocks")
     c = problem.objective
@@ -572,8 +554,10 @@ def solve(
         # residuals and merit ------------------------------------------------
         r_s = [b.a0 + b.combine(x) - s for b, s in zip(blocks, s_blk)]
         a_z = np.zeros(m)
+        abs_prod = np.zeros(m)
         for b, z in zip(blocks, z_blk):
             a_z[b.vars] += b.adjoint(z)
+            abs_prod[b.vars] += b.abs_adjoint(z)
         r_z = c - a_z
 
         gap = sum(b.inner(s, z) for b, s, z in zip(blocks, s_blk, z_blk))
@@ -584,9 +568,9 @@ def solve(
 
         pinf = math.sqrt(sum(float(np.linalg.norm(r) ** 2) for r in r_s)) / data_scale
         # Dual residual measured componentwise against the magnitudes that
-        # actually entered its computation (backward-error style); a plain
-        # norm over c_scale has an unreachable floor when Z is huge.
-        abs_prod = abs_adj @ np.concatenate([np.abs(z).ravel() for z in z_blk])
+        # actually entered its computation, abs_prod[k] = <|A_k|, |Z|>
+        # (backward-error style); a plain norm over c_scale has an
+        # unreachable floor when Z is huge.
         dinf = float(np.max(np.abs(r_z) / (1.0 + np.abs(c) + abs_prod)))
         relgap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
         merit = max(relgap, pinf, dinf)
@@ -754,87 +738,4 @@ def solve(
             dual=float(binfo.get("dinf", np.inf)),
         ),
         iterations=iters_done,
-    )
-
-
-# ---------------------------------------------------------------------------
-# independent certificate check
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    psd_ok: bool
-    dual_feasible: bool
-    gap_ok: bool
-    slack_eig_min: float
-    dual_eig_min: float
-    dual_residual: float
-    gap_value: float
-
-    @property
-    def ok(self) -> bool:
-        return self.psd_ok and self.dual_feasible and self.gap_ok
-
-
-def check_certificate(
-    problem: SdpProblem, solution: SdpSolution, config: Optional[SolverConfig] = None
-) -> CertificateReport:
-    """Re-derive optimality evidence from the raw problem data.
-
-    Everything is recomputed from the triplet storage through the dense
-    helpers, sharing no state with the solver's compiled representation:
-
-    * PSD: every slack block F_b(x) and dual block Z_b must have smallest
-      eigenvalue >= -1e-9 * (1 + ||block||_F);
-    * dual feasibility: each |c_k - A_k(Z)| <= feas_tol * 10 relative to
-      1 + |c_k| plus the absolute sum of the products forming A_k(Z),
-      the same backward-error scale the solver converges against;
-    * gap: |c.x - dual objective| within gap_tol plus the slack the
-      feasibility tolerances themselves allow (residuals enter the gap
-      through <R_S, Z> and x . r_Z, so their budget is added in).
-    """
-    cfg = config or SolverConfig()
-    c = problem.objective
-    x = solution.x
-
-    slack_eig = np.inf
-    dual_eig = np.inf
-    a_z = np.zeros(problem.num_vars)
-    abs_prod = np.zeros(problem.num_vars)
-    dobj = 0.0
-    z_norm = 0.0
-    for block, z in zip(problem.blocks, solution.dual_blocks):
-        slack = block.dense_const()
-        for k, _ in block.coeffs.items():
-            slack = slack + x[k] * block.dense_coeff(k)
-        floor = -_EIG_FLOOR * (1.0 + float(np.linalg.norm(slack)))
-        emin = float(np.linalg.eigvalsh(0.5 * (slack + slack.T))[0])
-        slack_eig = min(slack_eig, emin - floor)
-        zfloor = -_EIG_FLOOR * (1.0 + float(np.linalg.norm(z)))
-        zmin = float(np.linalg.eigvalsh(0.5 * (z + z.T))[0])
-        dual_eig = min(dual_eig, zmin - zfloor)
-        for k in block.coeffs:
-            coeff = block.dense_coeff(k)
-            a_z[k] += float(np.tensordot(coeff, z))
-            abs_prod[k] += float(np.abs(coeff * z).sum())
-        dobj -= float(np.tensordot(block.dense_const(), z))
-        z_norm += float(np.linalg.norm(z) ** 2)
-    z_norm = math.sqrt(z_norm)
-
-    r_z = c - a_z
-    dual_res = float(np.max(np.abs(r_z) / (1.0 + np.abs(c) + abs_prod)))
-    pobj = float(c @ x)
-    gap_val = abs(pobj - dobj)
-    gap_budget = cfg.gap_tol * (1.0 + abs(pobj) + abs(dobj)) + cfg.feas_tol * (
-        1.0 + float(np.linalg.norm(c))
-    ) * (1.0 + float(np.linalg.norm(x))) + cfg.feas_tol * (1.0 + z_norm) * 10.0
-
-    return CertificateReport(
-        psd_ok=slack_eig >= 0.0 and dual_eig >= 0.0,
-        dual_feasible=dual_res <= cfg.feas_tol * 10.0,
-        gap_ok=gap_val <= gap_budget,
-        slack_eig_min=slack_eig,
-        dual_eig_min=dual_eig,
-        dual_residual=dual_res,
-        gap_value=gap_val,
     )

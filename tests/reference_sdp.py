@@ -11,16 +11,20 @@ the feasible end reliably.  The method brackets the optimum between the LP
 lower bound and the best feasible value; we run until the bracket closes.
 
 Slow but simple, and it shares no linear algebra with the production
-solver, which is the point.
+solver, which is the point.  :func:`check_certificate` re-derives a
+solver result's optimality evidence from the same raw triplets.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from minmaxloc.sdp import SdpProblem
+from minmaxloc.sdp import SdpProblem, SdpSolution, SolverConfig
+
+_EIG_FLOOR = 1e-9  # PSD tolerance scale used by certificate checks
 
 
 @dataclass
@@ -194,3 +198,80 @@ def random_bounded_instance(seed: int, num_vars: Optional[int] = None):
         blocks.append(scalar_block(const, coeffs))
 
     return SdpProblem(num_vars=m, objective=c, blocks=blocks), x0
+
+
+@dataclass(frozen=True)
+class CertificateReport:
+    psd_ok: bool
+    dual_feasible: bool
+    gap_ok: bool
+    slack_eig_min: float
+    dual_eig_min: float
+    dual_residual: float
+    gap_value: float
+
+    @property
+    def ok(self) -> bool:
+        return self.psd_ok and self.dual_feasible and self.gap_ok
+
+
+def check_certificate(
+    problem: SdpProblem, solution: SdpSolution, config: Optional[SolverConfig] = None
+) -> CertificateReport:
+    """Re-derive optimality evidence from the raw problem data.
+
+    Everything is recomputed from the triplet storage through the dense
+    helpers, sharing no state with the solver's compiled representation:
+
+    * PSD: every slack block F_b(x) and dual block Z_b must have smallest
+      eigenvalue >= -1e-9 * (1 + ||block||_F);
+    * dual feasibility: each |c_k - A_k(Z)| <= feas_tol * 10 relative to
+      1 + |c_k| plus the absolute sum of the products forming A_k(Z),
+      the same backward-error scale the solver converges against;
+    * gap: |c.x - dual objective| within gap_tol plus the slack the
+      feasibility tolerances themselves allow (residuals enter the gap
+      through <R_S, Z> and x . r_Z, so their budget is added in).
+    """
+    cfg = config or SolverConfig()
+    c = problem.objective
+    x = solution.x
+
+    slack_eig = np.inf
+    dual_eig = np.inf
+    a_z = np.zeros(problem.num_vars)
+    abs_prod = np.zeros(problem.num_vars)
+    dobj = 0.0
+    z_norm = 0.0
+    for block, z in zip(problem.blocks, solution.dual_blocks):
+        slack = block.evaluate(x)
+        floor = -_EIG_FLOOR * (1.0 + float(np.linalg.norm(slack)))
+        emin = float(np.linalg.eigvalsh(0.5 * (slack + slack.T))[0])
+        slack_eig = min(slack_eig, emin - floor)
+        zfloor = -_EIG_FLOOR * (1.0 + float(np.linalg.norm(z)))
+        zmin = float(np.linalg.eigvalsh(0.5 * (z + z.T))[0])
+        dual_eig = min(dual_eig, zmin - zfloor)
+        for k in block.coeffs:
+            coeff = block.dense_coeff(k)
+            a_z[k] += float(np.tensordot(coeff, z))
+            abs_prod[k] += float(np.abs(coeff * z).sum())
+        dobj -= float(np.tensordot(block.dense_const(), z))
+        z_norm += float(np.linalg.norm(z) ** 2)
+    z_norm = math.sqrt(z_norm)
+
+    r_z = c - a_z
+    dual_res = float(np.max(np.abs(r_z) / (1.0 + np.abs(c) + abs_prod)))
+    pobj = float(c @ x)
+    gap_val = abs(pobj - dobj)
+    gap_budget = cfg.gap_tol * (1.0 + abs(pobj) + abs(dobj)) + cfg.feas_tol * (
+        1.0 + float(np.linalg.norm(c))
+    ) * (1.0 + float(np.linalg.norm(x))) + cfg.feas_tol * (1.0 + z_norm) * 10.0
+
+    return CertificateReport(
+        psd_ok=slack_eig >= 0.0 and dual_eig >= 0.0,
+        dual_feasible=dual_res <= cfg.feas_tol * 10.0,
+        gap_ok=gap_val <= gap_budget,
+        slack_eig_min=slack_eig,
+        dual_eig_min=dual_eig,
+        dual_residual=dual_res,
+        gap_value=gap_val,
+    )

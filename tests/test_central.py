@@ -176,7 +176,7 @@ def test_recovery_identity_case():
     x = np.zeros(problem.num_vars)
     x[idx.phi(0)] = 0.4
     x[idx.phi(1)] = 0.6
-    positions, healthy = central.recover_estimate(scen, idx, x)
+    positions, healthy = central.recover_estimate(scen, problem, x)
     assert healthy
     ex = 0.4 * 0.2 + 0.6 * (-0.4)
     ey = 0.4 * 0.7 + 0.6 * 0.1
@@ -186,7 +186,7 @@ def test_recovery_identity_case():
 def test_recovery_flags_degenerate_multipliers():
     scen, bounds = single_sensor_fixture({1: (0.0, 0.0)}, {1: (0.0, 1.0)})
     problem, idx = central.assemble_dual_sdp(scen, bounds)
-    _, healthy = central.recover_estimate(scen, idx, np.zeros(problem.num_vars))
+    _, healthy = central.recover_estimate(scen, problem, np.zeros(problem.num_vars))
     assert not healthy
 
 

@@ -268,6 +268,29 @@ def test_json_report_round_trip(small_reports, tmp_path):
     json.loads(path.read_text())  # plain JSON, no trailing junk
 
 
+def test_json_report_key_order(small_reports):
+    # the dataclass fields define the report format; pin names and order
+    _, rep, _ = small_reports
+    doc = json.loads(experiment.report_to_json(rep))
+    assert list(doc) == ["spec", "trials", "aggregates"]
+    assert list(doc["spec"]) == [
+        "scenario", "error_family", "sweep_values", "estimators", "trials",
+        "master_seed", "mixture_sigma", "epsilon", "max_rounds",
+    ]
+    assert list(doc["spec"]["scenario"]) == [
+        "n_sensors", "anchor_positions", "sensing_range", "area",
+    ]
+    assert list(doc["trials"][0]) == [
+        "sweep_value", "trial", "seeds", "rmse_central", "worst_case_value",
+        "rmse_distributed_by_round", "rmse_upper_bound_by_round", "dist_rounds",
+        "dist_converged", "rmse_baseline", "baseline_converged", "runtimes",
+        "failures",
+    ]
+    assert list(doc["aggregates"][0]) == [
+        "sweep_value", "estimator", "mean_rmse", "stdev_rmse", "count",
+    ]
+
+
 def test_io_errors_carry_path_context(small_reports, tmp_path):
     _, rep, _ = small_reports
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -119,6 +119,25 @@ def test_empty_region_raises():
         geom.relaxed_center_value(reg, resolution=5e-3)
 
 
+def test_extreme_points_fall_back_on_collinear_points():
+    # Qhull rejects a flat point set; every point is then kept as a target
+    line = np.column_stack([np.linspace(0.0, 1.0, 5), np.zeros(5)])
+    assert np.array_equal(geom._extreme_points(line), line)
+
+
+def test_extreme_points_propagate_unexpected_errors(monkeypatch):
+    # only a degenerate hull falls back; any other failure is a bug
+    import scipy.spatial
+
+    def broken_hull(points):
+        raise TypeError("not a hull")
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", broken_hull)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(TypeError, match="not a hull"):
+        geom._extreme_points(square)
+
+
 def test_constraint_validation():
     with pytest.raises(ValueError):
         geom.AnnulusConstraint((0.0, 0.0), -1.0, 2.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from minmaxloc import sdp
-from reference_sdp import random_bounded_instance, reference_solve
+from reference_sdp import check_certificate, random_bounded_instance, reference_solve
 
 
 def lp_problem():
@@ -151,7 +151,52 @@ def test_sign_classes_reproduce_dense_operators():
         np.array([[np.tensordot(ak, w @ aj @ w) for aj in dense] for ak in dense]),
     )
     close(compiled.adjoint(u), np.array([np.tensordot(ak, u) for ak in dense]))
+    close(compiled.abs_adjoint(u), np.array([np.sum(np.abs(ak) * np.abs(u)) for ak in dense]))
     close(compiled.combine(y), sum(y[k] * block.dense_coeff(k) for k in coeffs))
+
+
+@pytest.mark.parametrize("kind", ["narrow", "rows"])
+def test_abs_adjoint_sums_coefficient_magnitudes(kind):
+    # <|A_k|, |Z|> per variable on a block at the dense cutoff (dense stack)
+    # and on fused 1x1 rows; variables 2 and 5 appear in no block
+    rng = np.random.default_rng(13)
+    m = 6
+
+    def sym(d):
+        a = rng.standard_normal((d, d))
+        return a + a.T
+
+    if kind == "narrow":
+        n = sdp._DENSE_DIM_LIMIT
+        blocks = [sdp.Block.from_dense(sym(n), {k: sym(n) for k in (0, 1, 3, 4)})]
+        zs = [sym(n)]
+        compiled = sdp._DenseBlock(0, blocks[0], m)
+        assert not compiled.rank1
+        got = np.zeros(m)
+        got[compiled.vars] = compiled.abs_adjoint(zs[0])
+    else:
+        blocks = [
+            sdp.scalar_block(1.0, {k: float(rng.standard_normal()) for k in ks})
+            for ks in ((0, 1), (1, 3, 4), (4,))
+        ]
+        zs = [sym(1) for _ in blocks]
+        compiled = sdp._LinBlock(list(enumerate(blocks)), m)
+        got = compiled.abs_adjoint(np.array([z[0, 0] for z in zs]))
+    want = np.array([
+        sum(np.sum(np.abs(b.dense_coeff(k)) * np.abs(z)) for b, z in zip(blocks, zs))
+        for k in range(m)
+    ])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_block_evaluate_matches_dense_sum():
+    prob, _ = random_bounded_instance(4)
+    x = np.random.default_rng(5).standard_normal(prob.num_vars)
+    for block in prob.blocks:
+        want = block.dense_const() + sum(
+            x[k] * block.dense_coeff(k) for k in range(prob.num_vars)
+        )
+        assert np.allclose(block.evaluate(x), want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -169,7 +214,7 @@ def test_certificates_on_random_instances(seed):
     prob, _ = random_bounded_instance(seed)
     sol = sdp.solve(prob)
     assert sol.status == sdp.SolveStatus.OPTIMAL
-    report = sdp.check_certificate(prob, sol)
+    report = check_certificate(prob, sol)
     assert report.psd_ok
     assert report.dual_feasible
     assert report.gap_ok
