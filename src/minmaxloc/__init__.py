@@ -5,7 +5,7 @@ The package provides:
 * scenario generation and measurement-error models (:mod:`minmaxloc.model`),
 * a small dense semidefinite-programming solver (:mod:`minmaxloc.sdp`),
 * the centralized minimax position estimator (:mod:`minmaxloc.central`),
-* brute-force grid oracles for single-sensor regions (:mod:`minmaxloc.geom`),
+* exact grid oracles for single-sensor regions (:mod:`minmaxloc.geom`),
 * the distributed per-node estimator with certified error radii
   (:mod:`minmaxloc.dist`),
 * an experiment driver plus a nonlinear least-squares baseline

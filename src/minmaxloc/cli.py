@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -63,6 +64,16 @@ def _read_scenario(path: str) -> model.NetworkScenario:
         raise _UsageError(f"{path} is not a scenario file: {exc}") from exc
 
 
+def _check_number(flag: str, value: Optional[float], positive: bool) -> None:
+    """Reject a numeric flag that is non-finite, negative, or zero when
+    ``positive``; an absent flag (None) passes."""
+    if value is None:
+        return
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        kind = "positive" if positive else "nonnegative"
+        raise _UsageError(f"{flag} must be finite and {kind}, got {value}")
+
+
 def _cmd_generate(args) -> int:
     if args.sigma is not None and args.gamma is not None:
         raise _UsageError("--gamma and --sigma are mutually exclusive")
@@ -70,8 +81,9 @@ def _cmd_generate(args) -> int:
         raise _UsageError("--ratio needs --sigma (mixture of Gaussian inliers)")
     if args.n_sensors < 1:
         raise _UsageError("--n-sensors must be at least 1")
-    if args.range <= 0:
-        raise _UsageError("--range must be positive")
+    _check_number("--range", args.range, positive=True)
+    for flag, value in (("--gamma", args.gamma), ("--sigma", args.sigma), ("--ratio", args.ratio)):
+        _check_number(flag, value, positive=False)
     config = model.ScenarioConfig(
         n_sensors=args.n_sensors,
         anchor_positions=DEFAULT_ANCHORS,
@@ -118,6 +130,7 @@ def _cmd_solve_dist(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_number("--resolution", args.resolution, positive=True)
     scen = _read_scenario(args.scenario)
     if len(scen.sensors) != 1 or scen.sensor_edges:
         raise _UsageError("the oracle handles single-sensor scenarios only")

@@ -108,8 +108,8 @@ class DisMinMaxConfig:
     max_rounds: int = 200
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
 

@@ -1,12 +1,12 @@
-"""Brute-force grid oracles for single-sensor feasible regions.
+"""Exact grid oracles for single-sensor feasible regions.
 
 A single sensor constrained by range intervals to fixed points lives in an
 intersection of annuli:
 
     region = { p : lower_k <= |p - center_k| <= upper_k  for all k }.
 
-This module computes trusted reference answers for that geometry the slow
-way, on a regular grid:
+This module computes trusted reference answers for that geometry on a
+regular grid, with the answers of an exhaustive scan:
 
 * the Chebyshev center (the point minimizing the worst-case distance to the
   region, which need not itself be feasible),
@@ -21,10 +21,21 @@ Ties between grid points are always broken by the lexicographically smallest
 (ix, iy), which is the first index in x-major enumeration order.  All sets
 are closed: membership tests include boundaries.
 
-The only shortcut taken is in the max-distance scans: the farthest feasible
-grid point from any candidate is an extreme point of the feasible points'
-convex hull (squared distance is convex), so scanning hull vertices gives
-bit-identical answers to scanning every feasible point.
+Three shortcuts skip work without changing any answer, tie-breaks included:
+
+* Column extremes.  Within one grid column the squared distance from any
+  point grows with the y-offset, and so does its rounded value, so the
+  farthest feasible point of a column is its lowest or its highest.  The
+  other feasible points of a column lie on the segment between those two.
+* Hull vertices.  The farthest feasible grid point from any point is an
+  extreme point of the feasible points' convex hull (squared distance is
+  convex), and by the above every hull vertex is a column extreme; the
+  max-distance scans visit only the hull vertices of the column extremes.
+* Pruned Chebyshev scan.  The worst case from p is at least R^2 + |p - c|^2
+  for the minimum enclosing circle (c, R) of those vertices, so only a small
+  window of grid points around c can beat the grid point nearest c.  The
+  window is a rectangle of whole rows and columns, so scanning it in x-major
+  order keeps the global tie-break (see ``_scan_window``).
 """
 
 from __future__ import annotations
@@ -40,8 +51,6 @@ from .model import NetworkScenario, IntervalBound
 BBox = Tuple[Tuple[float, float], Tuple[float, float]]
 
 DEFAULT_RESOLUTION = 1e-3
-
-_CHUNK = 16384
 
 
 class EmptyRegionError(ValueError):
@@ -128,25 +137,17 @@ def default_bbox(reg: FeasibleRegion, resolution: float = DEFAULT_RESOLUTION) ->
 
 
 def _grid_axes(bbox: BBox, resolution: float) -> Tuple[np.ndarray, np.ndarray]:
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     (xlo, xhi), (ylo, yhi) = bbox
     nx = int(math.floor((xhi - xlo) / resolution + 1e-9)) + 1
     ny = int(math.floor((yhi - ylo) / resolution + 1e-9)) + 1
     return xlo + np.arange(nx) * resolution, ylo + np.arange(ny) * resolution
 
 
-def _grid_points(bbox: BBox, resolution: float) -> np.ndarray:
-    """All grid points, x-major (lexicographic (ix, iy)) order, shape (N, 2)."""
-    xs, ys = _grid_axes(bbox, resolution)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
-
-
-def _feasible_mask(points: np.ndarray, reg: FeasibleRegion) -> np.ndarray:
-    mask = np.ones(len(points), dtype=bool)
-    for c in reg.constraints:
-        d2 = (points[:, 0] - c.center[0]) ** 2 + (points[:, 1] - c.center[1]) ** 2
-        mask &= (d2 >= c.lower**2) & (d2 <= c.upper**2)
-    return mask
+def _sq_dist(xs: np.ndarray, ys: np.ndarray, p: Sequence[float]) -> np.ndarray:
+    """Squared distance from ``p`` to every grid point, shape (nx, ny)."""
+    return ((xs - p[0]) ** 2)[:, None] + ((ys - p[1]) ** 2)[None, :]
 
 
 def _extreme_points(feasible: np.ndarray) -> np.ndarray:
@@ -169,37 +170,147 @@ def _extreme_points(feasible: np.ndarray) -> np.ndarray:
 
 def _feasible_grid(
     reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The grid over ``bbox`` (default: :func:`default_bbox`) and its
-    feasible points, both in x-major order.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid axes over ``bbox`` (default: :func:`default_bbox`) and the
+    ``(nx, ny)`` feasibility mask; ``mask[ix, iy]`` is grid point (ix, iy).
 
     Raises :class:`EmptyRegionError` when no grid point is feasible.
     """
     if bbox is None:
         bbox = default_bbox(reg, resolution)
-    points = _grid_points(bbox, resolution)
-    mask = _feasible_mask(points, reg)
+    xs, ys = _grid_axes(bbox, resolution)
+    mask = np.ones((len(xs), len(ys)), dtype=bool)
+    for c in reg.constraints:
+        d2 = _sq_dist(xs, ys, c.center)
+        mask &= (d2 >= c.lower**2) & (d2 <= c.upper**2)
     if not mask.any():
         raise EmptyRegionError(f"no feasible grid point at resolution {resolution}")
-    return points, points[mask]
+    return xs, ys, mask
 
 
-def _min_max_distance(
-    candidates: np.ndarray, targets: np.ndarray
-) -> Tuple[int, float]:
-    """Index (first on ties) and value of min over candidates of max distance."""
-    best_idx = -1
-    best = np.inf
-    for start in range(0, len(candidates), _CHUNK):
-        chunk = candidates[start : start + _CHUNK]
-        dx = chunk[:, 0:1] - targets[None, :, 0]
-        dy = chunk[:, 1:2] - targets[None, :, 1]
-        worst = np.max(dx * dx + dy * dy, axis=1)
-        i = int(np.argmin(worst))
-        if worst[i] < best:
-            best = float(worst[i])
-            best_idx = start + i
-    return best_idx, math.sqrt(best)
+def _column_extremes(xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Lowest and highest feasible point of every grid column, x-major."""
+    cols = np.flatnonzero(mask.any(axis=1))
+    sub = mask[cols]
+    first = sub.argmax(axis=1)
+    last = len(ys) - 1 - sub[:, ::-1].argmax(axis=1)
+    ix = np.repeat(cols, 2)
+    iy = np.column_stack([first, last]).ravel()
+    keep = np.ones(len(ix), dtype=bool)
+    keep[1::2] = last != first
+    return np.column_stack([xs[ix[keep]], ys[iy[keep]]])
+
+
+def _targets(
+    reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid axes and the feasible points a max-distance scan must visit."""
+    xs, ys, mask = _feasible_grid(reg, bbox, resolution)
+    return xs, ys, _extreme_points(_column_extremes(xs, ys, mask))
+
+
+def _worst_case(xs: np.ndarray, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Largest squared distance to ``targets`` from every grid point, (nx, ny)."""
+    dx = xs[:, None] - targets[None, :, 0]
+    dy = ys[:, None] - targets[None, :, 1]
+    return np.max((dx * dx)[:, None, :] + (dy * dy)[None, :, :], axis=2)
+
+
+_Circle = Tuple[np.ndarray, float, np.ndarray]
+
+
+def _circle_through(support: np.ndarray) -> _Circle:
+    """(center, squared radius, support) of the circle through one point, the
+    circle with two points as its diameter, or the circle through three."""
+    if len(support) == 1:
+        center = support[0]
+    elif len(support) == 2:
+        center = 0.5 * (support[0] + support[1])
+    else:
+        (ax, ay), (bx, by), (px, py) = support.tolist()
+        bx, by, px, py = bx - ax, by - ay, px - ax, py - ay
+        d = 2.0 * (bx * py - by * px)
+        b2, p2 = bx * bx + by * by, px * px + py * py
+        center = np.array([ax + (py * b2 - by * p2) / d, ay + (bx * p2 - px * b2) / d])
+    off = support - center
+    return center, float(np.max(off[:, 0] ** 2 + off[:, 1] ** 2)), support
+
+
+def _first_outside(points: np.ndarray, start: int, circle: _Circle) -> Optional[int]:
+    """Index of the first point from ``start`` on outside ``circle``, if any."""
+    center, r2, _ = circle
+    off = points[start:] - center
+    out = np.flatnonzero(off[:, 0] ** 2 + off[:, 1] ** 2 > r2)
+    return start + int(out[0]) if len(out) else None
+
+
+def _circle_with(points: np.ndarray, fixed: np.ndarray) -> _Circle:
+    """Smallest circle that encloses ``points`` with ``fixed`` on its boundary."""
+    if len(fixed) == 3:
+        return _circle_through(fixed)
+    start = 0 if len(fixed) else 1
+    circle = _circle_through(fixed if len(fixed) else points[:1])
+    i = _first_outside(points, start, circle)
+    while i is not None:
+        circle = _circle_with(points[:i], np.vstack([fixed, points[i : i + 1]]))
+        i = _first_outside(points, i + 1, circle)
+    return circle
+
+
+def _enclosing_circle(points: np.ndarray) -> _Circle:
+    """Minimum enclosing circle of an (n, 2) array (Welzl 1991).
+
+    Returns the center, the squared radius and the one to three support
+    points the circle passes through.  Points are visited in an order drawn
+    from a fixed seed, which keeps the expected work linear in n and the
+    result the same on every call.
+    """
+    order = np.random.default_rng(0).permutation(len(points))
+    return _circle_with(points[order], points[:0])
+
+
+# Relative shrink of the enclosing circle's squared radius in the pruning
+# bound; see _scan_window.
+_R2_SHRINK = 1e-9
+
+
+def _axis_window(axis: np.ndarray, center: float, rad: float, h: float) -> slice:
+    """Indices of ``axis`` within ``rad`` of ``center``, plus one cell each side."""
+    lo = math.floor((center - rad - axis[0]) / h) - 1
+    hi = math.ceil((center + rad - axis[0]) / h) + 1
+    return slice(max(lo, 0), min(hi, len(axis) - 1) + 1)
+
+
+def _scan_window(
+    xs: np.ndarray, ys: np.ndarray, targets: np.ndarray, resolution: float
+) -> Tuple[slice, slice]:
+    """Index ranges of the subgrid that holds every worst-case minimizer.
+
+    Let (c, R) be the minimum enclosing circle of the targets.  Its center
+    lies in the convex hull of the targets on the circle, so for any point
+    p one of them, s, satisfies (s - c)·(p - c) <= 0, and then
+
+        max_t |p - t|^2 >= |p - s|^2 >= R^2 + |p - c|^2.
+
+    With ``best`` the worst case at the grid point nearest c, every grid
+    point whose worst case is at most ``best`` (ties included) lies within
+    sqrt(best - R^2) of c, so the rectangle around that disc holds the
+    global minimizer, and scanning it in x-major order meets the first
+    minimizer first.  Rounding moves R^2 and the computed worst cases by a
+    few ulps relative, which the 1e-9 relative shrink of R^2 covers, and it
+    moves c and the index arithmetic by far less than the extra cell on
+    every side.
+    """
+    center, r2, _ = _enclosing_circle(targets)
+    h = resolution
+    ix = min(max(round((center[0] - xs[0]) / h), 0), len(xs) - 1)
+    iy = min(max(round((center[1] - ys[0]) / h), 0), len(ys) - 1)
+    best = float(_worst_case(xs[ix : ix + 1], ys[iy : iy + 1], targets)[0, 0])
+    rad = math.sqrt(max(best - (1.0 - _R2_SHRINK) * r2, 0.0))
+    return (
+        _axis_window(xs, float(center[0]), rad, h),
+        _axis_window(ys, float(center[1]), rad, h),
+    )
 
 
 def grid_chebyshev_center(
@@ -207,17 +318,20 @@ def grid_chebyshev_center(
     bbox: Optional[BBox] = None,
     resolution: float = DEFAULT_RESOLUTION,
 ) -> ChebyshevResult:
-    """Chebyshev center of the region by exhaustive grid search.
+    """Chebyshev center of the region over the grid.
 
-    Enumerates the feasible grid points F, then returns the grid point (not
-    necessarily feasible) minimizing the maximum distance to F, together
-    with that maximum.  Raises :class:`EmptyRegionError` when F is empty.
+    Returns the grid point (not necessarily feasible) minimizing the maximum
+    distance to the feasible grid points F, together with that maximum; the
+    answer is the exhaustive scan's, tie-break included.  Raises
+    :class:`EmptyRegionError` when F is empty.
     """
-    points, feasible = _feasible_grid(reg, bbox, resolution)
-    targets = _extreme_points(feasible)
-    idx, radius = _min_max_distance(points, targets)
-    cx, cy = points[idx]
-    return ChebyshevResult((float(cx), float(cy)), radius, resolution)
+    xs, ys, targets = _targets(reg, bbox, resolution)
+    sx, sy = _scan_window(xs, ys, targets, resolution)
+    worst = _worst_case(xs[sx], ys[sy], targets)
+    i, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
+    return ChebyshevResult(
+        (float(xs[sx][i]), float(ys[sy][j])), math.sqrt(float(worst[i, j])), resolution
+    )
 
 
 def project_to_region(
@@ -227,10 +341,11 @@ def project_to_region(
     resolution: float = DEFAULT_RESOLUTION,
 ) -> Tuple[float, float]:
     """Feasible grid point nearest to ``p`` (lexicographic tie-break)."""
-    _, feas = _feasible_grid(reg, bbox, resolution)
-    d2 = (feas[:, 0] - float(p[0])) ** 2 + (feas[:, 1] - float(p[1])) ** 2
-    q = feas[int(np.argmin(d2))]
-    return (float(q[0]), float(q[1]))
+    xs, ys, mask = _feasible_grid(reg, bbox, resolution)
+    ix, iy = np.nonzero(mask)
+    d2 = (xs[ix] - float(p[0])) ** 2 + (ys[iy] - float(p[1])) ** 2
+    k = int(np.argmin(d2))
+    return (float(xs[ix[k]]), float(ys[iy[k]]))
 
 
 def grid_max_distance(
@@ -240,8 +355,7 @@ def grid_max_distance(
     resolution: float = DEFAULT_RESOLUTION,
 ) -> float:
     """Largest distance from ``p`` to any feasible grid point."""
-    _, feasible = _feasible_grid(reg, bbox, resolution)
-    targets = _extreme_points(feasible)
+    _, _, targets = _targets(reg, bbox, resolution)
     dx = targets[:, 0] - float(p[0])
     dy = targets[:, 1] - float(p[1])
     return math.sqrt(float(np.max(dx * dx + dy * dy)))
@@ -268,11 +382,11 @@ def relaxed_center_value(
     """
     if bbox is None:
         bbox = default_bbox(reg, resolution)
-    points = _grid_points(bbox, resolution)
-    upper_env = np.full(len(points), np.inf)
-    lower_env = np.full(len(points), -np.inf)
+    xs, ys = _grid_axes(bbox, resolution)
+    upper_env = np.full((len(xs), len(ys)), np.inf)
+    lower_env = np.full((len(xs), len(ys)), -np.inf)
     for c in reg.constraints:
-        d2 = (points[:, 0] - c.center[0]) ** 2 + (points[:, 1] - c.center[1]) ** 2
+        d2 = _sq_dist(xs, ys, c.center)
         upper_env = np.minimum(upper_env, c.upper**2 - d2)
         lower_env = np.maximum(lower_env, c.lower**2 - d2)
     ok = (lower_env <= upper_env) & (upper_env >= 0.0)
@@ -281,5 +395,5 @@ def relaxed_center_value(
             f"relaxed region has no feasible grid point at resolution {resolution}"
         )
     values = np.where(ok, upper_env, -np.inf)
-    idx = int(np.argmax(values))
-    return (float(points[idx, 0]), float(points[idx, 1])), float(values[idx])
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    return (float(xs[i]), float(ys[j])), float(values[i, j])

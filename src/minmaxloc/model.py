@@ -373,19 +373,45 @@ def scenario_to_json(scenario: NetworkScenario) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_int(value) -> int:
+    try:
+        return int(value)
+    except OverflowError as exc:
+        raise ValueError(f"node id {value} is not an integer") from exc
+
+
+def _json_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"number {value} is out of range") from exc
+
+
+def _json_point(value) -> Point2:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"position {value!r} is not a list of two coordinates")
+    return (_json_float(value[0]), _json_float(value[1]))
+
+
 def scenario_from_json(text: str) -> NetworkScenario:
+    """Parse the on-disk schema; malformed input raises ValueError, KeyError
+    or TypeError."""
     doc = json.loads(text)
-    sensors = [int(i) for i in doc["sensors"]]
+    sensors = [_json_int(i) for i in doc["sensors"]]
     sensor_set = set(sensors)
-    anchors = {int(a["id"]): (float(a["x"]), float(a["y"])) for a in doc["anchors"]}
-    truth = {int(i): (float(p[0]), float(p[1])) for i, p in doc["true_positions"].items()}
+    anchors = {
+        _json_int(a["id"]): (_json_float(a["x"]), _json_float(a["y"])) for a in doc["anchors"]
+    }
+    if not isinstance(doc["true_positions"], dict):
+        raise ValueError("true_positions is not an object of sensor id -> position")
+    truth = {_json_int(i): _json_point(p) for i, p in doc["true_positions"].items()}
     shared = sorted(sensor_set & anchors.keys())
     if shared:
         raise ValueError(f"ids {shared} are both sensors and anchors")
 
     sensor_edges, anchor_edges, measurements = [], [], {}
     for rec in doc["edges"]:
-        a, b, z = int(rec["a"]), int(rec["b"]), float(rec["z"])
+        a, b, z = _json_int(rec["a"]), _json_int(rec["b"]), _json_float(rec["z"])
         if not (math.isfinite(z) and z >= 0.0):
             raise ValueError(f"edge ({a}, {b}) has non-finite or negative measurement {z}")
         if a == b:
@@ -404,7 +430,7 @@ def scenario_from_json(text: str) -> NetworkScenario:
             raise ValueError(f"edge ({rec['a']}, {rec['b']}) appears more than once")
         measurements[e] = z
 
-    gamma = float(doc["gamma"])
+    gamma = _json_float(doc["gamma"])
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
 
@@ -416,5 +442,5 @@ def scenario_from_json(text: str) -> NetworkScenario:
         anchor_edges=sorted(anchor_edges),
         measurements=measurements,
         gamma=gamma,
-        sensing_range=float(doc["sensing_range"]),
+        sensing_range=_json_float(doc["sensing_range"]),
     )

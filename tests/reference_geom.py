@@ -1,0 +1,130 @@
+"""Exhaustive grid oracles used only by the test suite.
+
+The plain way to answer what ``minmaxloc.geom`` answers with shortcuts:
+list every grid point as an (N, 2) array in x-major order, keep the feasible
+ones, and scan.  The Chebyshev center tests every grid point against every
+vertex of the hull of all feasible points; the projection and the relaxed
+program scan the full point lists.  The arithmetic per point is the same as
+in ``geom``, so the tests compare the two with ``==``, tie-breaks and
+``EmptyRegionError`` messages included.
+"""
+
+import math
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
+
+from minmaxloc.geom import (
+    DEFAULT_RESOLUTION,
+    BBox,
+    ChebyshevResult,
+    EmptyRegionError,
+    FeasibleRegion,
+    _extreme_points,
+    default_bbox,
+)
+
+_CHUNK = 16384
+
+
+def grid_points(bbox: BBox, resolution: float) -> np.ndarray:
+    """All grid points, x-major (lexicographic (ix, iy)) order, shape (N, 2)."""
+    (xlo, xhi), (ylo, yhi) = bbox
+    nx = int(math.floor((xhi - xlo) / resolution + 1e-9)) + 1
+    ny = int(math.floor((yhi - ylo) / resolution + 1e-9)) + 1
+    xs = xlo + np.arange(nx) * resolution
+    ys = ylo + np.arange(ny) * resolution
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def feasible_grid(
+    reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every grid point and the feasible ones, both in x-major order."""
+    if bbox is None:
+        bbox = default_bbox(reg, resolution)
+    points = grid_points(bbox, resolution)
+    mask = np.ones(len(points), dtype=bool)
+    for c in reg.constraints:
+        d2 = (points[:, 0] - c.center[0]) ** 2 + (points[:, 1] - c.center[1]) ** 2
+        mask &= (d2 >= c.lower**2) & (d2 <= c.upper**2)
+    if not mask.any():
+        raise EmptyRegionError(f"no feasible grid point at resolution {resolution}")
+    return points, points[mask]
+
+
+def min_max_distance(candidates: np.ndarray, targets: np.ndarray) -> Tuple[int, float]:
+    """Index (first on ties) and value of min over candidates of max distance."""
+    best_idx = -1
+    best = np.inf
+    for start in range(0, len(candidates), _CHUNK):
+        chunk = candidates[start : start + _CHUNK]
+        dx = chunk[:, 0:1] - targets[None, :, 0]
+        dy = chunk[:, 1:2] - targets[None, :, 1]
+        worst = np.max(dx * dx + dy * dy, axis=1)
+        i = int(np.argmin(worst))
+        if worst[i] < best:
+            best = float(worst[i])
+            best_idx = start + i
+    return best_idx, math.sqrt(best)
+
+
+def chebyshev_center(
+    reg: FeasibleRegion,
+    bbox: Optional[BBox] = None,
+    resolution: float = DEFAULT_RESOLUTION,
+) -> ChebyshevResult:
+    points, feasible = feasible_grid(reg, bbox, resolution)
+    idx, radius = min_max_distance(points, _extreme_points(feasible))
+    cx, cy = points[idx]
+    return ChebyshevResult((float(cx), float(cy)), radius, resolution)
+
+
+def project(
+    reg: FeasibleRegion,
+    p: Sequence[float],
+    bbox: Optional[BBox] = None,
+    resolution: float = DEFAULT_RESOLUTION,
+) -> Tuple[float, float]:
+    _, feas = feasible_grid(reg, bbox, resolution)
+    d2 = (feas[:, 0] - float(p[0])) ** 2 + (feas[:, 1] - float(p[1])) ** 2
+    q = feas[int(np.argmin(d2))]
+    return (float(q[0]), float(q[1]))
+
+
+def max_distance(
+    reg: FeasibleRegion,
+    p: Sequence[float],
+    bbox: Optional[BBox] = None,
+    resolution: float = DEFAULT_RESOLUTION,
+) -> float:
+    _, feasible = feasible_grid(reg, bbox, resolution)
+    targets = _extreme_points(feasible)
+    dx = targets[:, 0] - float(p[0])
+    dy = targets[:, 1] - float(p[1])
+    return math.sqrt(float(np.max(dx * dx + dy * dy)))
+
+
+def relaxed_center_value(
+    reg: FeasibleRegion,
+    bbox: Optional[BBox] = None,
+    resolution: float = DEFAULT_RESOLUTION,
+) -> Tuple[Tuple[float, float], float]:
+    if bbox is None:
+        bbox = default_bbox(reg, resolution)
+    points = grid_points(bbox, resolution)
+    upper_env = np.full(len(points), np.inf)
+    lower_env = np.full(len(points), -np.inf)
+    for c in reg.constraints:
+        d2 = (points[:, 0] - c.center[0]) ** 2 + (points[:, 1] - c.center[1]) ** 2
+        upper_env = np.minimum(upper_env, c.upper**2 - d2)
+        lower_env = np.maximum(lower_env, c.lower**2 - d2)
+    ok = (lower_env <= upper_env) & (upper_env >= 0.0)
+    if not ok.any():
+        raise EmptyRegionError(
+            f"relaxed region has no feasible grid point at resolution {resolution}"
+        )
+    values = np.where(ok, upper_env, -np.inf)
+    idx = int(np.argmax(values))
+    return (float(points[idx, 0]), float(points[idx, 1])), float(values[idx])

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fixtures import relay_chain_instance, single_sensor_fixture
 from minmaxloc import geom, model
@@ -102,6 +103,34 @@ def test_solve_dist_round_cap_exits_numerical(tmp_path, capsys):
 
 def test_solve_dist_rejects_bad_epsilon(generated):
     assert main(["solve-dist", generated, "--epsilon", "0"]) == 1
+
+
+BAD_NUMBERS = [
+    ["oracle", "SCENARIO", "--resolution", "0"],
+    ["oracle", "SCENARIO", "--resolution", "-0.01"],
+    ["oracle", "SCENARIO", "--resolution", "nan"],
+    ["oracle", "SCENARIO", "--resolution", "inf"],
+    ["solve-dist", "SCENARIO", "--epsilon", "nan"],
+    ["solve-dist", "SCENARIO", "--epsilon", "inf"],
+    ["generate", "--range", "nan"],
+    ["generate", "--range", "inf"],
+    ["generate", "--gamma", "-0.1"],
+    ["generate", "--gamma", "nan"],
+    ["generate", "--sigma", "nan"],
+    ["generate", "--sigma", "-0.1"],
+    ["generate", "--sigma", "0.02", "--ratio", "nan"],
+    ["generate", "--sigma", "0.02", "--ratio", "-0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS, ids=" ".join)
+def test_bad_numeric_flags_are_usage_errors(tmp_path, capsys, argv):
+    scen, _ = single_sensor_fixture(
+        {1: (0.0, 0.0), 2: (1.0, 0.0)}, {1: (0.3, 0.7), 2: (0.5, 0.9)}
+    )
+    path = write_scenario(tmp_path, scen)
+    assert main([path if a == "SCENARIO" else a for a in argv]) == 1
+    assert "must be" in capsys.readouterr().err
 
 
 def test_oracle_matches_direct_grid_search(tmp_path):
@@ -252,3 +281,67 @@ def test_stdout_default_output(generated, capsys):
     assert main(["solve-central", generated]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["solver_status"] == "optimal"
+
+
+_FUZZ_BASE = json.loads(
+    model.scenario_to_json(
+        model.apply_errors(
+            model.generate_scenario(
+                model.ScenarioConfig(
+                    n_sensors=3,
+                    anchor_positions=((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3)),
+                    sensing_range=0.8,
+                ),
+                seed=2,
+            ),
+            model.UniformError(gamma=0.02),
+            seed=2,
+        )
+    )
+)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_scenario(draw):
+    doc = json.loads(json.dumps(_FUZZ_BASE))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parent_keys, key = draw(st.sampled_from(paths))
+        parent = doc
+        for k in parent_keys:
+            parent = parent[k]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_json_values)
+    return doc
+
+
+@given(_mutated_scenario())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_validate_mutated_scenarios_exit_zero_or_one(tmp_path, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) in (0, 1)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_geom as ref
+from fixtures import NONCONVEX_FIXTURES, ORACLE_FIXTURES
 from minmaxloc import geom, model
 
 
@@ -210,3 +212,188 @@ def test_disc_center_recovered(cx, cy, r):
     assert abs(res.center[0] - cx) <= 7.5e-3
     assert abs(res.center[1] - cy) <= 7.5e-3
     assert abs(res.radius - r) <= 1.5e-2
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.01, math.nan, math.inf])
+def test_resolution_must_be_positive_and_finite(resolution):
+    reg = geom.region([((0.0, 0.0), 0.0, 1.0)])
+    calls = [
+        lambda: geom.grid_chebyshev_center(reg, resolution=resolution),
+        lambda: geom.project_to_region(reg, (0.0, 0.0), resolution=resolution),
+        lambda: geom.grid_max_distance(reg, (0.0, 0.0), resolution=resolution),
+        lambda: geom.relaxed_center_value(reg, resolution=resolution),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            call()
+
+
+def _outcome(f, *args, **kwargs):
+    """A call's value, or the message of the EmptyRegionError it raised."""
+    try:
+        return f(*args, **kwargs)
+    except geom.EmptyRegionError as exc:
+        return ("empty", str(exc))
+
+
+def _assert_matches_reference(reg, points, bbox=None, resolution=5e-3):
+    kw = dict(bbox=bbox, resolution=resolution)
+    assert _outcome(geom.grid_chebyshev_center, reg, **kw) == _outcome(
+        ref.chebyshev_center, reg, **kw
+    )
+    assert _outcome(geom.relaxed_center_value, reg, **kw) == _outcome(
+        ref.relaxed_center_value, reg, **kw
+    )
+    for p in points:
+        assert _outcome(geom.project_to_region, reg, p, **kw) == _outcome(
+            ref.project, reg, p, **kw
+        )
+        assert _outcome(geom.grid_max_distance, reg, p, **kw) == _outcome(
+            ref.max_distance, reg, p, **kw
+        )
+
+
+def _assert_window_holds_minimizer(reg, bbox, resolution):
+    xs, ys, targets = geom._targets(reg, bbox, resolution)
+    sx, sy = geom._scan_window(xs, ys, targets, resolution)
+    (cx, cy) = ref.chebyshev_center(reg, bbox, resolution).center
+    (ix,), (iy,) = np.flatnonzero(xs == cx), np.flatnonzero(ys == cy)
+    assert sx.start <= ix < sx.stop and sy.start <= iy < sy.stop
+
+
+ALL_FIXTURES = {
+    **{name: fx for name, (fx, _) in ORACLE_FIXTURES.items()},
+    **NONCONVEX_FIXTURES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_oracles_equal_exhaustive_reference_on_fixtures(name):
+    scen, bounds = ALL_FIXTURES[name]
+    reg = geom.single_sensor_region(scen, bounds)
+    points = [scen.true_positions[0], (0.31, -0.17), (2.0, 1.5)]
+    _assert_matches_reference(reg, points, resolution=5e-3)
+    _assert_window_holds_minimizer(reg, geom.default_bbox(reg, 5e-3), 5e-3)
+
+
+annuli = st.lists(
+    st.tuples(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.2),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(
+    annuli,
+    st.floats(0.02, 0.05),
+    st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+)
+@example([((0.0, 0.0), 0.0, 1.0), ((5.0, 0.0), 0.0, 1.0)], 0.05, (0.0, 0.0))  # empty
+@example([((0.3, -0.2), 0.0, 0.004)], 0.04, (0.0, 0.0))  # one feasible point
+@example([((0.3, -0.2), 0.9, 0.3)], 0.05, (1.0, 1.0))  # ring: infeasible center
+@settings(max_examples=60, deadline=None)
+def test_oracles_equal_exhaustive_reference_on_random_regions(cons, h, p):
+    reg = geom.region([(c, lower, lower + width) for c, lower, width in cons])
+    _assert_matches_reference(reg, [p], resolution=h)
+
+
+# On the grid over [-1, 1]^2 at step 1/4 (exact in binary), hand-built regions
+# whose feasible grid points are degenerate, given as (constraints, points).
+_GRID = ((-1.0, 1.0), (-1.0, 1.0))
+_R18 = math.sqrt(18.0) + 0.1
+DEGENERATE = {
+    "single point": (
+        [((0.25, -0.5), 0.0, 0.1)],
+        [(0.25, -0.5)],
+    ),
+    "single column": (
+        [((-3.0, 0.0), 0.0, 3.1), ((3.0, 0.0), 0.0, 3.1)],
+        [(0.0, y) for y in np.arange(-0.75, 1.0, 0.25)],
+    ),
+    "single row": (
+        [((0.0, -3.0), 0.0, 3.1), ((0.0, 3.0), 0.0, 3.1)],
+        [(x, 0.0) for x in np.arange(-0.75, 1.0, 0.25)],
+    ),
+    "diagonal": (
+        [((3.0, -3.0), 0.0, _R18), ((-3.0, 3.0), 0.0, _R18)],
+        [(t, t) for t in np.arange(-0.5, 0.75, 0.25)],
+    ),
+    "empty": ([((0.1, 0.1), 0.0, 0.05)], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_oracles_equal_exhaustive_reference_on_degenerate_sets(name):
+    cons, expected = DEGENERATE[name]
+    reg = geom.region(cons)
+    if expected:
+        _, feasible = ref.feasible_grid(reg, _GRID, 0.25)
+        assert feasible.tolist() == [list(q) for q in expected]
+    _assert_matches_reference(reg, [(0.6, -0.9), (-2.0, 0.3)], bbox=_GRID, resolution=0.25)
+
+
+def test_scan_window_holds_minimizer_on_its_edge():
+    # The feasible grid points are a = (1/4, 1/2) and b = (1/2, 3/4) only, so
+    # the enclosing circle has c = (3/8, 5/8) and R^2 = 1/32.  The grid point
+    # nearest c is (1/2, 1/2), and (1/4, 3/4) ties with it at worst case
+    # 1/16; the tie goes to (1/4, 3/4), which is first in x-major order and
+    # lies exactly on the disc |p - c|^2 = worst - R^2 that bounds the window.
+    r = math.sqrt(0.15625)
+    reg = geom.region([((0.625, 0.375), r - 0.01, r + 0.01), ((0.375, 0.625), 0.0, 0.1875)])
+    _, feasible = ref.feasible_grid(reg, _GRID, 0.25)
+    assert feasible.tolist() == [[0.25, 0.5], [0.5, 0.75]]
+    res = geom.grid_chebyshev_center(reg, _GRID, 0.25)
+    assert res == ref.chebyshev_center(reg, _GRID, 0.25)
+    assert res.center == (0.25, 0.75)
+    (cx, cy), r2, _ = geom._enclosing_circle(feasible)
+    edge = (res.center[0] - cx) ** 2 + (res.center[1] - cy) ** 2
+    assert edge == res.radius**2 - r2
+    _assert_window_holds_minimizer(reg, _GRID, 0.25)
+
+
+def _brute_force_circle(points):
+    """Smallest squared radius over circles through two or three points that
+    enclose every point."""
+    best = 0.0 if len(points) == 1 else math.inf
+    n = len(points)
+    candidates = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            candidates.append(0.5 * (points[i] + points[j]))
+            for k in range(j + 1, n):
+                (ax, ay), (bx, by), (px, py) = points[i], points[j], points[k]
+                bx, by, px, py = bx - ax, by - ay, px - ax, py - ay
+                d = 2.0 * (bx * py - by * px)
+                if d != 0.0:
+                    b2, p2 = bx * bx + by * by, px * px + py * py
+                    candidates.append(
+                        np.array([ax + (py * b2 - by * p2) / d, ay + (bx * p2 - px * b2) / d])
+                    )
+    for c in candidates:
+        best = min(best, float(np.max(np.sum((points - c) ** 2, axis=1))))
+    return best
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+        min_size=1,
+        max_size=9,
+        unique=True,
+    ),
+    st.floats(0.01, 2.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_enclosing_circle_is_the_minimum_one(lattice, scale):
+    points = np.array(lattice, dtype=float) * scale
+    center, r2, support = geom._enclosing_circle(points)
+    d2 = np.sum((points - center) ** 2, axis=1)
+    assert np.all(d2 <= r2 * (1 + 1e-12))
+    s2 = np.sum((support - center) ** 2, axis=1)
+    assert np.allclose(s2, r2, rtol=1e-12, atol=0.0)
+    assert all(any(np.array_equal(s, q) for q in points) for s in support)
+    assert r2 == pytest.approx(_brute_force_circle(points), rel=1e-9, abs=0.0)
