@@ -241,8 +241,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown estimators {unknown}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
-        if self.epsilon <= 0 or self.max_rounds < 1:
-            raise ValueError("epsilon must be positive and max_rounds >= 1")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0) or self.max_rounds < 1:
+            raise ValueError("epsilon must be positive and finite and max_rounds >= 1")
 
     def error_model(self, sweep_value: float):
         if self.error_family == "uniform":

@@ -399,6 +399,9 @@ def scenario_from_json(text: str) -> NetworkScenario:
     doc = json.loads(text)
     sensors = [_json_int(i) for i in doc["sensors"]]
     sensor_set = set(sensors)
+    if len(sensor_set) != len(sensors):
+        repeated = sorted({i for i in sensors if sensors.count(i) > 1})
+        raise ValueError(f"sensor ids {repeated} appear more than once")
     anchors = {
         _json_int(a["id"]): (_json_float(a["x"]), _json_float(a["y"])) for a in doc["anchors"]
     }

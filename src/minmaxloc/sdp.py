@@ -27,31 +27,52 @@ and M[k,j] = sum_b <A_{b,k}, W_b A_{b,j} W_b> is symmetric positive
 definite.  Steps take a fixed fraction of the largest cone-preserving step.
 The solver is deterministic: identical inputs produce identical outputs.
 
+The Newton system is solved over sign classes, not over the variables.  At
+compile time a variable joins an earlier one's class, with sign s_k = +1 or
+-1, when its coefficient matrix equals (s_k = +1) or exactly negates
+(s_k = -1) that variable's in every dense block, so A_{b,k} = s_k A_{b,c}.
+Each two-sided measurement interval gives such a negated pair, one
+multiplier per bound, and a duplicated edge a same-sign copy.  A class may
+hold more than one variable only if each member owns a fused 1x1 row that
+holds it alone and sits in no row coupling it to others; every other
+variable is a class of its own.  With P the signed map from classes to
+variables, M = P K P^T + L, where K[c, e] = sum_b <A_{b,c}, W_b A_{b,e} W_b>
+comes from the dense blocks and L from the fused rows.  A merged member's
+own rows give it a curvature lam_k, so its class gets the harmonic term
+h_c = 1 / sum_k 1/lam_k (ab/(a+b) for a pair), and the solver factors
+
+    (K + diag(h) + L over the single-variable classes) d = rho,
+    rho_c = sum_k (h_c / lam_k) s_k rhs_k    on a merged class,
+
+one unknown per class.  Back-substitution gives each member its exact step,
+dx_k = (rhs_k - s_k (K d)_c) / lam_k, in a form whose signed sum over the
+class is d_c (see ``_Reduction.step``); a single variable's step is d_c.
+The direction equals the one over all variables in exact arithmetic.  When
+the Cholesky needs a jitter, the reduction is that of M + jitter I, so a
+merged member's curvature is lam_k + jitter.  When every class is a single
+variable the reduction is the identity and costs nothing.
+
 Each block is compiled to an object with one per-block interface: start
-point, inner product, NT scaling (returning W and S^-1), Schur contribution,
+point, inner product, NT scaling (returning W and S^-1), Schur contribution
+over its classes and the index of those entries in the class matrix (plain
+slices when its classes are contiguous, as in the network-wide problem),
 centering term, the congruence W R W, step length, corrector,
 symmetrization, dual output, and the roundoff scale of the dual residual,
 <|A_k|, |Z|> per variable, through a map the block builds from its own
 triplets.  The solver loops over one list of such blocks and never asks
-what kind a block is.  Dense blocks keep one of two coefficient
-representations.  Small ones keep a dense coefficient stack.
-
-Large ones first sort their variables into sign classes: a variable whose
-coefficient matrix equals, or exactly negates, an earlier one's joins that
-class with sign s_k = +1 or -1, so A_k = s_k A_c(k).  Each two-sided
-measurement interval gives such a negated pair, and a duplicated edge a
-same-sign copy.  Only one member per class is factored into signed rank-one
+what kind a block is.  A dense block enters through each class's first
+member and maps its variables onto its classes for the adjoint and the
+combination.  Small dense blocks keep a dense coefficient stack over their
+classes.  Large ones factor each class's coefficient into signed rank-one
 terms, A_c = sum_r sign_r u_r u_r^T (an exact eigendecomposition on its
-support).  The Schur matrix then assembles from H[r, t] = (u_r^T W u_t)^2
-over the class terms only.  One signed indicator G, built at compile time
-with G[c, r] = sign_r for each term r of class c, forms every group sum at
-once, M_cls = G H G^T, which expands to the variables as
-M[k, j] = s_k s_j M_cls[c(k), c(j)].  The adjoint and the combination go
-through the same class map.  This is what makes networks of a few hundred
-variables cheap.
+support), and assemble K from H[r, t] = (u_r^T W u_t)^2 over those terms:
+one signed indicator G, built at compile time with G[c, r] = sign_r for each
+term r of class c, forms every group sum at once, K_b = G H G^T.  This is
+what makes networks of a few hundred variables cheap.
 
 All 1x1 blocks are fused into one diagonal block of vectors, kept last in
-the list, whose methods do the same steps row by row.
+the list, whose methods do the same steps row by row.  Its Schur term covers
+the single-variable classes; the merged members' own rows enter through h.
 """
 
 from __future__ import annotations
@@ -211,20 +232,193 @@ class SdpSolution:
 # compiled internal representation
 
 
+def _square(idx: np.ndarray):
+    """Index of the square submatrix on the sorted indices ``idx``: plain
+    slices when they form one contiguous run, else an ``np.ix_`` pair."""
+    if len(idx) == 0 or idx[-1] - idx[0] == len(idx) - 1:
+        run = slice(int(idx[0]), int(idx[-1]) + 1) if len(idx) else slice(0, 0)
+        return run, run
+    return np.ix_(idx, idx)
+
+
+class _SignClasses:
+    """The problem's variables sorted into sign classes.
+
+    Variable k belongs to class cls[k] with sign sign[k], and
+    A_{b,k} = sign_k A_{b,c} in every dense block b, where A_{b,c} is the
+    coefficient of the class's first member (whose sign is +1).  Variables
+    may share a class only if each owns a fused row that holds it alone and
+    sits in no other fused row; every other variable is a class of its own.
+    ``merged`` lists the members of classes with two or more members.
+    """
+
+    def __init__(self, num_vars: int, dense: List[Block], rows: List[Block]):
+        alone = np.zeros(num_vars, dtype=bool)
+        shared = np.zeros(num_vars, dtype=bool)
+        for blk in rows:
+            ks = list(blk.coeffs)
+            if len(ks) == 1:
+                alone[ks[0]] = True
+            else:
+                shared[ks] = True
+        may_merge = alone & ~shared
+
+        seen: Dict[tuple, Tuple[int, float]] = {}
+        cls = np.empty(num_vars, dtype=np.intp)
+        sign = np.ones(num_vars)
+        size = 0
+        for k in range(num_vars):
+            if may_merge[k]:
+                key = tuple((bi, tuple(b.coeffs[k])) for bi, b in enumerate(dense) if k in b.coeffs)
+                if key in seen:
+                    cls[k], sign[k] = seen[key]
+                    continue
+                if key:  # a variable in no dense block stays alone
+                    neg = tuple((bi, tuple((i, j, -v) for i, j, v in t)) for bi, t in key)
+                    seen[key] = (size, 1.0)
+                    seen[neg] = (size, -1.0)
+            cls[k] = size
+            size += 1
+        counts = np.bincount(cls, minlength=size)
+        self.size = size
+        self.identity = size == num_vars  # every class a single variable, sign +1
+        self.cls = cls
+        self.sign = sign
+        self.extra = counts - 1.0  # members beyond the first, per class
+        self.merged = np.flatnonzero(counts[cls] > 1)
+        self.merged_cls = cls[self.merged]
+        # every ordered pair (k, j) of distinct members of one class, as
+        # positions in ``merged``
+        members: Dict[int, List[int]] = {}
+        for p, c in enumerate(self.merged_cls.tolist()):
+            members.setdefault(c, []).append(p)
+        pairs = [(a, b) for group in members.values() for a in group for b in group if a != b]
+        self.partners = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        # the merged members' own rows: member position, row, coefficient^2
+        pos = np.full(num_vars, -1, dtype=np.intp)
+        pos[self.merged] = np.arange(len(self.merged))
+        own = [
+            (pos[k], r, trips[0][2] ** 2)
+            for r, blk in enumerate(rows)
+            for k, trips in blk.coeffs.items()
+            if pos[k] >= 0
+        ]
+        member, row, coef2 = zip(*own) if own else ((), (), ())
+        self.own_member = np.array(member, dtype=np.intp)
+        self.own_row = np.array(row, dtype=np.intp)
+        self.own_coef2 = np.array(coef2, dtype=float)
+
+    def curvature(self, w2: np.ndarray) -> np.ndarray:
+        """Each merged member's row curvature lam_k = sum_r w2_r D_rk^2 over
+        its own rows, from the fused rows' scaling ``w2``."""
+        if not len(self.merged):
+            return np.zeros(0)
+        return np.bincount(
+            self.own_member, weights=self.own_coef2 * w2[self.own_row], minlength=len(self.merged)
+        )
+
+    def reduction(self, lam: np.ndarray, jitter: float):
+        """The reduced system of ``M + jitter I`` for member curvatures ``lam``."""
+        if self.identity:
+            return _Unreduced(jitter)
+        return _Reduction(self, lam, jitter)
+
+
+class _Reduction:
+    """One iterate's Newton system, reduced to one unknown per class.
+
+    M = P K P^T + L over the variables, where P maps class c to its members
+    with their signs, K is the dense blocks' class matrix and L the fused
+    rows' term.  With lam_k the curvature of merged member k's own rows
+    (plus the jitter, if any), a merged class c gets h_c = 1 / sum_k 1/lam_k
+    on the diagonal and the right-hand side rho_c = sum_k w_k s_k r_k, with
+    weights w_k = h_c / lam_k that sum to one; every other class keeps r_k
+    and takes the jitter on its diagonal.  The class step d solves
+    (K + diag) d = rho, and a single variable's step is d_c.
+    """
+
+    def __init__(self, classes: _SignClasses, lam: np.ndarray, jitter: float):
+        cl = self.classes = classes
+        self.lam = lam
+        self.inv = 1.0 / (lam + jitter)
+        total = np.bincount(cl.merged_cls, weights=self.inv, minlength=cl.size)
+        self.h = np.divide(1.0, total, out=np.zeros(cl.size), where=total > 0)
+        self.diag = np.where(total > 0, self.h, jitter)
+        self.weight = self.h[cl.merged_cls] * self.inv
+        signed_weight = cl.sign.copy()
+        signed_weight[cl.merged] *= self.weight
+        self.signed_weight = signed_weight
+
+    def rhs(self, r: np.ndarray) -> np.ndarray:
+        cl = self.classes
+        return np.bincount(cl.cls, weights=self.signed_weight * r, minlength=cl.size)
+
+    def step(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Variable steps from the class step ``d``.
+
+        A merged member's Newton row gives dx_k = (r_k - s_k (K d)_c) / lam_k,
+        and (K d)_c = rho_c - h_c d_c.  Written with q_k = s_k r_k, that is
+
+            dx_k = s_k (w_k d_c + (h_c / lam_k) sum_j (q_k - q_j) / lam_j)
+
+        over the other members j.  The signed sum over the class is exactly
+        d_c, so the dense blocks see the class step that was solved for,
+        and no term subtracts two nearly equal numbers: forming q_k - rho_c
+        instead cancels when lam_k is much the smallest, and the error
+        then grows by 1/lam_k.
+        """
+        cl = self.classes
+        mk, mc = cl.merged, cl.merged_cls
+        q = cl.sign[mk] * r[mk]
+        k, j = cl.partners
+        spread = np.bincount(k, weights=self.inv[j] * (q[k] - q[j]), minlength=len(mk))
+        dx = d[cl.cls]  # a single variable has sign +1
+        dx[mk] = cl.sign[mk] * (self.weight * d[mc] + self.h[mc] * self.inv * spread)
+        return dx
+
+    def product(self, schur: np.ndarray, d: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        """M dx without the jitter, for the step ``dx`` of class step ``d``:
+        s_k (K d)_c from the class matrix, plus lam_k dx_k on merged rows."""
+        cl = self.classes
+        out = cl.sign * (schur @ d)[cl.cls]
+        out[cl.merged] += self.lam * dx[cl.merged]
+        return out
+
+
+class _Unreduced:
+    """The reduction when every class is a single variable: the identity."""
+
+    def __init__(self, jitter: float):
+        self.diag = jitter
+
+    @staticmethod
+    def rhs(r: np.ndarray) -> np.ndarray:
+        return r
+
+    @staticmethod
+    def step(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return d
+
+    @staticmethod
+    def product(schur: np.ndarray, d: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        return schur @ d
+
+
 class _LinBlock:
     """All 1x1 blocks fused: rows a0 + D x >= 0, slack and dual as vectors.
 
     Implements the per-block interface of :class:`_DenseBlock` row by row.
     Where a dense block multiplies by S^-1, a row divides by s, so the
-    scaling hands back s itself in the place of S^-1.
+    scaling hands back s itself in the place of S^-1.  Its Schur term covers
+    the single-variable classes only; a merged member's own rows enter
+    through the reduction instead.
     """
 
-    def __init__(self, blocks: List[Tuple[int, Block]], num_vars: int):
+    def __init__(self, blocks: List[Tuple[int, Block]], classes: _SignClasses):
         self.src = [bi for bi, _ in blocks]
         q = len(blocks)
         self.q = q
         self.vars = slice(None)  # rows may touch any variable
-        self.pairs = (slice(None), slice(None))
         self.a0 = np.zeros(q)
         rows, cols, vals = [], [], []
         for r, (_, blk) in enumerate(blocks):
@@ -235,9 +429,20 @@ class _LinBlock:
                 rows.append(r)
                 cols.append(k)
                 vals.append(coef)
-        self.D = sp.csr_matrix((vals, (rows, cols)), shape=(q, num_vars))
+        self.D = sp.csr_matrix((vals, (rows, cols)), shape=(q, len(classes.cls)))
         self.Dt = self.D.T.tocsr()
         self.abs_Dt = abs(self.Dt)
+        # the rows' Schur term over the single-variable classes they touch
+        self.Ds = None
+        if classes.identity:
+            self.pairs = (slice(None), slice(None))
+            self.Ds, self.Dst = self.D, self.Dt
+        else:
+            single = (classes.extra[classes.cls] == 0) & (self.D.getnnz(axis=0) > 0)
+            self.pairs = _square(classes.cls[single])
+            if single.any():
+                self.Ds = self.D[:, single]
+                self.Dst = self.Ds.T.tocsr()
         self.norm_a0 = float(np.linalg.norm(self.a0))
         col_norms = np.sqrt(np.asarray(self.D.multiply(self.D).sum(axis=0)).ravel())
         self.coeff_scale = float(col_norms.max()) if q else 0.0
@@ -255,7 +460,9 @@ class _LinBlock:
         return self.abs_Dt @ np.abs(z)
 
     def schur(self, w2: np.ndarray) -> np.ndarray:
-        return (self.Dt @ self.D.multiply(w2[:, None])).toarray()
+        if self.Ds is None:
+            return np.zeros((0, 0))
+        return (self.Dst @ self.Ds.multiply(w2[:, None])).toarray()
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -294,13 +501,28 @@ class _LinBlock:
 
 
 class _DenseBlock:
-    def __init__(self, src: int, block: Block, num_vars: int):
+    """One dense block over the classes of its variables.
+
+    Each class enters through its first member's coefficient; the block's
+    variables map onto its classes through ``var_cls`` and ``var_sign``
+    (None when every variable is a class of its own).
+    """
+
+    def __init__(self, src: int, block: Block, classes: _SignClasses):
         self.src = src
         self.dim = d = block.dim
         self.a0 = block.dense_const()
         self.vars = np.array(sorted(block.coeffs), dtype=np.intp)
-        self.pairs = np.ix_(self.vars, self.vars)  # its entries of the Schur matrix
-        mb = len(self.vars)
+        glob = classes.cls[self.vars]
+        self.cls, first = np.unique(glob, return_index=True)
+        self.pairs = _square(self.cls)  # its entries of the Schur matrix
+        mb, nc = len(self.vars), len(self.cls)
+        if nc == mb:
+            self.var_cls = None
+        else:
+            self.var_cls = np.searchsorted(self.cls, glob)
+            self.var_sign = classes.sign[self.vars]
+        reps = [block.coeffs[k] for k in self.vars[first]]
         self.norm_a0 = float(np.linalg.norm(self.a0))
         # |A_k| flattened row by row, one row per local variable; see abs_adjoint
         rows, cols, vals = [], [], []
@@ -313,32 +535,15 @@ class _DenseBlock:
         self.abs_coeff = sp.csr_matrix((vals, (rows, cols)), shape=(mb, d * d))
         self.rank1 = d > _DENSE_DIM_LIMIT
         if not self.rank1:
-            self.stack = np.zeros((mb, d, d))
-            for t, k in enumerate(self.vars):
-                self.stack[t] = block.dense_coeff(k)
+            self.stack = np.zeros((nc, d, d))
+            for c, trips in enumerate(reps):
+                self.stack[c] = _triplets_to_dense(trips, d)
             self.coeff_scale = (
-                float(max(np.linalg.norm(self.stack[t]) for t in range(mb))) if mb else 0.0
+                float(max(np.linalg.norm(self.stack[c]) for c in range(nc))) if nc else 0.0
             )
             return
 
-        # Sign classes: a variable whose coefficient matrix equals, or exactly
-        # negates, an earlier one's joins that class, A_k = var_sign_k A_c.
-        classes: Dict[Tuple[Triplet, ...], Tuple[int, float]] = {}
-        reps: List[List[Triplet]] = []
-        var_cls: List[int] = []
-        var_sign: List[float] = []
-        for k in self.vars:
-            trips = block.coeffs[k]
-            key = tuple(trips)
-            if key not in classes:
-                classes[key] = (len(reps), 1.0)
-                classes[tuple((i, j, -v) for i, j, v in trips)] = (len(reps), -1.0)
-                reps.append(trips)
-            c, sign = classes[key]
-            var_cls.append(c)
-            var_sign.append(sign)
-
-        # Factor each class's first member into signed rank-one terms on its
+        # Factor each class's coefficient into signed rank-one terms on its
         # support: A_c = sum_r sign_r u_r u_r^T exactly (eigendecomposition).
         term_cls: List[int] = []
         term_sign: List[float] = []
@@ -366,13 +571,9 @@ class _DenseBlock:
 
         nterms = len(term_cls)
         smax = max((len(ix) for ix in term_idx), default=1)
-        self.var_cls = np.asarray(var_cls, dtype=np.intp)
-        self.var_sign = np.asarray(var_sign)
         # signed indicator G[c, r] = sign_r for each term r of class c, so a
         # group sum over classes is one product with G
-        self.G = sp.csr_matrix(
-            (term_sign, (term_cls, np.arange(nterms))), shape=(len(reps), nterms)
-        )
+        self.G = sp.csr_matrix((term_sign, (term_cls, np.arange(nterms))), shape=(nc, nterms))
         self.u_idx = np.zeros((nterms, smax), dtype=np.intp)
         self.u_val = np.zeros((nterms, smax))
         for r in range(nterms):
@@ -386,52 +587,55 @@ class _DenseBlock:
         )
         self.Ut = self.U.T.tocsr()
 
+    def _to_classes(self, y: np.ndarray) -> np.ndarray:
+        """sum_{k in c} s_k y_k per class of the block (y by problem variable)."""
+        ysub = y[self.vars]
+        if self.var_cls is None:
+            return ysub
+        return np.bincount(self.var_cls, weights=self.var_sign * ysub, minlength=len(self.cls))
+
+    def _to_vars(self, v: np.ndarray) -> np.ndarray:
+        """s_k v_c for each local variable k of class c."""
+        return v if self.var_cls is None else self.var_sign * v[self.var_cls]
+
     def start(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.eye(self.dim) * (1.0 + self.norm_a0 + self.coeff_scale), np.eye(self.dim)
 
     def combine(self, y: np.ndarray) -> np.ndarray:
         """sum_k y_k A_k as a dense matrix (y indexed by problem variable)."""
-        ysub = y[self.vars]
+        y_cls = self._to_classes(y)
         if not self.rank1:
-            m = np.tensordot(ysub, self.stack, axes=1)
+            m = np.tensordot(y_cls, self.stack, axes=1)
         else:
-            y_cls = np.bincount(
-                self.var_cls, weights=self.var_sign * ysub, minlength=self.G.shape[0]
-            )
             m = (self.U.multiply(self.G.T @ y_cls) @ self.Ut).toarray()
         return self.sym(m)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         """<A_k, U> for each local variable, as a dense (mb,) vector."""
         if not self.rank1:
-            return np.einsum("kij,ij->k", self.stack, u)
+            return self._to_vars(np.einsum("cij,ij->c", self.stack, u))
         g = u[self.u_idx[:, :, None], self.u_idx[:, None, :]]
         t = np.einsum("ras,ra,rs->r", g, self.u_val, self.u_val)
-        return self.var_sign * (self.G @ t)[self.var_cls]
+        return self._to_vars(self.G @ t)
 
     def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
         """<|A_k|, |Z|> for each local variable, as a dense (mb,) vector."""
         return self.abs_coeff @ np.abs(z).ravel()
 
     def schur(self, w: np.ndarray) -> np.ndarray:
-        """M_sub[k, j] = <A_k, W A_j W> over the block's local variables."""
+        """K[c, e] = <A_c, W A_e W> over the block's classes."""
         if not self.rank1:
-            p = self.stack @ w  # (mb, d, d)
+            p = self.stack @ w  # (nc, d, d)
             g = np.matmul(w, p)
-            mb, d = self.stack.shape[0], self.dim
-            return g.reshape(mb, d * d) @ self.stack.reshape(mb, d * d).T
+            nc, d = self.stack.shape[0], self.dim
+            return g.reshape(nc, d * d) @ self.stack.reshape(nc, d * d).T
         wu = (self.Ut @ w).T  # (d, R) dense
         h = self.Ut @ wu  # (R, R)
         np.square(h, out=h)
         # H is symmetric only up to rounding; the Cholesky reads one triangle
         # of the Schur matrix and the refinement step multiplies by all of it,
         # so both must see the same symmetric matrix
-        m_cls = self.sym(self.G @ (self.G @ h).T)
-        rows = m_cls[self.var_cls]
-        rows *= self.var_sign[:, None]
-        out = rows[:, self.var_cls]
-        out *= self.var_sign
-        return out
+        return self.sym(self.G @ (self.G @ h).T)
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -489,18 +693,87 @@ class _DenseBlock:
         return [(self.src, z)]
 
 
-def _compile(problem: SdpProblem) -> list:
-    """Compiled blocks, dense ones in problem order and the fused rows last."""
-    lin_parts: List[Tuple[int, Block]] = []
-    blocks: list = []
-    for bi, blk in enumerate(problem.blocks):
-        if blk.dim == 1:
-            lin_parts.append((bi, blk))
-        else:
-            blocks.append(_DenseBlock(bi, blk, problem.num_vars))
-    if lin_parts:
-        blocks.append(_LinBlock(lin_parts, problem.num_vars))
-    return blocks
+def _compile(problem: SdpProblem) -> Tuple[list, _SignClasses]:
+    """Compiled blocks, dense ones in problem order and the fused rows last,
+    and the sign classes they are compiled against."""
+    dense = [(bi, blk) for bi, blk in enumerate(problem.blocks) if blk.dim > 1]
+    rows = [(bi, blk) for bi, blk in enumerate(problem.blocks) if blk.dim == 1]
+    classes = _SignClasses(
+        problem.num_vars, [blk for _, blk in dense], [blk for _, blk in rows]
+    )
+    blocks: list = [_DenseBlock(bi, blk, classes) for bi, blk in dense]
+    if rows:
+        blocks.append(_LinBlock(rows, classes))
+    return blocks, classes
+
+
+class _NewtonSystem:
+    """One iterate's Newton system over the sign classes, factored once and
+    solved for each right-hand side of the iteration.
+
+    ``chol`` is None when no Cholesky attempt succeeded.
+    """
+
+    def __init__(self, blocks: list, classes: _SignClasses, scal, z_blk, r_s, r_z):
+        self.blocks, self.scal, self.z_blk, self.r_s, self.r_z = blocks, scal, z_blk, r_s, r_z
+        n = classes.size
+        schur = np.zeros((n, n))
+        for b, (w, _) in zip(blocks, scal):
+            schur[b.pairs] += b.schur(w)
+        self.schur = schur
+        # merged members own rows in the fused block, which is last
+        lam = classes.curvature(scal[-1][0])
+        # Cholesky with growing jitter.  The jitter is that of the full
+        # system M + jitter I, scaled by its trace, and the reduction is of
+        # that system, so a merged member's curvature grows too.  Adding it
+        # to the class matrix alone keeps an exact step along a class's
+        # null direction (the sum of an interval's two multipliers), whose
+        # curvature vanishes when an interval is exact; that step drove 37
+        # of 40 exact-measurement networks to numerical_failure.
+        trace = float(np.trace(schur)) + float(classes.extra @ schur.diagonal()) + float(lam.sum())
+        jitter = _JITTER * (1.0 + trace / max(len(classes.cls), 1))
+        self.chol = None
+        for attempt in range(4):
+            self.red = classes.reduction(lam, jitter * 10.0**attempt if attempt else 0.0)
+            a = schur.copy()
+            a.flat[:: n + 1] += self.red.diag
+            try:
+                self.chol = sla.cho_factor(a, lower=True, overwrite_a=True)
+                break
+            except np.linalg.LinAlgError:
+                continue
+            except ValueError:
+                break
+
+    def direction(self, sigma_mu: float, corr):
+        """Solve one Newton system; returns (dx, [dS], [dZ])."""
+        blocks, scal = self.blocks, self.scal
+        r3 = [
+            b.centering(sigma_mu, s_inv) - z
+            for b, (_, s_inv), z in zip(blocks, scal, self.z_blk)
+        ]
+        if corr is not None:
+            r3 = [r + cr for r, cr in zip(r3, corr)]
+
+        rhs = -self.r_z.copy()
+        for b, (w, _), r3b, rsb in zip(blocks, scal, r3, self.r_s):
+            rhs[b.vars] += b.adjoint(r3b)
+            rhs[b.vars] -= b.adjoint(b.congruence(w, rsb))
+
+        red = self.red
+        d = sla.cho_solve(self.chol, red.rhs(rhs))
+        dx = red.step(d, rhs)
+        # one round of iterative refinement against M without the jitter
+        # keeps the dual residual from flooring at the Schur matrix's
+        # condition-number noise
+        res = rhs - red.product(self.schur, d, dx)
+        dx = dx + red.step(sla.cho_solve(self.chol, red.rhs(res)), res)
+        ds = [b.sym(rsb + b.combine(dx)) for b, rsb in zip(blocks, self.r_s)]
+        dz = [
+            b.sym(r3b - b.congruence(w, dsb))
+            for b, (w, _), r3b, dsb in zip(blocks, scal, r3, ds)
+        ]
+        return dx, ds, dz
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +799,7 @@ def solve(
     use it to check weak duality along the whole path.
     """
     cfg = config or SolverConfig()
-    blocks = _compile(problem)
+    blocks, classes = _compile(problem)
     if not blocks:
         raise ValueError("problem has no blocks")
     c = problem.objective
@@ -611,7 +884,7 @@ def solve(
             status = SolveStatus.INFEASIBLE if dual_ray else SolveStatus.NUMERICAL_FAILURE
             break
 
-        # scaling and Schur matrix -------------------------------------------
+        # scaling and the Newton system --------------------------------------
         fail_status = (
             SolveStatus.INFEASIBLE if dual_ray else SolveStatus.NUMERICAL_FAILURE
         )
@@ -621,52 +894,10 @@ def solve(
         except FloatingPointError:
             status = fail_status
             break
-
-        schur = np.zeros((m, m))
-        for b, (w, _) in zip(blocks, scal):
-            schur[b.pairs] += b.schur(w)
-
-        chol = None
-        jitter = _JITTER * (1.0 + float(np.trace(schur)) / max(m, 1))
-        for attempt in range(4):
-            try:
-                chol = sla.cho_factor(
-                    schur + (jitter * (10.0**attempt) if attempt else 0.0) * np.eye(m),
-                    lower=True,
-                )
-                break
-            except np.linalg.LinAlgError:
-                continue
-            except ValueError:
-                break
-        if chol is None:
+        newton = _NewtonSystem(blocks, classes, scal, z_blk, r_s, r_z)
+        if newton.chol is None:
             status = fail_status
             break
-
-        def newton(sigma_mu: float, corr):
-            """Solve one Newton system; returns (dx, [dS], [dZ])."""
-            r3 = [
-                b.centering(sigma_mu, s_inv) - z
-                for b, (_, s_inv), z in zip(blocks, scal, z_blk)
-            ]
-            if corr is not None:
-                r3 = [r + cr for r, cr in zip(r3, corr)]
-
-            rhs = -r_z.copy()
-            for b, (w, _), r3b, rsb in zip(blocks, scal, r3, r_s):
-                rhs[b.vars] += b.adjoint(r3b)
-                rhs[b.vars] -= b.adjoint(b.congruence(w, rsb))
-
-            dx = sla.cho_solve(chol, rhs)
-            # one round of iterative refinement keeps the dual residual from
-            # flooring at the Schur matrix's condition-number noise
-            dx += sla.cho_solve(chol, rhs - schur @ dx)
-            ds = [b.sym(rsb + b.combine(dx)) for b, rsb in zip(blocks, r_s)]
-            dz = [
-                b.sym(r3b - b.congruence(w, dsb))
-                for b, (w, _), r3b, dsb in zip(blocks, scal, r3, ds)
-            ]
-            return dx, ds, dz
 
         def step_length(ds, dz):
             # a single step length for primal and dual keeps the iterate
@@ -680,7 +911,7 @@ def solve(
 
         try:
             # predictor
-            dxa, dsa, dza = newton(0.0, None)
+            dxa, dsa, dza = newton.direction(0.0, None)
             a_aff = step_length(dsa, dza)
             gap_aff = sum(
                 b.inner(s + a_aff * dsb, z + a_aff * dzb)
@@ -693,14 +924,14 @@ def solve(
                 b.corrector(s_inv, dsb, dzb)
                 for b, (_, s_inv), dsb, dzb in zip(blocks, scal, dsa, dza)
             ]
-            dx, ds, dz = newton(sigma * mu, corr)
+            dx, ds, dz = newton.direction(sigma * mu, corr)
             alpha = step_length(ds, dz)
             if alpha < 0.05:
                 # off-center iterates block the Mehrotra direction almost
                 # immediately; fall back to a plain centering step, which
                 # always points into the cone and restores balance
                 sigma = max(sigma, 0.8)
-                dx, ds, dz = newton(sigma * mu, None)
+                dx, ds, dz = newton.direction(sigma * mu, None)
                 alpha = step_length(ds, dz)
         except (np.linalg.LinAlgError, FloatingPointError):
             status = fail_status

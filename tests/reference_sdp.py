@@ -275,3 +275,42 @@ def check_certificate(
         dual_residual=dual_res,
         gap_value=gap_val,
     )
+
+
+def _nt_scaling(s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W = S^-1/2 (S^1/2 Z S^1/2)^1/2 S^-1/2, so that W S W = Z."""
+    w_s, v_s = np.linalg.eigh(s)
+    s_half = (v_s * np.sqrt(w_s)) @ v_s.T
+    s_ihalf = (v_s / np.sqrt(w_s)) @ v_s.T
+    w_b, v_b = np.linalg.eigh(s_half @ z @ s_half)
+    return s_ihalf @ ((v_b * np.sqrt(w_b)) @ v_b.T) @ s_ihalf
+
+
+def reference_newton_step(
+    problem: SdpProblem,
+    x: np.ndarray,
+    s_blocks: List[np.ndarray],
+    z_blocks: List[np.ndarray],
+    sigma_mu: float,
+) -> np.ndarray:
+    """The Newton step dx of an iterate (x, S, Z) over all m variables.
+
+    Forms the full Schur matrix M[k, j] = sum_b <A_bk, W_b A_bj W_b> and
+    the right-hand side -r_Z + A(R3) - A(W R_S W) from ``Block.dense_coeff``,
+    one dense matrix per problem block (1x1 blocks included), and solves
+    M dx = rhs directly.  No sign classes, no fused rows.
+    """
+    m = problem.num_vars
+    schur = np.zeros((m, m))
+    rhs = -np.asarray(problem.objective, dtype=float).copy()
+    for block, s, z in zip(problem.blocks, s_blocks, z_blocks):
+        coeffs = [block.dense_coeff(k) for k in range(m)]
+        w = _nt_scaling(s, z)
+        r_s = block.evaluate(x) - s
+        r3 = sigma_mu * np.linalg.inv(s) - z
+        target = r3 - w @ r_s @ w
+        for k, ak in enumerate(coeffs):
+            rhs[k] += float(np.tensordot(ak, z)) + float(np.tensordot(ak, target))
+            for j, aj in enumerate(coeffs):
+                schur[k, j] += float(np.tensordot(ak, w @ aj @ w))
+    return np.linalg.solve(schur, rhs)

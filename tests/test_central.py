@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fixtures import ORACLE_FIXTURES, single_sensor_fixture
-from minmaxloc import central, geom, model
+from minmaxloc import central, geom, model, sdp
 from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp, sample_feasible_positions
 
@@ -40,6 +40,40 @@ def test_lmi_size_matches_network():
     problem, idx = central.assemble_dual_sdp(scen)
     assert problem.blocks[0].dim == 101
     assert problem.num_vars == 1 + 2 * len(scen.sensor_edges) + 2 * len(scen.anchor_edges)
+
+
+def test_newton_system_has_one_unknown_per_interval(monkeypatch):
+    # t plus one class per measured interval: the two multipliers of an
+    # interval share a class, so every Cholesky factor is that size
+    cfg = model.ScenarioConfig(n_sensors=8, anchor_positions=ANCHORS4, sensing_range=0.5)
+    scen = model.apply_errors(
+        model.generate_scenario(cfg, seed=4), model.UniformError(0.02), seed=4
+    )
+    problem, _ = central.assemble_dual_sdp(scen)
+    unknowns = 1 + len(scen.sensor_edges) + len(scen.anchor_edges)
+    assert problem.num_vars == 2 * unknowns - 1
+    sizes = []
+    factor = sdp.sla.cho_factor
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape)
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(sdp.sla, "cho_factor", recording)
+    assert solve(problem).status == SolveStatus.OPTIMAL
+    assert sizes and set(sizes) == {(unknowns, unknowns)}
+
+
+def test_stalled_network_ends_optimal():
+    # 30 sensors whose solve once stalled at a relative gap of 3e-8
+    cfg = model.ScenarioConfig(n_sensors=30, anchor_positions=ANCHORS4, sensing_range=0.5)
+    scen = model.apply_errors(
+        model.generate_scenario(cfg, seed=31),
+        model.UniformError(0.02),
+        seed=3890642289391122579,
+    )
+    est = central.solve_minmax_sdp(scen)
+    assert est.solver_status == SolveStatus.OPTIMAL
 
 
 def test_diamond_analytic_value(solved_fixtures):

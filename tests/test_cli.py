@@ -187,6 +187,25 @@ def test_experiment_rejects_bad_spec(tmp_path, capsys):
     assert "bad experiment spec" in capsys.readouterr().err
 
 
+def test_experiment_rejects_nan_epsilon(tmp_path, capsys):
+    spec = {
+        "scenario": {
+            "n_sensors": 3,
+            "anchor_positions": [[0.3, 0.3], [-0.3, 0.3], [0.3, -0.3]],
+            "sensing_range": 0.8,
+            "area": [[-0.5, 0.5], [-0.5, 0.5]],
+        },
+        "error_family": "uniform",
+        "sweep_values": [0.05],
+        "trials": 1,
+        "epsilon": math.nan,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["experiment", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert "bad experiment spec" in capsys.readouterr().err
+
+
 def test_validate_exit_codes(tmp_path, generated, capsys):
     assert main(["validate", generated]) == 0
     assert "connected: True" in capsys.readouterr().out
@@ -263,9 +282,20 @@ def _sensor_id_as_anchor(doc):
     doc["anchors"].append({"id": doc["sensors"][0], "x": 0.0, "y": 0.0})
 
 
+def _repeated_sensor_id(doc):
+    doc["sensors"].append(doc["sensors"][0])
+
+
 @pytest.mark.parametrize("command", ["validate", "solve-central", "solve-dist", "oracle"])
 @pytest.mark.parametrize(
-    "edit", [_self_edge, _duplicate_edge, _reversed_duplicate_edge, _sensor_id_as_anchor]
+    "edit",
+    [
+        _self_edge,
+        _duplicate_edge,
+        _reversed_duplicate_edge,
+        _sensor_id_as_anchor,
+        _repeated_sensor_id,
+    ],
 )
 def test_malformed_graphs_are_usage_errors(tmp_path, capsys, command, edit):
     assert main([command, _edited_scenario(tmp_path, 6, edit)]) == 1

@@ -319,6 +319,14 @@ def test_spec_rejects_bad_fields():
         experiment.ExperimentSpec(cfg, "uniform", (0.1,), epsilon=0.0)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_spec_rejects_nonfinite_epsilon(epsilon):
+    doc = experiment.spec_to_dict(small_spec())
+    doc["epsilon"] = epsilon
+    with pytest.raises(ValueError, match="epsilon"):
+        experiment.spec_from_dict(doc)
+
+
 def test_spec_json_round_trip():
     spec = small_spec()
     doc = experiment.spec_to_dict(spec)

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from minmaxloc import sdp
-from reference_sdp import check_certificate, random_bounded_instance, reference_solve
+from reference_sdp import (
+    check_certificate,
+    random_bounded_instance,
+    reference_newton_step,
+    reference_solve,
+)
 
 
 def lp_problem():
@@ -132,7 +137,10 @@ def test_sign_classes_reproduce_dense_operators():
     full = on_support(list(range(n)))
     coeffs = {1: a, 3: -a, 4: b, 6: a.copy(), 7: full}
     block = sdp.Block.from_dense(on_support([2, 4]), coeffs)
-    compiled = sdp._DenseBlock(0, block, 9)
+    # each variable owns a row x_k >= 0, so equal or negated ones may merge
+    rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in coeffs]
+    blocks, _ = sdp._compile(sdp.SdpProblem(9, np.zeros(9), [block] + rows))
+    compiled = blocks[0]
     assert compiled.rank1
     assert compiled.var_cls.tolist() == [0, 0, 1, 0, 2]
     assert compiled.var_sign.tolist() == [1.0, -1.0, 1.0, 1.0, 1.0]
@@ -146,13 +154,89 @@ def test_sign_classes_reproduce_dense_operators():
     def close(got, want):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    # the block's Schur matrix is over its classes: <A_k, W A_j W> is
+    # s_k s_j K[c_k, c_j]
+    k_cls = compiled.schur(w)
+    s, c = compiled.var_sign, compiled.var_cls
     close(
-        compiled.schur(w),
+        s[:, None] * s[None, :] * k_cls[np.ix_(c, c)],
         np.array([[np.tensordot(ak, w @ aj @ w) for aj in dense] for ak in dense]),
     )
     close(compiled.adjoint(u), np.array([np.tensordot(ak, u) for ak in dense]))
     close(compiled.abs_adjoint(u), np.array([np.sum(np.abs(ak) * np.abs(u)) for ak in dense]))
     close(compiled.combine(y), sum(y[k] * block.dense_coeff(k) for k in coeffs))
+
+
+def class_test_problem(n, rng):
+    """Two dense blocks (n and n - 1 wide) over eleven variables:
+
+    * 0 is unpaired and owns no row;
+    * 1 and 2, and 3 and 4, are negated pairs in both blocks;
+    * 5 duplicates 1 with the same sign in both blocks;
+    * 6 and 7 are negated in the first block but equal in the second, so
+      they must not merge;
+    * 8 and 9 are negated in both blocks, but a row couples them, so they
+      must not merge;
+    * 10 is unpaired with a row of its own.
+
+    Variables 1 to 10 each own a row c_k + d_k x_k >= 0.
+    """
+
+    def sym(d):
+        a = rng.standard_normal((d, d))
+        return a + a.T
+
+    a = {k: sym(n) for k in (0, 1, 3, 6, 8, 10)}
+    b = {k: sym(n - 1) for k in (1, 3, 6, 8, 10)}
+    first = {0: a[0], 1: a[1], 2: -a[1], 3: a[3], 4: -a[3], 5: a[1],
+             6: a[6], 7: -a[6], 8: a[8], 9: -a[8], 10: a[10]}
+    second = {1: b[1], 2: -b[1], 3: b[3], 4: -b[3], 5: b[1],
+              6: b[6], 7: b[6], 8: b[8], 9: -b[8], 10: b[10]}
+    blocks = [sdp.Block.from_dense(sym(n), first), sdp.Block.from_dense(sym(n - 1), second)]
+    for k in range(1, 11):
+        blocks.append(
+            sdp.scalar_block(float(rng.uniform(0.0, 1.0)), {k: float(rng.uniform(0.5, 2.0))})
+        )
+    blocks.append(sdp.scalar_block(3.0, {8: 1.0, 9: -0.5}))
+    return sdp.SdpProblem(11, rng.standard_normal(11), blocks)
+
+
+@pytest.mark.parametrize("n", [4, sdp._DENSE_DIM_LIMIT + 3])
+def test_reduced_newton_step_matches_full_schur(n):
+    # the Newton step solved over sign classes equals the one solved over all
+    # eleven variables, on the dense-stack path (n = 4) and the rank-one one
+    rng = np.random.default_rng(n)
+    prob = class_test_problem(n, rng)
+    blocks, classes = sdp._compile(prob)
+    assert classes.cls.tolist() == [0, 1, 1, 2, 2, 1, 3, 4, 5, 6, 7]
+    assert classes.sign.tolist() == [1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1]
+
+    def pd(d):
+        a = rng.standard_normal((d, d))
+        return a @ a.T / d + np.eye(d)
+
+    s_mats = [pd(b.dim) for b in prob.blocks]
+    z_mats = [pd(b.dim) for b in prob.blocks]
+    x = rng.standard_normal(prob.num_vars)
+    sigma_mu = 0.3
+    want = reference_newton_step(prob, x, s_mats, z_mats, sigma_mu)
+
+    def compiled_form(mats, b):
+        if isinstance(b, sdp._DenseBlock):
+            return mats[b.src]
+        return np.array([mats[i][0, 0] for i in b.src])
+
+    s_blk = [compiled_form(s_mats, b) for b in blocks]
+    z_blk = [compiled_form(z_mats, b) for b in blocks]
+    r_s = [b.a0 + b.combine(x) - s for b, s in zip(blocks, s_blk)]
+    a_z = np.zeros(prob.num_vars)
+    for b, z in zip(blocks, z_blk):
+        a_z[b.vars] += b.adjoint(z)
+    scal = [b.scaling(s, z) for b, s, z in zip(blocks, s_blk, z_blk)]
+    newton = sdp._NewtonSystem(blocks, classes, scal, z_blk, r_s, prob.objective - a_z)
+    assert newton.chol is not None and newton.schur.shape == (8, 8)
+    got, _, _ = newton.direction(sigma_mu, None)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind", ["narrow", "rows"])
@@ -170,7 +254,7 @@ def test_abs_adjoint_sums_coefficient_magnitudes(kind):
         n = sdp._DENSE_DIM_LIMIT
         blocks = [sdp.Block.from_dense(sym(n), {k: sym(n) for k in (0, 1, 3, 4)})]
         zs = [sym(n)]
-        compiled = sdp._DenseBlock(0, blocks[0], m)
+        compiled = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][0]
         assert not compiled.rank1
         got = np.zeros(m)
         got[compiled.vars] = compiled.abs_adjoint(zs[0])
@@ -180,7 +264,7 @@ def test_abs_adjoint_sums_coefficient_magnitudes(kind):
             for ks in ((0, 1), (1, 3, 4), (4,))
         ]
         zs = [sym(1) for _ in blocks]
-        compiled = sdp._LinBlock(list(enumerate(blocks)), m)
+        compiled = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][0]
         got = compiled.abs_adjoint(np.array([z[0, 0] for z in zs]))
     want = np.array([
         sum(np.sum(np.abs(b.dense_coeff(k)) * np.abs(z)) for b, z in zip(blocks, zs))
