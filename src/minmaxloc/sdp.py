@@ -50,7 +50,8 @@ class is d_c (see ``_Reduction.step``); a single variable's step is d_c.
 The direction equals the one over all variables in exact arithmetic.  When
 the Cholesky needs a jitter, the reduction is that of M + jitter I, so a
 merged member's curvature is lam_k + jitter.  When every class is a single
-variable the reduction is the identity and costs nothing.
+variable, as in a problem whose rows couple all its variables, the same
+reduction is the identity.
 
 Each block is compiled to an object with one per-block interface: start
 point, inner product, NT scaling (returning W and S^-1), Schur contribution
@@ -281,12 +282,12 @@ class _SignClasses:
             size += 1
         counts = np.bincount(cls, minlength=size)
         self.size = size
-        self.identity = size == num_vars  # every class a single variable, sign +1
         self.cls = cls
         self.sign = sign
         self.extra = counts - 1.0  # members beyond the first, per class
         self.merged = np.flatnonzero(counts[cls] > 1)
         self.merged_cls = cls[self.merged]
+        self.merged_sign = sign[self.merged]
         # every ordered pair (k, j) of distinct members of one class, as
         # positions in ``merged``
         members: Dict[int, List[int]] = {}
@@ -317,12 +318,6 @@ class _SignClasses:
             self.own_member, weights=self.own_coef2 * w2[self.own_row], minlength=len(self.merged)
         )
 
-    def reduction(self, lam: np.ndarray, jitter: float):
-        """The reduced system of ``M + jitter I`` for member curvatures ``lam``."""
-        if self.identity:
-            return _Unreduced(jitter)
-        return _Reduction(self, lam, jitter)
-
 
 class _Reduction:
     """One iterate's Newton system, reduced to one unknown per class.
@@ -345,6 +340,7 @@ class _Reduction:
         self.h = np.divide(1.0, total, out=np.zeros(cl.size), where=total > 0)
         self.diag = np.where(total > 0, self.h, jitter)
         self.weight = self.h[cl.merged_cls] * self.inv
+        self.inv_partner = self.inv[cl.partners[1]]
         signed_weight = cl.sign.copy()
         signed_weight[cl.merged] *= self.weight
         self.signed_weight = signed_weight
@@ -368,12 +364,12 @@ class _Reduction:
         then grows by 1/lam_k.
         """
         cl = self.classes
-        mk, mc = cl.merged, cl.merged_cls
-        q = cl.sign[mk] * r[mk]
+        mk, ms = cl.merged, cl.merged_sign
+        q = ms * r[mk]
         k, j = cl.partners
-        spread = np.bincount(k, weights=self.inv[j] * (q[k] - q[j]), minlength=len(mk))
+        spread = np.bincount(k, weights=self.inv_partner * (q[k] - q[j]), minlength=len(mk))
         dx = d[cl.cls]  # a single variable has sign +1
-        dx[mk] = cl.sign[mk] * (self.weight * d[mc] + self.h[mc] * self.inv * spread)
+        dx[mk] = ms * (self.weight * d[cl.merged_cls] + self.weight * spread)
         return dx
 
     def product(self, schur: np.ndarray, d: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -383,25 +379,6 @@ class _Reduction:
         out = cl.sign * (schur @ d)[cl.cls]
         out[cl.merged] += self.lam * dx[cl.merged]
         return out
-
-
-class _Unreduced:
-    """The reduction when every class is a single variable: the identity."""
-
-    def __init__(self, jitter: float):
-        self.diag = jitter
-
-    @staticmethod
-    def rhs(r: np.ndarray) -> np.ndarray:
-        return r
-
-    @staticmethod
-    def step(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return d
-
-    @staticmethod
-    def product(schur: np.ndarray, d: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        return schur @ d
 
 
 class _LinBlock:
@@ -433,16 +410,12 @@ class _LinBlock:
         self.Dt = self.D.T.tocsr()
         self.abs_Dt = abs(self.Dt)
         # the rows' Schur term over the single-variable classes they touch
+        single = (classes.extra[classes.cls] == 0) & (self.D.getnnz(axis=0) > 0)
+        self.pairs = _square(classes.cls[single])
         self.Ds = None
-        if classes.identity:
-            self.pairs = (slice(None), slice(None))
-            self.Ds, self.Dst = self.D, self.Dt
-        else:
-            single = (classes.extra[classes.cls] == 0) & (self.D.getnnz(axis=0) > 0)
-            self.pairs = _square(classes.cls[single])
-            if single.any():
-                self.Ds = self.D[:, single]
-                self.Dst = self.Ds.T.tocsr()
+        if single.any():
+            self.Ds = self.D[:, single]
+            self.Dst = self.Ds.T.tocsr()
         self.norm_a0 = float(np.linalg.norm(self.a0))
         col_norms = np.sqrt(np.asarray(self.D.multiply(self.D).sum(axis=0)).ravel())
         self.coeff_scale = float(col_norms.max()) if q else 0.0
@@ -716,34 +689,48 @@ class _NewtonSystem:
 
     def __init__(self, blocks: list, classes: _SignClasses, scal, z_blk, r_s, r_z):
         self.blocks, self.scal, self.z_blk, self.r_s, self.r_z = blocks, scal, z_blk, r_s, r_z
+        self.classes = classes
         n = classes.size
         schur = np.zeros((n, n))
         for b, (w, _) in zip(blocks, scal):
             schur[b.pairs] += b.schur(w)
         self.schur = schur
         # merged members own rows in the fused block, which is last
-        lam = classes.curvature(scal[-1][0])
-        # Cholesky with growing jitter.  The jitter is that of the full
-        # system M + jitter I, scaled by its trace, and the reduction is of
-        # that system, so a merged member's curvature grows too.  Adding it
-        # to the class matrix alone keeps an exact step along a class's
-        # null direction (the sum of an interval's two multipliers), whose
-        # curvature vanishes when an interval is exact; that step drove 37
-        # of 40 exact-measurement networks to numerical_failure.
-        trace = float(np.trace(schur)) + float(classes.extra @ schur.diagonal()) + float(lam.sum())
+        self.lam = classes.curvature(scal[-1][0])
+        # Cholesky with growing jitter, scaled by the trace of the full
+        # system M + jitter I
+        trace = (
+            float(np.trace(schur))
+            + float(classes.extra @ schur.diagonal())
+            + float(self.lam.sum())
+        )
         jitter = _JITTER * (1.0 + trace / max(len(classes.cls), 1))
         self.chol = None
         for attempt in range(4):
-            self.red = classes.reduction(lam, jitter * 10.0**attempt if attempt else 0.0)
-            a = schur.copy()
-            a.flat[:: n + 1] += self.red.diag
             try:
-                self.chol = sla.cho_factor(a, lower=True, overwrite_a=True)
+                self.factor(jitter * 10.0**attempt if attempt else 0.0)
                 break
             except np.linalg.LinAlgError:
                 continue
             except ValueError:
                 break
+
+    def factor(self, jitter: float) -> None:
+        """Factor the reduced system of M + jitter I.
+
+        The reduction is of that whole system, so a merged member's
+        curvature grows by the jitter too.  Adding it to the class matrix
+        alone keeps an exact step along a class's null direction (the sum
+        of an interval's two multipliers), whose curvature vanishes when an
+        interval is exact; that step drove 37 of 40 exact-measurement
+        networks to numerical_failure.  Raises LinAlgError when the matrix
+        is not positive definite and leaves the last factor in place.
+        """
+        red = _Reduction(self.classes, self.lam, jitter)
+        a = self.schur.copy()
+        a.flat[:: self.classes.size + 1] += red.diag
+        self.chol = sla.cho_factor(a, lower=True, overwrite_a=True)
+        self.red = red
 
     def direction(self, sigma_mu: float, corr):
         """Solve one Newton system; returns (dx, [dS], [dZ])."""

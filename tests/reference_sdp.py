@@ -292,13 +292,15 @@ def reference_newton_step(
     s_blocks: List[np.ndarray],
     z_blocks: List[np.ndarray],
     sigma_mu: float,
+    jitter: float = 0.0,
 ) -> np.ndarray:
     """The Newton step dx of an iterate (x, S, Z) over all m variables.
 
     Forms the full Schur matrix M[k, j] = sum_b <A_bk, W_b A_bj W_b> and
     the right-hand side -r_Z + A(R3) - A(W R_S W) from ``Block.dense_coeff``,
-    one dense matrix per problem block (1x1 blocks included), and solves
-    M dx = rhs directly.  No sign classes, no fused rows.
+    one dense matrix per problem block (1x1 blocks included).  No sign
+    classes, no fused rows.  Solves (M + jitter I) dx = rhs directly, then
+    refines once against M alone: dx += (M + jitter I)^-1 (rhs - M dx).
     """
     m = problem.num_vars
     schur = np.zeros((m, m))
@@ -313,4 +315,6 @@ def reference_newton_step(
             rhs[k] += float(np.tensordot(ak, z)) + float(np.tensordot(ak, target))
             for j, aj in enumerate(coeffs):
                 schur[k, j] += float(np.tensordot(ak, w @ aj @ w))
-    return np.linalg.solve(schur, rhs)
+    damped = schur + jitter * np.eye(m)
+    dx = np.linalg.solve(damped, rhs)
+    return dx + np.linalg.solve(damped, rhs - schur @ dx)

@@ -201,10 +201,10 @@ def class_test_problem(n, rng):
     return sdp.SdpProblem(11, rng.standard_normal(11), blocks)
 
 
-@pytest.mark.parametrize("n", [4, sdp._DENSE_DIM_LIMIT + 3])
-def test_reduced_newton_step_matches_full_schur(n):
-    # the Newton step solved over sign classes equals the one solved over all
-    # eleven variables, on the dense-stack path (n = 4) and the rank-one one
+def newton_case(n):
+    """The compiled Newton system of a random iterate of
+    ``class_test_problem(n)``, and a function giving the reference step
+    over all eleven variables for a jitter."""
     rng = np.random.default_rng(n)
     prob = class_test_problem(n, rng)
     blocks, classes = sdp._compile(prob)
@@ -218,8 +218,6 @@ def test_reduced_newton_step_matches_full_schur(n):
     s_mats = [pd(b.dim) for b in prob.blocks]
     z_mats = [pd(b.dim) for b in prob.blocks]
     x = rng.standard_normal(prob.num_vars)
-    sigma_mu = 0.3
-    want = reference_newton_step(prob, x, s_mats, z_mats, sigma_mu)
 
     def compiled_form(mats, b):
         if isinstance(b, sdp._DenseBlock):
@@ -234,9 +232,38 @@ def test_reduced_newton_step_matches_full_schur(n):
         a_z[b.vars] += b.adjoint(z)
     scal = [b.scaling(s, z) for b, s, z in zip(blocks, s_blk, z_blk)]
     newton = sdp._NewtonSystem(blocks, classes, scal, z_blk, r_s, prob.objective - a_z)
+
+    def want(sigma_mu, jitter):
+        return reference_newton_step(prob, x, s_mats, z_mats, sigma_mu, jitter)
+
+    return newton, want
+
+
+@pytest.mark.parametrize("n", [4, sdp._DENSE_DIM_LIMIT + 3])
+def test_reduced_newton_step_matches_full_schur(n):
+    # the Newton step solved over sign classes equals the one solved over all
+    # eleven variables, on the dense-stack path (n = 4) and the rank-one one
+    newton, want = newton_case(n)
     assert newton.chol is not None and newton.schur.shape == (8, 8)
-    got, _, _ = newton.direction(sigma_mu, None)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    got, _, _ = newton.direction(0.3, None)
+    ref = want(0.3, 0.0)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [4, sdp._DENSE_DIM_LIMIT + 3])
+def test_jittered_newton_step_matches_full_schur(n):
+    # with a jitter the reduced system is that of M + jitter I over all
+    # variables, merged members' curvatures included, and the refinement
+    # round is against M alone
+    newton, want = newton_case(n)
+    jitter = 0.5
+    newton.factor(jitter)
+    got, _, _ = newton.direction(0.3, None)
+    ref = want(0.3, jitter)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the jitter is large enough to move the refined step
+    exact = want(0.3, 0.0)
+    assert np.linalg.norm(ref - exact) > 1e-3 * np.linalg.norm(exact)
 
 
 @pytest.mark.parametrize("kind", ["narrow", "rows"])
