@@ -121,67 +121,72 @@ def _interval(bounds: Mapping[Edge, IntervalBound], a: int, b: int) -> IntervalB
         return bounds[(b, a)]
 
 
+def _adjacency(scenario: NetworkScenario) -> Dict[int, List[int]]:
+    """Every node's neighbors, ascending id, from one pass over the edges."""
+    nbrs: Dict[int, List[int]] = {i: [] for i in (*scenario.sensors, *scenario.anchors)}
+    for a, b in scenario.all_edges():
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    for row in nbrs.values():
+        row.sort()
+    return nbrs
+
+
 def propagate_distance_bounds(
     scenario: NetworkScenario, bounds: Mapping[Edge, IntervalBound]
 ) -> BoundTable:
     """Hop-count flooding of per-anchor distance intervals.
 
-    Runs synchronous relaxation rounds until the whole table stops
-    changing.  A sensor adjacent to anchor k keeps its measured interval at
-    hop count 1.  Otherwise it picks the neighbor with the fewest hops to k
-    (smallest id on ties) and chains intervals through the triangle
-    inequality.  Anchors participate as relays with exact pairwise
-    distances at hop count 1, since every anchor position is known
-    network-wide after the flood.
+    A sensor adjacent to anchor k keeps its measured interval at hop count
+    1.  Anchors participate as relays with exact pairwise distances at hop
+    count 1, since every anchor position is known network-wide after the
+    flood.  Every other sensor chains intervals through the triangle
+    inequality from its parent: the neighbor with the fewest hops to k,
+    smallest id on ties.  The flood from each anchor is breadth-first, one
+    hop per layer, with each layer visited in ascending id, so the first
+    node to reach a sensor is its parent.
     """
     anchor_ids = sorted(scenario.anchors)
-    sensor_neighbors = {i: scenario.neighbors(i) for i in scenario.sensors}
+    sensor_set = set(scenario.sensors)
+    nbrs = _adjacency(scenario)
 
-    # (node, anchor) -> entry, where node may be a sensor or an anchor.
-    table: Dict[Tuple[int, int], BoundEntry] = {}
-    for m in anchor_ids:
-        for k in anchor_ids:
-            if m == k:
-                continue
-            am, ak = scenario.anchors[m], scenario.anchors[k]
-            d = math.hypot(am[0] - ak[0], am[1] - ak[1])
-            table[(m, k)] = BoundEntry(d, d, 1)
-    direct: Dict[Tuple[int, int], BoundEntry] = {}
-    for (i, k) in scenario.anchor_edges:
-        b = bounds[(i, k)]
-        direct[(i, k)] = BoundEntry(b.lower, b.upper, 1)
-    table.update(direct)
-
-    while True:
-        updated = dict(table)
-        for i in scenario.sensors:
-            for k in anchor_ids:
-                if (i, k) in direct:
-                    continue
-                candidates = [
-                    (table[(j, k)].hops, j)
-                    for j in sensor_neighbors[i]
-                    if (j, k) in table
-                ]
-                if not candidates:
-                    continue
-                hops_jk, j = min(candidates)
-                via = table[(j, k)]
-                edge = _interval(bounds, i, j)
-                lower = max(edge.lower - via.upper, via.lower - edge.upper, 0.0)
-                updated[(i, k)] = BoundEntry(lower, edge.upper + via.upper, hops_jk + 1)
-        if updated == table:
-            break
-        table = updated
+    reached: Dict[int, Dict[int, BoundEntry]] = {}
+    for k in anchor_ids:
+        ak = scenario.anchors[k]
+        entry: Dict[int, BoundEntry] = {}
+        for m in anchor_ids:
+            if m != k:
+                am = scenario.anchors[m]
+                d = math.hypot(am[0] - ak[0], am[1] - ak[1])
+                entry[m] = BoundEntry(d, d, 1)
+        for i in nbrs[k]:
+            b = bounds[(i, k)]
+            entry[i] = BoundEntry(b.lower, b.upper, 1)
+        layer = sorted(entry)
+        hops = 1
+        while layer:
+            hops += 1
+            nxt = []
+            for j in layer:
+                via = entry[j]
+                for i in nbrs[j]:
+                    if i in entry or i not in sensor_set:
+                        continue
+                    edge = _interval(bounds, i, j)
+                    lower = max(edge.lower - via.upper, via.lower - edge.upper, 0.0)
+                    entry[i] = BoundEntry(lower, edge.upper + via.upper, hops)
+                    nxt.append(i)
+            layer = sorted(nxt)
+        reached[k] = entry
 
     result: BoundTable = {}
     for i in scenario.sensors:
         for k in anchor_ids:
-            if (i, k) not in table:
+            if i not in reached[k]:
                 raise UnreachableAnchor(
                     f"sensor {i} has no path to anchor {k}; the graph is not connected"
                 )
-            result[(i, k)] = table[(i, k)]
+            result[(i, k)] = reached[k][i]
     return result
 
 
@@ -390,12 +395,9 @@ def run_dis_minmax(
     }
     rounds = [RoundRecord(0, dict(states), _rmse_upper_bound(states), 0)]
 
-    sensor_nbrs: Dict[int, List[int]] = {}
-    anchor_nbrs: Dict[int, List[int]] = {}
-    for i in scenario.sensors:
-        all_nbrs = scenario.neighbors(i)
-        sensor_nbrs[i] = [j for j in all_nbrs if j not in scenario.anchors]
-        anchor_nbrs[i] = [j for j in all_nbrs if j in scenario.anchors]
+    nbrs = _adjacency(scenario)
+    sensor_nbrs = {i: [j for j in nbrs[i] if j not in scenario.anchors] for i in scenario.sensors}
+    anchor_nbrs = {i: [j for j in nbrs[i] if j in scenario.anchors] for i in scenario.sensors}
 
     for tau in range(1, cfg.max_rounds + 1):
         if all(s.localized for s in states.values()):

@@ -402,8 +402,12 @@ def scenario_from_json(text: str) -> NetworkScenario:
     if len(sensor_set) != len(sensors):
         repeated = sorted({i for i in sensors if sensors.count(i) > 1})
         raise ValueError(f"sensor ids {repeated} appear more than once")
+    anchor_ids = [_json_int(a["id"]) for a in doc["anchors"]]
+    if len(set(anchor_ids)) != len(anchor_ids):
+        repeated = sorted({i for i in anchor_ids if anchor_ids.count(i) > 1})
+        raise ValueError(f"anchor ids {repeated} appear more than once")
     anchors = {
-        _json_int(a["id"]): (_json_float(a["x"]), _json_float(a["y"])) for a in doc["anchors"]
+        i: (_json_float(a["x"]), _json_float(a["y"])) for i, a in zip(anchor_ids, doc["anchors"])
     }
     if not isinstance(doc["true_positions"], dict):
         raise ValueError("true_positions is not an object of sensor id -> position")

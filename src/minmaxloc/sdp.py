@@ -27,31 +27,30 @@ and M[k,j] = sum_b <A_{b,k}, W_b A_{b,j} W_b> is symmetric positive
 definite.  Steps take a fixed fraction of the largest cone-preserving step.
 The solver is deterministic: identical inputs produce identical outputs.
 
-The Newton system is solved over sign classes, not over the variables.  At
-compile time a variable joins an earlier one's class, with sign s_k = +1 or
--1, when its coefficient matrix equals (s_k = +1) or exactly negates
-(s_k = -1) that variable's in every dense block, so A_{b,k} = s_k A_{b,c}.
-Each two-sided measurement interval gives such a negated pair, one
-multiplier per bound, and a duplicated edge a same-sign copy.  A class may
-hold more than one variable only if each member owns a fused 1x1 row that
-holds it alone and sits in no row coupling it to others; every other
-variable is a class of its own.  With P the signed map from classes to
-variables, M = P K P^T + L, where K[c, e] = sum_b <A_{b,c}, W_b A_{b,e} W_b>
-comes from the dense blocks and L from the fused rows.  A merged member's
-own rows give it a curvature lam_k, so its class gets the harmonic term
-h_c = 1 / sum_k 1/lam_k (ab/(a+b) for a pair), and the solver factors
+The Newton system is solved over sign classes, not over the variables.  A
+class is one variable or one negated pair.  Each two-sided measurement
+interval gives such a pair, one multiplier per bound: at compile time
+variable l joins an earlier variable k's class, with sign s_l = -1, when
+A_{b,l} = -A_{b,k} in every dense block b and each of k and l appears in
+exactly one fused 1x1 row, which holds it alone.  Every other variable, a
+same-sign copy from a duplicated edge included, is a class of its own with
+sign +1.  With P the signed map from classes to variables, M = P K P^T + L,
+where K[c, e] = sum_b <A_{b,c}, W_b A_{b,e} W_b> comes from the dense blocks
+and L from the fused rows.  A paired member's own row gives it a curvature
+lam_k, so the pair's class gets the harmonic term
+h_c = 1 / (1/lam_k + 1/lam_l), and the solver factors
 
     (K + diag(h) + L over the single-variable classes) d = rho,
-    rho_c = sum_k (h_c / lam_k) s_k rhs_k    on a merged class,
+    rho_c = (h_c / lam_k) rhs_k - (h_c / lam_l) rhs_l    on a pair,
 
 one unknown per class.  Back-substitution gives each member its exact step,
 dx_k = (rhs_k - s_k (K d)_c) / lam_k, in a form whose signed sum over the
-class is d_c (see ``_Reduction.step``); a single variable's step is d_c.
+pair is d_c (see ``_Reduction.step``); a single variable's step is d_c.
 The direction equals the one over all variables in exact arithmetic.  When
 the Cholesky needs a jitter, the reduction is that of M + jitter I, so a
-merged member's curvature is lam_k + jitter.  When every class is a single
-variable, as in a problem whose rows couple all its variables, the same
-reduction is the identity.
+paired member's curvature is lam_k + jitter.  When no variable pairs, as in
+a problem whose rows couple all its variables, the same reduction is the
+identity.
 
 Each block is compiled to an object with one per-block interface: start
 point, inner product, NT scaling (returning W and S^-1), Schur contribution
@@ -72,8 +71,9 @@ term r of class c, forms every group sum at once, K_b = G H G^T.  This is
 what makes networks of a few hundred variables cheap.
 
 All 1x1 blocks are fused into one diagonal block of vectors, kept last in
-the list, whose methods do the same steps row by row.  Its Schur term covers
-the single-variable classes; the merged members' own rows enter through h.
+the list, whose methods do the same steps row by row.  Its Schur term is one
+dense product over the single-variable classes its rows touch; the paired
+members' own rows enter through h.
 """
 
 from __future__ import annotations
@@ -245,78 +245,65 @@ def _square(idx: np.ndarray):
 class _SignClasses:
     """The problem's variables sorted into sign classes.
 
-    Variable k belongs to class cls[k] with sign sign[k], and
-    A_{b,k} = sign_k A_{b,c} in every dense block b, where A_{b,c} is the
-    coefficient of the class's first member (whose sign is +1).  Variables
-    may share a class only if each owns a fused row that holds it alone and
-    sits in no other fused row; every other variable is a class of its own.
-    ``merged`` lists the members of classes with two or more members.
+    A class is one variable or one negated pair.  Variable l joins an
+    earlier variable k's class, with sign -1, when A_{b,l} = -A_{b,k} in
+    every dense block b and each of the two appears in exactly one fused
+    row, which holds it alone; every other variable is a class of its own
+    with sign +1.  ``paired`` lists the paired variables in ascending
+    order, and ``partner`` gives each one's partner as a position in
+    ``paired``.
     """
 
     def __init__(self, num_vars: int, dense: List[Block], rows: List[Block]):
-        alone = np.zeros(num_vars, dtype=bool)
-        shared = np.zeros(num_vars, dtype=bool)
-        for blk in rows:
-            ks = list(blk.coeffs)
-            if len(ks) == 1:
-                alone[ks[0]] = True
-            else:
-                shared[ks] = True
-        may_merge = alone & ~shared
+        in_rows = np.zeros(num_vars, dtype=np.intp)
+        own_row = np.full(num_vars, -1, dtype=np.intp)
+        own_coef2 = np.zeros(num_vars)
+        for r, blk in enumerate(rows):
+            in_rows[list(blk.coeffs)] += 1
+            if len(blk.coeffs) == 1:
+                (k, trips), = blk.coeffs.items()
+                own_row[k], own_coef2[k] = r, trips[0][2] ** 2
+        may_pair = (in_rows == 1) & (own_row >= 0)
 
-        seen: Dict[tuple, Tuple[int, float]] = {}
+        # the negated dense-block key of each unpaired class, to its variable
+        waiting: Dict[tuple, int] = {}
         cls = np.empty(num_vars, dtype=np.intp)
         sign = np.ones(num_vars)
+        partner = np.full(num_vars, -1, dtype=np.intp)
         size = 0
         for k in range(num_vars):
-            if may_merge[k]:
+            if may_pair[k]:
                 key = tuple((bi, tuple(b.coeffs[k])) for bi, b in enumerate(dense) if k in b.coeffs)
-                if key in seen:
-                    cls[k], sign[k] = seen[key]
+                first = waiting.pop(key, None)
+                if first is not None:
+                    cls[k], sign[k] = cls[first], -1.0
+                    partner[k], partner[first] = first, k
                     continue
                 if key:  # a variable in no dense block stays alone
                     neg = tuple((bi, tuple((i, j, -v) for i, j, v in t)) for bi, t in key)
-                    seen[key] = (size, 1.0)
-                    seen[neg] = (size, -1.0)
+                    waiting.setdefault(neg, k)
             cls[k] = size
             size += 1
-        counts = np.bincount(cls, minlength=size)
         self.size = size
         self.cls = cls
         self.sign = sign
-        self.extra = counts - 1.0  # members beyond the first, per class
-        self.merged = np.flatnonzero(counts[cls] > 1)
-        self.merged_cls = cls[self.merged]
-        self.merged_sign = sign[self.merged]
-        # every ordered pair (k, j) of distinct members of one class, as
-        # positions in ``merged``
-        members: Dict[int, List[int]] = {}
-        for p, c in enumerate(self.merged_cls.tolist()):
-            members.setdefault(c, []).append(p)
-        pairs = [(a, b) for group in members.values() for a in group for b in group if a != b]
-        self.partners = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        # the merged members' own rows: member position, row, coefficient^2
+        self.paired = np.flatnonzero(partner >= 0)
         pos = np.full(num_vars, -1, dtype=np.intp)
-        pos[self.merged] = np.arange(len(self.merged))
-        own = [
-            (pos[k], r, trips[0][2] ** 2)
-            for r, blk in enumerate(rows)
-            for k, trips in blk.coeffs.items()
-            if pos[k] >= 0
-        ]
-        member, row, coef2 = zip(*own) if own else ((), (), ())
-        self.own_member = np.array(member, dtype=np.intp)
-        self.own_row = np.array(row, dtype=np.intp)
-        self.own_coef2 = np.array(coef2, dtype=float)
+        pos[self.paired] = np.arange(len(self.paired))
+        self.partner = pos[partner[self.paired]]
+        self.paired_cls = cls[self.paired]
+        self.paired_sign = sign[self.paired]
+        self.pair_flag = np.zeros(size)  # 1 on each pair's class
+        self.pair_flag[self.paired_cls] = 1.0
+        self.own_row = own_row[self.paired]
+        self.own_coef2 = own_coef2[self.paired]
 
     def curvature(self, w2: np.ndarray) -> np.ndarray:
-        """Each merged member's row curvature lam_k = sum_r w2_r D_rk^2 over
-        its own rows, from the fused rows' scaling ``w2``."""
-        if not len(self.merged):
+        """Each paired member's row curvature lam_k = w2_r D_rk^2 over its
+        own row r, from the fused rows' scaling ``w2``."""
+        if not len(self.paired):
             return np.zeros(0)
-        return np.bincount(
-            self.own_member, weights=self.own_coef2 * w2[self.own_row], minlength=len(self.merged)
-        )
+        return self.own_coef2 * w2[self.own_row]
 
 
 class _Reduction:
@@ -324,25 +311,26 @@ class _Reduction:
 
     M = P K P^T + L over the variables, where P maps class c to its members
     with their signs, K is the dense blocks' class matrix and L the fused
-    rows' term.  With lam_k the curvature of merged member k's own rows
-    (plus the jitter, if any), a merged class c gets h_c = 1 / sum_k 1/lam_k
-    on the diagonal and the right-hand side rho_c = sum_k w_k s_k r_k, with
-    weights w_k = h_c / lam_k that sum to one; every other class keeps r_k
-    and takes the jitter on its diagonal.  The class step d solves
-    (K + diag) d = rho, and a single variable's step is d_c.
+    rows' term.  With lam_k the curvature of paired member k's own row
+    (plus the jitter, if any) and l its partner, the pair's class gets
+    h_c = 1 / (1/lam_k + 1/lam_l) on the diagonal and the right-hand side
+    rho_c = w_k s_k r_k + w_l s_l r_l, with weights w_k = h_c / lam_k that
+    sum to one; every other class keeps r_k and takes the jitter on its
+    diagonal.  The class step d solves (K + diag) d = rho, and a single
+    variable's step is d_c.
     """
 
     def __init__(self, classes: _SignClasses, lam: np.ndarray, jitter: float):
         cl = self.classes = classes
         self.lam = lam
-        self.inv = 1.0 / (lam + jitter)
-        total = np.bincount(cl.merged_cls, weights=self.inv, minlength=cl.size)
-        self.h = np.divide(1.0, total, out=np.zeros(cl.size), where=total > 0)
-        self.diag = np.where(total > 0, self.h, jitter)
-        self.weight = self.h[cl.merged_cls] * self.inv
-        self.inv_partner = self.inv[cl.partners[1]]
+        inv = 1.0 / (lam + jitter)
+        self.inv_partner = inv[cl.partner]
+        h = 1.0 / (inv + self.inv_partner)  # the same for both members
+        self.diag = np.full(cl.size, jitter)
+        self.diag[cl.paired_cls] = h
+        self.weight = h * inv
         signed_weight = cl.sign.copy()
-        signed_weight[cl.merged] *= self.weight
+        signed_weight[cl.paired] *= self.weight
         self.signed_weight = signed_weight
 
     def rhs(self, r: np.ndarray) -> np.ndarray:
@@ -352,32 +340,31 @@ class _Reduction:
     def step(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Variable steps from the class step ``d``.
 
-        A merged member's Newton row gives dx_k = (r_k - s_k (K d)_c) / lam_k,
-        and (K d)_c = rho_c - h_c d_c.  Written with q_k = s_k r_k, that is
+        A paired member's Newton row gives dx_k = (r_k - s_k (K d)_c) / lam_k,
+        and (K d)_c = rho_c - h_c d_c.  Written with q_k = s_k r_k and l the
+        partner, that is
 
-            dx_k = s_k (w_k d_c + (h_c / lam_k) sum_j (q_k - q_j) / lam_j)
+            dx_k = s_k w_k (d_c + (q_k - q_l) / lam_l).
 
-        over the other members j.  The signed sum over the class is exactly
-        d_c, so the dense blocks see the class step that was solved for,
-        and no term subtracts two nearly equal numbers: forming q_k - rho_c
-        instead cancels when lam_k is much the smallest, and the error
-        then grows by 1/lam_k.
+        The signed sum over the pair is exactly d_c, so the dense blocks see
+        the class step that was solved for, and no term subtracts two nearly
+        equal numbers: forming q_k - rho_c instead cancels when lam_k is much
+        the smaller, and the error then grows by 1/lam_k.
         """
         cl = self.classes
-        mk, ms = cl.merged, cl.merged_sign
+        mk, ms = cl.paired, cl.paired_sign
         q = ms * r[mk]
-        k, j = cl.partners
-        spread = np.bincount(k, weights=self.inv_partner * (q[k] - q[j]), minlength=len(mk))
+        spread = self.inv_partner * (q - q[cl.partner])
         dx = d[cl.cls]  # a single variable has sign +1
-        dx[mk] = ms * (self.weight * d[cl.merged_cls] + self.weight * spread)
+        dx[mk] = ms * (self.weight * d[cl.paired_cls] + self.weight * spread)
         return dx
 
     def product(self, schur: np.ndarray, d: np.ndarray, dx: np.ndarray) -> np.ndarray:
         """M dx without the jitter, for the step ``dx`` of class step ``d``:
-        s_k (K d)_c from the class matrix, plus lam_k dx_k on merged rows."""
+        s_k (K d)_c from the class matrix, plus lam_k dx_k on paired rows."""
         cl = self.classes
         out = cl.sign * (schur @ d)[cl.cls]
-        out[cl.merged] += self.lam * dx[cl.merged]
+        out[cl.paired] += self.lam * dx[cl.paired]
         return out
 
 
@@ -387,8 +374,9 @@ class _LinBlock:
     Implements the per-block interface of :class:`_DenseBlock` row by row.
     Where a dense block multiplies by S^-1, a row divides by s, so the
     scaling hands back s itself in the place of S^-1.  Its Schur term covers
-    the single-variable classes only; a merged member's own rows enter
-    through the reduction instead.
+    the single-variable classes only, through ``Ds``, the dense columns of D
+    for those its rows touch; a paired member's own row enters through the
+    reduction instead.
     """
 
     def __init__(self, blocks: List[Tuple[int, Block]], classes: _SignClasses):
@@ -409,13 +397,10 @@ class _LinBlock:
         self.D = sp.csr_matrix((vals, (rows, cols)), shape=(q, len(classes.cls)))
         self.Dt = self.D.T.tocsr()
         self.abs_Dt = abs(self.Dt)
-        # the rows' Schur term over the single-variable classes they touch
-        single = (classes.extra[classes.cls] == 0) & (self.D.getnnz(axis=0) > 0)
-        self.pairs = _square(classes.cls[single])
-        self.Ds = None
-        if single.any():
-            self.Ds = self.D[:, single]
-            self.Dst = self.Ds.T.tocsr()
+        single = self.D.getnnz(axis=0) > 0
+        single[classes.paired] = False
+        self.entries = _square(classes.cls[single])
+        self.Ds = self.D[:, single].toarray()
         self.norm_a0 = float(np.linalg.norm(self.a0))
         col_norms = np.sqrt(np.asarray(self.D.multiply(self.D).sum(axis=0)).ravel())
         self.coeff_scale = float(col_norms.max()) if q else 0.0
@@ -433,9 +418,7 @@ class _LinBlock:
         return self.abs_Dt @ np.abs(z)
 
     def schur(self, w2: np.ndarray) -> np.ndarray:
-        if self.Ds is None:
-            return np.zeros((0, 0))
-        return (self.Dst @ self.Ds.multiply(w2[:, None])).toarray()
+        return (self.Ds.T * w2) @ self.Ds
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -488,7 +471,7 @@ class _DenseBlock:
         self.vars = np.array(sorted(block.coeffs), dtype=np.intp)
         glob = classes.cls[self.vars]
         self.cls, first = np.unique(glob, return_index=True)
-        self.pairs = _square(self.cls)  # its entries of the Schur matrix
+        self.entries = _square(self.cls)  # its entries of the Schur matrix
         mb, nc = len(self.vars), len(self.cls)
         if nc == mb:
             self.var_cls = None
@@ -693,15 +676,15 @@ class _NewtonSystem:
         n = classes.size
         schur = np.zeros((n, n))
         for b, (w, _) in zip(blocks, scal):
-            schur[b.pairs] += b.schur(w)
+            schur[b.entries] += b.schur(w)
         self.schur = schur
-        # merged members own rows in the fused block, which is last
+        # paired members own rows in the fused block, which is last
         self.lam = classes.curvature(scal[-1][0])
         # Cholesky with growing jitter, scaled by the trace of the full
         # system M + jitter I
         trace = (
             float(np.trace(schur))
-            + float(classes.extra @ schur.diagonal())
+            + float(classes.pair_flag @ schur.diagonal())
             + float(self.lam.sum())
         )
         jitter = _JITTER * (1.0 + trace / max(len(classes.cls), 1))
@@ -718,9 +701,9 @@ class _NewtonSystem:
     def factor(self, jitter: float) -> None:
         """Factor the reduced system of M + jitter I.
 
-        The reduction is of that whole system, so a merged member's
+        The reduction is of that whole system, so a paired member's
         curvature grows by the jitter too.  Adding it to the class matrix
-        alone keeps an exact step along a class's null direction (the sum
+        alone keeps an exact step along a pair's null direction (the sum
         of an interval's two multipliers), whose curvature vanishes when an
         interval is exact; that step drove 37 of 40 exact-measurement
         networks to numerical_failure.  Raises LinAlgError when the matrix

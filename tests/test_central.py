@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -62,6 +63,29 @@ def test_newton_system_has_one_unknown_per_interval(monkeypatch):
     monkeypatch.setattr(sdp.sla, "cho_factor", recording)
     assert solve(problem).status == SolveStatus.OPTIMAL
     assert sizes and set(sizes) == {(unknowns, unknowns)}
+
+
+def test_duplicated_sensor_edge_matches_single_copy():
+    # a network built in code may list a sensor edge twice; each copy's
+    # interval forms its own pair, the copies share no class, and the
+    # feasible set and so the estimate are those of the single listing
+    cfg = model.ScenarioConfig(n_sensors=8, anchor_positions=ANCHORS4, sensing_range=0.5)
+    scen = model.apply_errors(
+        model.generate_scenario(cfg, seed=4), model.UniformError(0.02), seed=4
+    )
+    twice = dataclasses.replace(
+        scen, sensor_edges=sorted(scen.sensor_edges + scen.sensor_edges[:1])
+    )
+    problem, _ = central.assemble_dual_sdp(twice)
+    _, classes = sdp._compile(problem)
+    assert classes.size == 1 + len(twice.sensor_edges) + len(twice.anchor_edges)
+
+    want = central.solve_minmax_sdp(scen)
+    got = central.solve_minmax_sdp(twice)
+    assert want.solver_status == got.solver_status == SolveStatus.OPTIMAL
+    assert got.worst_case_value == pytest.approx(want.worst_case_value, rel=1e-6)
+    for i in scen.sensors:
+        assert math.dist(got.positions[i], want.positions[i]) <= 1e-5
 
 
 def test_stalled_network_ends_optimal():

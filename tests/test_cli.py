@@ -286,6 +286,12 @@ def _repeated_sensor_id(doc):
     doc["sensors"].append(doc["sensors"][0])
 
 
+def _repeated_anchor_id(doc):
+    moved = dict(doc["anchors"][0])
+    moved["x"] += 0.2
+    doc["anchors"].append(moved)
+
+
 @pytest.mark.parametrize("command", ["validate", "solve-central", "solve-dist", "oracle"])
 @pytest.mark.parametrize(
     "edit",
@@ -295,6 +301,7 @@ def _repeated_sensor_id(doc):
         _reversed_duplicate_edge,
         _sensor_id_as_anchor,
         _repeated_sensor_id,
+        _repeated_anchor_id,
     ],
 )
 def test_malformed_graphs_are_usage_errors(tmp_path, capsys, command, edit):

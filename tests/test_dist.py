@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_dist
 from fixtures import (
     ORACLE_FIXTURES,
     relay_chain_instance,
@@ -117,6 +118,75 @@ def test_unreachable_anchor_raises():
     )
     with pytest.raises(dist.UnreachableAnchor, match="no path"):
         dist.propagate_distance_bounds(scen, model.build_feasibility_intervals(scen))
+
+
+def flooded(scen):
+    """The breadth-first table and the fixed-point reference's."""
+    bounds = model.build_feasibility_intervals(scen)
+    return (
+        dist.propagate_distance_bounds(scen, bounds),
+        reference_dist.propagate_distance_bounds(scen, bounds),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, sensing_range, seed", [(30, 0.3, 1), (60, 0.25, 2), (100, 0.2, 3), (200, 0.15, 4)]
+)
+def test_breadth_first_flood_matches_fixed_point(n, sensing_range, seed):
+    cfg = model.ScenarioConfig(n_sensors=n, anchor_positions=ANCHORS4, sensing_range=sensing_range)
+    scen = model.apply_errors(
+        model.generate_scenario(cfg, seed=seed), model.UniformError(gamma=0.02), seed=seed
+    )
+    got, want = flooded(scen)
+    assert got == want
+    assert list(got) == list(want)
+    # relays several hops deep, so the parent rule is exercised
+    assert max(e.hops for e in got.values()) >= 3
+
+
+def test_flood_breaks_hop_ties_by_smallest_id():
+    # anchors 0 and 1; sensors 2 and 3 measure anchor 0, sensor 4 anchor 1,
+    # and sensor 5 sees 2, 3 and 4.  Toward anchor 0, sensor 4's only
+    # one-hop neighbor is anchor 1 (a relay), and sensor 5 ties between 2
+    # and 3 and takes 2.  Toward anchor 1, sensor 2 relays through anchor 0
+    # and sensor 5 goes through 4.
+    truth = {2: (0.0, 0.3), 3: (0.1, -0.3), 4: (0.9, 0.2), 5: (0.4, 0.1)}
+    anchors = {0: (0.0, 0.0), 1: (1.0, 0.0)}
+    sensor_edges = [(2, 5), (3, 5), (4, 5)]
+    anchor_edges = [(2, 0), (3, 0), (4, 1)]
+
+    def length(a, b):
+        pa = truth.get(a, anchors.get(a))
+        pb = truth.get(b, anchors.get(b))
+        return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+
+    scen = model.NetworkScenario(
+        sensors=[2, 3, 4, 5],
+        anchors=anchors,
+        true_positions=truth,
+        sensor_edges=sensor_edges,
+        anchor_edges=anchor_edges,
+        measurements={e: length(*e) for e in sensor_edges + anchor_edges},
+        gamma=0.01,
+        sensing_range=1.0,
+    )
+    got, want = flooded(scen)
+    assert got == want
+    assert list(got) == list(want)
+    assert [(key, e.hops) for key, e in got.items()] == [
+        ((2, 0), 1), ((2, 1), 2), ((3, 0), 1), ((3, 1), 2),
+        ((4, 0), 2), ((4, 1), 1), ((5, 0), 2), ((5, 1), 2),
+    ]
+    bounds = model.build_feasibility_intervals(scen)
+
+    def through(i, j, k):
+        edge, via = dist._interval(bounds, i, j), got[(j, k)]
+        lower = max(edge.lower - via.upper, via.lower - edge.upper, 0.0)
+        return BoundEntry(lower, edge.upper + via.upper, via.hops + 1)
+
+    # through sensor 2, not sensor 3, whose chained interval differs
+    assert got[(5, 0)] == through(5, 2, 0) != through(5, 3, 0)
+    assert got[(5, 1)] == through(5, 4, 1)
 
 
 def test_propagated_bounds_cover_truth_on_network(noisy_run):

@@ -137,12 +137,13 @@ def test_sign_classes_reproduce_dense_operators():
     full = on_support(list(range(n)))
     coeffs = {1: a, 3: -a, 4: b, 6: a.copy(), 7: full}
     block = sdp.Block.from_dense(on_support([2, 4]), coeffs)
-    # each variable owns a row x_k >= 0, so equal or negated ones may merge
+    # each variable owns a row x_k >= 0, so a negated pair may form; the
+    # same-sign duplicate is a class of its own
     rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in coeffs]
     blocks, _ = sdp._compile(sdp.SdpProblem(9, np.zeros(9), [block] + rows))
     compiled = blocks[0]
     assert compiled.rank1
-    assert compiled.var_cls.tolist() == [0, 0, 1, 0, 2]
+    assert compiled.var_cls.tolist() == [0, 0, 1, 2, 3]
     assert compiled.var_sign.tolist() == [1.0, -1.0, 1.0, 1.0, 1.0]
 
     dense = [block.dense_coeff(k) for k in sorted(coeffs)]
@@ -167,12 +168,64 @@ def test_sign_classes_reproduce_dense_operators():
     close(compiled.combine(y), sum(y[k] * block.dense_coeff(k) for k in coeffs))
 
 
+def test_classes_are_single_variables_or_negated_pairs():
+    # 0 and 1 pair; 2 copies 0 with the same sign and pairs with 3 instead;
+    # 4 copies 0 once both pairs have formed and stays alone; 5 and 6 are
+    # negated, but 5 appears in two rows of its own, so neither pairs
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal((2, 4, 4))
+    a, b = a + a.T, b + b.T
+    block = sdp.Block.from_dense(np.eye(4), {0: a, 1: -a, 2: a, 3: -a, 4: a, 5: b, 6: -b})
+    rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in range(7)]
+    rows.append(sdp.scalar_block(1.0, {5: 2.0}))
+    _, classes = sdp._compile(sdp.SdpProblem(7, np.zeros(7), [block] + rows))
+    assert classes.cls.tolist() == [0, 0, 1, 1, 2, 3, 4]
+    assert classes.sign.tolist() == [1, -1, 1, -1, 1, 1, 1]
+    assert classes.paired.tolist() == [0, 1, 2, 3]
+    assert classes.partner.tolist() == [1, 0, 3, 2]
+
+
+@pytest.mark.parametrize("shape", ["general", "pairs"])
+def test_fused_rows_schur_term_over_single_variable_classes(shape):
+    # the fused rows' Schur term is sum_r w2_r d_r d_r^T over the
+    # single-variable classes the rows touch, d_r read from the row's
+    # Block.dense_coeff; paired members' own rows enter the reduction
+    # instead, so a problem whose rows all hold paired variables, as the
+    # network-wide one does, has an empty term
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((3, 3))
+    a = a + a.T
+    if shape == "general":
+        # 0 and 1 form a pair; 2 has no row; 3 to 6 carry general rows
+        # and one row couples 3, 5 and 6
+        coeffs = {0: a, 1: -a, 2: 2.0 * a}
+        rows = [sdp.scalar_block(0.5, {k: float(rng.uniform(0.5, 2.0))}) for k in (0, 1, 3, 4, 5, 6)]
+        rows.append(sdp.scalar_block(1.0, {k: float(rng.standard_normal()) for k in (3, 5, 6)}))
+        single = [3, 4, 5, 6]
+    else:
+        coeffs = {0: a, 1: -a, 2: 2.0 * a, 3: -2.0 * a}
+        rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in (0, 1, 2, 3)]
+        single = []
+    m = 7 if shape == "general" else 4
+    blocks = [sdp.Block.from_dense(np.eye(3), coeffs)] + rows
+    lin = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][-1]
+    w2 = rng.uniform(0.1, 3.0, len(rows))
+    got = lin.schur(w2)
+    want = np.zeros((len(single), len(single)))
+    for w, row in zip(w2, rows):
+        d = np.array([row.dense_coeff(k)[0, 0] for k in single])
+        want += w * np.outer(d, d)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def class_test_problem(n, rng):
     """Two dense blocks (n and n - 1 wide) over eleven variables:
 
     * 0 is unpaired and owns no row;
     * 1 and 2, and 3 and 4, are negated pairs in both blocks;
-    * 5 duplicates 1 with the same sign in both blocks;
+    * 5 duplicates 1 with the same sign in both blocks, and is a class of
+      its own;
     * 6 and 7 are negated in the first block but equal in the second, so
       they must not merge;
     * 8 and 9 are negated in both blocks, but a row couples them, so they
@@ -208,7 +261,7 @@ def newton_case(n):
     rng = np.random.default_rng(n)
     prob = class_test_problem(n, rng)
     blocks, classes = sdp._compile(prob)
-    assert classes.cls.tolist() == [0, 1, 1, 2, 2, 1, 3, 4, 5, 6, 7]
+    assert classes.cls.tolist() == [0, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8]
     assert classes.sign.tolist() == [1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1]
 
     def pd(d):
@@ -244,7 +297,7 @@ def test_reduced_newton_step_matches_full_schur(n):
     # the Newton step solved over sign classes equals the one solved over all
     # eleven variables, on the dense-stack path (n = 4) and the rank-one one
     newton, want = newton_case(n)
-    assert newton.chol is not None and newton.schur.shape == (8, 8)
+    assert newton.chol is not None and newton.schur.shape == (9, 9)
     got, _, _ = newton.direction(0.3, None)
     ref = want(0.3, 0.0)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
