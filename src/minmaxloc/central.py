@@ -1,25 +1,30 @@
 """Centralized minimax localization via one network-wide SDP.
 
-All sensor positions are stacked into one vector y of length 2n (sensor i
-owns coordinates 2i and 2i+1).  Every measurement interval contributes a
-pair of nonnegative multipliers, one per bound.  Collecting them into
+Every measurement interval contributes a pair of nonnegative multipliers,
+one per bound.  Collecting them into
 
-    M  =  -sum_edges (alpha - beta) E_ij  -  sum_anchor_edges (omega - phi) E_i
-    f  =   sum_anchor_edges (omega - phi) a_k  (in sensor i's coordinate slots)
+    Mt  =  -sum_edges (alpha - beta) E_ij  -  sum_anchor_edges (omega - phi) E_i
+    f_x =   sum_anchor_edges (omega - phi) a_kx e_i    (f_y likewise, a_ky)
 
-where E_ij couples the coordinates of sensors i and j with the quadratic
-|y_i - y_j|^2 and E_i selects |y_i|^2, the certified worst-case value of an
-estimate is the optimum of
+where the n x n matrices E_ij and E_i = e_i e_i^T are the quadratics
+|y_i - y_j|^2 and |y_i|^2 in one coordinate, the certified worst-case value
+of an estimate is the optimum of
 
-    minimize    t + h(multipliers)
-    subject to  [[M, f], [f^T, t]] >= 0,    M - I >= 0,    multipliers >= 0,
+    minimize    t_x + t_y + h(multipliers)
+    subject to  [[Mt, f_x], [f_x^T, t_x]] >= 0,   [[Mt, f_y], [f_y^T, t_y]] >= 0,
+                Mt - I >= 0,   multipliers >= 0,
 
-with h collecting the interval endpoints.  The minimizing estimate is read
-off the optimal multipliers as y = -M^{-1} f, and the optimal value bounds
-sum_i |y_i - x_i|^2 for every network configuration x consistent with the
-measurement intervals.  Recovery evaluates the assembled first block at the
-multipliers and reads M and f off it, so the estimate is by construction the
-one the solved LMI certifies.
+with h collecting the interval endpoints.  This is the relaxed Chebyshev
+center program (Eldar, Beck and Teboulle, 2008) solved per coordinate.  Over
+the stacked positions its matrix is M = Mt kron I_2, and its LMIs
+[[M, f], [f^T, t]] >= 0 and M - I >= 0 hold exactly when the three above do
+with t = t_x + t_y: M - I >= 0 iff Mt - I >= 0, and given Mt > 0 the first
+holds iff t >= f_x^T Mt^{-1} f_x + f_y^T Mt^{-1} f_y.  So the optimum, the
+multipliers and the estimate are unchanged, from blocks n + 1, n + 1 and n
+wide instead of 2n + 1 and 2n.  The estimate is y_x = -Mt^{-1} f_x,
+y_y = -Mt^{-1} f_y, read off the blocks evaluated at the optimal
+multipliers, and the optimal value bounds sum_i |y_i - x_i|^2 for every
+configuration x consistent with the measurement intervals.
 
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
@@ -28,7 +33,6 @@ Variable ordering in the assembled problem is frozen and documented on
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -43,9 +47,11 @@ from .sdp import Block, SdpProblem, SdpSolution, SolveStatus, SolverConfig, scal
 class DualIndex:
     """Variable layout of the dual assembly.
 
-    Index 0 is t; then one alpha (lower bound) and one beta (upper bound)
+    Index 0 is t_x; then one alpha (lower bound) and one beta (upper bound)
     per sensor-sensor edge in sorted edge order; then one omega (lower) and
-    one phi (upper) per sensor-anchor edge in sorted edge order.
+    one phi (upper) per sensor-anchor edge in sorted edge order; last comes
+    t_y, so every multiplier keeps its index in the stacked program, whose
+    single t is t_x + t_y.
     """
 
     sensor_edges: Tuple[Edge, ...]
@@ -53,7 +59,11 @@ class DualIndex:
 
     @property
     def num_vars(self) -> int:
-        return 1 + 2 * len(self.sensor_edges) + 2 * len(self.anchor_edges)
+        return 2 + 2 * len(self.sensor_edges) + 2 * len(self.anchor_edges)
+
+    @property
+    def t_y(self) -> int:
+        return self.num_vars - 1
 
     def alpha(self, e: int) -> int:
         return 1 + 2 * e
@@ -78,6 +88,9 @@ class CentralEstimate:
     multipliers      edge -> (lower-bound, upper-bound) dual weights
     solver_status    status reported by the interior-point solver
     solve_seconds    wall-clock time spent assembling and solving
+    iterations       interior-point iterations of the solve
+    gap, residual_primal, residual_dual
+                     relative duality gap and residuals of the returned iterate
     """
 
     positions: Dict[int, Point2]
@@ -85,22 +98,15 @@ class CentralEstimate:
     multipliers: Dict[Edge, Tuple[float, float]]
     solver_status: SolveStatus
     solve_seconds: float
+    iterations: int
+    gap: float
+    residual_primal: float
+    residual_dual: float
 
 
 def _coupling_triplets(i: int, j: int, sign: float) -> List[Tuple[int, int, float]]:
-    """sign * E_ij restricted to the 2n x 2n corner (lower triangle)."""
-    out = []
-    for off in (0, 1):
-        p, q = 2 * i + off, 2 * j + off
-        out.append((p, p, sign))
-        out.append((q, q, sign))
-        out.append((max(p, q), min(p, q), -sign))
-    return out
-
-
-def _selector_triplets(i: int, sign: float) -> List[Tuple[int, int, float]]:
-    """sign * E_i (lower triangle)."""
-    return [(2 * i, 2 * i, sign), (2 * i + 1, 2 * i + 1, sign)]
+    """sign * E_ij (lower triangle)."""
+    return [(i, i, sign), (j, j, sign), (max(i, j), min(i, j), -sign)]
 
 
 def assemble_dual_sdp(
@@ -108,7 +114,8 @@ def assemble_dual_sdp(
 ) -> Tuple[SdpProblem, DualIndex]:
     """Build the multiplier SDP for a scenario.
 
-    The first block is [[M, f], [f^T, t]] and the second M - I.  Needs at
+    The first two blocks are [[Mt, f_x], [f_x^T, t_x]] and
+    [[Mt, f_y], [f_y^T, t_y]], the third Mt - I.  Needs at
     least one sensor-anchor edge; without one the worst case is
     unbounded (the whole network can translate freely) and the program would
     be infeasible.
@@ -124,24 +131,23 @@ def assemble_dual_sdp(
         anchor_edges=tuple(sorted(scenario.anchor_edges)),
     )
     n = len(scenario.sensors)
-    dim = 2 * n + 1
     m = idx.num_vars
 
     c = np.zeros(m)
-    c[0] = 1.0
+    c[0] = c[idx.t_y] = 1.0
 
-    big: Dict[int, List[Tuple[int, int, float]]] = {0: [(dim - 1, dim - 1, 1.0)]}
-    ball: Dict[int, List[Tuple[int, int, float]]] = {}
+    # the coordinate blocks share every triplet of Mt; ``arrow`` holds each
+    # variable's (x, y) entries of the last row
+    quad: Dict[int, List[Tuple[int, int, float]]] = {}
+    arrow: Dict[int, Tuple[int, Point2]] = {}
 
     for e, (u, v) in enumerate(idx.sensor_edges):
         i, j = sensor_index[u], sensor_index[v]
         b = intervals[(u, v)]
         c[idx.alpha(e)] = -b.lower**2
         c[idx.beta(e)] = b.upper**2
-        big[idx.alpha(e)] = _coupling_triplets(i, j, -1.0)
-        big[idx.beta(e)] = _coupling_triplets(i, j, 1.0)
-        ball[idx.alpha(e)] = _coupling_triplets(i, j, -1.0)
-        ball[idx.beta(e)] = _coupling_triplets(i, j, 1.0)
+        quad[idx.alpha(e)] = _coupling_triplets(i, j, -1.0)
+        quad[idx.beta(e)] = _coupling_triplets(i, j, 1.0)
 
     for e, (u, k) in enumerate(idx.anchor_edges):
         i = sensor_index[u]
@@ -150,22 +156,24 @@ def assemble_dual_sdp(
         b = intervals[(u, k)]
         c[idx.omega(e)] = norm2 - b.lower**2
         c[idx.phi(e)] = b.upper**2 - norm2
-        big[idx.omega(e)] = _selector_triplets(i, -1.0) + [
-            (dim - 1, 2 * i, ax),
-            (dim - 1, 2 * i + 1, ay),
-        ]
-        big[idx.phi(e)] = _selector_triplets(i, 1.0) + [
-            (dim - 1, 2 * i, -ax),
-            (dim - 1, 2 * i + 1, -ay),
-        ]
-        ball[idx.omega(e)] = _selector_triplets(i, -1.0)
-        ball[idx.phi(e)] = _selector_triplets(i, 1.0)
+        quad[idx.omega(e)] = [(i, i, -1.0)]
+        quad[idx.phi(e)] = [(i, i, 1.0)]
+        arrow[idx.omega(e)] = (i, (ax, ay))
+        arrow[idx.phi(e)] = (i, (-ax, -ay))
+
+    def coordinate_block(t: int, axis: int) -> Block:
+        coeffs = {k: list(trips) for k, trips in quad.items()}
+        for k, (i, a) in arrow.items():
+            coeffs[k].append((n, i, a[axis]))
+        coeffs[t] = [(n, n, 1.0)]
+        return Block(n + 1, [], coeffs)
 
     blocks = [
-        Block(dim, [], big),
-        Block(2 * n, [(r, r, -1.0) for r in range(2 * n)], ball),
+        coordinate_block(0, 0),
+        coordinate_block(idx.t_y, 1),
+        Block(n, [(r, r, -1.0) for r in range(n)], quad),
     ]
-    for k in range(1, m):
+    for k in range(1, idx.t_y):
         blocks.append(scalar_block(0.0, {k: 1.0}))
 
     return SdpProblem(num_vars=m, objective=c, blocks=blocks), idx
@@ -176,27 +184,27 @@ def recover_estimate(
 ) -> Tuple[Dict[int, Point2], bool]:
     """Positions encoded by optimal multipliers, plus a health flag.
 
-    Evaluates the assembled first block at ``x``, which is exactly
-    [[M, f], [f^T, t]], and solves M y = -f for the stacked coordinates.
-    M >= I at any feasible point, so an M with smallest eigenvalue
-    materially below 1 means the solver returned garbage; the flag comes
-    back False and the solve is attempted anyway with a tiny diagonal lift.
+    Evaluates the two assembled coordinate blocks at ``x``, which are
+    exactly [[Mt, f_x], [f_x^T, t_x]] and [[Mt, f_y], [f_y^T, t_y]], and
+    solves Mt [y_x y_y] = -[f_x f_y] with one factorization.  Mt >= I at any
+    feasible point, so an Mt with smallest eigenvalue materially below 1
+    means the solver returned garbage; the flag comes back False and the
+    solve is attempted anyway with a tiny diagonal lift.
     """
     lmi = problem.blocks[0].evaluate(x)
-    m_mat, f = lmi[:-1, :-1], lmi[-1, :-1]
+    m_mat = lmi[:-1, :-1]
+    f = np.column_stack([lmi[-1, :-1], problem.blocks[1].evaluate(x)[-1, :-1]])
 
     eigmin = float(np.linalg.eigvalsh(m_mat)[0])
     healthy = eigmin >= 1.0 - 1e-6
     try:
-        chol = np.linalg.cholesky(m_mat + 1e-10 * np.eye(len(f)))
+        chol = np.linalg.cholesky(m_mat + 1e-10 * np.eye(len(m_mat)))
         y = np.linalg.solve(chol.T, np.linalg.solve(chol, -f))
     except np.linalg.LinAlgError:
         y, *_ = np.linalg.lstsq(m_mat, -f, rcond=None)
         healthy = False
 
-    positions = {
-        s: (float(y[2 * i]), float(y[2 * i + 1])) for i, s in enumerate(scenario.sensors)
-    }
+    positions = {s: (float(y[i, 0]), float(y[i, 1])) for i, s in enumerate(scenario.sensors)}
     return positions, healthy
 
 
@@ -228,6 +236,10 @@ def solve_minmax_sdp(
         multipliers=multipliers,
         solver_status=status,
         solve_seconds=time.perf_counter() - t0,
+        iterations=sol.iterations,
+        gap=sol.gap,
+        residual_primal=sol.residuals.primal,
+        residual_dual=sol.residuals.dual,
     )
 
 
@@ -237,5 +249,9 @@ def estimate_to_json(estimate: CentralEstimate) -> str:
         "worst_case_value": estimate.worst_case_value,
         "solver_status": estimate.solver_status.value,
         "solve_seconds": estimate.solve_seconds,
+        "iterations": estimate.iterations,
+        "gap": estimate.gap,
+        "residual_primal": estimate.residual_primal,
+        "residual_dual": estimate.residual_dual,
     }
     return json.dumps(doc, indent=2)

@@ -138,16 +138,6 @@ class NetworkScenario:
     def all_edges(self) -> List[Edge]:
         return list(self.sensor_edges) + list(self.anchor_edges)
 
-    def neighbors(self, i: int) -> List[int]:
-        """All nodes sharing an edge with node ``i``, ascending id."""
-        out = []
-        for a, b in self.all_edges():
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def true_distance(self, edge: Edge) -> float:
         a, b = edge
         pa = self.true_positions[a] if a in self.true_positions else self.anchors[a]

@@ -58,17 +58,20 @@ over its classes and the index of those entries in the class matrix (plain
 slices when its classes are contiguous, as in the network-wide problem),
 centering term, the congruence W R W, step length, corrector,
 symmetrization, dual output, and the roundoff scale of the dual residual,
-<|A_k|, |Z|> per variable, through a map the block builds from its own
-triplets.  The solver loops over one list of such blocks and never asks
-what kind a block is.  A dense block enters through each class's first
-member and maps its variables onto its classes for the adjoint and the
-combination.  Small dense blocks keep a dense coefficient stack over their
-classes.  Large ones factor each class's coefficient into signed rank-one
-terms, A_c = sum_r sign_r u_r u_r^T (an exact eigendecomposition on its
-support), and assemble K from H[r, t] = (u_r^T W u_t)^2 over those terms:
-one signed indicator G, built at compile time with G[c, r] = sign_r for each
-term r of class c, forms every group sum at once, K_b = G H G^T.  This is
-what makes networks of a few hundred variables cheap.
+<|A_k|, |Z|> per variable.  The solver loops over one list of such blocks
+and never asks what kind a block is.  A dense block enters through each
+class's first member, whose coefficients it lays out at compile time as the
+columns of one signed sparse matrix C of shape (d^2, classes): the
+combination is C y over the classes, reshaped; the adjoint is C^T vec(U),
+mapped to the variables; and the roundoff scale is |C|^T |vec Z|, which the
+two members of a pair share.  Only the Schur term needs more.  Small dense
+blocks keep a dense coefficient stack over their classes.  Large ones factor
+each class's coefficient into signed rank-one terms,
+A_c = sum_r sign_r u_r u_r^T, by one batched eigendecomposition on the
+supports, and assemble K from H[r, t] = (u_r^T W u_t)^2: one signed
+indicator G with G[c, r] = sign_r for each term r of class c forms every
+group sum at once, K_b = G H G^T.  This is what makes networks of a few
+hundred variables cheap.
 
 All 1x1 blocks are fused into one diagonal block of vectors, kept last in
 the list, whose methods do the same steps row by row.  Its Schur term is one
@@ -461,7 +464,12 @@ class _DenseBlock:
 
     Each class enters through its first member's coefficient; the block's
     variables map onto its classes through ``var_cls`` and ``var_sign``
-    (None when every variable is a class of its own).
+    (None when every variable is a class of its own).  ``C`` holds those
+    coefficients as the columns of one signed sparse (d*d, classes) matrix,
+    an off-diagonal entry in both of its positions, so the combination is one
+    product with C, the adjoint one with C^T and the roundoff scale one with
+    |C|^T.  The dense stack (small blocks) and the rank-one terms (large
+    ones) serve the Schur term only.
     """
 
     def __init__(self, src: int, block: Block, classes: _SignClasses):
@@ -478,70 +486,61 @@ class _DenseBlock:
         else:
             self.var_cls = np.searchsorted(self.cls, glob)
             self.var_sign = classes.sign[self.vars]
-        reps = [block.coeffs[k] for k in self.vars[first]]
         self.norm_a0 = float(np.linalg.norm(self.a0))
-        # |A_k| flattened row by row, one row per local variable; see abs_adjoint
-        rows, cols, vals = [], [], []
-        for t, k in enumerate(self.vars):
-            for i, j, v in block.coeffs[k]:
-                for p, q in ((i, j), (j, i)) if i != j else ((i, i),):
-                    rows.append(t)
-                    cols.append(p * d + q)
-                    vals.append(abs(v))
-        self.abs_coeff = sp.csr_matrix((vals, (rows, cols)), shape=(mb, d * d))
+        # one row (class, i, j, value) per triplet of each class's first member
+        trips = np.array(
+            [(c, i, j, v) for c, k in enumerate(self.vars[first]) for i, j, v in block.coeffs[k]],
+            dtype=float,
+        ).reshape(-1, 4)
+        tc, ti, tj = trips[:, :3].T.astype(np.intp)
+        tv = trips[:, 3]
+        off = ti != tj
+        self.C = sp.csr_matrix(
+            (
+                np.concatenate([tv, tv[off]]),
+                (np.concatenate([ti * d + tj, (tj * d + ti)[off]]), np.concatenate([tc, tc[off]])),
+            ),
+            shape=(d * d, nc),
+        )
+        self.Ct = self.C.T.tocsr()
+        self.abs_Ct = abs(self.Ct)
+        norm2 = np.bincount(tc, weights=tv * tv * (1 + off), minlength=nc)  # |A_c|_F^2
+        self.coeff_scale = math.sqrt(norm2.max(initial=0.0))
         self.rank1 = d > _DENSE_DIM_LIMIT
         if not self.rank1:
-            self.stack = np.zeros((nc, d, d))
-            for c, trips in enumerate(reps):
-                self.stack[c] = _triplets_to_dense(trips, d)
-            self.coeff_scale = (
-                float(max(np.linalg.norm(self.stack[c]) for c in range(nc))) if nc else 0.0
-            )
+            self.stack = self.Ct.toarray().reshape(nc, d, d)
             return
 
         # Factor each class's coefficient into signed rank-one terms on its
-        # support: A_c = sum_r sign_r u_r u_r^T exactly (eigendecomposition).
-        term_cls: List[int] = []
-        term_sign: List[float] = []
-        term_vecs: List[np.ndarray] = []
-        term_idx: List[np.ndarray] = []
-        scale = 0.0
-        for c, trips in enumerate(reps):
-            support = sorted({i for i, _, _ in trips} | {j for _, j, _ in trips})
-            pos = {g: l for l, g in enumerate(support)}
-            a = np.zeros((len(support), len(support)))
-            for i, j, v in trips:
-                a[pos[i], pos[j]] += v
-                if i != j:
-                    a[pos[j], pos[i]] += v
-            scale = max(scale, float(np.linalg.norm(a)))
-            w, v = np.linalg.eigh(a)
-            top = float(np.abs(w).max())
-            for r in range(len(w)):
-                if abs(w[r]) > 1e-14 * max(top, 1.0):
-                    term_cls.append(c)
-                    term_sign.append(1.0 if w[r] > 0 else -1.0)
-                    term_vecs.append(v[:, r] * math.sqrt(abs(w[r])))
-                    term_idx.append(np.asarray(support, dtype=np.intp))
-        self.coeff_scale = scale
-
-        nterms = len(term_cls)
-        smax = max((len(ix) for ix in term_idx), default=1)
+        # support, A_c = sum_r sign_r u_r u_r^T exactly, by one eigh over the
+        # coefficients restricted to their supports and zero-padded to the
+        # widest one.  keys are the sorted (class, index) pairs of the
+        # supports, and slot each one's position within its class's support.
+        ec = np.repeat(np.arange(nc), np.diff(self.Ct.indptr))  # class of each entry
+        p, q = np.divmod(self.Ct.indices, d)
+        keys = np.unique(ec * d + p)
+        kc = keys // d
+        slot = np.arange(len(keys)) - np.searchsorted(kc, kc)
+        s = int(slot.max(initial=0)) + 1
+        support = np.full((nc, s), -1, dtype=np.intp)  # -1 pads
+        support[kc, slot] = keys % d
+        a = np.zeros((nc, s, s))
+        pos = [slot[np.searchsorted(keys, ec * d + r)] for r in (p, q)]
+        a[ec, pos[0], pos[1]] = self.Ct.data
+        w, v = np.linalg.eigh(a)
+        top = np.abs(w).max(axis=1, initial=0.0)
+        keep = np.abs(w) > 1e-14 * np.maximum(top, 1.0)[:, None]
+        term_cls, term_col = np.nonzero(keep)
+        lam = w[keep]
+        vecs = v[term_cls, :, term_col] * np.sqrt(np.abs(lam))[:, None]  # (terms, s)
+        nterms = len(lam)
         # signed indicator G[c, r] = sign_r for each term r of class c, so a
         # group sum over classes is one product with G
-        self.G = sp.csr_matrix((term_sign, (term_cls, np.arange(nterms))), shape=(nc, nterms))
-        self.u_idx = np.zeros((nterms, smax), dtype=np.intp)
-        self.u_val = np.zeros((nterms, smax))
-        for r in range(nterms):
-            s = len(term_idx[r])
-            self.u_idx[r, :s] = term_idx[r]
-            self.u_val[r, :s] = term_vecs[r]
-        rows = self.u_idx.ravel()
-        cols = np.repeat(np.arange(nterms), smax)
-        self.U = sp.csc_matrix(
-            (self.u_val.ravel(), (rows, cols)), shape=(d, nterms)
-        )
-        self.Ut = self.U.T.tocsr()
+        self.G = sp.csr_matrix((np.sign(lam), (term_cls, np.arange(nterms))), shape=(nc, nterms))
+        # a kept eigenvector is zero on the padding in exact arithmetic
+        idx = support[term_cls]
+        on = idx >= 0
+        self.Ut = sp.csr_matrix((vecs[on], (np.nonzero(on)[0], idx[on])), shape=(nterms, d))
 
     def _to_classes(self, y: np.ndarray) -> np.ndarray:
         """sum_{k in c} s_k y_k per class of the block (y by problem variable)."""
@@ -558,25 +557,19 @@ class _DenseBlock:
         return np.eye(self.dim) * (1.0 + self.norm_a0 + self.coeff_scale), np.eye(self.dim)
 
     def combine(self, y: np.ndarray) -> np.ndarray:
-        """sum_k y_k A_k as a dense matrix (y indexed by problem variable)."""
-        y_cls = self._to_classes(y)
-        if not self.rank1:
-            m = np.tensordot(y_cls, self.stack, axes=1)
-        else:
-            m = (self.U.multiply(self.G.T @ y_cls) @ self.Ut).toarray()
-        return self.sym(m)
+        """sum_k y_k A_k as a dense matrix (y indexed by problem variable);
+        symmetric exactly, as C stores both positions of an entry alike."""
+        return (self.C @ self._to_classes(y)).reshape(self.dim, self.dim)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         """<A_k, U> for each local variable, as a dense (mb,) vector."""
-        if not self.rank1:
-            return self._to_vars(np.einsum("cij,ij->c", self.stack, u))
-        g = u[self.u_idx[:, :, None], self.u_idx[:, None, :]]
-        t = np.einsum("ras,ra,rs->r", g, self.u_val, self.u_val)
-        return self._to_vars(self.G @ t)
+        return self._to_vars(self.Ct @ u.ravel())
 
     def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
-        """<|A_k|, |Z|> for each local variable, as a dense (mb,) vector."""
-        return self.abs_coeff @ np.abs(z).ravel()
+        """<|A_k|, |Z|> for each local variable, as a dense (mb,) vector;
+        the members of a negated pair share |A_k|."""
+        v = self.abs_Ct @ np.abs(z).ravel()
+        return v if self.var_cls is None else v[self.var_cls]
 
     def schur(self, w: np.ndarray) -> np.ndarray:
         """K[c, e] = <A_c, W A_e W> over the block's classes."""

@@ -1,4 +1,4 @@
-"""Fixed-point bound flooding used only by the test suite.
+"""Fixed-point bound flooding and neighbor lists used only by the test suite.
 
 The plain way to answer what ``minmaxloc.dist.propagate_distance_bounds``
 answers breadth-first: synchronous relaxation rounds over every (sensor,
@@ -10,17 +10,28 @@ tables with ``==``, key order included.
 """
 
 import math
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from minmaxloc.dist import BoundEntry, BoundTable, UnreachableAnchor, _interval
 from minmaxloc.model import Edge, IntervalBound, NetworkScenario
+
+
+def neighbors(scenario: NetworkScenario, i: int) -> List[int]:
+    """All nodes sharing an edge with node ``i``, ascending id."""
+    out = []
+    for a, b in scenario.all_edges():
+        if a == i:
+            out.append(b)
+        elif b == i:
+            out.append(a)
+    return sorted(out)
 
 
 def propagate_distance_bounds(
     scenario: NetworkScenario, bounds: Mapping[Edge, IntervalBound]
 ) -> BoundTable:
     anchor_ids = sorted(scenario.anchors)
-    sensor_neighbors = {i: scenario.neighbors(i) for i in scenario.sensors}
+    sensor_neighbors = {i: neighbors(scenario, i) for i in scenario.sensors}
 
     # (node, anchor) -> entry, where node may be a sensor or an anchor.
     table: Dict[Tuple[int, int], BoundEntry] = {}

@@ -9,6 +9,7 @@ from fixtures import ORACLE_FIXTURES, single_sensor_fixture
 from minmaxloc import central, geom, model, sdp
 from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp, sample_feasible_positions
+from reference_central import assemble_interleaved_dual_sdp, recover_interleaved_estimate
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
 
@@ -27,10 +28,11 @@ def test_variable_count_single_sensor():
         {1: (0.4, 0.6), 2: (0.7, 0.9), 3: (0.6, 0.8)},
     )
     problem, idx = central.assemble_dual_sdp(scen, bounds)
-    assert problem.num_vars == 7
-    assert problem.blocks[0].dim == 3
+    assert problem.num_vars == 8
+    assert problem.blocks[0].dim == 2
     assert problem.blocks[1].dim == 2
-    assert sum(1 for b in problem.blocks if b.dim == 1) == 6
+    assert problem.blocks[2].dim == 1
+    assert sum(1 for b in problem.blocks if b.dim == 1) == 7
 
 
 def test_lmi_size_matches_network():
@@ -39,20 +41,20 @@ def test_lmi_size_matches_network():
     )
     scen = model.generate_scenario(cfg, seed=11)
     problem, idx = central.assemble_dual_sdp(scen)
-    assert problem.blocks[0].dim == 101
-    assert problem.num_vars == 1 + 2 * len(scen.sensor_edges) + 2 * len(scen.anchor_edges)
+    assert [b.dim for b in problem.blocks[:3]] == [51, 51, 50]
+    assert problem.num_vars == 2 + 2 * len(scen.sensor_edges) + 2 * len(scen.anchor_edges)
 
 
 def test_newton_system_has_one_unknown_per_interval(monkeypatch):
-    # t plus one class per measured interval: the two multipliers of an
-    # interval share a class, so every Cholesky factor is that size
+    # t_x and t_y plus one class per measured interval: the two multipliers
+    # of an interval share a class, so every Cholesky factor is that size
     cfg = model.ScenarioConfig(n_sensors=8, anchor_positions=ANCHORS4, sensing_range=0.5)
     scen = model.apply_errors(
         model.generate_scenario(cfg, seed=4), model.UniformError(0.02), seed=4
     )
     problem, _ = central.assemble_dual_sdp(scen)
-    unknowns = 1 + len(scen.sensor_edges) + len(scen.anchor_edges)
-    assert problem.num_vars == 2 * unknowns - 1
+    unknowns = 2 + len(scen.sensor_edges) + len(scen.anchor_edges)
+    assert problem.num_vars == 2 * unknowns - 2
     sizes = []
     factor = sdp.sla.cho_factor
 
@@ -78,7 +80,7 @@ def test_duplicated_sensor_edge_matches_single_copy():
     )
     problem, _ = central.assemble_dual_sdp(twice)
     _, classes = sdp._compile(problem)
-    assert classes.size == 1 + len(twice.sensor_edges) + len(twice.anchor_edges)
+    assert classes.size == 2 + len(twice.sensor_edges) + len(twice.anchor_edges)
 
     want = central.solve_minmax_sdp(scen)
     got = central.solve_minmax_sdp(twice)
@@ -86,6 +88,115 @@ def test_duplicated_sensor_edge_matches_single_copy():
     assert got.worst_case_value == pytest.approx(want.worst_case_value, rel=1e-6)
     for i in scen.sensors:
         assert math.dist(got.positions[i], want.positions[i]) <= 1e-5
+
+
+def twenty_sensor_network(seed):
+    cfg = model.ScenarioConfig(n_sensors=20, anchor_positions=ANCHORS4, sensing_range=0.5)
+    return model.apply_errors(
+        model.generate_scenario(cfg, seed=seed), model.UniformError(0.02), seed=seed
+    )
+
+
+def test_coordinate_blocks_equal_interleaved_blocks():
+    # reordered x-first, the stacked block [[M, f], [f^T, t]] is
+    # [[Mt, 0, f_x], [0, Mt, f_y], [f_x^T, f_y^T, t_x + t_y]], read off the
+    # two coordinate blocks, and the stacked M - I is (Mt - I) kron I_2
+    scen = twenty_sensor_network(8)
+    n = len(scen.sensors)
+    split, idx = central.assemble_dual_sdp(scen)
+    stacked, _ = assemble_interleaved_dual_sdp(scen)
+    x = np.random.default_rng(8).uniform(0.0, 1.0, split.num_vars)
+    xs = x[:-1].copy()
+    xs[0] += x[idx.t_y]
+
+    bx, by, ball = (b.evaluate(x) for b in split.blocks[:3])
+    mt = bx[:n, :n]
+    assert np.array_equal(by[:n, :n], mt)
+    want = np.zeros((2 * n + 1, 2 * n + 1))
+    want[:n, :n] = want[n:-1, n:-1] = mt
+    want[-1, :n] = want[:n, -1] = bx[-1, :n]
+    want[-1, n:-1] = want[n:-1, -1] = by[-1, :n]
+    want[-1, -1] = bx[-1, -1] + by[-1, -1]
+    order = np.r_[0 : 2 * n : 2, 1 : 2 * n : 2, 2 * n]
+    got = stacked.blocks[0].evaluate(xs)[np.ix_(order, order)]
+    assert np.abs(got - want).max() <= 1e-14
+    assert np.abs(ball - (mt - np.eye(n))).max() <= 1e-14
+    assert np.abs(stacked.blocks[1].evaluate(xs) - np.kron(ball, np.eye(2))).max() <= 1e-14
+
+    # the same objective over the multipliers, t = t_x + t_y, and the same rows
+    assert np.array_equal(split.objective[:-1], stacked.objective)
+    assert split.objective[idx.t_y] == 1.0
+    assert [b.coeffs for b in split.blocks[3:]] == [b.coeffs for b in stacked.blocks[2:]]
+
+
+@pytest.mark.parametrize(
+    "case", sorted(ORACLE_FIXTURES) + [f"uniform-{seed}" for seed in range(5)]
+)
+def test_coordinate_program_solves_like_interleaved_program(case):
+    if case in ORACLE_FIXTURES:
+        scen, bounds = ORACLE_FIXTURES[case][0]
+    else:
+        scen, bounds = twenty_sensor_network(int(case.split("-")[1])), None
+    est = central.solve_minmax_sdp(scen, intervals=bounds)
+    problem, _ = assemble_interleaved_dual_sdp(scen, bounds)
+    ref = solve(problem)
+    assert est.solver_status == SolveStatus.OPTIMAL
+    # the stacked form keeps the stall its solves had before the split: at
+    # seed 1 with two BLAS threads it ends numerical_failure at a relative
+    # gap of 1.1e-8, just above the tolerance, so it must be optimal or
+    # stalled that close to the optimum
+    assert ref.status == SolveStatus.OPTIMAL or ref.gap <= 1e-7
+    assert est.worst_case_value == pytest.approx(max(ref.objective_value, 0.0), rel=1e-6)
+    positions = recover_interleaved_estimate(scen, problem, ref.x)
+    for i in scen.sensors:
+        assert math.dist(est.positions[i], positions[i]) <= 1e-5
+
+
+def test_rank_one_terms_rebuild_class_coefficients():
+    # every class coefficient of the three central blocks has a support of
+    # one or two indices; the batched eigendecomposition pads the former to
+    # two, and sum_r sign_r u_r u_r^T must still give the coefficient back
+    problem, _ = central.assemble_dual_sdp(twenty_sensor_network(3))
+    blocks, _ = sdp._compile(problem)
+    widths = set()
+    for compiled in blocks[:3]:
+        assert compiled.rank1
+        block = problem.blocks[compiled.src]
+        g, u = compiled.G.toarray(), compiled.Ut.toarray()
+        first = compiled.vars[np.unique(compiled.var_cls, return_index=True)[1]]
+        for c, k in enumerate(first):  # each class enters through its first member
+            want = block.dense_coeff(k)
+            widths.add(int(np.any(want, axis=0).sum()))
+            assert np.abs((u.T * g[c]) @ u - want).max() <= 1e-14
+    assert widths == {1, 2}
+
+
+@pytest.mark.parametrize("path", ["rank_one", "dense_stack"])
+def test_compiled_central_blocks_match_dense_coefficients(path, monkeypatch):
+    # combine, adjoint and abs_adjoint go through the block's one sparse
+    # coefficient matrix on both paths
+    if path == "dense_stack":
+        monkeypatch.setattr(sdp, "_DENSE_DIM_LIMIT", 10**6)
+    problem, _ = central.assemble_dual_sdp(twenty_sensor_network(3))
+    blocks, _ = sdp._compile(problem)
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal(problem.num_vars)
+
+    def close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    for compiled in blocks[:3]:
+        assert compiled.rank1 == (path == "rank_one")
+        assert compiled.var_cls is not None  # the block's pairs share classes
+        block = problem.blocks[compiled.src]
+        dense = [block.dense_coeff(k) for k in compiled.vars]
+        u = rng.standard_normal((block.dim, block.dim))
+        u = u + u.T
+        close(compiled.combine(y), sum(y[k] * a for k, a in zip(compiled.vars, dense)))
+        close(compiled.adjoint(u), np.array([np.tensordot(a, u) for a in dense]))
+        close(
+            compiled.abs_adjoint(u), np.array([np.sum(np.abs(a) * np.abs(u)) for a in dense])
+        )
 
 
 def test_stalled_network_ends_optimal():
@@ -263,7 +374,10 @@ def test_exact_measurements_pin_single_sensor():
 def test_estimate_json_schema(solved_fixtures):
     _, _, est = solved_fixtures["diamond"]
     doc = json.loads(central.estimate_to_json(est))
-    assert set(doc) == {"positions", "worst_case_value", "solver_status", "solve_seconds"}
+    assert set(doc) == {
+        "positions", "worst_case_value", "solver_status", "solve_seconds",
+        "iterations", "gap", "residual_primal", "residual_dual",
+    }
     assert doc["solver_status"] == "optimal"
     assert doc["positions"]["0"] == list(est.positions[0])
 

@@ -58,7 +58,10 @@ def test_solve_central_writes_estimate(tmp_path, generated):
     out = str(tmp_path / "est.json")
     assert main(["solve-central", generated, "--out", out]) == 0
     doc = json.loads(open(out).read())
-    assert set(doc) == {"positions", "worst_case_value", "solver_status", "solve_seconds"}
+    assert set(doc) == {
+        "positions", "worst_case_value", "solver_status", "solve_seconds",
+        "iterations", "gap", "residual_primal", "residual_dual",
+    }
     assert doc["solver_status"] == "optimal"
     assert doc["worst_case_value"] >= 0.0
     assert len(doc["positions"]) == 5

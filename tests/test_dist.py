@@ -443,7 +443,7 @@ def test_cauchy_decay_of_estimate_moves(noisy_run):
 def test_message_counts_follow_active_nodes(noisy_run):
     scen, res = noisy_run
     per_sensor = {
-        i: 2 * sum(1 for j in scen.neighbors(i) if j not in scen.anchors)
+        i: 2 * sum(1 for j in reference_dist.neighbors(scen, i) if j not in scen.anchors)
         for i in scen.sensors
     }
     for a, b in zip(res.rounds, res.rounds[1:]):

