@@ -22,9 +22,10 @@ with t = t_x + t_y: M - I >= 0 iff Mt - I >= 0, and given Mt > 0 the first
 holds iff t >= f_x^T Mt^{-1} f_x + f_y^T Mt^{-1} f_y.  So the optimum, the
 multipliers and the estimate are unchanged, from blocks n + 1, n + 1 and n
 wide instead of 2n + 1 and 2n.  The estimate is y_x = -Mt^{-1} f_x,
-y_y = -Mt^{-1} f_y, read off the blocks evaluated at the optimal
-multipliers, and the optimal value bounds sum_i |y_i - x_i|^2 for every
-configuration x consistent with the measurement intervals.
+y_y = -Mt^{-1} f_y, read off the blocks evaluated at the returned
+multipliers clipped at zero, and :func:`certify` turns the same blocks
+into the reported bound on sum_i |y_i - x_i|^2 over every configuration x
+consistent with the measurement intervals, whether or not the gap closed.
 
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
@@ -33,6 +34,7 @@ Variable ordering in the assembled problem is frozen and documented on
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -40,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
-from .sdp import Block, SdpProblem, SdpSolution, SolveStatus, SolverConfig, scalar_block, solve
+from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, scalar_block, solve
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,10 @@ class CentralEstimate:
 
     positions        sensor id -> estimated coordinates
     worst_case_value certified bound on the total squared position error
-                     over all interval-consistent configurations (>= 0)
+                     over all interval-consistent configurations (>= 0;
+                     inf when the multipliers certify none)
     multipliers      edge -> (lower-bound, upper-bound) dual weights
-    solver_status    status reported by the interior-point solver
+    solver_status    the solver's status; numerical_failure if it certifies none
     solve_seconds    wall-clock time spent assembling and solving
     iterations       interior-point iterations of the solve
     gap, residual_primal, residual_dual
@@ -179,33 +182,45 @@ def assemble_dual_sdp(
     return SdpProblem(num_vars=m, objective=c, blocks=blocks), idx
 
 
+def certify(m_mat: np.ndarray, f: np.ndarray, h: float) -> Optional[Tuple[np.ndarray, float]]:
+    """Estimate y = -Mt^{-1} f and the bound that the multipliers certify.
+
+    ``m_mat``, ``f`` and ``h`` are Mt, [f_x f_y] and the objective without
+    its t terms at multipliers lambda >= 0.  With Mt >= I, weak duality
+    bounds sum_i |y_i - x_i|^2 by tr(f^T Mt^{-1} f) + h for every consistent
+    configuration x.  Scaling lambda by 1/rho, rho = lambda_min(Mt) less a rounding margin
+    of n eps ||Mt||, restores Mt >= I and keeps y, so the value is that bound
+    over rho whatever the solver's status.  None when rho is not positive.
+    """
+    w, v = np.linalg.eigh(m_mat)
+    rho = w[0] - len(w) * np.finfo(float).eps * max(-w[0], w[-1])
+    if rho <= 0.0:
+        return None
+    g = v.T @ f
+    y = -v @ (g / w[:, None])
+    return y, float((np.sum(g * g / w[:, None]) + h) / rho)
+
+
 def recover_estimate(
     scenario: NetworkScenario, problem: SdpProblem, x: np.ndarray
-) -> Tuple[Dict[int, Point2], bool]:
-    """Positions encoded by optimal multipliers, plus a health flag.
+) -> Tuple[Dict[int, Point2], float]:
+    """Positions encoded by multipliers, plus the bound they certify.
 
-    Evaluates the two assembled coordinate blocks at ``x``, which are
-    exactly [[Mt, f_x], [f_x^T, t_x]] and [[Mt, f_y], [f_y^T, t_y]], and
-    solves Mt [y_x y_y] = -[f_x f_y] with one factorization.  Mt >= I at any
-    feasible point, so an Mt with smallest eigenvalue materially below 1
-    means the solver returned garbage; the flag comes back False and the
-    solve is attempted anyway with a tiny diagonal lift.
+    Evaluates the two assembled coordinate blocks at lambda = max(x, 0),
+    which are exactly [[Mt, f_x], [f_x^T, t_x]] and [[Mt, f_y], [f_y^T, t_y]],
+    and hands Mt, [f_x f_y] and the objective without t_x and t_y to
+    :func:`certify`.  Without a certificate the positions are a
+    least-squares solve and the value is inf.
     """
-    lmi = problem.blocks[0].evaluate(x)
+    lam = np.maximum(x, 0.0)
+    lam[0] = lam[-1] = 0.0
+    lmi = problem.blocks[0].evaluate(lam)
     m_mat = lmi[:-1, :-1]
-    f = np.column_stack([lmi[-1, :-1], problem.blocks[1].evaluate(x)[-1, :-1]])
-
-    eigmin = float(np.linalg.eigvalsh(m_mat)[0])
-    healthy = eigmin >= 1.0 - 1e-6
-    try:
-        chol = np.linalg.cholesky(m_mat + 1e-10 * np.eye(len(m_mat)))
-        y = np.linalg.solve(chol.T, np.linalg.solve(chol, -f))
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(m_mat, -f, rcond=None)
-        healthy = False
-
+    f = np.column_stack([lmi[-1, :-1], problem.blocks[1].evaluate(lam)[-1, :-1]])
+    cert = certify(m_mat, f, float(problem.objective @ lam))
+    y, value = cert or (np.linalg.lstsq(m_mat, -f, rcond=None)[0], math.inf)
     positions = {s: (float(y[i, 0]), float(y[i, 1])) for i, s in enumerate(scenario.sensors)}
-    return positions, healthy
+    return positions, value
 
 
 def solve_minmax_sdp(
@@ -219,9 +234,9 @@ def solve_minmax_sdp(
         intervals = build_feasibility_intervals(scenario)
     problem, idx = assemble_dual_sdp(scenario, intervals)
     sol = solve(problem, config)
-    positions, healthy = recover_estimate(scenario, problem, sol.x)
+    positions, value = recover_estimate(scenario, problem, sol.x)
     status = sol.status
-    if status == SolveStatus.OPTIMAL and not healthy:
+    if status == SolveStatus.OPTIMAL and math.isinf(value):
         status = SolveStatus.NUMERICAL_FAILURE
 
     multipliers: Dict[Edge, Tuple[float, float]] = {}
@@ -232,7 +247,7 @@ def solve_minmax_sdp(
 
     return CentralEstimate(
         positions=positions,
-        worst_case_value=max(sol.objective_value, 0.0),
+        worst_case_value=max(value, 0.0),
         multipliers=multipliers,
         solver_status=status,
         solve_seconds=time.perf_counter() - t0,

@@ -8,7 +8,7 @@ The algorithm runs in three phases on each sensor:
    interval [lower_ik, upper_ik] (triangle inequality both ways).
 
 2. Initial estimate.  Each sensor solves a small SDP over its anchor
-   distance intervals alone.  The optimal value is a certified squared
+   distance intervals alone.  Its multipliers certify a squared
    radius: the true position lies within sqrt(radius_sq) of the estimate
    whenever every measurement error is within the error bound.
 
@@ -22,8 +22,10 @@ The algorithm runs in three phases on each sensor:
 
 Each per-node program here is the single-sensor specialization of the
 network dual solved by :mod:`minmaxloc.central`, with the neighbor ball
-constraint added.  The multiplier recovery divides by the normalization
-kappa = alpha + sum(psi_j - phi_j), which every feasible point keeps >= 1.
+constraint added.  Its LMI is [[kappa I, g], [g^T, t]] with the
+normalization kappa = alpha + sum(psi_j - phi_j), so the center g / kappa
+and the certified squared radius are read from the multipliers by
+:func:`minmaxloc.central.certify`, in its 1x1 case Mt = kappa.
 
 All rounds are Jacobi: updates at round tau+1 read only round-tau states,
 so any execution order inside a round produces the identical trace.
@@ -38,8 +40,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .central import certify
 from .model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
-from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, scalar_block, solve
+from .sdp import Block, SdpProblem, SdpSolution, SolveStatus, SolverConfig, scalar_block, solve
 
 
 # The per-node solver accepts dual feasibility at 1e-6 rather than the solver
@@ -51,10 +54,6 @@ _NODE_SOLVER = SolverConfig(feas_tol=1e-6)
 
 class UnreachableAnchor(RuntimeError):
     """A sensor never acquired a distance bound to some anchor."""
-
-
-class DegenerateEstimate(RuntimeError):
-    """Multiplier recovery hit a vanishing normalization denominator."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,8 @@ class NodeState:
     """Per-sensor algorithm state after some round.
 
     ``radius_sq`` is the certified squared error bound, clamped to be
-    non-increasing across rounds; ``raw_radius_sq`` keeps the solver's
-    pre-clamp optimum so the monotonicity guarantee can be audited without
+    non-increasing across rounds; ``raw_radius_sq`` keeps the certified
+    pre-clamp value so the monotonicity guarantee can be audited without
     the clamp hiding a violation.
     """
 
@@ -193,13 +192,12 @@ def propagate_distance_bounds(
 def _chebyshev_dual(
     references: List[Tuple[Point2, float, float]],
     ball: Optional[Tuple[Point2, float]],
-) -> Tuple[SdpProblem, int]:
+) -> SdpProblem:
     """Single-node dual SDP shared by the initial and iterate solves.
 
     ``references`` holds (position, lower, upper) triples; ``ball`` is an
     optional (center, radius_sq) own-uncertainty constraint.  Variables are
-    [t, (alpha,) lower multiplier and upper multiplier per reference]; the
-    return value includes the index where reference multipliers start.
+    [t, (alpha,) lower multiplier and upper multiplier per reference].
     """
     has_ball = ball is not None
     first_ref = 2 if has_ball else 1
@@ -228,31 +226,26 @@ def _chebyshev_dual(
     blocks = [Block(3, [], lmi), scalar_block(-1.0, norm)]
     for k in range(1, m):
         blocks.append(scalar_block(0.0, {k: 1.0}))
-    return SdpProblem(num_vars=m, objective=c, blocks=blocks), first_ref
+    return SdpProblem(num_vars=m, objective=c, blocks=blocks)
 
 
-def _recover_center(
-    x: np.ndarray,
-    references: List[Tuple[Point2, float, float]],
-    ball: Optional[Tuple[Point2, float]],
-    first_ref: int,
-) -> Tuple[Point2, float]:
-    """Multiplier-weighted center and the normalization kappa."""
-    kappa = 0.0
-    gx = gy = 0.0
-    if ball is not None:
-        (bx, by), _ = ball
-        kappa += x[1]
-        gx += x[1] * bx
-        gy += x[1] * by
-    for e, ((px, py), _, _) in enumerate(references):
-        w = x[first_ref + 2 * e + 1] - x[first_ref + 2 * e]
-        kappa += w
-        gx += w * px
-        gy += w * py
-    if abs(kappa) < 1e-12:
-        raise DegenerateEstimate(f"normalization denominator {kappa!r} vanishes")
-    return (gx / kappa, gy / kappa), kappa
+def _certified_center(problem: SdpProblem, sol: SdpSolution) -> Optional[Tuple[Point2, float]]:
+    """Center g / kappa and its certified squared radius from an optimal solve.
+
+    Block 0 at lambda = max(x, 0) is [[kappa I, g], [g^T, t]]: the 1x1 case
+    Mt = kappa of :func:`certify`, with f = -g.  None when the solve is not
+    optimal or its multipliers certify nothing.
+    """
+    if sol.status != SolveStatus.OPTIMAL:
+        return None
+    lam = np.maximum(sol.x, 0.0)
+    lam[0] = 0.0
+    lmi = problem.blocks[0].evaluate(lam)
+    cert = certify(lmi[:1, :1], -lmi[2:, :2], float(problem.objective @ lam))
+    if cert is None:
+        return None
+    y, value = cert
+    return (float(y[0, 0]), float(y[0, 1])), max(value, 0.0)
 
 
 def initial_estimate(
@@ -265,14 +258,14 @@ def initial_estimate(
         (anchors[k], table[(sensor, k)].lower, table[(sensor, k)].upper)
         for k in sorted(anchors)
     ]
-    problem, first_ref = _chebyshev_dual(refs, ball=None)
+    problem = _chebyshev_dual(refs, ball=None)
     sol = solve(problem, _NODE_SOLVER)
-    if sol.status != SolveStatus.OPTIMAL:
+    cert = _certified_center(problem, sol)
+    if cert is None:
         raise RuntimeError(
-            f"initial estimate for sensor {sensor} failed: {sol.status.value}"
+            f"initial estimate for sensor {sensor} not certified: {sol.status.value}"
         )
-    center, _ = _recover_center(sol.x, refs, None, first_ref)
-    value = max(sol.objective_value, 0.0)
+    center, value = cert
     return NodeState(
         estimate=center,
         radius_sq=value,
@@ -299,9 +292,10 @@ def iterate_node(
     that radius of it.  Without the widening the region can lose the true
     position entirely (neighbor error shifts the annulus off it), which
     both voids the certificate and empties the region when intervals are
-    tight.  Any solver trouble makes the node keep its previous state for
-    the round; the certified radius is clamped so it never grows through
-    roundoff.
+    tight.  The new center and raw radius are what the multipliers of an
+    optimal solve certify (:func:`_certified_center`); without them the node
+    keeps its previous state for the round.  The certified radius is clamped
+    so it never grows through roundoff.
     """
     if not neighbor_states:
         raise ValueError(f"sensor {sensor} has no neighbors to iterate against")
@@ -326,26 +320,14 @@ def iterate_node(
         )
     ball = (own.estimate, own.radius_sq)
 
-    problem, first_ref = _chebyshev_dual(refs, ball)
+    problem = _chebyshev_dual(refs, ball)
     sol = solve(problem, _NODE_SOLVER)
-    keep = replace(
-        own,
-        iteration=own.iteration + 1,
-        localized=False,
-        raw_radius_sq=own.radius_sq,
-    )
-    if sol.status != SolveStatus.OPTIMAL:
-        return keep
-    try:
-        center, kappa = _recover_center(sol.x, refs, ball, first_ref)
-    except DegenerateEstimate:
-        return keep
-    if kappa < 0.5:
-        # Feasible multipliers satisfy kappa >= 1; anything materially
-        # below means the solver's answer cannot be trusted this round.
-        return keep
-
-    raw = max(sol.objective_value, 0.0)
+    cert = _certified_center(problem, sol)
+    if cert is None:
+        return replace(
+            own, iteration=own.iteration + 1, localized=False, raw_radius_sq=own.radius_sq
+        )
+    center, raw = cert
     clamped = min(raw, own.radius_sq)
     return NodeState(
         estimate=center,

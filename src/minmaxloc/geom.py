@@ -106,16 +106,6 @@ def single_sensor_region(
     return FeasibleRegion(tuple(cons))
 
 
-def membership(reg: FeasibleRegion, p: Sequence[float]) -> bool:
-    """Closed-set membership: boundary points belong to the region."""
-    px, py = float(p[0]), float(p[1])
-    for c in reg.constraints:
-        d = math.hypot(px - c.center[0], py - c.center[1])
-        if d < c.lower or d > c.upper:
-            return False
-    return True
-
-
 def default_bbox(reg: FeasibleRegion, resolution: float = DEFAULT_RESOLUTION) -> BBox:
     """Axis-aligned box guaranteed to contain the region.
 

@@ -45,9 +45,6 @@ class IntervalBound:
                 f"interval upper bound {self.upper} below lower bound {self.lower}"
             )
 
-    def contains(self, d: float) -> bool:
-        return self.lower <= d <= self.upper
-
 
 @dataclass(frozen=True)
 class UniformError:
@@ -143,10 +140,6 @@ class NetworkScenario:
         pa = self.true_positions[a] if a in self.true_positions else self.anchors[a]
         pb = self.true_positions[b] if b in self.true_positions else self.anchors[b]
         return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-
-    def realized_errors(self) -> Dict[Edge, float]:
-        """Per-edge measurement error z - d implied by the ground truth."""
-        return {e: self.measurements[e] - self.true_distance(e) for e in self.all_edges()}
 
 
 @dataclass(frozen=True)
@@ -388,6 +381,8 @@ def scenario_from_json(text: str) -> NetworkScenario:
     or TypeError."""
     doc = json.loads(text)
     sensors = [_json_int(i) for i in doc["sensors"]]
+    if not sensors:
+        raise ValueError("the scenario has no sensors")
     sensor_set = set(sensors)
     if len(sensor_set) != len(sensors):
         repeated = sorted({i for i in sensors if sensors.count(i) > 1})

@@ -134,21 +134,8 @@ class Block:
             if v
         }
 
-    @classmethod
-    def from_dense(cls, a0: np.ndarray, coeffs: Dict[int, np.ndarray]) -> "Block":
-        a0 = np.asarray(a0, dtype=float)
-        dim = a0.shape[0]
-        return cls(
-            dim,
-            _dense_to_triplets(a0),
-            {k: _dense_to_triplets(np.asarray(m, dtype=float)) for k, m in coeffs.items()},
-        )
-
     def dense_const(self) -> np.ndarray:
         return _triplets_to_dense(self.const, self.dim)
-
-    def dense_coeff(self, k: int) -> np.ndarray:
-        return _triplets_to_dense(self.coeffs.get(k, []), self.dim)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """``A0 + sum_k x_k A_k`` as a dense matrix, formed from the triplets."""
@@ -173,19 +160,6 @@ def _canonical(triplets: Sequence[Triplet], dim: int) -> List[Triplet]:
         key = (i, j) if i >= j else (j, i)
         acc[key] = acc.get(key, 0.0) + float(v)
     return [(i, j, v) for (i, j), v in sorted(acc.items()) if v != 0.0]
-
-
-def _dense_to_triplets(m: np.ndarray) -> List[Triplet]:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
-        raise ValueError("matrix must be symmetric")
-    out = []
-    for i in range(m.shape[0]):
-        for j in range(i + 1):
-            if m[i, j] != 0.0:
-                out.append((i, j, float(m[i, j])))
-    return out
 
 
 def _triplets_to_dense(triplets: Sequence[Triplet], dim: int) -> np.ndarray:

@@ -23,6 +23,15 @@ from typing import Dict, Optional, Tuple
 from minmaxloc.model import Edge, IntervalBound, NetworkScenario, Point2
 
 
+def contains(bound: IntervalBound, d: float) -> bool:
+    return bound.lower <= d <= bound.upper
+
+
+def realized_errors(scenario: NetworkScenario) -> Dict[Edge, float]:
+    """Per-edge measurement error z - d implied by the ground truth."""
+    return {e: scenario.measurements[e] - scenario.true_distance(e) for e in scenario.all_edges()}
+
+
 def single_sensor_fixture(
     anchors: Dict[int, Point2],
     intervals: Dict[int, Tuple[float, float]],

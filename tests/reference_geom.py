@@ -27,6 +27,16 @@ from minmaxloc.geom import (
 _CHUNK = 16384
 
 
+def membership(reg: FeasibleRegion, p: Sequence[float]) -> bool:
+    """Closed-set membership: boundary points belong to the region."""
+    px, py = float(p[0]), float(p[1])
+    for c in reg.constraints:
+        d = math.hypot(px - c.center[0], py - c.center[1])
+        if d < c.lower or d > c.upper:
+            return False
+    return True
+
+
 def grid_points(bbox: BBox, resolution: float) -> np.ndarray:
     """All grid points, x-major (lexicographic (ix, iy)) order, shape (N, 2)."""
     (xlo, xhi), (ylo, yhi) = bbox

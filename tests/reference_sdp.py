@@ -17,14 +17,35 @@ solver result's optimality evidence from the same raw triplets.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from minmaxloc.sdp import SdpProblem, SdpSolution, SolverConfig
+from minmaxloc.sdp import Block, SdpProblem, SdpSolution, SolverConfig
 
 _EIG_FLOOR = 1e-9  # PSD tolerance scale used by certificate checks
+
+
+def _dense_to_triplets(m: np.ndarray) -> List[Tuple[int, int, float]]:
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
+        raise ValueError("matrix must be symmetric")
+    return [(i, j, float(m[i, j])) for i in range(len(m)) for j in range(i + 1) if m[i, j] != 0.0]
+
+
+def block_from_dense(a0: np.ndarray, coeffs: Dict[int, np.ndarray]) -> Block:
+    """The block ``a0 + sum_k x_k coeffs[k] >= 0`` from dense symmetric matrices."""
+    return Block(
+        len(a0), _dense_to_triplets(a0), {k: _dense_to_triplets(m) for k, m in coeffs.items()}
+    )
+
+
+def dense_coeff(block: Block, k: int) -> np.ndarray:
+    """Dense coefficient matrix of variable ``k`` in ``block``."""
+    return Block(block.dim, block.coeffs.get(k, [])).dense_const()
 
 
 @dataclass
@@ -41,7 +62,7 @@ def _block_matrices(problem: SdpProblem) -> List[Tuple[np.ndarray, List[np.ndarr
     out = []
     for block in problem.blocks:
         a0 = block.dense_const()
-        coeffs = [block.dense_coeff(k) for k in range(problem.num_vars)]
+        coeffs = [dense_coeff(block, k) for k in range(problem.num_vars)]
         out.append((a0, coeffs))
     return out
 
@@ -187,7 +208,7 @@ def random_bounded_instance(seed: int, num_vars: Optional[int] = None):
         z0 = 0.5 * (z0 + z0.T)
         for k in range(m):
             c[k] += float(np.tensordot(coeffs[k], z0))
-        blocks.append(Block.from_dense(a0, coeffs))
+        blocks.append(block_from_dense(a0, coeffs))
     for _ in range(n_scalar):
         coeffs = {k: float(rng.standard_normal()) for k in range(m)}
         margin = float(rng.uniform(0.5, 2.0))
@@ -251,7 +272,7 @@ def check_certificate(
         zmin = float(np.linalg.eigvalsh(0.5 * (z + z.T))[0])
         dual_eig = min(dual_eig, zmin - zfloor)
         for k in block.coeffs:
-            coeff = block.dense_coeff(k)
+            coeff = dense_coeff(block, k)
             a_z[k] += float(np.tensordot(coeff, z))
             abs_prod[k] += float(np.abs(coeff * z).sum())
         dobj -= float(np.tensordot(block.dense_const(), z))
@@ -297,7 +318,7 @@ def reference_newton_step(
     """The Newton step dx of an iterate (x, S, Z) over all m variables.
 
     Forms the full Schur matrix M[k, j] = sum_b <A_bk, W_b A_bj W_b> and
-    the right-hand side -r_Z + A(R3) - A(W R_S W) from ``Block.dense_coeff``,
+    the right-hand side -r_Z + A(R3) - A(W R_S W) from ``dense_coeff``,
     one dense matrix per problem block (1x1 blocks included).  No sign
     classes, no fused rows.  Solves (M + jitter I) dx = rhs directly, then
     refines once against M alone: dx += (M + jitter I)^-1 (rhs - M dx).
@@ -306,7 +327,7 @@ def reference_newton_step(
     schur = np.zeros((m, m))
     rhs = -np.asarray(problem.objective, dtype=float).copy()
     for block, s, z in zip(problem.blocks, s_blocks, z_blocks):
-        coeffs = [block.dense_coeff(k) for k in range(m)]
+        coeffs = [dense_coeff(block, k) for k in range(m)]
         w = _nt_scaling(s, z)
         r_s = block.evaluate(x) - s
         r3 = sigma_mu * np.linalg.inv(s) - z

@@ -39,7 +39,7 @@ from typing import List, Tuple
 
 import pytest
 
-from fixtures import NONCONVEX_FIXTURES, ORACLE_FIXTURES, trilateration_instance
+from fixtures import NONCONVEX_FIXTURES, ORACLE_FIXTURES, realized_errors, trilateration_instance
 from minmaxloc import central, dist, experiment, geom, model
 from minmaxloc.sdp import SolveStatus, SolverConfig, solve
 from primal_sdp import assemble_primal_sdp
@@ -70,7 +70,7 @@ def _sq_error(est: Tuple[float, float], truth: Tuple[float, float]) -> float:
 
 
 def _in_bound(scen: model.NetworkScenario) -> bool:
-    return all(abs(e) <= scen.gamma for e in scen.realized_errors().values())
+    return all(abs(e) <= scen.gamma for e in realized_errors(scen).values())
 
 
 @pytest.fixture(scope="module")

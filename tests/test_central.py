@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from fixtures import ORACLE_FIXTURES, single_sensor_fixture
+from fixtures import ORACLE_FIXTURES, realized_errors, single_sensor_fixture
 from minmaxloc import central, geom, model, sdp
 from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp, sample_feasible_positions
 from reference_central import assemble_interleaved_dual_sdp, recover_interleaved_estimate
+from reference_sdp import dense_coeff
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
 
@@ -165,7 +166,7 @@ def test_rank_one_terms_rebuild_class_coefficients():
         g, u = compiled.G.toarray(), compiled.Ut.toarray()
         first = compiled.vars[np.unique(compiled.var_cls, return_index=True)[1]]
         for c, k in enumerate(first):  # each class enters through its first member
-            want = block.dense_coeff(k)
+            want = dense_coeff(block, k)
             widths.add(int(np.any(want, axis=0).sum()))
             assert np.abs((u.T * g[c]) @ u - want).max() <= 1e-14
     assert widths == {1, 2}
@@ -189,7 +190,7 @@ def test_compiled_central_blocks_match_dense_coefficients(path, monkeypatch):
         assert compiled.rank1 == (path == "rank_one")
         assert compiled.var_cls is not None  # the block's pairs share classes
         block = problem.blocks[compiled.src]
-        dense = [block.dense_coeff(k) for k in compiled.vars]
+        dense = [dense_coeff(block, k) for k in compiled.vars]
         u = rng.standard_normal((block.dim, block.dim))
         u = u + u.T
         close(compiled.combine(y), sum(y[k] * a for k, a in zip(compiled.vars, dense)))
@@ -266,7 +267,7 @@ def test_true_error_within_certificate():
     )
     scen = model.generate_scenario(cfg, seed=7)
     scen = model.apply_errors(scen, model.GaussianError(sigma=0.02), seed=7)
-    errs = scen.realized_errors()
+    errs = realized_errors(scen)
     assert max(abs(v) for v in errs.values()) <= scen.gamma, "pick a seed with in-bound errors"
     est = central.solve_minmax_sdp(scen)
     assert est.solver_status == SolveStatus.OPTIMAL
@@ -345,18 +346,61 @@ def test_recovery_identity_case():
     x = np.zeros(problem.num_vars)
     x[idx.phi(0)] = 0.4
     x[idx.phi(1)] = 0.6
-    positions, healthy = central.recover_estimate(scen, problem, x)
-    assert healthy
+    positions, value = central.recover_estimate(scen, problem, x)
     ex = 0.4 * 0.2 + 0.6 * (-0.4)
     ey = 0.4 * 0.7 + 0.6 * 0.1
     assert positions[0] == pytest.approx((ex, ey), abs=1e-9)
+    # Mt = 1, so the value is |f|^2 + h with h = sum phi (upper^2 - |a|^2)
+    h = 0.4 * (1.0 - 0.2**2 - 0.7**2) + 0.6 * (1.0 - 0.4**2 - 0.1**2)
+    assert value == pytest.approx(ex * ex + ey * ey + h, abs=1e-12)
 
 
 def test_recovery_flags_degenerate_multipliers():
     scen, bounds = single_sensor_fixture({1: (0.0, 0.0)}, {1: (0.0, 1.0)})
     problem, idx = central.assemble_dual_sdp(scen, bounds)
-    _, healthy = central.recover_estimate(scen, problem, np.zeros(problem.num_vars))
-    assert not healthy
+    _, value = central.recover_estimate(scen, problem, np.zeros(problem.num_vars))
+    assert value == math.inf
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_bounds_exact_network_whatever_the_status(seed):
+    # With exact measurements some solves stall: with one BLAS thread seed 0
+    # ends numerical_failure with objective 2.7e-10 and certificate 8.4e-11.
+    # The value read from the multipliers bounds the true error all the same;
+    # seed 2 clears it by only 1.4e-12.
+    cfg = model.ScenarioConfig(n_sensors=10, anchor_positions=ANCHORS4, sensing_range=0.5)
+    scen = model.generate_scenario(cfg, seed=seed)
+    est = central.solve_minmax_sdp(scen)
+    sq = sum(math.dist(est.positions[i], scen.true_positions[i]) ** 2 for i in scen.sensors)
+    assert est.worst_case_value >= sq
+
+
+@pytest.mark.parametrize("name", [*ORACLE_FIXTURES, "twenty-sensor"])
+def test_perturbed_multipliers_still_certify_their_estimate(name):
+    # Weak duality holds at any multipliers with Mt > 0, not only at the
+    # optimum: a perturbed x encodes another estimate, and its value bounds
+    # every feasible configuration around that estimate.  Multipliers pushed
+    # below zero are read as zero; taken as they are, they void the bound.
+    if name == "twenty-sensor":
+        scen = twenty_sensor_network(3)
+        bounds = model.build_feasibility_intervals(scen)
+    else:
+        (scen, bounds), _ = ORACLE_FIXTURES[name]
+    problem, _ = central.assemble_dual_sdp(scen, bounds)
+    x = solve(problem).x
+    _, optimum = central.recover_estimate(scen, problem, x)
+    configs = sample_feasible_positions(scen, bounds, n_samples=200, seed=11, max_draws=10**5)
+    if name == "twenty-sensor":  # in-bound errors: the truth is feasible
+        truth = np.array([scen.true_positions[i] for i in scen.sensors])
+        configs = np.concatenate([configs, truth[None]])
+    assert len(configs) > 0
+
+    u = np.random.default_rng(7).uniform(-1.0, 1.0, x.shape)
+    for perturbed in (x * (1.0 + 0.1 * u), x * (1.0 + 0.1 * u) - 0.1 * (u < -0.3)):
+        positions, value = central.recover_estimate(scen, problem, perturbed)
+        assert optimum * (1 - 1e-6) <= value < math.inf
+        estimate = np.array([positions[i] for i in scen.sensors])
+        assert np.max(np.sum((configs - estimate) ** 2, axis=(1, 2))) <= value
 
 
 def test_exact_measurements_pin_single_sensor():

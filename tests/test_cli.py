@@ -295,6 +295,10 @@ def _repeated_anchor_id(doc):
     doc["anchors"].append(moved)
 
 
+def _no_sensors(doc):
+    doc["sensors"], doc["true_positions"], doc["edges"] = [], {}, []
+
+
 @pytest.mark.parametrize("command", ["validate", "solve-central", "solve-dist", "oracle"])
 @pytest.mark.parametrize(
     "edit",
@@ -305,6 +309,7 @@ def _repeated_anchor_id(doc):
         _sensor_id_as_anchor,
         _repeated_sensor_id,
         _repeated_anchor_id,
+        _no_sensors,
     ],
 )
 def test_malformed_graphs_are_usage_errors(tmp_path, capsys, command, edit):

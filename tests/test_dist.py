@@ -1,17 +1,20 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_dist
 from fixtures import (
     ORACLE_FIXTURES,
+    realized_errors,
     relay_chain_instance,
     single_sensor_fixture,
     trilateration_instance,
 )
-from minmaxloc import central, dist, geom, model
+from minmaxloc import central, dist, geom, model, sdp
 from minmaxloc.dist import BoundEntry, DisMinMaxConfig, NodeState
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
@@ -191,7 +194,7 @@ def test_flood_breaks_hop_ties_by_smallest_id():
 
 def test_propagated_bounds_cover_truth_on_network(noisy_run):
     scen, _ = noisy_run
-    errs = scen.realized_errors()
+    errs = realized_errors(scen)
     assert max(abs(v) for v in errs.values()) <= scen.gamma
     table = dist.propagate_distance_bounds(
         scen, model.build_feasibility_intervals(scen)
@@ -349,6 +352,31 @@ def test_iterate_keeps_state_when_region_is_empty():
     assert out.iteration == 1
 
 
+def test_zero_multipliers_certify_nothing(monkeypatch):
+    # An "optimal" solve that returns all-zero multipliers has kappa = 0, so
+    # it certifies no center: the node keeps its state for the round, and an
+    # initial estimate fails loudly.
+    def zero_solve(problem, config=None, callback=None):
+        return sdp.SdpSolution(
+            x=np.zeros(problem.num_vars),
+            objective_value=0.0,
+            dual_blocks=[],
+            status=sdp.SolveStatus.OPTIMAL,
+            gap=0.0,
+            residuals=sdp.Residuals(0.0, 0.0),
+            iterations=0,
+        )
+
+    monkeypatch.setattr(dist, "solve", zero_solve)
+    nbrs = {1: NodeState((1.0, 0.0), 0.0, True, 0, 0.0)}
+    bounds = {(0, 1): model.IntervalBound(0.9, 1.1)}
+    own = NodeState((0.5, 0.5), 0.25, False, 0, 0.25)
+    assert dist.iterate_node(0, nbrs, own, bounds) == replace(own, iteration=1)
+    table = {(0, 1): BoundEntry(0.9, 1.1, 1)}
+    with pytest.raises(RuntimeError, match="initial estimate for sensor 0 not certified"):
+        dist.initial_estimate(0, table, {1: (1.0, 0.0)})
+
+
 def test_iterate_widens_annuli_by_neighbor_radius():
     # One exact unit ring around the origin intersected with the ball
     # around (2, 0) pins the node to (1, 0).  Giving the same neighbor an
@@ -392,7 +420,7 @@ def test_certified_radii_never_grow(noisy_run):
 
 def test_truth_containment_on_in_bound_run(noisy_run):
     scen, res = noisy_run
-    errs = scen.realized_errors()
+    errs = realized_errors(scen)
     assert max(abs(v) for v in errs.values()) <= scen.gamma, (
         "pick a seed whose realized errors stay within the bound"
     )

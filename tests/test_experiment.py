@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fixtures import realized_errors
 from minmaxloc import experiment, model
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
@@ -176,7 +177,7 @@ def test_central_rmse_within_certificate_on_in_bound_trials(small_reports):
         scen = model.apply_errors(
             scen, spec.error_model(t.sweep_value), seed=t.seeds["errors"]
         )
-        assert max(abs(v) for v in scen.realized_errors().values()) <= scen.gamma
+        assert max(abs(v) for v in realized_errors(scen).values()) <= scen.gamma
         n = len(scen.sensors)
         bound = math.sqrt(t.worst_case_value / n) * (1 + 1e-6)
         assert t.rmse_central <= bound + 1e-12

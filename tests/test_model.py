@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_dist
+from fixtures import contains, realized_errors
 from minmaxloc import model
 
 
@@ -88,7 +89,7 @@ def test_uniform_errors_bounded_and_deterministic():
     again = model.apply_errors(sc, model.UniformError(gamma=0.05), seed=9)
     assert noisy.measurements == again.measurements
     assert noisy.gamma == 0.05
-    for e, err in noisy.realized_errors().items():
+    for e, err in realized_errors(noisy).items():
         assert abs(err) <= 0.05
 
 
@@ -97,7 +98,7 @@ def test_gaussian_gamma_is_three_sigma():
     noisy = model.apply_errors(sc, model.GaussianError(sigma=0.02), seed=1)
     assert noisy.gamma == pytest.approx(0.06)
     # errors are genuinely random, zero-mean-ish on this many edges
-    errs = np.array(list(noisy.realized_errors().values()))
+    errs = np.array(list(realized_errors(noisy).values()))
     assert errs.std() > 0.0
 
 
@@ -114,7 +115,7 @@ def test_mixture_outliers_bounded():
     assert noisy.gamma == pytest.approx(0.06)
     # the uniform outliers respect the 3 sigma support; Gaussian inliers are
     # unbounded, so only the aggregate spread is worth asserting
-    errs = np.array(list(noisy.realized_errors().values()))
+    errs = np.array(list(realized_errors(noisy).values()))
     assert np.abs(errs).max() < 0.5
 
 
@@ -123,7 +124,7 @@ def test_feasibility_intervals_contain_truth_within_bound():
     noisy = model.apply_errors(sc, model.UniformError(gamma=0.04), seed=2)
     bounds = model.build_feasibility_intervals(noisy)
     for e in noisy.all_edges():
-        assert bounds[e].contains(noisy.true_distance(e))
+        assert contains(bounds[e], noisy.true_distance(e))
 
 
 def test_feasibility_intervals_clamp_at_zero():
@@ -141,7 +142,7 @@ def test_interval_bound_validation():
     with pytest.raises(ValueError):
         model.IntervalBound(1.0, 0.5)
     b = model.IntervalBound(0.5, 1.5)
-    assert b.contains(0.5) and b.contains(1.5) and not b.contains(1.6)
+    assert contains(b, 0.5) and contains(b, 1.5) and not contains(b, 1.6)
 
 
 def test_anchors_noncollinear():
@@ -204,4 +205,4 @@ def test_interval_construction_properties(z, gamma, err):
     b = model.IntervalBound(lower, upper)
     d = z - err * gamma  # any truth within the bound of the measurement
     if abs(z - d) <= gamma and d >= lower:
-        assert b.contains(d)
+        assert contains(b, d)

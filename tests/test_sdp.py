@@ -7,7 +7,9 @@ from hypothesis.extra import numpy as hnp
 
 from minmaxloc import sdp
 from reference_sdp import (
+    block_from_dense,
     check_certificate,
+    dense_coeff,
     random_bounded_instance,
     reference_newton_step,
     reference_solve,
@@ -43,7 +45,7 @@ def test_smallest_t_above_matrix():
     prob = sdp.SdpProblem(
         num_vars=1,
         objective=np.array([1.0]),
-        blocks=[sdp.Block.from_dense(-a, {0: np.eye(4)})],
+        blocks=[block_from_dense(-a, {0: np.eye(4)})],
     )
     sol = sdp.solve(prob)
     assert sol.status == sdp.SolveStatus.OPTIMAL
@@ -113,7 +115,7 @@ def test_rank_one_path_matches_dense_path():
         prob = sdp.SdpProblem(
             num_vars=1,
             objective=np.array([1.0]),
-            blocks=[sdp.Block.from_dense(-q, {0: np.eye(n)})],
+            blocks=[block_from_dense(-q, {0: np.eye(n)})],
         )
         sol = sdp.solve(prob)
         assert sol.status == sdp.SolveStatus.OPTIMAL
@@ -136,7 +138,7 @@ def test_sign_classes_reproduce_dense_operators():
     a, b = on_support([0, 5, 9, n - 1]), on_support([1, 2, 3])
     full = on_support(list(range(n)))
     coeffs = {1: a, 3: -a, 4: b, 6: a.copy(), 7: full}
-    block = sdp.Block.from_dense(on_support([2, 4]), coeffs)
+    block = block_from_dense(on_support([2, 4]), coeffs)
     # each variable owns a row x_k >= 0, so a negated pair may form; the
     # same-sign duplicate is a class of its own
     rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in coeffs]
@@ -146,7 +148,7 @@ def test_sign_classes_reproduce_dense_operators():
     assert compiled.var_cls.tolist() == [0, 0, 1, 2, 3]
     assert compiled.var_sign.tolist() == [1.0, -1.0, 1.0, 1.0, 1.0]
 
-    dense = [block.dense_coeff(k) for k in sorted(coeffs)]
+    dense = [dense_coeff(block, k) for k in sorted(coeffs)]
     x = rng.standard_normal((n, n))
     w = x @ x.T / n + np.eye(n)
     u = on_support(list(range(n)))
@@ -165,7 +167,7 @@ def test_sign_classes_reproduce_dense_operators():
     )
     close(compiled.adjoint(u), np.array([np.tensordot(ak, u) for ak in dense]))
     close(compiled.abs_adjoint(u), np.array([np.sum(np.abs(ak) * np.abs(u)) for ak in dense]))
-    close(compiled.combine(y), sum(y[k] * block.dense_coeff(k) for k in coeffs))
+    close(compiled.combine(y), sum(y[k] * dense_coeff(block, k) for k in coeffs))
 
 
 def test_classes_are_single_variables_or_negated_pairs():
@@ -175,7 +177,7 @@ def test_classes_are_single_variables_or_negated_pairs():
     rng = np.random.default_rng(17)
     a, b = rng.standard_normal((2, 4, 4))
     a, b = a + a.T, b + b.T
-    block = sdp.Block.from_dense(np.eye(4), {0: a, 1: -a, 2: a, 3: -a, 4: a, 5: b, 6: -b})
+    block = block_from_dense(np.eye(4), {0: a, 1: -a, 2: a, 3: -a, 4: a, 5: b, 6: -b})
     rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in range(7)]
     rows.append(sdp.scalar_block(1.0, {5: 2.0}))
     _, classes = sdp._compile(sdp.SdpProblem(7, np.zeros(7), [block] + rows))
@@ -189,7 +191,7 @@ def test_classes_are_single_variables_or_negated_pairs():
 def test_fused_rows_schur_term_over_single_variable_classes(shape):
     # the fused rows' Schur term is sum_r w2_r d_r d_r^T over the
     # single-variable classes the rows touch, d_r read from the row's
-    # Block.dense_coeff; paired members' own rows enter the reduction
+    # dense_coeff; paired members' own rows enter the reduction
     # instead, so a problem whose rows all hold paired variables, as the
     # network-wide one does, has an empty term
     rng = np.random.default_rng(19)
@@ -207,13 +209,13 @@ def test_fused_rows_schur_term_over_single_variable_classes(shape):
         rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in (0, 1, 2, 3)]
         single = []
     m = 7 if shape == "general" else 4
-    blocks = [sdp.Block.from_dense(np.eye(3), coeffs)] + rows
+    blocks = [block_from_dense(np.eye(3), coeffs)] + rows
     lin = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][-1]
     w2 = rng.uniform(0.1, 3.0, len(rows))
     got = lin.schur(w2)
     want = np.zeros((len(single), len(single)))
     for w, row in zip(w2, rows):
-        d = np.array([row.dense_coeff(k)[0, 0] for k in single])
+        d = np.array([dense_coeff(row, k)[0, 0] for k in single])
         want += w * np.outer(d, d)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -245,7 +247,7 @@ def class_test_problem(n, rng):
              6: a[6], 7: -a[6], 8: a[8], 9: -a[8], 10: a[10]}
     second = {1: b[1], 2: -b[1], 3: b[3], 4: -b[3], 5: b[1],
               6: b[6], 7: b[6], 8: b[8], 9: -b[8], 10: b[10]}
-    blocks = [sdp.Block.from_dense(sym(n), first), sdp.Block.from_dense(sym(n - 1), second)]
+    blocks = [block_from_dense(sym(n), first), block_from_dense(sym(n - 1), second)]
     for k in range(1, 11):
         blocks.append(
             sdp.scalar_block(float(rng.uniform(0.0, 1.0)), {k: float(rng.uniform(0.5, 2.0))})
@@ -332,7 +334,7 @@ def test_abs_adjoint_sums_coefficient_magnitudes(kind):
 
     if kind == "narrow":
         n = sdp._DENSE_DIM_LIMIT
-        blocks = [sdp.Block.from_dense(sym(n), {k: sym(n) for k in (0, 1, 3, 4)})]
+        blocks = [block_from_dense(sym(n), {k: sym(n) for k in (0, 1, 3, 4)})]
         zs = [sym(n)]
         compiled = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][0]
         assert not compiled.rank1
@@ -347,7 +349,7 @@ def test_abs_adjoint_sums_coefficient_magnitudes(kind):
         compiled = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][0]
         got = compiled.abs_adjoint(np.array([z[0, 0] for z in zs]))
     want = np.array([
-        sum(np.sum(np.abs(b.dense_coeff(k)) * np.abs(z)) for b, z in zip(blocks, zs))
+        sum(np.sum(np.abs(dense_coeff(b, k)) * np.abs(z)) for b, z in zip(blocks, zs))
         for k in range(m)
     ])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -358,7 +360,7 @@ def test_block_evaluate_matches_dense_sum():
     x = np.random.default_rng(5).standard_normal(prob.num_vars)
     for block in prob.blocks:
         want = block.dense_const() + sum(
-            x[k] * block.dense_coeff(k) for k in range(prob.num_vars)
+            x[k] * dense_coeff(block, k) for k in range(prob.num_vars)
         )
         assert np.allclose(block.evaluate(x), want, rtol=1e-12, atol=1e-12)
 
@@ -432,7 +434,7 @@ def test_dual_blocks_shape_and_order():
             sdp.Block(2, [(1, 0, 1.0)], {1: [(0, 0, 1.0), (1, 1, 1.0)]}),
             sdp.scalar_block(0.0, {0: 1.0}),
             sdp.scalar_block(5.0, {1: -1.0}),
-            sdp.Block.from_dense(-a, {0: np.eye(n)}),
+            block_from_dense(-a, {0: np.eye(n)}),
         ],
     )
     sol = sdp.solve(mixed)
@@ -459,7 +461,7 @@ def test_block_triplet_canonicalization():
 
 def test_from_dense_rejects_asymmetric():
     with pytest.raises(ValueError):
-        sdp.Block.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]), {})
+        block_from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]), {})
 
 
 def dump_problem(problem):
@@ -522,7 +524,7 @@ def test_dump_round_trips_through_parser():
         assert np.array_equal(got_const.dense_const(), block.dense_const())
         for k in block.coeffs:
             got = sdp.Block(block.dim, rebuilt[bi].get(k + 1, []), {})
-            assert np.array_equal(got.dense_const(), block.dense_coeff(k))
+            assert np.array_equal(got.dense_const(), dense_coeff(block, k))
 
 
 def test_solver_config_defaults():
@@ -547,7 +549,7 @@ def test_largest_eigenvalue_property(a):
     prob = sdp.SdpProblem(
         num_vars=1,
         objective=np.array([1.0]),
-        blocks=[sdp.Block.from_dense(-sym, {0: np.eye(3)})],
+        blocks=[block_from_dense(-sym, {0: np.eye(3)})],
     )
     sol = sdp.solve(prob)
     assert sol.status == sdp.SolveStatus.OPTIMAL
