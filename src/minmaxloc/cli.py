@@ -81,6 +81,8 @@ def _cmd_generate(args) -> int:
         raise _UsageError("--ratio needs --sigma (mixture of Gaussian inliers)")
     if args.n_sensors < 1:
         raise _UsageError("--n-sensors must be at least 1")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     _check_number("--range", args.range, positive=True)
     for flag, value in (("--gamma", args.gamma), ("--sigma", args.sigma), ("--ratio", args.ratio)):
         _check_number(flag, value, positive=False)
@@ -160,10 +162,13 @@ def _cmd_experiment(args) -> int:
         spec = experiment.spec_from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"bad experiment spec {args.spec}: {exc}") from exc
-    if args.trials is not None:
-        spec = dataclasses.replace(spec, trials=args.trials)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, master_seed=args.seed)
+    try:
+        if args.trials is not None:
+            spec = dataclasses.replace(spec, trials=args.trials)
+        if args.seed is not None:
+            spec = dataclasses.replace(spec, master_seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(f"bad override: {exc}") from exc
     report = experiment.run_experiment(spec)
     experiment.emit_outputs(
         report, csv_path=args.out + ".csv", json_path=args.out + ".json"

@@ -241,6 +241,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown estimators {unknown}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0) or self.max_rounds < 1:
             raise ValueError("epsilon must be positive and finite and max_rounds >= 1")
 

@@ -68,10 +68,21 @@ two members of a pair share.  Only the Schur term needs more.  Small dense
 blocks keep a dense coefficient stack over their classes.  Large ones factor
 each class's coefficient into signed rank-one terms,
 A_c = sum_r sign_r u_r u_r^T, by one batched eigendecomposition on the
-supports, and assemble K from H[r, t] = (u_r^T W u_t)^2: one signed
-indicator G with G[c, r] = sign_r for each term r of class c forms every
-group sum at once, K_b = G H G^T.  This is what makes networks of a few
-hundred variables cheap.
+supports, and assemble K from H[r, t] = (u_r^T W u_t)^2, which two dense
+products form, Y = U W and H = Y U^T.  The terms are ordered with each
+class's first term in row c and the rest after it, so signing H and adding
+each later term's row, then its column, into its class's first in place
+leaves K in the leading corner of H, whatever the number of terms per class.
+This is what makes networks of a few hundred variables cheap.
+
+Each solve builds its Newton systems in one workspace: the class Schur
+matrix, an F-ordered buffer that the Cholesky factors in place, and the
+rank-one scratch Y and H, sized for the block with the most terms and shared
+by the blocks in turn.  So an iteration allocates no float array that grows
+with the classes or the terms; only the Cholesky's finiteness checks take a
+byte per Schur entry.  Allocated afresh, such arrays cost the network-wide
+problem more than their arithmetic: each large one went back to the kernel
+when freed and was faulted in again on the next iteration.
 
 All 1x1 blocks are fused into one diagonal block of vectors, kept last in
 the list, whose methods do the same steps row by row.  Its Schur term is one
@@ -381,6 +392,7 @@ class _LinBlock:
         self.norm_a0 = float(np.linalg.norm(self.a0))
         col_norms = np.sqrt(np.asarray(self.D.multiply(self.D).sum(axis=0)).ravel())
         self.coeff_scale = float(col_norms.max()) if q else 0.0
+        self.scratch = (0, 0)
 
     def start(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.full(self.q, 1.0 + self.norm_a0 + self.coeff_scale), np.ones(self.q)
@@ -394,7 +406,7 @@ class _LinBlock:
     def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
         return self.abs_Dt @ np.abs(z)
 
-    def schur(self, w2: np.ndarray) -> np.ndarray:
+    def schur(self, w2: np.ndarray, work: "_Workspace") -> np.ndarray:
         return (self.Ds.T * w2) @ self.Ds
 
     @staticmethod
@@ -483,6 +495,7 @@ class _DenseBlock:
         self.rank1 = d > _DENSE_DIM_LIMIT
         if not self.rank1:
             self.stack = self.Ct.toarray().reshape(nc, d, d)
+            self.scratch = (0, 0)
             return
 
         # Factor each class's coefficient into signed rank-one terms on its
@@ -507,14 +520,25 @@ class _DenseBlock:
         term_cls, term_col = np.nonzero(keep)
         lam = w[keep]
         vecs = v[term_cls, :, term_col] * np.sqrt(np.abs(lam))[:, None]  # (terms, s)
-        nterms = len(lam)
-        # signed indicator G[c, r] = sign_r for each term r of class c, so a
-        # group sum over classes is one product with G
-        self.G = sp.csr_matrix((np.sign(lam), (term_cls, np.arange(nterms))), shape=(nc, nterms))
+        # Term order: row c holds class c's first term (a zero term if the
+        # class has none), and the rest follow, so the class sums of H leave
+        # K in its leading (nc, nc) corner.  extras pairs each later term's
+        # row with its class.
+        first = np.ones(len(lam), dtype=bool)
+        first[1:] = term_cls[1:] != term_cls[:-1]
+        rest = np.flatnonzero(~first)
+        row = term_cls.copy()
+        row[rest] = nc + np.arange(len(rest))
+        self.extras = list(zip(term_cls[rest].tolist(), row[rest].tolist()))
+        nterms = nc + len(rest)
+        self.sign = np.ones(nterms)
+        self.sign[row] = np.sign(lam)
         # a kept eigenvector is zero on the padding in exact arithmetic
         idx = support[term_cls]
         on = idx >= 0
-        self.Ut = sp.csr_matrix((vecs[on], (np.nonzero(on)[0], idx[on])), shape=(nterms, d))
+        self.U = np.zeros((nterms, d))
+        self.U[np.broadcast_to(row[:, None], idx.shape)[on], idx[on]] = vecs[on]
+        self.scratch = (nterms, d)
 
     def _to_classes(self, y: np.ndarray) -> np.ndarray:
         """sum_{k in c} s_k y_k per class of the block (y by problem variable)."""
@@ -545,20 +569,38 @@ class _DenseBlock:
         v = self.abs_Ct @ np.abs(z).ravel()
         return v if self.var_cls is None else v[self.var_cls]
 
-    def schur(self, w: np.ndarray) -> np.ndarray:
-        """K[c, e] = <A_c, W A_e W> over the block's classes."""
+    def schur(self, w: np.ndarray, work: "_Workspace") -> np.ndarray:
+        """K[c, e] = <A_c, W A_e W> over the block's classes.
+
+        On the rank-one path the result is a view into ``work``, valid until
+        the next block's call: H = (U W U^T)^2 is formed in the shared
+        scratch, signed, and summed over each class's terms in place, rows
+        first and then columns.  Rows carry half their sign, so the leading
+        corner holds K / 2 and K / 2 + (K / 2)^T is K made exactly symmetric:
+        the Cholesky reads one triangle of the Schur matrix and the
+        refinement step multiplies by all of it, so both must see the same
+        symmetric matrix.
+        """
         if not self.rank1:
             p = self.stack @ w  # (nc, d, d)
             g = np.matmul(w, p)
             nc, d = self.stack.shape[0], self.dim
             return g.reshape(nc, d * d) @ self.stack.reshape(nc, d * d).T
-        wu = (self.Ut @ w).T  # (d, R) dense
-        h = self.Ut @ wu  # (R, R)
+        nc = len(self.cls)
+        y, h = work.rank_one(*self.scratch)
+        np.matmul(self.U, w, out=y)
+        np.matmul(y, self.U.T, out=h)
         np.square(h, out=h)
-        # H is symmetric only up to rounding; the Cholesky reads one triangle
-        # of the Schur matrix and the refinement step multiplies by all of it,
-        # so both must see the same symmetric matrix
-        return self.sym(self.G @ (self.G @ h).T)
+        h *= 0.5 * self.sign[:, None]
+        for c, r in self.extras:
+            h[c] += h[r]
+        k = h[:nc]
+        k *= self.sign
+        for c, r in self.extras:
+            k[:, c] += k[:, r]
+        k = k[:, :nc]
+        out = work.class_term(nc)
+        return np.add(k, k.T, out=out)
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -630,21 +672,56 @@ def _compile(problem: SdpProblem) -> Tuple[list, _SignClasses]:
     return blocks, classes
 
 
+class _Workspace:
+    """The buffers one solve builds and factors its Newton systems in, which
+    every iteration reuses:
+
+    * ``schur``, the class Schur matrix;
+    * ``factor``, an F-ordered copy that the Cholesky overwrites in place;
+      while the Schur matrix is built it is idle, and each rank-one block
+      forms its symmetrized class term in its leading entries;
+    * the rank-one scratch Y = U W and H = (U W U^T)^2, sized for the block
+      with the most terms and shared by the blocks in turn.
+    """
+
+    def __init__(self, blocks: list, size: int):
+        self.schur = np.zeros((size, size))
+        self._flat = np.empty(size * size)
+        self.factor = self._flat.reshape(size, size, order="F")
+        self.factor_diag = self._flat[:: size + 1]
+        terms = [b.scratch for b in blocks]
+        self._y = np.empty(max(r * d for r, d in terms))
+        self._h = np.empty(max(r * r for r, _ in terms))
+
+    def rank_one(self, terms: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Views (Y, H) of shapes (terms, dim) and (terms, terms)."""
+        return (
+            self._y[: terms * dim].reshape(terms, dim),
+            self._h[: terms * terms].reshape(terms, terms),
+        )
+
+    def class_term(self, size: int) -> np.ndarray:
+        """A (size, size) view of the idle factor buffer."""
+        return self._flat[: size * size].reshape(size, size)
+
+
 class _NewtonSystem:
     """One iterate's Newton system over the sign classes, factored once and
-    solved for each right-hand side of the iteration.
+    solved for each right-hand side of the iteration.  It is built in the
+    solve's workspace, so it stays valid until the next one is built.
 
     ``chol`` is None when no Cholesky attempt succeeded.
     """
 
-    def __init__(self, blocks: list, classes: _SignClasses, scal, z_blk, r_s, r_z):
+    def __init__(
+        self, blocks: list, classes: _SignClasses, work: _Workspace, scal, z_blk, r_s, r_z
+    ):
         self.blocks, self.scal, self.z_blk, self.r_s, self.r_z = blocks, scal, z_blk, r_s, r_z
-        self.classes = classes
-        n = classes.size
-        schur = np.zeros((n, n))
+        self.classes, self.work = classes, work
+        self.schur = schur = work.schur
+        schur.fill(0.0)
         for b, (w, _) in zip(blocks, scal):
-            schur[b.entries] += b.schur(w)
-        self.schur = schur
+            schur[b.entries] += b.schur(w, work)
         # paired members own rows in the fused block, which is last
         self.lam = classes.curvature(scal[-1][0])
         # Cholesky with growing jitter, scaled by the trace of the full
@@ -666,7 +743,7 @@ class _NewtonSystem:
                 break
 
     def factor(self, jitter: float) -> None:
-        """Factor the reduced system of M + jitter I.
+        """Factor the reduced system of M + jitter I in the workspace.
 
         The reduction is of that whole system, so a paired member's
         curvature grows by the jitter too.  Adding it to the class matrix
@@ -674,12 +751,14 @@ class _NewtonSystem:
         of an interval's two multipliers), whose curvature vanishes when an
         interval is exact; that step drove 37 of 40 exact-measurement
         networks to numerical_failure.  Raises LinAlgError when the matrix
-        is not positive definite and leaves the last factor in place.
+        is not positive definite, and ``chol`` is then None.
         """
+        self.chol = None
         red = _Reduction(self.classes, self.lam, jitter)
-        a = self.schur.copy()
-        a.flat[:: self.classes.size + 1] += red.diag
-        self.chol = sla.cho_factor(a, lower=True, overwrite_a=True)
+        work = self.work
+        work.factor[...] = self.schur
+        work.factor_diag += red.diag
+        self.chol = sla.cho_factor(work.factor, lower=True, overwrite_a=True)
         self.red = red
 
     def direction(self, sigma_mu: float, corr):
@@ -739,6 +818,7 @@ def solve(
     blocks, classes = _compile(problem)
     if not blocks:
         raise ValueError("problem has no blocks")
+    work = _Workspace(blocks, classes.size)
     c = problem.objective
     m = problem.num_vars
 
@@ -831,7 +911,7 @@ def solve(
         except FloatingPointError:
             status = fail_status
             break
-        newton = _NewtonSystem(blocks, classes, scal, z_blk, r_s, r_z)
+        newton = _NewtonSystem(blocks, classes, work, scal, z_blk, r_s, r_z)
         if newton.chol is None:
             status = fail_status
             break

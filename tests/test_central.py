@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,7 +164,11 @@ def test_rank_one_terms_rebuild_class_coefficients():
     for compiled in blocks[:3]:
         assert compiled.rank1
         block = problem.blocks[compiled.src]
-        g, u = compiled.G.toarray(), compiled.Ut.toarray()
+        u = compiled.U
+        term_cls = np.arange(len(u))  # row c < classes holds class c's first term
+        for c, r in compiled.extras:
+            term_cls[r] = c
+        g = compiled.sign * (term_cls == np.arange(len(compiled.cls))[:, None])
         first = compiled.vars[np.unique(compiled.var_cls, return_index=True)[1]]
         for c, k in enumerate(first):  # each class enters through its first member
             want = dense_coeff(block, k)
@@ -179,7 +184,8 @@ def test_compiled_central_blocks_match_dense_coefficients(path, monkeypatch):
     if path == "dense_stack":
         monkeypatch.setattr(sdp, "_DENSE_DIM_LIMIT", 10**6)
     problem, _ = central.assemble_dual_sdp(twenty_sensor_network(3))
-    blocks, _ = sdp._compile(problem)
+    blocks, classes = sdp._compile(problem)
+    work = sdp._Workspace(blocks, classes.size)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(problem.num_vars)
 
@@ -198,6 +204,44 @@ def test_compiled_central_blocks_match_dense_coefficients(path, monkeypatch):
         close(
             compiled.abs_adjoint(u), np.array([np.sum(np.abs(a) * np.abs(u)) for a in dense])
         )
+        # the Schur term <A_k, W A_j W> = s_k s_j K[c_k, c_j], the two-term
+        # anchor classes of the x and y blocks included
+        x = rng.standard_normal((block.dim, block.dim))
+        w = x @ x.T / block.dim + np.eye(block.dim)
+        stack = np.array(dense)
+        want = stack.reshape(len(dense), -1) @ (w @ stack @ w).reshape(len(dense), -1).T
+        s, c = compiled.var_sign, compiled.var_cls
+        k_cls = compiled.schur(w, work)
+        close(s[:, None] * s[None, :] * k_cls[np.ix_(c, c)], want)
+
+
+def test_newton_system_allocates_less_than_a_class_matrix():
+    # the 40-sensor network of the central benchmark: its Newton system is
+    # built and factored in the solve's workspace, so what it allocates on
+    # the way stays below one class matrix
+    cfg = model.ScenarioConfig(n_sensors=40, anchor_positions=ANCHORS4, sensing_range=0.4)
+    seed = np.random.SeedSequence(1, spawn_key=(1,)).generate_state(1, dtype=np.uint64)[0]
+    scen = model.apply_errors(
+        model.generate_scenario(cfg, seed=41), model.UniformError(0.02), seed=int(seed)
+    )
+    problem, _ = central.assemble_dual_sdp(scen)
+    blocks, classes = sdp._compile(problem)
+    assert all(b.rank1 for b in blocks[:3])
+    work = sdp._Workspace(blocks, classes.size)
+    s_blk, z_blk = zip(*(b.start() for b in blocks))
+    r_s = [b.a0 - s for b, s in zip(blocks, s_blk)]
+    r_z = problem.objective.copy()
+    for b, z in zip(blocks, z_blk):
+        r_z[b.vars] -= b.adjoint(z)
+    scal = [b.scaling(s, z) for b, s, z in zip(blocks, s_blk, z_blk)]
+    tracemalloc.start()
+    try:
+        newton = sdp._NewtonSystem(blocks, classes, work, scal, z_blk, r_s, r_z)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert newton.chol is not None
+    assert peak - kept < classes.size**2 * 8
 
 
 def test_stalled_network_ends_optimal():

@@ -209,6 +209,42 @@ def test_experiment_rejects_nan_epsilon(tmp_path, capsys):
     assert "bad experiment spec" in capsys.readouterr().err
 
 
+def _spec_file(tmp_path, **fields):
+    spec = {
+        "scenario": {
+            "n_sensors": 3,
+            "anchor_positions": [[0.3, 0.3], [-0.3, 0.3], [0.3, -0.3]],
+            "sensing_range": 0.8,
+            "area": [[-0.5, 0.5], [-0.5, 0.5]],
+        },
+        "error_family": "uniform",
+        "sweep_values": [0.05],
+        "trials": 1,
+        **fields,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_generate_rejects_negative_seed(tmp_path, capsys):
+    assert main(["generate", "--seed", "-1", "--out", str(tmp_path / "s.json")]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-5"], ["--trials", "-1"]], ids=" ".join)
+def test_experiment_rejects_negative_overrides(tmp_path, capsys, flags):
+    path = _spec_file(tmp_path)
+    assert main(["experiment", path, "--out", str(tmp_path / "x"), *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_experiment_rejects_negative_master_seed(tmp_path, capsys):
+    path = _spec_file(tmp_path, master_seed=-5)
+    assert main(["experiment", path, "--out", str(tmp_path / "x")]) == 1
+    assert "bad experiment spec" in capsys.readouterr().err
+
+
 def test_validate_exit_codes(tmp_path, generated, capsys):
     assert main(["validate", generated]) == 0
     assert "connected: True" in capsys.readouterr().out

@@ -142,7 +142,7 @@ def test_sign_classes_reproduce_dense_operators():
     # each variable owns a row x_k >= 0, so a negated pair may form; the
     # same-sign duplicate is a class of its own
     rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in coeffs]
-    blocks, _ = sdp._compile(sdp.SdpProblem(9, np.zeros(9), [block] + rows))
+    blocks, classes = sdp._compile(sdp.SdpProblem(9, np.zeros(9), [block] + rows))
     compiled = blocks[0]
     assert compiled.rank1
     assert compiled.var_cls.tolist() == [0, 0, 1, 2, 3]
@@ -159,7 +159,7 @@ def test_sign_classes_reproduce_dense_operators():
 
     # the block's Schur matrix is over its classes: <A_k, W A_j W> is
     # s_k s_j K[c_k, c_j]
-    k_cls = compiled.schur(w)
+    k_cls = compiled.schur(w, sdp._Workspace(blocks, classes.size))
     s, c = compiled.var_sign, compiled.var_cls
     close(
         s[:, None] * s[None, :] * k_cls[np.ix_(c, c)],
@@ -210,9 +210,10 @@ def test_fused_rows_schur_term_over_single_variable_classes(shape):
         single = []
     m = 7 if shape == "general" else 4
     blocks = [block_from_dense(np.eye(3), coeffs)] + rows
-    lin = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][-1]
+    compiled, classes = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))
+    lin = compiled[-1]
     w2 = rng.uniform(0.1, 3.0, len(rows))
-    got = lin.schur(w2)
+    got = lin.schur(w2, sdp._Workspace(compiled, classes.size))
     want = np.zeros((len(single), len(single)))
     for w, row in zip(w2, rows):
         d = np.array([dense_coeff(row, k)[0, 0] for k in single])
@@ -286,7 +287,8 @@ def newton_case(n):
     for b, z in zip(blocks, z_blk):
         a_z[b.vars] += b.adjoint(z)
     scal = [b.scaling(s, z) for b, s, z in zip(blocks, s_blk, z_blk)]
-    newton = sdp._NewtonSystem(blocks, classes, scal, z_blk, r_s, prob.objective - a_z)
+    work = sdp._Workspace(blocks, classes.size)
+    newton = sdp._NewtonSystem(blocks, classes, work, scal, z_blk, r_s, prob.objective - a_z)
 
     def want(sigma_mu, jitter):
         return reference_newton_step(prob, x, s_mats, z_mats, sigma_mu, jitter)
