@@ -41,7 +41,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
+from .model import Edge, IntervalBound, NetworkScenario, Point2
+from .model import build_feasibility_intervals, unanchored_sensors
 from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, scalar_block, solve
 
 
@@ -118,15 +119,18 @@ def assemble_dual_sdp(
     """Build the multiplier SDP for a scenario.
 
     The first two blocks are [[Mt, f_x], [f_x^T, t_x]] and
-    [[Mt, f_y], [f_y^T, t_y]], the third Mt - I.  Needs at
-    least one sensor-anchor edge; without one the worst case is
-    unbounded (the whole network can translate freely) and the program would
-    be infeasible.
+    [[Mt, f_y], [f_y^T, t_y]], the third Mt - I.  Needs a sensor-anchor
+    edge in every component of the sensor graph; without one the worst case
+    is unbounded (that component can translate freely) and Mt - I >= 0
+    would be infeasible.
     """
     if intervals is None:
         intervals = build_feasibility_intervals(scenario)
-    if not scenario.anchor_edges:
-        raise ValueError("scenario has no sensor-anchor edges; the estimate is unanchored")
+    unanchored = unanchored_sensors(scenario)
+    if unanchored:
+        raise ValueError(
+            f"sensors {unanchored} have no path to an anchor; the estimate is unanchored"
+        )
 
     sensor_index = {s: i for i, s in enumerate(scenario.sensors)}
     idx = DualIndex(

@@ -17,15 +17,19 @@ The algorithm runs in three phases on each sensor:
    the resulting annuli with its own certified ball, and re-centers.  The
    ball constraint alone guarantees the new radius never exceeds the old
    one (the new program admits the previous center as a feasible dual
-   point with value radius_sq), so the per-node radii decrease
-   monotonically and the network-wide RMSE upper bound never increases.
+   point with value radius_sq).  Where rounding puts the certified value
+   above the old radius, the sensor keeps its old estimate and radius, so
+   every reported pair is certified, the per-node radii never grow and
+   neither does the network-wide RMSE upper bound.
 
-Each per-node program here is the single-sensor specialization of the
-network dual solved by :mod:`minmaxloc.central`, with the neighbor ball
-constraint added.  Its LMI is [[kappa I, g], [g^T, t]] with the
-normalization kappa = alpha + sum(psi_j - phi_j), so the center g / kappa
-and the certified squared radius are read from the multipliers by
-:func:`minmaxloc.central.certify`, in its 1x1 case Mt = kappa.
+Each per-node program is the single-sensor case of the network dual solved
+by :mod:`minmaxloc.central`, over references (p, lower^2, upper^2) that
+bound |y - p|^2.  The sensor's own ball is one with lower^2 = 0, which the
+lifted relaxation already implies.  The LMI is
+diag([[kappa I, g], [g^T, t]], kappa - 1) >= 0, so the normalization
+kappa >= 1 couples no multipliers, and each reference's two form one sign
+class of the solver.  The center g / kappa and the certified squared radius
+come from :func:`minmaxloc.central.certify`, in its 1x1 case Mt = kappa.
 
 All rounds are Jacobi: updates at round tau+1 read only round-tau states,
 so any execution order inside a round produces the identical trace.
@@ -78,10 +82,10 @@ BoundTable = Dict[Tuple[int, int], BoundEntry]
 class NodeState:
     """Per-sensor algorithm state after some round.
 
-    ``radius_sq`` is the certified squared error bound, clamped to be
-    non-increasing across rounds; ``raw_radius_sq`` keeps the certified
-    pre-clamp value so the monotonicity guarantee can be audited without
-    the clamp hiding a violation.
+    ``radius_sq`` is the squared error bound that some round's multipliers
+    certify for ``estimate``, and never grows across rounds;
+    ``raw_radius_sq`` is what this round's solve certified, kept or not, so
+    the monotonicity guarantee can be audited.
     """
 
     estimate: Point2
@@ -189,59 +193,44 @@ def propagate_distance_bounds(
     return result
 
 
-def _chebyshev_dual(
-    references: List[Tuple[Point2, float, float]],
-    ball: Optional[Tuple[Point2, float]],
-) -> SdpProblem:
+def _chebyshev_dual(refs: List[Tuple[Point2, float, float]]) -> SdpProblem:
     """Single-node dual SDP shared by the initial and iterate solves.
 
-    ``references`` holds (position, lower, upper) triples; ``ball`` is an
-    optional (center, radius_sq) own-uncertainty constraint.  Variables are
-    [t, (alpha,) lower multiplier and upper multiplier per reference].
+    ``refs`` holds (position p, lower^2, upper^2) triples.  Variables are t,
+    then each reference's lower and upper multiplier, each with a sign row.
+    kappa and g sum the upper multipliers less the lower ones, times 1 and
+    times p; the one block is diag([[kappa I, g], [g^T, t]], kappa - 1).
     """
-    has_ball = ball is not None
-    first_ref = 2 if has_ball else 1
-    m = first_ref + 2 * len(references)
+    m = 1 + 2 * len(refs)
     c = np.zeros(m)
     c[0] = 1.0
-
     lmi: Dict[int, List[Tuple[int, int, float]]] = {0: [(2, 2, 1.0)]}
-    norm: Dict[int, float] = {}
-    if has_ball:
-        (bx, by), r2 = ball
-        c[1] = r2 - (bx * bx + by * by)
-        lmi[1] = [(0, 0, 1.0), (1, 1, 1.0), (2, 0, bx), (2, 1, by)]
-        norm[1] = 1.0
-    for e, ((px, py), lo, up) in enumerate(references):
-        lo_k = first_ref + 2 * e
-        up_k = first_ref + 2 * e + 1
+    for e, ((px, py), lower_sq, upper_sq) in enumerate(refs):
         sq = px * px + py * py
-        c[lo_k] = sq - lo * lo
-        c[up_k] = up * up - sq
-        lmi[lo_k] = [(0, 0, -1.0), (1, 1, -1.0), (2, 0, -px), (2, 1, -py)]
-        lmi[up_k] = [(0, 0, 1.0), (1, 1, 1.0), (2, 0, px), (2, 1, py)]
-        norm[lo_k] = -1.0
-        norm[up_k] = 1.0
+        c[1 + 2 * e] = sq - lower_sq
+        c[2 + 2 * e] = upper_sq - sq
+        upper = [(0, 0, 1.0), (1, 1, 1.0), (2, 0, px), (2, 1, py), (3, 3, 1.0)]
+        lmi[1 + 2 * e] = [(i, j, -v) for i, j, v in upper]
+        lmi[2 + 2 * e] = upper
 
-    blocks = [Block(3, [], lmi), scalar_block(-1.0, norm)]
-    for k in range(1, m):
-        blocks.append(scalar_block(0.0, {k: 1.0}))
+    blocks = [Block(4, [(3, 3, -1.0)], lmi)]
+    blocks += [scalar_block(0.0, {k: 1.0}) for k in range(1, m)]
     return SdpProblem(num_vars=m, objective=c, blocks=blocks)
 
 
 def _certified_center(problem: SdpProblem, sol: SdpSolution) -> Optional[Tuple[Point2, float]]:
     """Center g / kappa and its certified squared radius from an optimal solve.
 
-    Block 0 at lambda = max(x, 0) is [[kappa I, g], [g^T, t]]: the 1x1 case
-    Mt = kappa of :func:`certify`, with f = -g.  None when the solve is not
-    optimal or its multipliers certify nothing.
+    Block 0 at lambda = max(x, 0) leads with [[kappa I, g], [g^T, t]]: the
+    1x1 case Mt = kappa of :func:`certify`, with f = -g.  None when the solve
+    is not optimal or its multipliers certify nothing.
     """
     if sol.status != SolveStatus.OPTIMAL:
         return None
     lam = np.maximum(sol.x, 0.0)
     lam[0] = 0.0
     lmi = problem.blocks[0].evaluate(lam)
-    cert = certify(lmi[:1, :1], -lmi[2:, :2], float(problem.objective @ lam))
+    cert = certify(lmi[:1, :1], -lmi[2:3, :2], float(problem.objective @ lam))
     if cert is None:
         return None
     y, value = cert
@@ -255,10 +244,10 @@ def initial_estimate(
 ) -> NodeState:
     """First position fix from the propagated anchor distance intervals."""
     refs = [
-        (anchors[k], table[(sensor, k)].lower, table[(sensor, k)].upper)
+        (anchors[k], table[(sensor, k)].lower ** 2, table[(sensor, k)].upper ** 2)
         for k in sorted(anchors)
     ]
-    problem = _chebyshev_dual(refs, ball=None)
+    problem = _chebyshev_dual(refs)
     sol = solve(problem, _NODE_SOLVER)
     cert = _certified_center(problem, sol)
     if cert is None:
@@ -294,8 +283,9 @@ def iterate_node(
     both voids the certificate and empties the region when intervals are
     tight.  The new center and raw radius are what the multipliers of an
     optimal solve certify (:func:`_certified_center`); without them the node
-    keeps its previous state for the round.  The certified radius is clamped
-    so it never grows through roundoff.
+    keeps its previous state for the round.  When the raw radius exceeds the
+    old one, which only rounding allows, the node keeps its old estimate and
+    radius too, and records the raw value.
     """
     if not neighbor_states:
         raise ValueError(f"sensor {sensor} has no neighbors to iterate against")
@@ -311,16 +301,16 @@ def iterate_node(
             localized=True,
             raw_radius_sq=own.radius_sq,
         )
-    refs = []
+    # the own ball is a reference whose lower bound 0 the relaxation implies
+    refs = [(own.estimate, 0.0, own.radius_sq)]
     for j in sorted(neighbor_states):
         b = _interval(bounds, sensor, j)
         slack = math.sqrt(max(neighbor_states[j].radius_sq, 0.0))
         refs.append(
-            (neighbor_states[j].estimate, max(b.lower - slack, 0.0), b.upper + slack)
+            (neighbor_states[j].estimate, max(b.lower - slack, 0.0) ** 2, (b.upper + slack) ** 2)
         )
-    ball = (own.estimate, own.radius_sq)
 
-    problem = _chebyshev_dual(refs, ball)
+    problem = _chebyshev_dual(refs)
     sol = solve(problem, _NODE_SOLVER)
     cert = _certified_center(problem, sol)
     if cert is None:
@@ -328,11 +318,13 @@ def iterate_node(
             own, iteration=own.iteration + 1, localized=False, raw_radius_sq=own.radius_sq
         )
     center, raw = cert
-    clamped = min(raw, own.radius_sq)
+    if raw > own.radius_sq:
+        # rounding put the new center's certificate above the old radius
+        return replace(own, iteration=own.iteration + 1, localized=True, raw_radius_sq=raw)
     return NodeState(
         estimate=center,
-        radius_sq=clamped,
-        localized=abs(clamped - own.radius_sq) <= cfg.epsilon,
+        radius_sq=raw,
+        localized=own.radius_sq - raw <= cfg.epsilon,
         iteration=own.iteration + 1,
         raw_radius_sq=raw,
     )

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -172,25 +171,26 @@ def _build_edges(
     return sensor_edges, anchor_edges
 
 
-def _is_connected(n_nodes: int, edges: Sequence[Edge]) -> bool:
-    if n_nodes == 0:
-        return True
-    adj: List[List[int]] = [[] for _ in range(n_nodes)]
+def _reach(edges: Sequence[Edge], sources: Sequence[int]) -> Set[int]:
+    """Every node joined to a source by a path of ``edges``, sources included."""
+    nbrs: Dict[int, List[int]] = {}
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * n_nodes
-    queue = deque([0])
-    seen[0] = True
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                reached += 1
-                queue.append(v)
-    return reached == n_nodes
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for v in nbrs.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def unanchored_sensors(scenario: NetworkScenario) -> List[int]:
+    """Sensors, ascending, with no path of sensor edges to an anchor edge."""
+    anchored = _reach(scenario.sensor_edges, [u for u, _ in scenario.anchor_edges])
+    return sorted(set(scenario.sensors) - anchored)
 
 
 def anchors_noncollinear(positions: Sequence[Point2], tol: float = 1e-12) -> bool:
@@ -233,7 +233,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> NetworkScenario:
         sensor_edges, anchor_edges = _build_edges(
             sensor_pos, anchor_pos, n, config.sensing_range
         )
-        if not _is_connected(n + len(anchor_pos), sensor_edges + anchor_edges):
+        if len(_reach(sensor_edges + anchor_edges, [0])) < n + len(anchor_pos):
             continue
 
         anchors = {n + k: (float(p[0]), float(p[1])) for k, p in enumerate(anchor_pos)}
@@ -312,13 +312,8 @@ def build_feasibility_intervals(scenario: NetworkScenario) -> Dict[Edge, Interva
 
 def validate_scenario(scenario: NetworkScenario) -> ValidationReport:
     """Report-only sanity checks: connectivity and anchor geometry."""
-    n = len(scenario.sensors)
-    m = len(scenario.anchors)
-    id_of = {node: idx for idx, node in enumerate(scenario.sensors)}
-    for idx, a in enumerate(sorted(scenario.anchors)):
-        id_of[a] = n + idx
-    edges = [(id_of[a], id_of[b]) for a, b in scenario.all_edges()]
-    connected = _is_connected(n + m, edges)
+    nodes = {*scenario.sensors, *scenario.anchors}
+    connected = _reach(scenario.all_edges(), sorted(nodes)[:1]) >= nodes
     noncollinear = anchors_noncollinear(list(scenario.anchors.values()))
 
     warnings = []
@@ -326,8 +321,12 @@ def validate_scenario(scenario: NetworkScenario) -> ValidationReport:
         warnings.append("graph is disconnected; multi-hop anchor bounds will not exist")
     if not noncollinear:
         warnings.append("anchors are collinear within tolerance; positions are ambiguous")
-    if len(scenario.anchor_edges) == 0:
-        warnings.append("no sensor-anchor edges; the centralized estimator cannot anchor")
+    unanchored = unanchored_sensors(scenario)
+    if unanchored:
+        warnings.append(
+            f"sensors {unanchored} have no path to an anchor; the centralized estimator "
+            "cannot anchor them"
+        )
     if scenario.gamma == 0.0:
         warnings.append("gamma is zero; intervals are degenerate (exact distances)")
     missing = [e for e in scenario.all_edges() if e not in scenario.measurements]

@@ -105,21 +105,20 @@ Triplet = Tuple[int, int, float]
 
 _DENSE_DIM_LIMIT = 12  # blocks at most this wide skip the rank-one machinery
 _JITTER = 1e-12
+GAP_TOL = 1e-8  # relative duality gap of an OPTIMAL solve
+_STEP_FRACTION = 0.98  # of the largest cone-preserving step
 
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     MAX_ITERATIONS = "max_iterations"
     NUMERICAL_FAILURE = "numerical_failure"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iters: int = 200
-    step_fraction: float = 0.98
 
 
 @dataclass
@@ -777,13 +776,14 @@ class _NewtonSystem:
             rhs[b.vars] -= b.adjoint(b.congruence(w, rsb))
 
         red = self.red
-        d = sla.cho_solve(self.chol, red.rhs(rhs))
+        # the factor passed cho_factor's finiteness check and is unchanged
+        d = sla.cho_solve(self.chol, red.rhs(rhs), check_finite=False)
         dx = red.step(d, rhs)
         # one round of iterative refinement against M without the jitter
         # keeps the dual residual from flooring at the Schur matrix's
         # condition-number noise
         res = rhs - red.product(self.schur, d, dx)
-        dx = dx + red.step(sla.cho_solve(self.chol, red.rhs(res)), res)
+        dx = dx + red.step(sla.cho_solve(self.chol, red.rhs(res), check_finite=False), res)
         ds = [b.sym(rsb + b.combine(dx)) for b, rsb in zip(blocks, self.r_s)]
         dz = [
             b.sym(r3b - b.congruence(w, dsb))
@@ -805,11 +805,11 @@ def solve(
 
     Returns the best iterate found together with a status:
 
-    * OPTIMAL: relative gap and both feasibility residuals within tolerance;
+    * OPTIMAL: relative gap within GAP_TOL and both feasibility residuals
+      within ``feas_tol``;
     * MAX_ITERATIONS: iteration budget exhausted first;
-    * INFEASIBLE: the dual objective diverged with vanishing dual residual,
-      which certifies (numerically) that no PSD point exists;
-    * NUMERICAL_FAILURE: a factorization broke down or progress stalled.
+    * NUMERICAL_FAILURE: a factorization broke down, the iterates diverged
+      or progress stalled.
 
     ``callback`` (if given) receives a dict of per-iteration scalars; tests
     use it to check weak duality along the whole path.
@@ -825,7 +825,6 @@ def solve(
     data_scale = 1.0 + max(
         [b.norm_a0 for b in blocks] + [b.coeff_scale for b in blocks]
     )
-    c_scale = 1.0 + float(np.linalg.norm(c))
 
     # Iterates are never updated in place, so the best one is kept by
     # reference.  S and Z hold one matrix per dense block and one vector
@@ -834,7 +833,7 @@ def solve(
     s_blk, z_blk = zip(*(b.start() for b in blocks))
     nu = sum(len(s) for s in s_blk)  # barrier degree: the order of each block
     best: Tuple[float, np.ndarray, Sequence[np.ndarray], dict] = (np.inf, x, z_blk, {})
-    status = SolveStatus.MAX_ITERATIONS
+    status = SolveStatus.NUMERICAL_FAILURE  # every break but the optimal one
     iters_done = 0
     stall = 0
     last_step: dict = {}
@@ -859,7 +858,7 @@ def solve(
         pinf = math.sqrt(sum(float(np.linalg.norm(r) ** 2) for r in r_s)) / data_scale
         # Dual residual measured componentwise against the magnitudes that
         # actually entered its computation, abs_prod[k] = <|A_k|, |Z|>
-        # (backward-error style); a plain norm over c_scale has an
+        # (backward-error style); a plain norm over 1 + |c| has an
         # unreachable floor when Z is huge.
         dinf = float(np.max(np.abs(r_z) / (1.0 + np.abs(c) + abs_prod)))
         relgap = abs(gap) / (1.0 + abs(pobj) + abs(dobj))
@@ -878,42 +877,27 @@ def solve(
             info.update(last_step)
             callback(info)
 
-        optimal = relgap <= cfg.gap_tol and pinf <= cfg.feas_tol and dinf <= cfg.feas_tol
+        optimal = relgap <= GAP_TOL and pinf <= cfg.feas_tol and dinf <= cfg.feas_tol
         if optimal or merit < best[0]:
             best = (merit, x, z_blk, {"gap": relgap, "pinf": pinf, "dinf": dinf})
         if optimal:
             status = SolveStatus.OPTIMAL
             break
 
-        # A diverging dual along a ray with A(Z) ~ 0 and improving objective
-        # is a Farkas certificate that no PSD point exists.  The comparison
-        # with pobj guards against healthy problems that simply have large
-        # dual values: at any near-optimum dobj cannot exceed pobj.
-        dual_ray = (
-            dobj > 100.0 * (1.0 + c_scale)
-            and dobj > 100.0 * abs(pobj)
-            and float(np.linalg.norm(a_z)) <= 1e-3 * (1.0 + dobj)
-        )
         iterate_scale = max(
             [float(np.abs(x).max(initial=0.0))] + [float(np.abs(z).max()) for z in z_blk]
         )
         if iterate_scale > 1e14 * data_scale or not math.isfinite(merit):
-            status = SolveStatus.INFEASIBLE if dual_ray else SolveStatus.NUMERICAL_FAILURE
             break
 
         # scaling and the Newton system --------------------------------------
-        fail_status = (
-            SolveStatus.INFEASIBLE if dual_ray else SolveStatus.NUMERICAL_FAILURE
-        )
         try:
             # per block (W, S^-1), in the forms the block's methods expect
             scal = [b.scaling(s, z) for b, s, z in zip(blocks, s_blk, z_blk)]
         except FloatingPointError:
-            status = fail_status
             break
         newton = _NewtonSystem(blocks, classes, work, scal, z_blk, r_s, r_z)
         if newton.chol is None:
-            status = fail_status
             break
 
         def step_length(ds, dz):
@@ -924,7 +908,7 @@ def solve(
             for b, s, z, dsb, dzb in zip(blocks, s_blk, z_blk, ds, dz):
                 a = min(a, b.max_step(s, dsb))
                 a = min(a, b.max_step(z, dzb))
-            return min(1.0, cfg.step_fraction * a)
+            return min(1.0, _STEP_FRACTION * a)
 
         try:
             # predictor
@@ -951,14 +935,12 @@ def solve(
                 dx, ds, dz = newton.direction(sigma * mu, None)
                 alpha = step_length(ds, dz)
         except (np.linalg.LinAlgError, FloatingPointError):
-            status = fail_status
             break
         last_step = {"alpha": alpha, "sigma": sigma}
 
         if alpha < 1e-10:
             stall += 1
             if stall >= 3:
-                status = fail_status
                 break
         else:
             stall = 0
@@ -967,6 +949,7 @@ def solve(
         s_blk = [b.sym(s + alpha * d) for b, s, d in zip(blocks, s_blk, ds)]
         z_blk = [b.sym(z + alpha * d) for b, z, d in zip(blocks, z_blk, dz)]
     else:
+        status = SolveStatus.MAX_ITERATIONS
         iters_done = cfg.max_iters
 
     _, x_best, z_best, binfo = best

@@ -11,7 +11,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from minmaxloc.model import Edge, IntervalBound, NetworkScenario, build_feasibility_intervals
+from minmaxloc.model import Edge, IntervalBound, NetworkScenario
+from minmaxloc.model import build_feasibility_intervals, unanchored_sensors
 from minmaxloc.sdp import Block, SdpProblem, scalar_block
 
 
@@ -55,8 +56,11 @@ def assemble_primal_sdp(
     """
     if intervals is None:
         intervals = build_feasibility_intervals(scenario)
-    if not scenario.anchor_edges:
-        raise ValueError("scenario has no sensor-anchor edges; the estimate is unanchored")
+    unanchored = unanchored_sensors(scenario)
+    if unanchored:
+        raise ValueError(
+            f"sensors {unanchored} have no path to an anchor; the estimate is unanchored"
+        )
 
     sensor_index = {s: i for i, s in enumerate(scenario.sensors)}
     n = len(scenario.sensors)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from minmaxloc.sdp import Block, SdpProblem, SdpSolution, SolverConfig
+from minmaxloc.sdp import GAP_TOL, Block, SdpProblem, SdpSolution, SolverConfig
 
 _EIG_FLOOR = 1e-9  # PSD tolerance scale used by certificate checks
 
@@ -249,7 +249,7 @@ def check_certificate(
     * dual feasibility: each |c_k - A_k(Z)| <= feas_tol * 10 relative to
       1 + |c_k| plus the absolute sum of the products forming A_k(Z),
       the same backward-error scale the solver converges against;
-    * gap: |c.x - dual objective| within gap_tol plus the slack the
+    * gap: |c.x - dual objective| within GAP_TOL plus the slack the
       feasibility tolerances themselves allow (residuals enter the gap
       through <R_S, Z> and x . r_Z, so their budget is added in).
     """
@@ -283,7 +283,7 @@ def check_certificate(
     dual_res = float(np.max(np.abs(r_z) / (1.0 + np.abs(c) + abs_prod)))
     pobj = float(c @ x)
     gap_val = abs(pobj - dobj)
-    gap_budget = cfg.gap_tol * (1.0 + abs(pobj) + abs(dobj)) + cfg.feas_tol * (
+    gap_budget = GAP_TOL * (1.0 + abs(pobj) + abs(dobj)) + cfg.feas_tol * (
         1.0 + float(np.linalg.norm(c))
     ) * (1.0 + float(np.linalg.norm(x))) + cfg.feas_tol * (1.0 + z_norm) * 10.0
 

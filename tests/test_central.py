@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -359,20 +360,31 @@ def test_strong_duality(n_sensors, seed):
 
 
 def test_unanchored_scenario_rejected():
-    scen = model.NetworkScenario(
-        sensors=(0, 1),
-        anchors={2: (0.0, 0.0)},
-        true_positions={0: (0.1, 0.0), 1: (0.2, 0.0)},
-        sensor_edges=((0, 1),),
-        anchor_edges=(),
-        measurements={(0, 1): 0.1},
-        gamma=0.05,
-        sensing_range=1.0,
-    )
-    with pytest.raises(ValueError):
-        central.assemble_dual_sdp(scen)
-    with pytest.raises(ValueError):
-        assemble_primal_sdp(scen)
+    truth = {0: (0.1, 0.0), 1: (0.2, 0.0), 2: (0.2, 0.1)}
+    cases = [
+        # no anchor edge at all
+        ((0, 1), ((0, 1),), (), [0, 1]),
+        # sensors 1 and 2 only see each other, beside an anchored sensor 0
+        ((0, 1, 2), ((1, 2),), ((0, 3),), [1, 2]),
+    ]
+    for sensors, sensor_edges, anchor_edges, unanchored in cases:
+        scen = model.NetworkScenario(
+            sensors=sensors,
+            anchors={3: (0.0, 0.0)},
+            true_positions={i: truth[i] for i in sensors},
+            sensor_edges=sensor_edges,
+            anchor_edges=anchor_edges,
+            measurements={},
+            gamma=0.05,
+            sensing_range=1.0,
+        )
+        scen.measurements = {e: scen.true_distance(e) for e in scen.all_edges()}
+        named = re.escape(f"sensors {unanchored}")
+        assert any(re.match(named, w) for w in model.validate_scenario(scen).warnings)
+        with pytest.raises(ValueError, match=named):
+            central.assemble_dual_sdp(scen)
+        with pytest.raises(ValueError, match=named):
+            assemble_primal_sdp(scen)
 
 
 def test_multipliers_cover_all_edges(solved_fixtures):

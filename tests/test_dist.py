@@ -396,6 +396,21 @@ def test_iterate_widens_annuli_by_neighbor_radius():
     assert wide.radius_sq <= own.radius_sq
 
 
+def test_node_program_pairs_each_reference():
+    # A ball and three neighbors compile to one dense block and one sign
+    # row per multiplier, and each reference's two multipliers share a class,
+    # so the Newton system has one unknown for t and one per reference.
+    refs = [((0.1, 0.2), 0.0, 0.04)]
+    refs += [((0.3 * k, -0.1), 0.01 * k, 0.05 * k) for k in (1, 2, 3)]
+    problem = dist._chebyshev_dual(refs)
+    blocks, classes = sdp._compile(problem)
+    dense = [b for b in blocks if isinstance(b, sdp._DenseBlock)]
+    rows = [b for b in blocks if isinstance(b, sdp._LinBlock)]
+    assert [b.dim for b in dense] == [4]
+    assert len(rows) == 1 and rows[0].D.getnnz(axis=1).max() == 1
+    assert classes.size == 1 + len(refs)
+
+
 # --- full distributed runs --------------------------------------------------
 
 
@@ -416,6 +431,18 @@ def test_certified_radii_never_grow(noisy_run):
             prev = a.states[i]
             assert cur.radius_sq <= prev.radius_sq
             assert cur.raw_radius_sq <= prev.radius_sq + 1e-6 * (1 + prev.radius_sq)
+
+
+def test_moved_estimates_carry_their_certificate(noisy_run):
+    # a round that moves an estimate reports the radius that certifies it
+    _, res = noisy_run
+    moved = 0
+    for a, b in zip(res.rounds, res.rounds[1:]):
+        for i, cur in b.states.items():
+            if cur.estimate != a.states[i].estimate:
+                moved += 1
+                assert cur.radius_sq == cur.raw_radius_sq, (b.round_index, i)
+    assert moved
 
 
 def test_truth_containment_on_in_bound_run(noisy_run):
