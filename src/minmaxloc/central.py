@@ -43,7 +43,7 @@ import numpy as np
 
 from .model import Edge, IntervalBound, NetworkScenario, Point2
 from .model import build_feasibility_intervals, unanchored_sensors
-from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, scalar_block, solve
+from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class DualIndex:
     per sensor-sensor edge in sorted edge order; then one omega (lower) and
     one phi (upper) per sensor-anchor edge in sorted edge order; last comes
     t_y, so every multiplier keeps its index in the stacked program, whose
-    single t is t_x + t_y.
+    single t is t_x + t_y.  Each interval's two multipliers are adjacent and
+    form one negated pair, (alpha, beta) or (omega, phi): ``pairs``.
     """
 
     sensor_edges: Tuple[Edge, ...]
@@ -79,6 +80,11 @@ class DualIndex:
 
     def phi(self, e: int) -> int:
         return 2 + 2 * len(self.sensor_edges) + 2 * e
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """(alpha, beta) per sensor edge, then (omega, phi) per anchor edge."""
+        return np.arange(1, self.t_y).reshape(-1, 2)
 
 
 @dataclass
@@ -119,10 +125,11 @@ def assemble_dual_sdp(
     """Build the multiplier SDP for a scenario.
 
     The first two blocks are [[Mt, f_x], [f_x^T, t_x]] and
-    [[Mt, f_y], [f_y^T, t_y]], the third Mt - I.  Needs a sensor-anchor
-    edge in every component of the sensor graph; without one the worst case
-    is unbounded (that component can translate freely) and Mt - I >= 0
-    would be infeasible.
+    [[Mt, f_y], [f_y^T, t_y]], the third Mt - I, and the problem declares
+    ``DualIndex.pairs``, which also keeps every multiplier nonnegative.
+    Needs a sensor-anchor edge in every component of the sensor graph;
+    without one the worst case is unbounded (that component can translate
+    freely) and Mt - I >= 0 would be infeasible.
     """
     if intervals is None:
         intervals = build_feasibility_intervals(scenario)
@@ -180,10 +187,7 @@ def assemble_dual_sdp(
         coordinate_block(idx.t_y, 1),
         Block(n, [(r, r, -1.0) for r in range(n)], quad),
     ]
-    for k in range(1, idx.t_y):
-        blocks.append(scalar_block(0.0, {k: 1.0}))
-
-    return SdpProblem(num_vars=m, objective=c, blocks=blocks), idx
+    return SdpProblem(num_vars=m, objective=c, blocks=blocks, pairs=idx.pairs), idx
 
 
 def certify(m_mat: np.ndarray, f: np.ndarray, h: float) -> Optional[Tuple[np.ndarray, float]]:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .central import certify
 from .model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
-from .sdp import Block, SdpProblem, SdpSolution, SolveStatus, SolverConfig, scalar_block, solve
+from .sdp import Block, SdpProblem, SdpSolution, SolveStatus, SolverConfig, solve
 
 
 # The per-node solver accepts dual feasibility at 1e-6 rather than the solver
@@ -197,7 +197,7 @@ def _chebyshev_dual(refs: List[Tuple[Point2, float, float]]) -> SdpProblem:
     """Single-node dual SDP shared by the initial and iterate solves.
 
     ``refs`` holds (position p, lower^2, upper^2) triples.  Variables are t,
-    then each reference's lower and upper multiplier, each with a sign row.
+    then each reference's lower and upper multiplier, one negated pair.
     kappa and g sum the upper multipliers less the lower ones, times 1 and
     times p; the one block is diag([[kappa I, g], [g^T, t]], kappa - 1).
     """
@@ -213,9 +213,8 @@ def _chebyshev_dual(refs: List[Tuple[Point2, float, float]]) -> SdpProblem:
         lmi[1 + 2 * e] = [(i, j, -v) for i, j, v in upper]
         lmi[2 + 2 * e] = upper
 
-    blocks = [Block(4, [(3, 3, -1.0)], lmi)]
-    blocks += [scalar_block(0.0, {k: 1.0}) for k in range(1, m)]
-    return SdpProblem(num_vars=m, objective=c, blocks=blocks)
+    block = Block(4, [(3, 3, -1.0)], lmi)
+    return SdpProblem(m, c, [block], pairs=np.arange(1, m).reshape(-1, 2))
 
 
 def _certified_center(problem: SdpProblem, sol: SdpSolution) -> Optional[Tuple[Point2, float]]:

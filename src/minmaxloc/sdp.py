@@ -29,18 +29,19 @@ The solver is deterministic: identical inputs produce identical outputs.
 
 The Newton system is solved over sign classes, not over the variables.  A
 class is one variable or one negated pair.  Each two-sided measurement
-interval gives such a pair, one multiplier per bound: at compile time
-variable l joins an earlier variable k's class, with sign s_l = -1, when
-A_{b,l} = -A_{b,k} in every dense block b and each of k and l appears in
-exactly one fused 1x1 row, which holds it alone.  Every other variable, a
-same-sign copy from a duplicated edge included, is a class of its own with
-sign +1.  With P the signed map from classes to variables, M = P K P^T + L,
-where K[c, e] = sum_b <A_{b,c}, W_b A_{b,e} W_b> comes from the dense blocks
-and L from the fused rows.  A paired member's own row gives it a curvature
-lam_k, so the pair's class gets the harmonic term
-h_c = 1 / (1/lam_k + 1/lam_l), and the solver factors
+interval gives such a pair, one multiplier per bound, and the caller
+declares it in ``SdpProblem.pairs``: a row (k, l) states x_k >= 0, x_l >= 0
+and A_{b,l} = -A_{b,k} in every block b, which the problem checks when it is
+built.  The lower-indexed member carries the class with sign +1 and the
+other has sign -1; every other variable is a class of its own with sign +1.
+With P the signed map from classes to variables, M = P K P^T + L, where
+K[c, e] = sum_b <A_{b,c}, W_b A_{b,e} W_b> comes from the problem's blocks
+and L from the unit rows x_k >= 0 that the solver adds for the paired
+members.  Member k's unit row puts lam_k on its diagonal, so the pair's
+class gets the harmonic term h_c = 1 / (1/lam_k + 1/lam_l), and the solver
+factors
 
-    (K + diag(h) + L over the single-variable classes) d = rho,
+    (K + diag(h)) d = rho,
     rho_c = (h_c / lam_k) rhs_k - (h_c / lam_l) rhs_l    on a pair,
 
 one unknown per class.  Back-substitution gives each member its exact step,
@@ -48,9 +49,8 @@ dx_k = (rhs_k - s_k (K d)_c) / lam_k, in a form whose signed sum over the
 pair is d_c (see ``_Reduction.step``); a single variable's step is d_c.
 The direction equals the one over all variables in exact arithmetic.  When
 the Cholesky needs a jitter, the reduction is that of M + jitter I, so a
-paired member's curvature is lam_k + jitter.  When no variable pairs, as in
-a problem whose rows couple all its variables, the same reduction is the
-identity.
+paired member's diagonal term is lam_k + jitter.  When the problem declares no
+pair, the same reduction is the identity.
 
 Each block is compiled to an object with one per-block interface: start
 point, inner product, NT scaling (returning W and S^-1), Schur contribution
@@ -85,9 +85,10 @@ problem more than their arithmetic: each large one went back to the kernel
 when freed and was faulted in again on the next iteration.
 
 All 1x1 blocks are fused into one diagonal block of vectors, kept last in
-the list, whose methods do the same steps row by row.  Its Schur term is one
-dense product over the single-variable classes its rows touch; the paired
-members' own rows enter through h.
+the list, whose methods do the same steps row by row: the problem's own 1x1
+blocks first, then the paired members' unit rows.  Its Schur term is one
+dense product over the classes that the problem's rows touch, a pair through
+its +1 member; the unit rows enter through h.
 """
 
 from __future__ import annotations
@@ -153,15 +154,6 @@ class Block:
         return _triplets_to_dense(self.const + scaled, self.dim)
 
 
-def scalar_block(const: float, coeffs: Dict[int, float]) -> Block:
-    """1x1 block encoding ``const + sum_k coeffs[k] * x_k >= 0``."""
-    return Block(
-        1,
-        [(0, 0, float(const))] if const else [],
-        {k: [(0, 0, float(v))] for k, v in coeffs.items() if v},
-    )
-
-
 def _canonical(triplets: Sequence[Triplet], dim: int) -> List[Triplet]:
     acc: Dict[Tuple[int, int], float] = {}
     for i, j, v in triplets:
@@ -183,9 +175,17 @@ def _triplets_to_dense(triplets: Sequence[Triplet], dim: int) -> np.ndarray:
 
 @dataclass
 class SdpProblem:
+    """The program's variables, objective and blocks, and its negated pairs.
+
+    Each row (k, l) of ``pairs`` states x_k >= 0, x_l >= 0 and
+    A_{b,l} = -A_{b,k} in every block b; the solver adds the two unit rows
+    itself, and the pair is one unknown of its Newton system.
+    """
+
     num_vars: int
     objective: np.ndarray
     blocks: List[Block]
+    pairs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.intp))
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -197,6 +197,16 @@ class SdpProblem:
             for k in b.coeffs:
                 if not 0 <= k < self.num_vars:
                     raise ValueError(f"coefficient for unknown variable {k}")
+        self.pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
+        members = self.pairs.ravel()
+        if np.any((members < 0) | (members >= self.num_vars)):
+            raise ValueError("pair names an unknown variable")
+        if len(np.unique(members)) < len(members):
+            raise ValueError("a variable appears in more than one pair")
+        for bi, b in enumerate(self.blocks):
+            for k, l in self.pairs.tolist():
+                if b.coeffs.get(l, []) != [(i, j, -v) for i, j, v in b.coeffs.get(k, [])]:
+                    raise ValueError(f"pair ({k}, {l}) is not negated in block {bi}")
 
 
 @dataclass(frozen=True)
@@ -232,73 +242,42 @@ def _square(idx: np.ndarray):
 class _SignClasses:
     """The problem's variables sorted into sign classes.
 
-    A class is one variable or one negated pair.  Variable l joins an
-    earlier variable k's class, with sign -1, when A_{b,l} = -A_{b,k} in
-    every dense block b and each of the two appears in exactly one fused
-    row, which holds it alone; every other variable is a class of its own
-    with sign +1.  ``paired`` lists the paired variables in ascending
-    order, and ``partner`` gives each one's partner as a position in
-    ``paired``.
+    A class is one declared pair or one other variable.  A pair's lower
+    member has sign +1 and the other -1, every other variable +1, and the
+    classes are numbered in the order of their lowest members.  ``paired``
+    lists the paired variables in ascending order, ``partner`` gives each
+    one's partner as a position in ``paired``, and ``own_rows`` is the slice
+    of the fused rows that holds their unit rows, in the same order, after
+    the ``first_row`` rows of the problem's own 1x1 blocks.
     """
 
-    def __init__(self, num_vars: int, dense: List[Block], rows: List[Block]):
-        in_rows = np.zeros(num_vars, dtype=np.intp)
-        own_row = np.full(num_vars, -1, dtype=np.intp)
-        own_coef2 = np.zeros(num_vars)
-        for r, blk in enumerate(rows):
-            in_rows[list(blk.coeffs)] += 1
-            if len(blk.coeffs) == 1:
-                (k, trips), = blk.coeffs.items()
-                own_row[k], own_coef2[k] = r, trips[0][2] ** 2
-        may_pair = (in_rows == 1) & (own_row >= 0)
-
-        # the negated dense-block key of each unpaired class, to its variable
-        waiting: Dict[tuple, int] = {}
-        cls = np.empty(num_vars, dtype=np.intp)
-        sign = np.ones(num_vars)
+    def __init__(self, num_vars: int, pairs: np.ndarray, first_row: int):
+        lo, hi = np.sort(pairs, axis=1).T
+        rep = np.arange(num_vars)
+        rep[hi] = lo
+        reps, self.cls = np.unique(rep, return_inverse=True)
+        self.size = len(reps)
+        self.sign = np.ones(num_vars)
+        self.sign[hi] = -1.0
         partner = np.full(num_vars, -1, dtype=np.intp)
-        size = 0
-        for k in range(num_vars):
-            if may_pair[k]:
-                key = tuple((bi, tuple(b.coeffs[k])) for bi, b in enumerate(dense) if k in b.coeffs)
-                first = waiting.pop(key, None)
-                if first is not None:
-                    cls[k], sign[k] = cls[first], -1.0
-                    partner[k], partner[first] = first, k
-                    continue
-                if key:  # a variable in no dense block stays alone
-                    neg = tuple((bi, tuple((i, j, -v) for i, j, v in t)) for bi, t in key)
-                    waiting.setdefault(neg, k)
-            cls[k] = size
-            size += 1
-        self.size = size
-        self.cls = cls
-        self.sign = sign
+        partner[lo], partner[hi] = hi, lo
         self.paired = np.flatnonzero(partner >= 0)
         pos = np.full(num_vars, -1, dtype=np.intp)
         pos[self.paired] = np.arange(len(self.paired))
         self.partner = pos[partner[self.paired]]
-        self.paired_cls = cls[self.paired]
-        self.paired_sign = sign[self.paired]
-        self.pair_flag = np.zeros(size)  # 1 on each pair's class
+        self.paired_cls = self.cls[self.paired]
+        self.paired_sign = self.sign[self.paired]
+        self.pair_flag = np.zeros(self.size)  # 1 on each pair's class
         self.pair_flag[self.paired_cls] = 1.0
-        self.own_row = own_row[self.paired]
-        self.own_coef2 = own_coef2[self.paired]
-
-    def curvature(self, w2: np.ndarray) -> np.ndarray:
-        """Each paired member's row curvature lam_k = w2_r D_rk^2 over its
-        own row r, from the fused rows' scaling ``w2``."""
-        if not len(self.paired):
-            return np.zeros(0)
-        return self.own_coef2 * w2[self.own_row]
+        self.own_rows = slice(first_row, first_row + len(self.paired))
 
 
 class _Reduction:
     """One iterate's Newton system, reduced to one unknown per class.
 
     M = P K P^T + L over the variables, where P maps class c to its members
-    with their signs, K is the dense blocks' class matrix and L the fused
-    rows' term.  With lam_k the curvature of paired member k's own row
+    with their signs, K is the class matrix of the problem's blocks and L
+    the unit rows' term.  With lam_k the term of paired member k's unit row
     (plus the jitter, if any) and l its partner, the pair's class gets
     h_c = 1 / (1/lam_k + 1/lam_l) on the diagonal and the right-hand side
     rho_c = w_k s_k r_k + w_l s_l r_l, with weights w_k = h_c / lam_k that
@@ -358,17 +337,20 @@ class _Reduction:
 class _LinBlock:
     """All 1x1 blocks fused: rows a0 + D x >= 0, slack and dual as vectors.
 
-    Implements the per-block interface of :class:`_DenseBlock` row by row.
-    Where a dense block multiplies by S^-1, a row divides by s, so the
-    scaling hands back s itself in the place of S^-1.  Its Schur term covers
-    the single-variable classes only, through ``Ds``, the dense columns of D
-    for those its rows touch; a paired member's own row enters through the
-    reduction instead.
+    The rows are the problem's own 1x1 blocks, then one unit row x_k >= 0
+    per paired variable (``classes.own_rows``).  Implements the per-block
+    interface of :class:`_DenseBlock` row by row.  Where a dense block
+    multiplies by S^-1, a row divides by s, so the scaling hands back s
+    itself in the place of S^-1.  Its Schur term covers the problem's own
+    rows only, through ``Ds``, their dense columns for the classes they
+    touch: a pair is negated in those rows too, so its +1 member's column
+    stands for the class.  The unit rows enter through the reduction.
     """
 
     def __init__(self, blocks: List[Tuple[int, Block]], classes: _SignClasses):
         self.src = [bi for bi, _ in blocks]
-        q = len(blocks)
+        general = len(blocks)
+        q = general + len(classes.paired)
         self.q = q
         self.vars = slice(None)  # rows may touch any variable
         self.a0 = np.zeros(q)
@@ -381,13 +363,17 @@ class _LinBlock:
                 rows.append(r)
                 cols.append(k)
                 vals.append(coef)
+        rows += range(general, q)
+        cols += classes.paired.tolist()
+        vals += [1.0] * len(classes.paired)
         self.D = sp.csr_matrix((vals, (rows, cols)), shape=(q, len(classes.cls)))
         self.Dt = self.D.T.tocsr()
         self.abs_Dt = abs(self.Dt)
-        single = self.D.getnnz(axis=0) > 0
-        single[classes.paired] = False
-        self.entries = _square(classes.cls[single])
-        self.Ds = self.D[:, single].toarray()
+        own = self.D[:general]
+        touched = own.getnnz(axis=0) > 0
+        touched[classes.sign < 0] = False  # a pair enters through its +1 member
+        self.entries = _square(classes.cls[touched])
+        self.Ds = own[:, touched].toarray()
         self.norm_a0 = float(np.linalg.norm(self.a0))
         col_norms = np.sqrt(np.asarray(self.D.multiply(self.D).sum(axis=0)).ravel())
         self.coeff_scale = float(col_norms.max()) if q else 0.0
@@ -406,7 +392,7 @@ class _LinBlock:
         return self.abs_Dt @ np.abs(z)
 
     def schur(self, w2: np.ndarray, work: "_Workspace") -> np.ndarray:
-        return (self.Ds.T * w2) @ self.Ds
+        return (self.Ds.T * w2[: len(self.Ds)]) @ self.Ds
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -441,6 +427,7 @@ class _LinBlock:
         return v
 
     def duals(self, z: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        """The problem's own rows; the unit rows belong to no block."""
         return [(src, np.array([[v]])) for src, v in zip(self.src, z)]
 
 
@@ -662,11 +649,9 @@ def _compile(problem: SdpProblem) -> Tuple[list, _SignClasses]:
     and the sign classes they are compiled against."""
     dense = [(bi, blk) for bi, blk in enumerate(problem.blocks) if blk.dim > 1]
     rows = [(bi, blk) for bi, blk in enumerate(problem.blocks) if blk.dim == 1]
-    classes = _SignClasses(
-        problem.num_vars, [blk for _, blk in dense], [blk for _, blk in rows]
-    )
+    classes = _SignClasses(problem.num_vars, problem.pairs, len(rows))
     blocks: list = [_DenseBlock(bi, blk, classes) for bi, blk in dense]
-    if rows:
+    if rows or len(classes.paired):
         blocks.append(_LinBlock(rows, classes))
     return blocks, classes
 
@@ -721,8 +706,9 @@ class _NewtonSystem:
         schur.fill(0.0)
         for b, (w, _) in zip(blocks, scal):
             schur[b.entries] += b.schur(w, work)
-        # paired members own rows in the fused block, which is last
-        self.lam = classes.curvature(scal[-1][0])
+        # each paired member's lam_k, from its unit row in the fused block,
+        # which is last
+        self.lam = scal[-1][0][classes.own_rows] if len(classes.paired) else np.zeros(0)
         # Cholesky with growing jitter, scaled by the trace of the full
         # system M + jitter I
         trace = (
@@ -744,11 +730,11 @@ class _NewtonSystem:
     def factor(self, jitter: float) -> None:
         """Factor the reduced system of M + jitter I in the workspace.
 
-        The reduction is of that whole system, so a paired member's
-        curvature grows by the jitter too.  Adding it to the class matrix
-        alone keeps an exact step along a pair's null direction (the sum
-        of an interval's two multipliers), whose curvature vanishes when an
-        interval is exact; that step drove 37 of 40 exact-measurement
+        The reduction is of that whole system, so a paired member's lam_k
+        grows by the jitter too.  Adding it to the class matrix alone keeps
+        an exact step along a pair's null direction (the sum of an
+        interval's two multipliers), on which M vanishes when an interval
+        is exact; that step drove 37 of 40 exact-measurement
         networks to numerical_failure.  Raises LinAlgError when the matrix
         is not positive definite, and ``chol`` is then None.
         """

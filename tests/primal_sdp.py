@@ -13,7 +13,8 @@ import numpy as np
 
 from minmaxloc.model import Edge, IntervalBound, NetworkScenario
 from minmaxloc.model import build_feasibility_intervals, unanchored_sensors
-from minmaxloc.sdp import Block, SdpProblem, scalar_block
+from minmaxloc.sdp import Block, SdpProblem
+from reference_sdp import scalar_block
 
 
 @dataclass(frozen=True)

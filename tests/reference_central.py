@@ -18,7 +18,7 @@ import numpy as np
 
 from minmaxloc.central import DualIndex
 from minmaxloc.model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
-from minmaxloc.sdp import Block, SdpProblem, scalar_block
+from minmaxloc.sdp import Block, SdpProblem
 
 
 def _coupling_triplets(i: int, j: int, sign: float) -> List[Tuple[int, int, float]]:
@@ -41,7 +41,7 @@ def assemble_interleaved_dual_sdp(
     scenario: NetworkScenario, intervals: Optional[Dict[Edge, IntervalBound]] = None
 ) -> Tuple[SdpProblem, DualIndex]:
     """The stacked multiplier SDP: block 0 is [[M, f], [f^T, t]], block 1 is
-    M - I, then one row x_k >= 0 per multiplier."""
+    M - I, and the pairs are ``DualIndex.pairs``."""
     if intervals is None:
         intervals = build_feasibility_intervals(scenario)
     sensor_index = {s: i for i, s in enumerate(scenario.sensors)}
@@ -85,9 +85,7 @@ def assemble_interleaved_dual_sdp(
         Block(dim, [], big),
         Block(2 * n, [(r, r, -1.0) for r in range(2 * n)], ball),
     ]
-    for k in range(1, m):
-        blocks.append(scalar_block(0.0, {k: 1.0}))
-    return SdpProblem(num_vars=m, objective=c, blocks=blocks), idx
+    return SdpProblem(num_vars=m, objective=c, blocks=blocks, pairs=idx.pairs), idx
 
 
 def recover_interleaved_estimate(

@@ -48,6 +48,21 @@ def dense_coeff(block: Block, k: int) -> np.ndarray:
     return Block(block.dim, block.coeffs.get(k, [])).dense_const()
 
 
+def scalar_block(const: float, coeffs: Dict[int, float]) -> Block:
+    """1x1 block encoding ``const + sum_k coeffs[k] * x_k >= 0``."""
+    return Block(
+        1,
+        [(0, 0, float(const))] if const else [],
+        {k: [(0, 0, float(v))] for k, v in coeffs.items() if v},
+    )
+
+
+def unit_rows(problem: SdpProblem) -> List[Block]:
+    """The rows x_k >= 0 of the declared pairs' members, in ascending order,
+    as the solver appends them to the problem's own 1x1 blocks."""
+    return [scalar_block(0.0, {k: 1.0}) for k in sorted(problem.pairs.ravel().tolist())]
+
+
 @dataclass
 class ReferenceResult:
     value: float
@@ -183,8 +198,6 @@ def random_bounded_instance(seed: int, num_vars: Optional[int] = None):
     dual feasible, so the primal value is bounded below.  Returns
     (problem, x0).
     """
-    from minmaxloc.sdp import Block, scalar_block
-
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(77,)))
     m = int(num_vars if num_vars is not None else rng.integers(2, 7))
     dims = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 3)))]
@@ -252,7 +265,12 @@ def check_certificate(
     * gap: |c.x - dual objective| within GAP_TOL plus the slack the
       feasibility tolerances themselves allow (residuals enter the gap
       through <R_S, Z> and x . r_Z, so their budget is added in).
+
+    Only problems without declared pairs: the solution carries no dual for
+    the pairs' unit rows.
     """
+    if len(problem.pairs):
+        raise ValueError("declared pairs have no dual blocks to check")
     cfg = config or SolverConfig()
     c = problem.objective
     x = solution.x
@@ -319,14 +337,17 @@ def reference_newton_step(
 
     Forms the full Schur matrix M[k, j] = sum_b <A_bk, W_b A_bj W_b> and
     the right-hand side -r_Z + A(R3) - A(W R_S W) from ``dense_coeff``,
-    one dense matrix per problem block (1x1 blocks included).  No sign
-    classes, no fused rows.  Solves (M + jitter I) dx = rhs directly, then
-    refines once against M alone: dx += (M + jitter I)^-1 (rhs - M dx).
+    one dense matrix per block: the problem's blocks (1x1 blocks included),
+    then the declared pairs' ``unit_rows``, which ``s_blocks`` and
+    ``z_blocks`` follow.  No sign classes, no fused rows.  Solves
+    (M + jitter I) dx = rhs directly, then refines once against M alone:
+    dx += (M + jitter I)^-1 (rhs - M dx).
     """
     m = problem.num_vars
     schur = np.zeros((m, m))
     rhs = -np.asarray(problem.objective, dtype=float).copy()
-    for block, s, z in zip(problem.blocks, s_blocks, z_blocks):
+    blocks = problem.blocks + unit_rows(problem)
+    for block, s, z in zip(blocks, s_blocks, z_blocks):
         coeffs = [dense_coeff(block, k) for k in range(m)]
         w = _nt_scaling(s, z)
         r_s = block.evaluate(x) - s

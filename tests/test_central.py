@@ -25,17 +25,33 @@ def solved_fixtures():
     return out
 
 
-def test_variable_count_single_sensor():
-    scen, bounds = single_sensor_fixture(
+def three_anchor_sensor():
+    return single_sensor_fixture(
         {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (0.0, 1.0)},
         {1: (0.4, 0.6), 2: (0.7, 0.9), 3: (0.6, 0.8)},
     )
+
+
+def test_variable_count_single_sensor():
+    scen, bounds = three_anchor_sensor()
     problem, idx = central.assemble_dual_sdp(scen, bounds)
     assert problem.num_vars == 8
     assert problem.blocks[0].dim == 2
     assert problem.blocks[1].dim == 2
     assert problem.blocks[2].dim == 1
-    assert sum(1 for b in problem.blocks if b.dim == 1) == 7
+    assert sum(1 for b in problem.blocks if b.dim == 1) == 1
+    assert len(problem.pairs) == 3
+
+
+def test_single_sensor_program_pairs_each_interval():
+    # with one sensor Mt - I is a 1x1 block, a row that holds every
+    # multiplier; each interval's two are negated in it, so they still form
+    # one class, and the Newton system has t_x, t_y and one unknown per
+    # interval
+    scen, bounds = three_anchor_sensor()
+    problem, _ = central.assemble_dual_sdp(scen, bounds)
+    _, classes = sdp._compile(problem)
+    assert classes.size == 2 + len(scen.anchor_edges)
 
 
 def test_lmi_size_matches_network():
@@ -44,7 +60,7 @@ def test_lmi_size_matches_network():
     )
     scen = model.generate_scenario(cfg, seed=11)
     problem, idx = central.assemble_dual_sdp(scen)
-    assert [b.dim for b in problem.blocks[:3]] == [51, 51, 50]
+    assert [b.dim for b in problem.blocks] == [51, 51, 50]
     assert problem.num_vars == 2 + 2 * len(scen.sensor_edges) + 2 * len(scen.anchor_edges)
 
 
@@ -126,10 +142,10 @@ def test_coordinate_blocks_equal_interleaved_blocks():
     assert np.abs(ball - (mt - np.eye(n))).max() <= 1e-14
     assert np.abs(stacked.blocks[1].evaluate(xs) - np.kron(ball, np.eye(2))).max() <= 1e-14
 
-    # the same objective over the multipliers, t = t_x + t_y, and the same rows
+    # the same objective over the multipliers, t = t_x + t_y, and the same pairs
     assert np.array_equal(split.objective[:-1], stacked.objective)
     assert split.objective[idx.t_y] == 1.0
-    assert [b.coeffs for b in split.blocks[3:]] == [b.coeffs for b in stacked.blocks[2:]]
+    assert np.array_equal(split.pairs, stacked.pairs)
 
 
 @pytest.mark.parametrize(

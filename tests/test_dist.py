@@ -397,12 +397,14 @@ def test_iterate_widens_annuli_by_neighbor_radius():
 
 
 def test_node_program_pairs_each_reference():
-    # A ball and three neighbors compile to one dense block and one sign
-    # row per multiplier, and each reference's two multipliers share a class,
-    # so the Newton system has one unknown for t and one per reference.
+    # A ball and three neighbors give one block and one declared pair per
+    # reference.  They compile to one dense block and one unit row per
+    # multiplier, and each pair shares a class, so the Newton system has one
+    # unknown for t and one per reference.
     refs = [((0.1, 0.2), 0.0, 0.04)]
     refs += [((0.3 * k, -0.1), 0.01 * k, 0.05 * k) for k in (1, 2, 3)]
     problem = dist._chebyshev_dual(refs)
+    assert len(problem.blocks) == 1 and len(problem.pairs) == len(refs)
     blocks, classes = sdp._compile(problem)
     dense = [b for b in blocks if isinstance(b, sdp._DenseBlock)]
     rows = [b for b in blocks if isinstance(b, sdp._LinBlock)]

@@ -14,6 +14,8 @@ from reference_sdp import (
     random_bounded_instance,
     reference_newton_step,
     reference_solve,
+    scalar_block,
+    unit_rows,
 )
 
 
@@ -23,9 +25,9 @@ def lp_problem():
         num_vars=2,
         objective=np.array([1.0, 1.0]),
         blocks=[
-            sdp.scalar_block(-1.0, {0: 1.0}),
-            sdp.scalar_block(-2.0, {1: 1.0}),
-            sdp.scalar_block(10.0, {0: -1.0, 1: -1.0}),
+            scalar_block(-1.0, {0: 1.0}),
+            scalar_block(-2.0, {1: 1.0}),
+            scalar_block(10.0, {0: -1.0, 1: -1.0}),
         ],
     )
 
@@ -73,7 +75,7 @@ def test_mixed_blocks():
         blocks=[
             sdp.Block(2, [(0, 0, 1.0), (1, 1, 1.0)], {0: [(1, 0, 1.0)]}),
             sdp.Block(2, [(0, 0, 1.0), (1, 1, 1.0)], {1: [(1, 0, 1.0)]}),
-            sdp.scalar_block(1.5, {0: -1.0, 1: -1.0}),
+            scalar_block(1.5, {0: -1.0, 1: -1.0}),
         ],
     )
     sol = sdp.solve(prob)
@@ -83,7 +85,7 @@ def test_mixed_blocks():
 
 def test_degenerate_corner():
     prob = sdp.SdpProblem(
-        num_vars=1, objective=np.array([1.0]), blocks=[sdp.scalar_block(0.0, {0: 1.0})]
+        num_vars=1, objective=np.array([1.0]), blocks=[scalar_block(0.0, {0: 1.0})]
     )
     sol = sdp.solve(prob)
     assert sol.status == sdp.SolveStatus.OPTIMAL
@@ -114,9 +116,10 @@ def test_rank_one_path_matches_dense_path():
 
 
 def test_sign_classes_reproduce_dense_operators():
-    # a block wider than the dense cutoff with an exact-negative pair (1, 3),
-    # a same-sign duplicate of 1 (6, the shape a duplicated edge gives) and
-    # unpaired variables (4, 7); variables 0, 2, 5 and 8 appear elsewhere
+    # a block wider than the dense cutoff with the declared pairs (1, 2) and
+    # (3, 4), a same-sign duplicate of 1 (6, the shape a duplicated edge
+    # gives), which is a class of its own, and the unpaired 7; variables 0,
+    # 5 and 8 appear in no coefficient
     n = sdp._DENSE_DIM_LIMIT + 3
     rng = np.random.default_rng(11)
 
@@ -128,16 +131,14 @@ def test_sign_classes_reproduce_dense_operators():
 
     a, b = on_support([0, 5, 9, n - 1]), on_support([1, 2, 3])
     full = on_support(list(range(n)))
-    coeffs = {1: a, 3: -a, 4: b, 6: a.copy(), 7: full}
+    coeffs = {1: a, 2: -a, 3: b, 4: -b, 6: a.copy(), 7: full}
     block = block_from_dense(on_support([2, 4]), coeffs)
-    # each variable owns a row x_k >= 0, so a negated pair may form; the
-    # same-sign duplicate is a class of its own
-    rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in coeffs]
-    blocks, classes = sdp._compile(sdp.SdpProblem(9, np.zeros(9), [block] + rows))
+    problem = sdp.SdpProblem(9, np.zeros(9), [block], pairs=[(1, 2), (3, 4)])
+    blocks, classes = sdp._compile(problem)
     compiled = blocks[0]
     assert compiled.rank1
-    assert compiled.var_cls.tolist() == [0, 0, 1, 2, 3]
-    assert compiled.var_sign.tolist() == [1.0, -1.0, 1.0, 1.0, 1.0]
+    assert compiled.var_cls.tolist() == [0, 0, 1, 1, 2, 3]
+    assert compiled.var_sign.tolist() == [1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
 
     dense = [dense_coeff(block, k) for k in sorted(coeffs)]
     x = rng.standard_normal((n, n))
@@ -162,71 +163,76 @@ def test_sign_classes_reproduce_dense_operators():
 
 
 def test_classes_are_single_variables_or_negated_pairs():
-    # 0 and 1 pair; 2 copies 0 with the same sign and pairs with 3 instead;
-    # 4 copies 0 once both pairs have formed and stays alone; 5 and 6 are
-    # negated, but 5 appears in two rows of its own, so neither pairs
-    rng = np.random.default_rng(17)
-    a, b = rng.standard_normal((2, 4, 4))
-    a, b = a + a.T, b + b.T
-    block = block_from_dense(np.eye(4), {0: a, 1: -a, 2: a, 3: -a, 4: a, 5: b, 6: -b})
-    rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in range(7)]
-    rows.append(sdp.scalar_block(1.0, {5: 2.0}))
-    _, classes = sdp._compile(sdp.SdpProblem(7, np.zeros(7), [block] + rows))
-    assert classes.cls.tolist() == [0, 0, 1, 1, 2, 3, 4]
-    assert classes.sign.tolist() == [1, -1, 1, -1, 1, 1, 1]
-    assert classes.paired.tolist() == [0, 1, 2, 3]
-    assert classes.partner.tolist() == [1, 0, 3, 2]
+    # a declared pair names two variables that no other pair names, and it
+    # is negated in every block: 6 and 7 are equal in the second dense block
+    # (block 1), and the row that couples 8 and 9 (block 2) does not negate
+    # them
+    cases = [
+        (((1, 2), (2, 3)), "more than one pair"),
+        (((1, 2), (3, 11)), "unknown variable"),
+        (((1, 2), (6, 7)), r"\(6, 7\) is not negated in block 1$"),
+        (((1, 2), (8, 9)), r"\(8, 9\) is not negated in block 2$"),
+    ]
+    for pairs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            class_test_problem(4, np.random.default_rng(17), pairs)
 
 
-@pytest.mark.parametrize("shape", ["general", "pairs"])
+@pytest.mark.parametrize("shape", ["general", "pairs", "pair_in_row"])
 def test_fused_rows_schur_term_over_single_variable_classes(shape):
-    # the fused rows' Schur term is sum_r w2_r d_r d_r^T over the
-    # single-variable classes the rows touch, d_r read from the row's
-    # dense_coeff; paired members' own rows enter the reduction
-    # instead, so a problem whose rows all hold paired variables, as the
-    # network-wide one does, has an empty term
+    # the fused rows' Schur term is sum_r w2_r d_r d_r^T over the classes
+    # that the problem's own rows touch, d_r read from the row's dense_coeff
+    # at each class's +1 member; the declared pairs' unit rows enter the
+    # reduction instead, so a problem without rows of its own, as the
+    # network-wide one with two or more sensors, has an empty term
     rng = np.random.default_rng(19)
     a = rng.standard_normal((3, 3))
     a = a + a.T
+    coeffs = {0: 2.0 * a, 1: a, 2: -a, 3: 3.0 * a, 4: -3.0 * a}
     if shape == "general":
-        # 0 and 1 form a pair; 2 has no row; 3 to 6 carry general rows
-        # and one row couples 3, 5 and 6
-        coeffs = {0: a, 1: -a, 2: 2.0 * a}
-        rows = [sdp.scalar_block(0.5, {k: float(rng.uniform(0.5, 2.0))}) for k in (0, 1, 3, 4, 5, 6)]
-        rows.append(sdp.scalar_block(1.0, {k: float(rng.standard_normal()) for k in (3, 5, 6)}))
-        single = [3, 4, 5, 6]
+        # 0 has no row; 5 to 8 carry rows of their own, and one row couples
+        # 5, 7 and 8
+        rows = [scalar_block(0.5, {k: float(rng.uniform(0.5, 2.0))}) for k in (5, 6, 7, 8)]
+        rows.append(scalar_block(1.0, {k: float(rng.standard_normal()) for k in (5, 7, 8)}))
+        reps = [5, 6, 7, 8]
+    elif shape == "pairs":
+        rows, reps = [], []
     else:
-        coeffs = {0: a, 1: -a, 2: 2.0 * a, 3: -2.0 * a}
-        rows = [sdp.scalar_block(0.0, {k: 1.0}) for k in (0, 1, 2, 3)]
-        single = []
-    m = 7 if shape == "general" else 4
-    blocks = [block_from_dense(np.eye(3), coeffs)] + rows
-    compiled, classes = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))
+        # Mt - I of a single sensor: one row that holds both pairs, negated
+        d1, d3 = rng.uniform(0.5, 2.0, 2)
+        rows = [scalar_block(-1.0, {1: -d1, 2: d1, 3: -d3, 4: d3})]
+        reps = [1, 3]
+    problem = sdp.SdpProblem(
+        9, np.zeros(9), [block_from_dense(np.eye(3), coeffs)] + rows, pairs=[(1, 2), (3, 4)]
+    )
+    compiled, classes = sdp._compile(problem)
     lin = compiled[-1]
-    w2 = rng.uniform(0.1, 3.0, len(rows))
+    assert lin.q == len(rows) + 4
+    w2 = rng.uniform(0.1, 3.0, lin.q)
     got = lin.schur(w2, sdp._Workspace(compiled, classes.size))
-    want = np.zeros((len(single), len(single)))
+    want = np.zeros((len(reps), len(reps)))
     for w, row in zip(w2, rows):
-        d = np.array([dense_coeff(row, k)[0, 0] for k in single])
+        d = np.array([dense_coeff(row, k)[0, 0] for k in reps])
         want += w * np.outer(d, d)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
-def class_test_problem(n, rng):
-    """Two dense blocks (n and n - 1 wide) over eleven variables:
+def class_test_problem(n, rng, pairs=((1, 2), (3, 4))):
+    """Two dense blocks (n and n - 1 wide) over eleven variables, then 1x1
+    rows, with ``pairs`` declared:
 
     * 0 is unpaired and owns no row;
-    * 1 and 2, and 3 and 4, are negated pairs in both blocks;
+    * 1 and 2, and 3 and 4, are negated pairs in both blocks, and 3 and 4
+      sit, negated, in a row with 10 (block 3);
     * 5 duplicates 1 with the same sign in both blocks, and is a class of
       its own;
-    * 6 and 7 are negated in the first block but equal in the second, so
-      they must not merge;
-    * 8 and 9 are negated in both blocks, but a row couples them, so they
-      must not merge;
-    * 10 is unpaired with a row of its own.
+    * 6 and 7 are negated in the first block but equal in the second;
+    * 8 and 9 are negated in both blocks, but a row couples them with
+      coefficients that do not negate (block 2);
+    * 10 is unpaired.
 
-    Variables 1 to 10 each own a row c_k + d_k x_k >= 0.
+    Variables 5 to 10 each own a row c_k + d_k x_k >= 0, after blocks 2 and 3.
     """
 
     def sym(d):
@@ -239,13 +245,17 @@ def class_test_problem(n, rng):
              6: a[6], 7: -a[6], 8: a[8], 9: -a[8], 10: a[10]}
     second = {1: b[1], 2: -b[1], 3: b[3], 4: -b[3], 5: b[1],
               6: b[6], 7: b[6], 8: b[8], 9: -b[8], 10: b[10]}
-    blocks = [block_from_dense(sym(n), first), block_from_dense(sym(n - 1), second)]
-    for k in range(1, 11):
+    blocks = [
+        block_from_dense(sym(n), first),
+        block_from_dense(sym(n - 1), second),
+        scalar_block(3.0, {8: 1.0, 9: -0.5}),
+        scalar_block(2.0, {3: 0.7, 4: -0.7, 10: 0.3}),
+    ]
+    for k in range(5, 11):
         blocks.append(
-            sdp.scalar_block(float(rng.uniform(0.0, 1.0)), {k: float(rng.uniform(0.5, 2.0))})
+            scalar_block(float(rng.uniform(0.0, 1.0)), {k: float(rng.uniform(0.5, 2.0))})
         )
-    blocks.append(sdp.scalar_block(3.0, {8: 1.0, 9: -0.5}))
-    return sdp.SdpProblem(11, rng.standard_normal(11), blocks)
+    return sdp.SdpProblem(11, rng.standard_normal(11), blocks, pairs=pairs)
 
 
 def newton_case(n):
@@ -262,14 +272,17 @@ def newton_case(n):
         a = rng.standard_normal((d, d))
         return a @ a.T / d + np.eye(d)
 
-    s_mats = [pd(b.dim) for b in prob.blocks]
-    z_mats = [pd(b.dim) for b in prob.blocks]
+    # one matrix per problem block, then one per declared member's unit row
+    full = prob.blocks + unit_rows(prob)
+    s_mats = [pd(b.dim) for b in full]
+    z_mats = [pd(b.dim) for b in full]
     x = rng.standard_normal(prob.num_vars)
 
     def compiled_form(mats, b):
         if isinstance(b, sdp._DenseBlock):
             return mats[b.src]
-        return np.array([mats[i][0, 0] for i in b.src])
+        units = mats[len(prob.blocks):]
+        return np.array([mats[i][0, 0] for i in b.src] + [u[0, 0] for u in units])
 
     s_blk = [compiled_form(s_mats, b) for b in blocks]
     z_blk = [compiled_form(z_mats, b) for b in blocks]
@@ -335,7 +348,7 @@ def test_abs_adjoint_sums_coefficient_magnitudes(kind):
         got[compiled.vars] = compiled.abs_adjoint(zs[0])
     else:
         blocks = [
-            sdp.scalar_block(1.0, {k: float(rng.standard_normal()) for k in ks})
+            scalar_block(1.0, {k: float(rng.standard_normal()) for k in ks})
             for ks in ((0, 1), (1, 3, 4), (4,))
         ]
         zs = [sym(1) for _ in blocks]
@@ -425,8 +438,8 @@ def test_dual_blocks_shape_and_order():
         objective=np.array([1.0, 1.0]),
         blocks=[
             sdp.Block(2, [(1, 0, 1.0)], {1: [(0, 0, 1.0), (1, 1, 1.0)]}),
-            sdp.scalar_block(0.0, {0: 1.0}),
-            sdp.scalar_block(5.0, {1: -1.0}),
+            scalar_block(0.0, {0: 1.0}),
+            scalar_block(5.0, {1: -1.0}),
             block_from_dense(-a, {0: np.eye(n)}),
         ],
     )
