@@ -53,13 +53,13 @@ paired member's diagonal term is lam_k + jitter.  When the problem declares no
 pair, the same reduction is the identity.
 
 Each block is compiled to an object with one per-block interface: start
-point, inner product, NT scaling (returning W and S^-1), Schur contribution
-over its classes and the index of those entries in the class matrix (plain
-slices when its classes are contiguous, as in the network-wide problem),
-centering term, the congruence W R W, step length, corrector,
-symmetrization, dual output, and the roundoff scale of the dual residual,
-<|A_k|, |Z|> per variable.  The solver loops over one list of such blocks
-and never asks what kind a block is.  A dense block enters through each
+point, inner product, NT scaling (returning W, S^-1 and the step factors
+of S and Z), Schur contribution over its classes and the index of those
+entries in the class matrix (plain slices when its classes are contiguous,
+as in the network-wide problem), centering term, the congruence W R W,
+step length, corrector, symmetrization, dual output, and the roundoff scale
+of the dual residual, <|A_k|, |Z|> per variable.  The solver loops over one
+list of such blocks and never asks what kind a block is.  A dense block enters through each
 class's first member, whose coefficients it lays out at compile time as the
 columns of one signed sparse matrix C of shape (d^2, classes): the
 combination is C y over the classes, reshaped; the adjoint is C^T vec(U),
@@ -74,6 +74,14 @@ class's first term in row c and the rest after it, so signing H and adding
 each later term's row, then its column, into its class's first in place
 leaves K in the leading corner of H, whatever the number of terms per class.
 This is what makes networks of a few hundred variables cheap.
+
+A dense block's step factors come from the two eigendecompositions that W
+needs, S = V_s diag(w_s) V_s^T and S^1/2 Z S^1/2 = V_b diag(w_b) V_b^T:
+G_S = V_s diag(w_s)^-1/2 and G_Z = S^1/2 V_b diag(w_b)^-1/2, so that
+G_S^T S G_S = G_Z^T Z G_Z = I.  The largest step of S + alpha dS is then
+-1/lambda_min(G_S^T dS G_S), and that of Z likewise: one eigvalsh per
+test, and S and Z are not factored again.  The fused rows' step factors are
+s and z themselves, for a ratio test.
 
 Each solve builds its Newton systems in one workspace: the class Schur
 matrix, an F-ordered buffer that the Cholesky factors in place, and the
@@ -96,7 +104,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -128,7 +137,10 @@ class Block:
 
     Matrices are stored as lower-triangle triplets (i, j, value) with
     i >= j; an off-diagonal triplet stands for the symmetric pair.
-    Duplicate positions are summed and exact zeros dropped on construction.
+    Duplicate positions are summed and exact zeros dropped on construction,
+    and each matrix's triplets are sorted by position.  The block also keeps
+    its coefficients' canonical triplets as arrays, ``table``, so it is not
+    to be changed once built.
     """
 
     dim: int
@@ -138,12 +150,7 @@ class Block:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("block dimension must be positive")
-        self.const = _canonical(self.const, self.dim)
-        self.coeffs = {
-            k: v
-            for k, v in ((k, _canonical(t, self.dim)) for k, t in self.coeffs.items())
-            if v
-        }
+        self.const, self.coeffs, self.table = _canonical(self.dim, self.const, self.coeffs)
 
     def dense_const(self) -> np.ndarray:
         return _triplets_to_dense(self.const, self.dim)
@@ -154,14 +161,59 @@ class Block:
         return _triplets_to_dense(self.const + scaled, self.dim)
 
 
-def _canonical(triplets: Sequence[Triplet], dim: int) -> List[Triplet]:
-    acc: Dict[Tuple[int, int], float] = {}
-    for i, j, v in triplets:
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"triplet index ({i}, {j}) outside block of dim {dim}")
-        key = (i, j) if i >= j else (j, i)
-        acc[key] = acc.get(key, 0.0) + float(v)
-    return [(i, j, v) for (i, j), v in sorted(acc.items()) if v != 0.0]
+class _Table(NamedTuple):
+    """A block's coefficient triplets as arrays, one row per triplet, sorted
+    by variable and then by position, the lower-triangle (i, j) as
+    ``i * dim + j``."""
+
+    var: np.ndarray
+    pos: np.ndarray
+    val: np.ndarray
+
+
+def _canonical(
+    dim: int, const: Sequence[Triplet], coeffs: Dict[int, Sequence[Triplet]]
+) -> Tuple[List[Triplet], Dict[int, List[Triplet]], _Table]:
+    """The constant and every coefficient canonicalized in one pass.
+
+    Each triplet moves to the lower triangle, and a stable sort by (matrix,
+    i, j) brings duplicates together in input order; ``bincount`` sums them
+    from 0.0 in that order, and exact zeros are dropped.  The matrices are
+    ranked constant first, then by variable.  Coefficients keep their input
+    order, and those left empty are dropped.
+    """
+    keys = list(coeffs)
+    mats = [const] + [coeffs[k] for k in keys]
+    flat = [t for m in mats for t in m]
+    trips = np.fromiter(chain.from_iterable(flat), dtype=float, count=3 * len(flat)).reshape(-1, 3)
+    ij = trips[:, :2]
+    if len(ij) and (ij.min() < 0 or ij.max() >= dim):
+        i, j, _ = flat[int(np.argmax(((ij < 0) | (ij >= dim)).any(axis=1)))]
+        raise ValueError(f"triplet index ({i}, {j}) outside block of dim {dim}")
+    i, j = ij.astype(np.intp).T
+    var = np.array(keys, dtype=np.intp)
+    rank = np.zeros(len(mats), dtype=np.intp)  # the constant ranks first
+    rank[1:][np.argsort(var)] = np.arange(1, len(mats))
+    mat = np.repeat(rank, [len(m) for m in mats])
+    key = (mat * dim + np.maximum(i, j)) * dim + np.minimum(i, j)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    val = np.bincount(np.cumsum(new) - 1, weights=trips[order, 2])
+    keep = val != 0.0
+    key, val = key[new][keep], val[keep]
+    mat, pos = np.divmod(key, dim * dim)
+    hi, lo = np.divmod(pos, dim)
+    out = list(zip(hi.tolist(), lo.tolist(), val.tolist()))
+    ends = np.searchsorted(mat, np.arange(len(mats) + 1)).tolist()
+    canon = {}
+    for k, r in zip(keys, rank[1:].tolist()):
+        if ends[r + 1] > ends[r]:
+            canon[k] = out[ends[r] : ends[r + 1]]
+    first = ends[1]
+    table = _Table(np.sort(var)[mat[first:] - 1], pos[first:], val[first:])
+    return out[:first], canon, table
 
 
 def _triplets_to_dense(triplets: Sequence[Triplet], dim: int) -> np.ndarray:
@@ -194,19 +246,39 @@ class SdpProblem:
                 f"objective has shape {self.objective.shape}, expected ({self.num_vars},)"
             )
         for b in self.blocks:
-            for k in b.coeffs:
-                if not 0 <= k < self.num_vars:
-                    raise ValueError(f"coefficient for unknown variable {k}")
+            unknown = (b.table.var < 0) | (b.table.var >= self.num_vars)
+            if unknown.any():
+                raise ValueError(
+                    f"coefficient for unknown variable {b.table.var[np.argmax(unknown)]}"
+                )
         self.pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
         members = self.pairs.ravel()
         if np.any((members < 0) | (members >= self.num_vars)):
             raise ValueError("pair names an unknown variable")
         if len(np.unique(members)) < len(members):
             raise ValueError("a variable appears in more than one pair")
-        for bi, b in enumerate(self.blocks):
-            for k, l in self.pairs.tolist():
-                if b.coeffs.get(l, []) != [(i, j, -v) for i, j, v in b.coeffs.get(k, [])]:
+        if len(self.pairs):
+            for bi, b in enumerate(self.blocks):
+                bad = _unnegated(b.table, self.pairs, self.num_vars)
+                if bad.any():
+                    k, l = self.pairs[np.argmax(bad)].tolist()
                     raise ValueError(f"pair ({k}, {l}) is not negated in block {bi}")
+
+
+def _unnegated(table: _Table, pairs: np.ndarray, num_vars: int) -> np.ndarray:
+    """Flags the pairs (k, l) whose canonical triplets in the block of
+    ``table`` are not those of k with every value negated."""
+    count = np.bincount(table.var, minlength=num_vars)
+    start = np.cumsum(count) - count
+    k, l = pairs.T
+    bad = count[k] != count[l]
+    n = np.where(bad, 0, count[k])
+    pair = np.repeat(np.arange(len(pairs)), n)
+    offset = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
+    rk, rl = start[k][pair] + offset, start[l][pair] + offset
+    differ = (table.pos[rk] != table.pos[rl]) | (table.val[rl] != -table.val[rk])
+    bad[pair[differ]] = True
+    return bad
 
 
 @dataclass(frozen=True)
@@ -334,6 +406,21 @@ class _Reduction:
         return out
 
 
+class _Scaling(NamedTuple):
+    """One block's scaling at an iterate, in the forms its methods expect.
+
+    For a dense block: the NT scaling point W, S^-1, and the step factors
+    G_S and G_Z, with G_S^T S G_S = G_Z^T Z G_Z = I, that ``max_step`` takes.
+    For the fused rows: W^2 = z / s, and s in the place of S^-1; the step
+    factors are s and z themselves, for the ratio test.
+    """
+
+    w: np.ndarray
+    s_inv: np.ndarray
+    g_s: np.ndarray
+    g_z: np.ndarray
+
+
 class _LinBlock:
     """All 1x1 blocks fused: rows a0 + D x >= 0, slack and dual as vectors.
 
@@ -399,9 +486,10 @@ class _LinBlock:
         return float(a @ b)
 
     @staticmethod
-    def scaling(s: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(W^2, s): the diagonal scaling Z / S, and s in the place of S^-1."""
-        return z / s, s
+    def scaling(s: np.ndarray, z: np.ndarray) -> _Scaling:
+        """W^2 = Z / S, and s itself in the places of S^-1 and of both step
+        factors: a row's step test is a ratio test on s and z."""
+        return _Scaling(z / s, s, s, z)
 
     @staticmethod
     def centering(sigma_mu: float, s: np.ndarray) -> np.ndarray:
@@ -417,6 +505,7 @@ class _LinBlock:
 
     @staticmethod
     def max_step(s: np.ndarray, ds: np.ndarray) -> float:
+        """Largest alpha with s + alpha*ds >= 0, the ratio test (s > 0)."""
         neg = ds < 0
         if not neg.any():
             return np.inf
@@ -459,13 +548,16 @@ class _DenseBlock:
             self.var_cls = np.searchsorted(self.cls, glob)
             self.var_sign = classes.sign[self.vars]
         self.norm_a0 = float(np.linalg.norm(self.a0))
-        # one row (class, i, j, value) per triplet of each class's first member
-        trips = np.array(
-            [(c, i, j, v) for c, k in enumerate(self.vars[first]) for i, j, v in block.coeffs[k]],
-            dtype=float,
-        ).reshape(-1, 4)
-        tc, ti, tj = trips[:, :3].T.astype(np.intp)
-        tv = trips[:, 3]
+        # the triplets (class, i, j, value) of each class's first member, by class
+        table = block.table
+        first_of = np.full(mb, -1, dtype=np.intp)
+        first_of[first] = np.arange(nc)
+        row_cls = first_of[np.searchsorted(self.vars, table.var)]
+        rows = np.flatnonzero(row_cls >= 0)
+        rows = rows[np.argsort(row_cls[rows], kind="stable")]
+        tc = row_cls[rows]
+        ti, tj = np.divmod(table.pos[rows], d)
+        tv = table.val[rows]
         off = ti != tj
         self.C = sp.csr_matrix(
             (
@@ -593,22 +685,29 @@ class _DenseBlock:
         return float(np.tensordot(a, b))
 
     @staticmethod
-    def scaling(s: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(W, S^-1): the NT scaling point W with W S W = Z, and the inverse
-        of S, both from one eigendecomposition of S."""
+    def scaling(s: np.ndarray, z: np.ndarray) -> _Scaling:
+        """The NT scaling point W with W S W = Z, the inverse of S and the
+        step factors of S and Z, from the eigendecompositions
+        S = V_s diag(w_s) V_s^T and S^1/2 Z S^1/2 = V_b diag(w_b) V_b^T:
+        G_S = V_s diag(w_s)^-1/2 and G_Z = S^1/2 V_b diag(w_b)^-1/2, so that
+        G_S^T S G_S = G_Z^T Z G_Z = I.  Raises FloatingPointError when S or
+        the scaled Z is not positive definite."""
         w_s, v_s = np.linalg.eigh(s)
         if w_s[0] <= 0:
             raise FloatingPointError("slack block lost positive definiteness")
         rt = np.sqrt(w_s)
         s_half = (v_s * rt) @ v_s.T
-        s_ihalf = (v_s / rt) @ v_s.T
+        g_s = v_s / rt
+        s_ihalf = g_s @ v_s.T
         b = s_half @ z @ s_half
         b = 0.5 * (b + b.T)
         w_b, v_b = np.linalg.eigh(b)
-        w_b = np.clip(w_b, 0.0, None)
-        b_half = (v_b * np.sqrt(w_b)) @ v_b.T
+        if w_b[0] <= 0:
+            raise FloatingPointError("dual block lost positive definiteness")
+        rb = np.sqrt(w_b)
+        b_half = (v_b * rb) @ v_b.T
         w = s_ihalf @ b_half @ s_ihalf
-        return 0.5 * (w + w.T), (v_s / w_s) @ v_s.T
+        return _Scaling(0.5 * (w + w.T), (v_s / w_s) @ v_s.T, g_s, s_half @ (v_b / rb))
 
     @staticmethod
     def centering(sigma_mu: float, s_inv: np.ndarray) -> np.ndarray:
@@ -625,13 +724,12 @@ class _DenseBlock:
         return -0.5 * (p + p.T)
 
     @staticmethod
-    def max_step(mat: np.ndarray, delta: np.ndarray) -> float:
-        """Largest alpha with mat + alpha*delta >= 0 (mat must be PD)."""
-        chol = np.linalg.cholesky(mat)
-        y = sla.solve_triangular(chol, delta, lower=True)
-        t = sla.solve_triangular(chol, y.T, lower=True)
-        t = 0.5 * (t + t.T)
-        lam = np.linalg.eigvalsh(t)[0]
+    def max_step(g: np.ndarray, delta: np.ndarray) -> float:
+        """Largest alpha with X + alpha*delta >= 0, for the step factor g of
+        the positive definite X (g^T X g = I): X + alpha*delta >= 0 iff
+        I + alpha g^T delta g >= 0, so alpha = -1/lambda_min(g^T delta g)."""
+        t = g.T @ delta @ g
+        lam = np.linalg.eigvalsh(0.5 * (t + t.T))[0]
         if lam >= -1e-14:
             return np.inf
         return -1.0 / lam
@@ -704,11 +802,11 @@ class _NewtonSystem:
         self.classes, self.work = classes, work
         self.schur = schur = work.schur
         schur.fill(0.0)
-        for b, (w, _) in zip(blocks, scal):
-            schur[b.entries] += b.schur(w, work)
+        for b, sc in zip(blocks, scal):
+            schur[b.entries] += b.schur(sc.w, work)
         # each paired member's lam_k, from its unit row in the fused block,
         # which is last
-        self.lam = scal[-1][0][classes.own_rows] if len(classes.paired) else np.zeros(0)
+        self.lam = scal[-1].w[classes.own_rows] if len(classes.paired) else np.zeros(0)
         # Cholesky with growing jitter, scaled by the trace of the full
         # system M + jitter I
         trace = (
@@ -750,16 +848,16 @@ class _NewtonSystem:
         """Solve one Newton system; returns (dx, [dS], [dZ])."""
         blocks, scal = self.blocks, self.scal
         r3 = [
-            b.centering(sigma_mu, s_inv) - z
-            for b, (_, s_inv), z in zip(blocks, scal, self.z_blk)
+            b.centering(sigma_mu, sc.s_inv) - z
+            for b, sc, z in zip(blocks, scal, self.z_blk)
         ]
         if corr is not None:
             r3 = [r + cr for r, cr in zip(r3, corr)]
 
         rhs = -self.r_z.copy()
-        for b, (w, _), r3b, rsb in zip(blocks, scal, r3, self.r_s):
+        for b, sc, r3b, rsb in zip(blocks, scal, r3, self.r_s):
             rhs[b.vars] += b.adjoint(r3b)
-            rhs[b.vars] -= b.adjoint(b.congruence(w, rsb))
+            rhs[b.vars] -= b.adjoint(b.congruence(sc.w, rsb))
 
         red = self.red
         # the factor passed cho_factor's finiteness check and is unchanged
@@ -772,8 +870,8 @@ class _NewtonSystem:
         dx = dx + red.step(sla.cho_solve(self.chol, red.rhs(res), check_finite=False), res)
         ds = [b.sym(rsb + b.combine(dx)) for b, rsb in zip(blocks, self.r_s)]
         dz = [
-            b.sym(r3b - b.congruence(w, dsb))
-            for b, (w, _), r3b, dsb in zip(blocks, scal, r3, ds)
+            b.sym(r3b - b.congruence(sc.w, dsb))
+            for b, sc, r3b, dsb in zip(blocks, scal, r3, ds)
         ]
         return dx, ds, dz
 
@@ -878,7 +976,7 @@ def solve(
 
         # scaling and the Newton system --------------------------------------
         try:
-            # per block (W, S^-1), in the forms the block's methods expect
+            # per block W, S^-1 and the step factors of S and Z
             scal = [b.scaling(s, z) for b, s, z in zip(blocks, s_blk, z_blk)]
         except FloatingPointError:
             break
@@ -891,9 +989,9 @@ def solve(
             # near the central path; separate lengths let one side race
             # ahead, which poisons the NT scaling and stalls the other
             a = np.inf
-            for b, s, z, dsb, dzb in zip(blocks, s_blk, z_blk, ds, dz):
-                a = min(a, b.max_step(s, dsb))
-                a = min(a, b.max_step(z, dzb))
+            for b, sc, dsb, dzb in zip(blocks, scal, ds, dz):
+                a = min(a, b.max_step(sc.g_s, dsb))
+                a = min(a, b.max_step(sc.g_z, dzb))
             return min(1.0, _STEP_FRACTION * a)
 
         try:
@@ -908,8 +1006,8 @@ def solve(
 
             # corrector: second-order term -sym(S^-1 dS_a dZ_a)
             corr = [
-                b.corrector(s_inv, dsb, dzb)
-                for b, (_, s_inv), dsb, dzb in zip(blocks, scal, dsa, dza)
+                b.corrector(sc.s_inv, dsb, dzb)
+                for b, sc, dsb, dzb in zip(blocks, scal, dsa, dza)
             ]
             dx, ds, dz = newton.direction(sigma * mu, corr)
             alpha = step_length(ds, dz)

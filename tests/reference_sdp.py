@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.optimize import linprog
 
 from minmaxloc.sdp import GAP_TOL, Block, SdpProblem, SdpSolution, SolverConfig
@@ -34,6 +35,19 @@ def _dense_to_triplets(m: np.ndarray) -> List[Tuple[int, int, float]]:
     if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
         raise ValueError("matrix must be symmetric")
     return [(i, j, float(m[i, j])) for i in range(len(m)) for j in range(i + 1) if m[i, j] != 0.0]
+
+
+def reference_canonical(triplets, dim: int) -> List[Tuple[int, int, float]]:
+    """One matrix's triplets canonicalized one at a time: moved to the lower
+    triangle, duplicates summed from 0.0 in input order, exact zeros
+    dropped, sorted by (i, j)."""
+    acc: Dict[Tuple[int, int], float] = {}
+    for i, j, v in triplets:
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"triplet index ({i}, {j}) outside block of dim {dim}")
+        key = (i, j) if i >= j else (j, i)
+        acc[key] = acc.get(key, 0.0) + float(v)
+    return [(i, j, v) for (i, j), v in sorted(acc.items()) if v != 0.0]
 
 
 def block_from_dense(a0: np.ndarray, coeffs: Dict[int, np.ndarray]) -> Block:
@@ -323,6 +337,20 @@ def _nt_scaling(s: np.ndarray, z: np.ndarray) -> np.ndarray:
     s_ihalf = (v_s / np.sqrt(w_s)) @ v_s.T
     w_b, v_b = np.linalg.eigh(s_half @ z @ s_half)
     return s_ihalf @ ((v_b * np.sqrt(w_b)) @ v_b.T) @ s_ihalf
+
+
+def reference_max_step(mat: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha with mat + alpha*delta >= 0 (mat must be PD), from a
+    Cholesky factor L of mat: -1/lambda_min(L^-1 delta L^-T), or inf when
+    that matrix is positive semidefinite."""
+    chol = np.linalg.cholesky(mat)
+    y = sla.solve_triangular(chol, delta, lower=True)
+    t = sla.solve_triangular(chol, y.T, lower=True)
+    t = 0.5 * (t + t.T)
+    lam = np.linalg.eigvalsh(t)[0]
+    if lam >= -1e-14:
+        return np.inf
+    return -1.0 / lam
 
 
 def reference_newton_step(

@@ -12,6 +12,8 @@ from reference_sdp import (
     check_certificate,
     dense_coeff,
     random_bounded_instance,
+    reference_canonical,
+    reference_max_step,
     reference_newton_step,
     reference_solve,
     scalar_block,
@@ -327,6 +329,78 @@ def test_jittered_newton_step_matches_full_schur(n):
     assert np.linalg.norm(ref - exact) > 1e-3 * np.linalg.norm(exact)
 
 
+def step_test_matrices(width, rng):
+    """A random orthogonal matrix, and a random direction with a negative
+    and a positive eigenvalue, both width wide."""
+    q = np.linalg.qr(rng.standard_normal((width, width)))[0]
+    v = np.linalg.qr(rng.standard_normal((width, width)))[0]
+    spectrum = rng.uniform(-2.0, 2.0, width)
+    spectrum[0], spectrum[-1] = -rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    d = (v * spectrum) @ v.T
+    return q, 0.5 * (d + d.T)
+
+
+@pytest.mark.parametrize("width", [2, 4, 41])
+def test_step_lengths_from_scaling_factors_match_cholesky(width):
+    # the step factors G_S and G_Z of the NT scaling give the largest step of
+    # S and of Z that a Cholesky of S or Z itself gives, along indefinite
+    # directions, and inf along a positive definite one.  Half the pairs are
+    # well conditioned with random eigenvectors; the others are complementary
+    # diagonal pairs of condition number 1e10, as near the central path
+    rng = np.random.default_rng(width)
+    pairs = []
+    for _ in range(5):
+        qs, _ = step_test_matrices(width, rng)
+        qz, _ = step_test_matrices(width, rng)
+        s = (qs * rng.uniform(0.1, 10.0, width)) @ qs.T
+        pairs.append((s, (qz * rng.uniform(0.1, 10.0, width)) @ qz.T))
+        lam = rng.permutation(np.geomspace(1.0, 1e-10, width))
+        pairs.append((np.diag(lam), np.diag(1e-10 / lam * rng.uniform(0.5, 2.0, width))))
+    for s, z in pairs:
+        scal = sdp._DenseBlock.scaling(s, z)
+        for mat, g in ((s, scal.g_s), (z, scal.g_z)):
+            _, d = step_test_matrices(width, rng)
+            want = reference_max_step(mat, d)
+            assert math.isfinite(want)
+            assert sdp._DenseBlock.max_step(g, d) == pytest.approx(want, rel=1e-9)
+            p = rng.standard_normal((width, width))
+            assert sdp._DenseBlock.max_step(g, p @ p.T) == np.inf
+            assert reference_max_step(mat, p @ p.T) == np.inf
+
+
+@pytest.mark.parametrize("width", [2, 4, 41])
+def test_step_lengths_of_ill_conditioned_blocks_keep_the_step_fraction(width):
+    # with a condition number of 1e10 and random eigenvectors, rounding S or
+    # Z alone moves the largest step by about 1e-6 relative, for either test;
+    # the scaled test of a well-conditioned Z also passes through S^1/2.  Both
+    # stay within 1e-4, a two-hundredth of the 2% that the step fraction
+    # leaves
+    rng = np.random.default_rng(width + 1)
+    for ill in ("S", "Z"):
+        for _ in range(5):
+            q, _ = step_test_matrices(width, rng)
+            bad = (q * np.geomspace(1.0, 1e-10, width)) @ q.T
+            q, _ = step_test_matrices(width, rng)
+            good = (q * rng.uniform(0.5, 2.0, width)) @ q.T
+            s, z = (bad, good) if ill == "S" else (good, bad)
+            s, z = 0.5 * (s + s.T), 0.5 * (z + z.T)
+            scal = sdp._DenseBlock.scaling(s, z)
+            for mat, g in ((s, scal.g_s), (z, scal.g_z)):
+                _, d = step_test_matrices(width, rng)
+                want = reference_max_step(mat, d)
+                assert sdp._DenseBlock.max_step(g, d) == pytest.approx(want, rel=1e-4)
+
+
+def test_scaling_rejects_a_dual_block_that_is_not_positive_definite():
+    rng = np.random.default_rng(3)
+    q, _ = step_test_matrices(4, rng)
+    s = (q * rng.uniform(0.5, 2.0, 4)) @ q.T
+    q, _ = step_test_matrices(4, rng)
+    for z in ((q * np.array([-1e-3, 1.0, 2.0, 3.0])) @ q.T, np.zeros((4, 4))):
+        with pytest.raises(FloatingPointError, match="dual block"):
+            sdp._DenseBlock.scaling(s, z)
+
+
 @pytest.mark.parametrize("kind", ["narrow", "rows"])
 def test_abs_adjoint_sums_coefficient_magnitudes(kind):
     # <|A_k|, |Z|> per variable on a block at the dense cutoff (dense stack)
@@ -463,6 +537,38 @@ def test_block_triplet_canonicalization():
     assert dense[0, 1] == dense[1, 0] == 3.0
     with pytest.raises(ValueError):
         sdp.Block(2, [(2, 0, 1.0)], {})
+
+
+def test_block_canonicalization_matches_triplet_by_triplet_reference():
+    # the one-pass canonicalization gives the same triplets, summed in the
+    # same order, as canonicalizing each matrix triplet by triplet; empty
+    # coefficients are dropped and the others keep their input order
+    rng = np.random.default_rng(5)
+    values = [0.0, -0.0, 1.0, -1.0, 0.1, 0.2, -0.3, 1e-17]
+    for _ in range(300):
+        dim = int(rng.integers(1, 6))
+
+        def trips(n):
+            out = []
+            for _ in range(n):
+                v = float(rng.choice(values)) if rng.random() < 0.7 else float(rng.normal())
+                out.append((int(rng.integers(dim)), int(rng.integers(dim)), v))
+            return out
+
+        const = trips(int(rng.integers(0, 6)))
+        keys = rng.permutation(20)[: int(rng.integers(0, 8))].tolist()
+        coeffs = {k: trips(int(rng.integers(0, 5))) for k in keys}
+        block = sdp.Block(dim, const, coeffs)
+        assert block.const == reference_canonical(const, dim)
+        want = {k: reference_canonical(t, dim) for k, t in coeffs.items()}
+        want = {k: t for k, t in want.items() if t}
+        assert block.coeffs == want and list(block.coeffs) == list(want)
+
+
+def test_problem_rejects_coefficient_for_unknown_variable():
+    for k in (3, -1):
+        with pytest.raises(ValueError, match=f"coefficient for unknown variable {k}$"):
+            sdp.SdpProblem(3, np.zeros(3), [sdp.Block(2, [], {0: [(0, 0, 1.0)], k: [(1, 1, 1.0)]})])
 
 
 def test_from_dense_rejects_asymmetric():
