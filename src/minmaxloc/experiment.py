@@ -91,28 +91,47 @@ class BaselineResult:
     objective_history: List[float]
 
 
-def _residuals_and_jacobian(
-    scenario: NetworkScenario, order: List[int], flat: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    index = {s: k for k, s in enumerate(order)}
-    edges = scenario.all_edges()
-    r = np.zeros(len(edges))
-    jac = np.zeros((len(edges), flat.size))
-    for row, (a, b) in enumerate(edges):
-        pa = flat[2 * index[a] : 2 * index[a] + 2]
-        if b in index:
-            pb = flat[2 * index[b] : 2 * index[b] + 2]
-        else:
-            pb = np.asarray(scenario.anchors[b])
-        diff = pa - pb
-        d = float(np.hypot(diff[0], diff[1]))
-        r[row] = d - scenario.measurements[(a, b)]
-        if d < 1e-12:
-            continue  # direction undefined; leave a zero gradient row
-        jac[row, 2 * index[a] : 2 * index[a] + 2] = diff / d
-        if b in index:
-            jac[row, 2 * index[b] : 2 * index[b] + 2] = -diff / d
-    return r, jac
+class _RangeResiduals:
+    """The range residuals of a scenario's edges, by index arithmetic.
+
+    Built once per fit.  The points are the sensors, in ``order``, then the
+    anchors; each edge ``(a, b)`` of ``scenario.all_edges()`` is a row with
+    the point indices ``head`` (sensor a) and ``tail`` (b), and ``meas``
+    holds the measured ranges in the same order.
+    """
+
+    def __init__(self, scenario: NetworkScenario, order: List[int]):
+        index = {s: k for k, s in enumerate(order)}
+        anchors = list(scenario.anchors)
+        point = {a: len(order) + k for k, a in enumerate(anchors)}
+        point.update(index)
+        edges = scenario.all_edges()
+        self.head = np.array([index[a] for a, _ in edges], dtype=np.intp)
+        self.tail = np.array([point[b] for _, b in edges], dtype=np.intp)
+        self.meas = np.array([scenario.measurements[e] for e in edges], dtype=float)
+        xy = [scenario.anchors[a] for a in anchors]
+        self.anchor_xy = np.array(xy, dtype=float).reshape(-1, 2)
+        self.n = len(order)
+
+    def residuals(self, flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r, diff, d): the residuals ``d - meas``, and each edge's
+        difference vector and length, which ``jacobian`` takes."""
+        points = np.concatenate([flat.reshape(-1, 2), self.anchor_xy])
+        diff = points[self.head] - points[self.tail]
+        d = np.hypot(diff[:, 0], diff[:, 1])
+        return d - self.meas, diff, d
+
+    def jacobian(self, diff: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """dr/d(flat): the unit vector of each edge at its sensor head and
+        its negation at a sensor tail.  A row whose length is below 1e-12
+        stays zero, as its direction is undefined."""
+        jac = np.zeros((len(d), self.n, 2))
+        rows = np.flatnonzero(~(d < 1e-12))
+        unit = diff[rows] / d[rows, None]
+        jac[rows, self.head[rows]] = unit
+        sensor = self.tail[rows] < self.n
+        jac[rows[sensor], self.tail[rows[sensor]]] = -unit[sensor]
+        return jac.reshape(len(d), 2 * self.n)
 
 
 def baseline_objective(
@@ -123,8 +142,9 @@ def baseline_objective(
     ``flat`` interleaves coordinates as (x, y) per sensor in
     ``scenario.sensors`` order.
     """
-    r, jac = _residuals_and_jacobian(scenario, list(scenario.sensors), flat)
-    return float(r @ r), 2.0 * (jac.T @ r)
+    ranges = _RangeResiduals(scenario, list(scenario.sensors))
+    r, diff, d = ranges.residuals(flat)
+    return float(r @ r), 2.0 * (ranges.jacobian(diff, d).T @ r)
 
 
 def _random_init(scenario: NetworkScenario, rng: np.random.Generator) -> np.ndarray:
@@ -165,15 +185,18 @@ def baseline_least_squares(
     else:
         flat = np.array([c for i in order for c in init[i]], dtype=float)
 
-    value, _ = baseline_objective(scenario, flat)
+    ranges = _RangeResiduals(scenario, order)
+    r, diff, d = ranges.residuals(flat)
+    value = float(r @ r)
     history = [value]
+    eye = np.eye(flat.size)
     lam = 1e-3
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        r, jac = _residuals_and_jacobian(scenario, order, flat)
-        grad = 2.0 * (jac.T @ r)
-        if np.linalg.norm(grad) <= grad_tol:
+        jac = ranges.jacobian(diff, d)
+        jtr = jac.T @ r
+        if np.linalg.norm(2.0 * jtr) <= grad_tol:
             converged = True
             iterations -= 1
             break
@@ -181,14 +204,17 @@ def baseline_least_squares(
         stepped = False
         while lam <= 1e12:
             try:
-                step = np.linalg.solve(gram + lam * np.eye(flat.size), -(jac.T @ r))
+                step = np.linalg.solve(gram + lam * eye, -jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             trial_flat = flat + step
-            trial_value, _ = baseline_objective(scenario, trial_flat)
+            # a trial step needs the objective only
+            trial = ranges.residuals(trial_flat)
+            trial_value = float(trial[0] @ trial[0])
             if trial_value <= value:
                 flat, value = trial_flat, trial_value
+                r, diff, d = trial
                 history.append(value)
                 lam = max(lam / 3.0, 1e-12)
                 stepped = True

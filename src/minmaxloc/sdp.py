@@ -90,13 +90,21 @@ by the blocks in turn.  So an iteration allocates no float array that grows
 with the classes or the terms; only the Cholesky's finiteness checks take a
 byte per Schur entry.  Allocated afresh, such arrays cost the network-wide
 problem more than their arithmetic: each large one went back to the kernel
-when freed and was faulted in again on the next iteration.
+when freed and was faulted in again on the next iteration.  The Cholesky
+calls LAPACK's potrf and potrs directly.  Each attempt first checks that the
+matrix is finite: a non-finite one ends the attempts, and the solve ends
+numerical_failure, while one that is not positive definite is tried again
+with a larger jitter.
 
 All 1x1 blocks are fused into one diagonal block of vectors, kept last in
 the list, whose methods do the same steps row by row: the problem's own 1x1
-blocks first, then the paired members' unit rows.  Its Schur term is one
-dense product over the classes that the problem's rows touch, a pair through
-its +1 member; the unit rows enter through h.
+blocks first, then the paired members' unit rows.  No sparse matrix is
+formed.  The problem's own rows are a small dense array over the variables;
+of the package's programs only a single-sensor network has one, Mt - I.
+The unit rows are index arithmetic: a gather y[paired] in the combination
+and a scatter-add in the adjoints.  Its Schur term is one dense product over
+the classes that the problem's rows touch, a pair through its +1 member; the
+unit rows enter through h.
 """
 
 from __future__ import annotations
@@ -117,6 +125,8 @@ _DENSE_DIM_LIMIT = 12  # blocks at most this wide skip the rank-one machinery
 _JITTER = 1e-12
 GAP_TOL = 1e-8  # relative duality gap of an OPTIMAL solve
 _STEP_FRACTION = 0.98  # of the largest cone-preserving step
+# LAPACK's Cholesky factor and solve in double precision, called directly
+_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
 
 
 class SolveStatus(Enum):
@@ -425,61 +435,60 @@ class _LinBlock:
     """All 1x1 blocks fused: rows a0 + D x >= 0, slack and dual as vectors.
 
     The rows are the problem's own 1x1 blocks, then one unit row x_k >= 0
-    per paired variable (``classes.own_rows``).  Implements the per-block
+    per paired variable (``classes.own_rows``).  D is never formed: the
+    problem's rows are the small dense array ``G`` of shape (rows, m), and
+    the unit rows are index arithmetic, a gather ``y[paired]`` in the
+    combination and a scatter-add in the adjoints.  Implements the per-block
     interface of :class:`_DenseBlock` row by row.  Where a dense block
     multiplies by S^-1, a row divides by s, so the scaling hands back s
     itself in the place of S^-1.  Its Schur term covers the problem's own
-    rows only, through ``Ds``, their dense columns for the classes they
-    touch: a pair is negated in those rows too, so its +1 member's column
-    stands for the class.  The unit rows enter through the reduction.
+    rows only, through ``Ds``, the columns of G for the classes they touch:
+    a pair is negated in those rows too, so its +1 member's column stands
+    for the class.  The unit rows enter through the reduction.
     """
 
     def __init__(self, blocks: List[Tuple[int, Block]], classes: _SignClasses):
         self.src = [bi for bi, _ in blocks]
-        general = len(blocks)
-        q = general + len(classes.paired)
-        self.q = q
+        self.general = general = len(blocks)
+        self.paired = classes.paired
+        self.q = q = general + len(classes.paired)
         self.vars = slice(None)  # rows may touch any variable
         self.a0 = np.zeros(q)
-        rows, cols, vals = [], [], []
+        self.G = np.zeros((general, len(classes.cls)))
         for r, (_, blk) in enumerate(blocks):
             for _, _, v in blk.const:
                 self.a0[r] += v
             for k, trips in blk.coeffs.items():
-                coef = sum(v for _, _, v in trips)
-                rows.append(r)
-                cols.append(k)
-                vals.append(coef)
-        rows += range(general, q)
-        cols += classes.paired.tolist()
-        vals += [1.0] * len(classes.paired)
-        self.D = sp.csr_matrix((vals, (rows, cols)), shape=(q, len(classes.cls)))
-        self.Dt = self.D.T.tocsr()
-        self.abs_Dt = abs(self.Dt)
-        own = self.D[:general]
-        touched = own.getnnz(axis=0) > 0
+                self.G[r, k] = sum(v for _, _, v in trips)
+        self.abs_G = np.abs(self.G)
+        touched = self.G.any(axis=0)
         touched[classes.sign < 0] = False  # a pair enters through its +1 member
         self.entries = _square(classes.cls[touched])
-        self.Ds = own[:, touched].toarray()
+        self.Ds = self.G[:, touched]
         self.norm_a0 = float(np.linalg.norm(self.a0))
-        col_norms = np.sqrt(np.asarray(self.D.multiply(self.D).sum(axis=0)).ravel())
-        self.coeff_scale = float(col_norms.max()) if q else 0.0
+        col_sq = (self.G * self.G).sum(axis=0)
+        col_sq[self.paired] += 1.0
+        self.coeff_scale = float(np.sqrt(col_sq).max()) if q else 0.0
         self.scratch = (0, 0)
 
     def start(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.full(self.q, 1.0 + self.norm_a0 + self.coeff_scale), np.ones(self.q)
 
     def combine(self, y: np.ndarray) -> np.ndarray:
-        return self.D @ y
+        return np.concatenate([self.G @ y, y[self.paired]])
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
-        return self.Dt @ u
+        out = self.G.T @ u[: self.general]
+        out[self.paired] += u[self.general :]
+        return out
 
     def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
-        return self.abs_Dt @ np.abs(z)
+        out = self.abs_G.T @ np.abs(z[: self.general])
+        out[self.paired] += np.abs(z[self.general :])
+        return out
 
     def schur(self, w2: np.ndarray, work: "_Workspace") -> np.ndarray:
-        return (self.Ds.T * w2[: len(self.Ds)]) @ self.Ds
+        return (self.Ds.T * w2[: self.general]) @ self.Ds
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -682,7 +691,7 @@ class _DenseBlock:
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.tensordot(a, b))
+        return float(np.vdot(a, b))
 
     @staticmethod
     def scaling(s: np.ndarray, z: np.ndarray) -> _Scaling:
@@ -833,16 +842,28 @@ class _NewtonSystem:
         an exact step along a pair's null direction (the sum of an
         interval's two multipliers), on which M vanishes when an interval
         is exact; that step drove 37 of 40 exact-measurement
-        networks to numerical_failure.  Raises LinAlgError when the matrix
-        is not positive definite, and ``chol`` is then None.
+        networks to numerical_failure.  Raises ValueError when the matrix
+        has a non-finite entry, which ends the attempts, and LinAlgError
+        when it is not positive definite; ``chol`` is then None.  LAPACK
+        factors the F-ordered buffer in place, so ``chol`` is that buffer.
         """
         self.chol = None
         red = _Reduction(self.classes, self.lam, jitter)
         work = self.work
         work.factor[...] = self.schur
         work.factor_diag += red.diag
-        self.chol = sla.cho_factor(work.factor, lower=True, overwrite_a=True)
+        if not np.isfinite(work.factor).all():
+            raise ValueError("Schur matrix has a non-finite entry")
+        chol, info = _POTRF(work.factor, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+        self.chol = chol
         self.red = red
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """The factored system's solution for the fresh right-hand side b,
+        which LAPACK overwrites."""
+        return _POTRS(self.chol, b, lower=1, overwrite_b=1)[0]
 
     def direction(self, sigma_mu: float, corr):
         """Solve one Newton system; returns (dx, [dS], [dZ])."""
@@ -860,14 +881,13 @@ class _NewtonSystem:
             rhs[b.vars] -= b.adjoint(b.congruence(sc.w, rsb))
 
         red = self.red
-        # the factor passed cho_factor's finiteness check and is unchanged
-        d = sla.cho_solve(self.chol, red.rhs(rhs), check_finite=False)
+        d = self._solve(red.rhs(rhs))
         dx = red.step(d, rhs)
         # one round of iterative refinement against M without the jitter
         # keeps the dual residual from flooring at the Schur matrix's
         # condition-number noise
         res = rhs - red.product(self.schur, d, dx)
-        dx = dx + red.step(sla.cho_solve(self.chol, red.rhs(res), check_finite=False), res)
+        dx = dx + red.step(self._solve(red.rhs(res)), res)
         ds = [b.sym(rsb + b.combine(dx)) for b, rsb in zip(blocks, self.r_s)]
         dz = [
             b.sym(r3b - b.congruence(sc.w, dsb))

@@ -3,7 +3,7 @@
 A change to the solver must keep its outputs: statuses, ``worst_case_value``
 to 1e-6 relative and positions to 1e-5 (ROADMAP aim 3).  Run it on the
 parent commit and on the change, each from its own checkout, with one BLAS
-thread, then compare:
+thread, then compare; ``--compare`` exits 1 when the gate fails:
 
     OPENBLAS_NUM_THREADS=1 python tests/output_gate.py --out before.json
     OPENBLAS_NUM_THREADS=1 python tests/output_gate.py --out after.json
@@ -19,13 +19,21 @@ The solves come in families:
 * ``exact``: 10 sensors at range 0.5 with exact measurements, seeds 0-39;
 * ``distributed``: the ``distributed`` workload's network at error seeds
   1-13, run by ``dist.run_dis_minmax``: round counts and the final
-  ``rmse_upper_bound``.
+  ``rmse_upper_bound``;
+* ``baseline``: the ``sweep`` workload's nine trials, each scenario fitted by
+  ``experiment.baseline_least_squares`` with the trial's seeds: its RMSE,
+  whether it converged and its Gauss-Newton iteration count.
 
-Each record holds a solve's status, iterations, ``worst_case_value`` and
-positions.  The comparison prints, per family, the status flips in each
+Each central record holds a solve's status, iterations, ``worst_case_value``
+and positions.  The comparison prints, per family, the status flips in each
 direction, the largest relative deviation of ``worst_case_value``, the
 largest position deviation (both over solves whose status is unchanged) and
-every changed round count.  pytest does not collect this file.
+every changed round or iteration count.  The gate fails on any status flip
+(a distributed or baseline fit that converges on one side only counts as
+one), any changed round or baseline iteration count, a relative deviation of
+``worst_case_value`` or ``rmse_upper_bound`` above 1e-6, and a position or
+baseline RMSE deviation above 1e-5.  A family that only one record holds is
+reported and not compared.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ ROOT = HERE.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(HERE)]
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
+VALUE_TOL = 1e-6  # relative, on worst_case_value and rmse_upper_bound
+POSITION_TOL = 1e-5  # on positions and the baseline's RMSE
 
 
 def network(n, sensing_range, seed, gamma=0.02):
@@ -95,7 +105,34 @@ def record() -> dict:
             "rmse_upper_bound": res.rounds[-1].rmse_upper_bound,
         }
         print("distributed", seed, len(res.rounds) - 1, file=sys.stderr)
+    for label, res, value in baseline_fits():
+        out.setdefault("baseline", {})[label] = {
+            "rmse": value,
+            "converged": res.converged,
+            "iterations": res.iterations,
+        }
+        print("baseline", label, res.converged, res.iterations, file=sys.stderr)
     return out
+
+
+def baseline_fits():
+    """(label, BaselineResult, RMSE) for each trial of the ``sweep`` workload,
+    with the scenario and seeds that ``experiment.run_experiment`` gives it."""
+    import workloads
+    from minmaxloc import experiment, model
+
+    spec = workloads.WORKLOADS["sweep"].build(workloads.FIXED_SEED)
+    for i, gamma in enumerate(spec.sweep_values):
+        for trial in range(spec.trials):
+            seed = {
+                role: experiment.trial_seed(spec.master_seed, i, trial, role)
+                for role in ("scenario", "errors", "baseline")
+            }
+            scen = model.generate_scenario(spec.scenario, seed=seed["scenario"])
+            scen = model.apply_errors(scen, spec.error_model(gamma), seed=seed["errors"])
+            res = experiment.baseline_least_squares(scen, seed=seed["baseline"])
+            value = experiment.rmse(res.positions, scen.true_positions)
+            yield f"gamma={gamma}-trial={trial}", res, value
 
 
 def rel(a: float, b: float) -> float:
@@ -106,23 +143,25 @@ def rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def compare(before: dict, after: dict) -> None:
-    for family in before:
-        a, b = before[family], after.get(family, {})
-        if family == "distributed":
-            changed = [
-                f"{label}: {a[label]['rounds']} -> {b[label]['rounds']} rounds"
-                for label in a
-                if b[label]["rounds"] != a[label]["rounds"]
-            ]
-            dev = max(rel(a[k]["rmse_upper_bound"], b[k]["rmse_upper_bound"]) for k in a)
-            print(f"{family}: {len(a)} runs, rmse_upper_bound rel dev {dev:.1e}")
-            print("  round counts kept" if not changed else "  " + "; ".join(changed))
+def compare(before: dict, after: dict) -> bool:
+    """Print the comparison family by family; True when the gate passes."""
+    ok = True
+    for family in sorted(set(before) ^ set(after)):
+        print(f"{family}: in one record only, not compared")
+    for family in [f for f in before if f in after]:
+        a, b = before[family], after[family]
+        missing = sorted(set(a) ^ set(b))
+        if missing:
+            print(f"{family}: runs in one record only: {', '.join(missing)}")
+            ok = False
+        labels = [k for k in a if k in b]
+        if family in ("distributed", "baseline"):
+            ok &= compare_runs(family, {k: a[k] for k in labels}, {k: b[k] for k in labels})
             continue
         flips = Counter(
-            (a[k]["status"], b[k]["status"]) for k in a if a[k]["status"] != b[k]["status"]
+            (a[k]["status"], b[k]["status"]) for k in labels if a[k]["status"] != b[k]["status"]
         )
-        kept = [k for k in a if a[k]["status"] == b[k]["status"]]
+        kept = [k for k in labels if a[k]["status"] == b[k]["status"]]
         values = [(a[k]["worst_case_value"], b[k]["worst_case_value"]) for k in kept]
         value_dev = max((rel(u, v) for u, v in values), default=0.0)
         value_abs = max((abs(u - v) for u, v in values), default=0.0)
@@ -134,7 +173,7 @@ def compare(before: dict, after: dict) -> None:
             ),
             default=0.0,
         )
-        iters = sum(b[k]["iterations"] - a[k]["iterations"] for k in a)
+        iters = sum(b[k]["iterations"] - a[k]["iterations"] for k in labels)
         print(
             f"{family}: {len(a)} solves, {sum(flips.values())} status flips, "
             f"worst_case_value rel dev {value_dev:.1e} (abs {value_abs:.1e}), "
@@ -143,6 +182,25 @@ def compare(before: dict, after: dict) -> None:
         )
         for (s, t), n in sorted(flips.items()):
             print(f"  {s} -> {t}: {n}")
+        ok &= not flips and value_dev <= VALUE_TOL and pos_dev <= POSITION_TOL
+    return ok
+
+
+def compare_runs(family: str, a: dict, b: dict) -> bool:
+    """The ``distributed`` or ``baseline`` family: convergence, counts and
+    the one value per run."""
+    count, value, tol, measure = {
+        "distributed": ("rounds", "rmse_upper_bound", VALUE_TOL, rel),
+        "baseline": ("iterations", "rmse", POSITION_TOL, lambda u, v: abs(u - v)),
+    }[family]
+    flips = [k for k in a if a[k]["converged"] != b[k]["converged"]]
+    changed = [
+        f"{k}: {a[k][count]} -> {b[k][count]} {count}" for k in a if a[k][count] != b[k][count]
+    ]
+    dev = max((measure(a[k][value], b[k][value]) for k in a), default=0.0)
+    print(f"{family}: {len(a)} runs, {len(flips)} convergence flips, {value} dev {dev:.1e}")
+    print(f"  {count} kept" if not changed else "  " + "; ".join(changed))
+    return not flips and not changed and dev <= tol
 
 
 def main(argv=None) -> int:
@@ -155,7 +213,10 @@ def main(argv=None) -> int:
         Path(args.out).write_text(json.dumps(record(), indent=1))
     else:
         before, after = (json.loads(Path(f).read_text()) for f in args.compare)
-        compare(before, after)
+        if not compare(before, after):
+            print("output gate FAILED")
+            return 1
+        print("output gate passed")
     return 0
 
 

@@ -75,13 +75,13 @@ def test_newton_system_has_one_unknown_per_interval(monkeypatch):
     unknowns = 2 + len(scen.sensor_edges) + len(scen.anchor_edges)
     assert problem.num_vars == 2 * unknowns - 2
     sizes = []
-    factor = sdp.sla.cho_factor
+    factor = sdp._POTRF
 
     def recording(a, *args, **kwargs):
         sizes.append(a.shape)
         return factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(sdp.sla, "cho_factor", recording)
+    monkeypatch.setattr(sdp, "_POTRF", recording)
     assert solve(problem).status == SolveStatus.OPTIMAL
     assert sizes and set(sizes) == {(unknowns, unknowns)}
 

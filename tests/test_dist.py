@@ -409,7 +409,7 @@ def test_node_program_pairs_each_reference():
     dense = [b for b in blocks if isinstance(b, sdp._DenseBlock)]
     rows = [b for b in blocks if isinstance(b, sdp._LinBlock)]
     assert [b.dim for b in dense] == [4]
-    assert len(rows) == 1 and rows[0].D.getnnz(axis=1).max() == 1
+    assert len(rows) == 1 and rows[0].general == 0 and rows[0].q == 2 * len(refs)
     assert classes.size == 1 + len(refs)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from fixtures import realized_errors
 from minmaxloc import experiment, model
+from reference_experiment import reference_residuals_and_jacobian
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
 
@@ -76,6 +77,56 @@ def test_gradient_matches_finite_differences():
                 - experiment.baseline_objective(scen, em)[0]
             ) / (2 * h)
             assert abs(fd - grad[k]) / max(1.0, abs(fd)) <= 1e-4
+
+
+def vectorized_residuals_and_jacobian(scen, flat):
+    ranges = experiment._RangeResiduals(scen, list(scen.sensors))
+    r, diff, d = ranges.residuals(flat)
+    return r, ranges.jacobian(diff, d)
+
+
+@pytest.mark.parametrize("n, error", [
+    (4, model.GaussianError(sigma=0.02)),
+    (8, model.UniformError(gamma=0.05)),
+    (12, model.MixtureError(sigma=0.02, ratio=0.2)),
+])
+def test_vectorized_residuals_equal_the_per_edge_loop(n, error):
+    # the residuals and Jacobian that the baseline forms by index arithmetic
+    # are those of the per-edge loop it replaced, bit for bit, at random
+    # points and at the truth
+    cfg = model.ScenarioConfig(n_sensors=n, anchor_positions=ANCHORS4, sensing_range=0.6)
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        scen = model.apply_errors(model.generate_scenario(cfg, seed=seed), error, seed=seed + 10)
+        order = list(scen.sensors)
+        truth = np.array([c for i in order for c in scen.true_positions[i]])
+        for flat in (rng.uniform(-0.5, 0.5, 2 * n), truth):
+            r, jac = vectorized_residuals_and_jacobian(scen, flat)
+            r_ref, jac_ref = reference_residuals_and_jacobian(scen, order, flat)
+            assert np.array_equal(r, r_ref) and np.array_equal(jac, jac_ref)
+
+
+def test_vectorized_jacobian_leaves_coincident_points_a_zero_row():
+    # a sensor exactly on an anchor, and one sensor exactly on another: the
+    # direction of those edges is undefined, and both forms leave their rows
+    # zero
+    scen = noisy_scenario()
+    order = list(scen.sensors)
+    at = {s: 2 * k for k, s in enumerate(order)}
+    flat = np.random.default_rng(2).uniform(-0.5, 0.5, 2 * len(order))
+    i, anchor = scen.anchor_edges[0]
+    flat[at[i] : at[i] + 2] = scen.anchors[anchor]
+    a, b = next(e for e in scen.sensor_edges if i not in e)
+    flat[at[b] : at[b] + 2] = flat[at[a] : at[a] + 2]
+    r, jac = vectorized_residuals_and_jacobian(scen, flat)
+    r_ref, jac_ref = reference_residuals_and_jacobian(scen, order, flat)
+    assert np.array_equal(r, r_ref) and np.array_equal(jac, jac_ref)
+    edges = scen.all_edges()
+    for edge in ((i, anchor), (a, b)):
+        row = edges.index(edge)
+        assert r[row] == -scen.measurements[edge]
+        assert not jac[row].any()
+    assert np.count_nonzero(jac.any(axis=1)) >= len(edges) - 2
 
 
 def test_baseline_recovers_exact_scenario_from_good_init():

@@ -1,0 +1,63 @@
+import json
+
+import pytest
+
+import output_gate
+
+
+def record():
+    return {
+        "twenty": {
+            "twenty-0": {
+                "status": "optimal",
+                "iterations": 20,
+                "worst_case_value": 0.5,
+                "positions": {"0": [0.1, 0.2]},
+            }
+        },
+        "distributed": {"seed-1": {"rounds": 3, "converged": True, "rmse_upper_bound": 0.1}},
+        "baseline": {"trial-0": {"rmse": 0.02, "converged": True, "iterations": 7}},
+    }
+
+
+def test_identical_records_pass(tmp_path):
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps(record()))
+    after.write_text(json.dumps(record()))
+    assert output_gate.main(["--compare", str(before), str(after)]) == 0
+
+
+@pytest.mark.parametrize(
+    "family, key, value, passes",
+    [
+        ("twenty", "status", "numerical_failure", False),
+        ("twenty", "worst_case_value", 0.5 * (1 + 2e-6), False),
+        ("twenty", "worst_case_value", 0.5 * (1 + 5e-7), True),
+        ("twenty", "positions", {"0": [0.1, 0.2 + 2e-5]}, False),
+        ("twenty", "iterations", 21, True),
+        ("distributed", "rounds", 4, False),
+        ("distributed", "converged", False, False),
+        ("distributed", "rmse_upper_bound", 0.1 * (1 + 2e-6), False),
+        ("baseline", "iterations", 8, False),
+        ("baseline", "converged", False, False),
+        ("baseline", "rmse", 0.02 + 2e-5, False),
+    ],
+)
+def test_gate_fails_on_a_flip_a_count_or_a_deviation_past_its_tolerance(
+    tmp_path, family, key, value, passes
+):
+    changed = record()
+    (run,) = changed[family].values()
+    run[key] = value
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps(record()))
+    after.write_text(json.dumps(changed))
+    assert output_gate.main(["--compare", str(before), str(after)]) == (0 if passes else 1)
+
+
+def test_a_run_missing_from_one_record_fails_and_a_new_family_does_not():
+    grown = record()
+    grown["exact"] = {}
+    assert output_gate.compare(record(), grown)
+    del grown["baseline"]["trial-0"]
+    assert not output_gate.compare(record(), grown)

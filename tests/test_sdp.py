@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from minmaxloc import sdp
+from fixtures import ORACLE_FIXTURES
+from minmaxloc import central, dist, sdp
 from reference_sdp import (
     block_from_dense,
     check_certificate,
@@ -433,6 +434,127 @@ def test_abs_adjoint_sums_coefficient_magnitudes(kind):
         for k in range(m)
     ])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def fused_rows(kind):
+    """The compiled fused rows of a package program and their D, built
+    densely from the program's 1x1 blocks and its declared pairs' unit rows.
+
+    ``central`` is a single-sensor network program, whose Mt - I is a row
+    of its own; ``node`` is a per-node program, which has none.
+    """
+    if kind == "central":
+        (scen, bounds), _ = ORACLE_FIXTURES["diamond"]
+        problem, _ = central.assemble_dual_sdp(scen, bounds)
+    else:
+        refs = [((0.1, 0.2), 0.0, 0.04), ((0.3, -0.1), 0.01, 0.05), ((-0.2, 0.4), 0.02, 0.09)]
+        problem = dist._chebyshev_dual(refs)
+    blocks, _ = sdp._compile(problem)
+    lin = blocks[-1]
+    rows = [problem.blocks[bi] for bi in lin.src] + unit_rows(problem)
+    d = np.array([[dense_coeff(b, k)[0, 0] for k in range(problem.num_vars)] for b in rows])
+    return lin, d
+
+
+@pytest.mark.parametrize("kind, general", [("central", 1), ("node", 0)])
+def test_fused_rows_adjoint_is_the_transpose_of_the_combination(kind, general):
+    lin, d = fused_rows(kind)
+    q, m = d.shape
+    assert lin.general == general and lin.q == q
+    # column by column and row by row, both maps are D exactly
+    combined = np.column_stack([lin.combine(e) for e in np.eye(m)])
+    adjoined = np.array([lin.adjoint(e) for e in np.eye(q)])
+    assert np.array_equal(combined, d) and np.array_equal(adjoined, d)
+    rng = np.random.default_rng(general)
+    for _ in range(5):
+        y, u = rng.standard_normal(m), rng.standard_normal(q)
+        assert lin.combine(y) @ u == pytest.approx(y @ lin.adjoint(u), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["central", "node"])
+def test_fused_rows_abs_adjoint_is_the_absolute_transpose(kind):
+    lin, d = fused_rows(kind)
+    z = np.random.default_rng(3).standard_normal(len(d))
+    want = np.abs(d).T @ np.abs(z)
+    assert np.linalg.norm(lin.abs_adjoint(z) - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def two_class_newton(monkeypatch, schur):
+    """A Newton system of two single-variable classes whose class Schur
+    matrix is ``schur``, and the jitters of its factoring attempts."""
+    a = np.array([[1.0, 0.5], [0.5, 2.0]])
+    problem = sdp.SdpProblem(
+        2, np.ones(2), [block_from_dense(np.eye(2), {0: a, 1: np.diag([1.0, -1.0])})]
+    )
+    blocks, classes = sdp._compile(problem)
+    (block,) = blocks
+    block.schur = lambda w, work: schur
+    jitters = []
+    factor = sdp._NewtonSystem.factor
+
+    def recorded(self, jitter):
+        jitters.append(jitter)
+        return factor(self, jitter)
+
+    monkeypatch.setattr(sdp._NewtonSystem, "factor", recorded)
+    eye = np.eye(2)
+    scal = [block.scaling(eye, eye)]
+    work = sdp._Workspace(blocks, classes.size)
+    zero = np.zeros(2)
+    newton = sdp._NewtonSystem(blocks, classes, work, scal, [eye], [0 * eye], zero)
+    return newton, work, jitters
+
+
+def test_cholesky_factors_the_workspace_in_place(monkeypatch):
+    k = np.array([[4.0, 1.0], [1.0, 3.0]])
+    newton, work, jitters = two_class_newton(monkeypatch, k)
+    assert jitters == [0.0]
+    assert np.shares_memory(newton.chol, work.factor)
+    assert np.array_equal(np.tril(newton.chol), np.linalg.cholesky(k))
+
+
+def test_cholesky_retries_an_indefinite_matrix_with_growing_jitter(monkeypatch):
+    # after a plain attempt the jitter is 10^k * 1e-12 (1 + trace / classes),
+    # about 1.5e-11 and then 1.5e-10 here; an eigenvalue of -5e-11 survives
+    # the first and not the second
+    newton, _, jitters = two_class_newton(monkeypatch, np.diag([1.0, -5e-11]))
+    base = sdp._JITTER * (1.0 + (1.0 - 5e-11) / 2)
+    assert jitters == [0.0, base * 10.0, base * 100.0]
+    assert newton.chol is not None
+
+
+def test_cholesky_gives_up_when_every_attempt_fails(monkeypatch):
+    newton, _, jitters = two_class_newton(monkeypatch, np.diag([1.0, -1.0]))
+    assert len(jitters) == 4 and jitters[0] == 0.0
+    assert np.all(np.diff(jitters[1:]) > 0)
+    assert newton.chol is None
+
+
+def test_cholesky_of_a_non_finite_matrix_stops_the_attempts(monkeypatch):
+    newton, _, jitters = two_class_newton(monkeypatch, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    assert jitters == [0.0]
+    assert newton.chol is None
+
+
+def test_nan_in_the_schur_matrix_ends_the_solve_numerical_failure(monkeypatch):
+    # from the fourth iteration on, one block's Schur term is NaN: the solve
+    # stops there with the best iterate so far, not with an exception
+    problem = lp_problem()
+    clean = sdp.solve(problem)
+    assert clean.iterations > 4
+    schur = sdp._LinBlock.schur
+    calls = []
+
+    def poisoned(self, w2, work):
+        calls.append(1)
+        out = schur(self, w2, work)
+        return out * np.nan if len(calls) > 3 else out
+
+    monkeypatch.setattr(sdp._LinBlock, "schur", poisoned)
+    sol = sdp.solve(problem)
+    assert sol.status == sdp.SolveStatus.NUMERICAL_FAILURE
+    assert sol.iterations == 3 and len(calls) == 4
+    assert np.all(np.isfinite(sol.x))
 
 
 def test_block_evaluate_matches_dense_sum():
