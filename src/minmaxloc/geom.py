@@ -21,8 +21,17 @@ Ties between grid points are always broken by the lexicographically smallest
 (ix, iy), which is the first index in x-major enumeration order.  All sets
 are closed: membership tests include boundaries.
 
-Three shortcuts skip work without changing any answer, tie-breaks included:
+Four shortcuts save memory or work without changing any answer, tie-breaks
+included:
 
+* Row blocks.  Every scan of the whole grid (the feasibility mask behind
+  the column extremes and the projection, and the relaxed program's
+  envelopes) walks it in blocks of whole grid columns, ix ranges of at most
+  ``_BLOCK_POINTS`` points, in x-major order, and forms its arrays for one
+  block at a time.  A later block's best point replaces the best so far
+  only when it is strictly better, so the first best point of the whole
+  grid wins, as in one scan.  Memory is one block plus the column extremes,
+  whatever the resolution.
 * Column extremes.  Within one grid column the squared distance from any
   point grows with the y-offset, and so does its rounded value, so the
   farthest feasible point of a column is its lowest or its highest.  The
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +60,10 @@ from .model import NetworkScenario, IntervalBound
 BBox = Tuple[Tuple[float, float], Tuple[float, float]]
 
 DEFAULT_RESOLUTION = 1e-3
+
+# Grid points per row block of a scan (see "Row blocks" above): a block's
+# float arrays stay in cache, and larger blocks measured slower.
+_BLOCK_POINTS = 1 << 15
 
 
 class EmptyRegionError(ValueError):
@@ -136,7 +149,7 @@ def _grid_axes(bbox: BBox, resolution: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _sq_dist(xs: np.ndarray, ys: np.ndarray, p: Sequence[float]) -> np.ndarray:
-    """Squared distance from ``p`` to every grid point, shape (nx, ny)."""
+    """Squared distance from ``p`` to every point of the grid block xs × ys."""
     return ((xs - p[0]) ** 2)[:, None] + ((ys - p[1]) ** 2)[None, :]
 
 
@@ -158,24 +171,43 @@ def _extreme_points(feasible: np.ndarray) -> np.ndarray:
     return feasible[hull.vertices]
 
 
-def _feasible_grid(
-    reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid axes over ``bbox`` (default: :func:`default_bbox`) and the
-    ``(nx, ny)`` feasibility mask; ``mask[ix, iy]`` is grid point (ix, iy).
+def _block_rows(ny: int) -> int:
+    """Grid columns per row block: at most ``_BLOCK_POINTS`` points, and at
+    least one column."""
+    return max(_BLOCK_POINTS // max(ny, 1), 1)
 
-    Raises :class:`EmptyRegionError` when no grid point is feasible.
-    """
+
+def _row_blocks(xs: np.ndarray, ny: int) -> Iterator[np.ndarray]:
+    """The x-axis of each row block, in order."""
+    step = _block_rows(ny)
+    return (xs[start : start + step] for start in range(0, len(xs), step))
+
+
+def _grid(
+    reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid axes over ``bbox`` (default: :func:`default_bbox`)."""
     if bbox is None:
         bbox = default_bbox(reg, resolution)
-    xs, ys = _grid_axes(bbox, resolution)
-    mask = np.ones((len(xs), len(ys)), dtype=bool)
-    for c in reg.constraints:
-        d2 = _sq_dist(xs, ys, c.center)
-        mask &= (d2 >= c.lower**2) & (d2 <= c.upper**2)
-    if not mask.any():
-        raise EmptyRegionError(f"no feasible grid point at resolution {resolution}")
-    return xs, ys, mask
+    return _grid_axes(bbox, resolution)
+
+
+def _feasible_blocks(
+    reg: FeasibleRegion, xs: np.ndarray, ys: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The feasibility mask one row block at a time, in x-major order: yields
+    each block's x-axis ``bx`` and its mask, where ``mask[i, iy]`` is the
+    grid point (bx[i], ys[iy]).  No mask of the whole grid is formed."""
+    for bx in _row_blocks(xs, len(ys)):
+        mask = np.ones((len(bx), len(ys)), dtype=bool)
+        for c in reg.constraints:
+            d2 = _sq_dist(bx, ys, c.center)
+            mask &= (d2 >= c.lower**2) & (d2 <= c.upper**2)
+        yield bx, mask
+
+
+def _empty(resolution: float) -> EmptyRegionError:
+    return EmptyRegionError(f"no feasible grid point at resolution {resolution}")
 
 
 def _column_extremes(xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -194,9 +226,15 @@ def _column_extremes(xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.nda
 def _targets(
     reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid axes and the feasible points a max-distance scan must visit."""
-    xs, ys, mask = _feasible_grid(reg, bbox, resolution)
-    return xs, ys, _extreme_points(_column_extremes(xs, ys, mask))
+    """Grid axes and the feasible points a max-distance scan must visit.
+
+    Raises :class:`EmptyRegionError` when no grid point is feasible.
+    """
+    xs, ys = _grid(reg, bbox, resolution)
+    extremes = [_column_extremes(bx, ys, mask) for bx, mask in _feasible_blocks(reg, xs, ys)]
+    if not any(len(e) for e in extremes):
+        raise _empty(resolution)
+    return xs, ys, _extreme_points(np.concatenate(extremes))
 
 
 def _worst_case(xs: np.ndarray, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -331,11 +369,19 @@ def project_to_region(
     resolution: float = DEFAULT_RESOLUTION,
 ) -> Tuple[float, float]:
     """Feasible grid point nearest to ``p`` (lexicographic tie-break)."""
-    xs, ys, mask = _feasible_grid(reg, bbox, resolution)
-    ix, iy = np.nonzero(mask)
-    d2 = (xs[ix] - float(p[0])) ** 2 + (ys[iy] - float(p[1])) ** 2
-    k = int(np.argmin(d2))
-    return (float(xs[ix[k]]), float(ys[iy[k]]))
+    xs, ys = _grid(reg, bbox, resolution)
+    best = None  # (squared distance, x, y) of the first nearest point so far
+    for bx, mask in _feasible_blocks(reg, xs, ys):
+        ix, iy = np.nonzero(mask)
+        if not len(ix):
+            continue
+        d2 = (bx[ix] - float(p[0])) ** 2 + (ys[iy] - float(p[1])) ** 2
+        k = int(np.argmin(d2))
+        if best is None or d2[k] < best[0]:
+            best = (d2[k], bx[ix[k]], ys[iy[k]])
+    if best is None:
+        raise _empty(resolution)
+    return (float(best[1]), float(best[2]))
 
 
 def grid_max_distance(
@@ -370,20 +416,24 @@ def relaxed_center_value(
     solver-based path.  U is a minimum of strictly concave quadratics, hence
     strictly concave, so the continuous maximizer is unique.
     """
-    if bbox is None:
-        bbox = default_bbox(reg, resolution)
-    xs, ys = _grid_axes(bbox, resolution)
-    upper_env = np.full((len(xs), len(ys)), np.inf)
-    lower_env = np.full((len(xs), len(ys)), -np.inf)
-    for c in reg.constraints:
-        d2 = _sq_dist(xs, ys, c.center)
-        upper_env = np.minimum(upper_env, c.upper**2 - d2)
-        lower_env = np.maximum(lower_env, c.lower**2 - d2)
-    ok = (lower_env <= upper_env) & (upper_env >= 0.0)
-    if not ok.any():
+    xs, ys = _grid(reg, bbox, resolution)
+    best = None  # (value, x, y) of the first maximizer so far
+    for bx in _row_blocks(xs, len(ys)):
+        upper_env = np.full((len(bx), len(ys)), np.inf)
+        lower_env = np.full((len(bx), len(ys)), -np.inf)
+        for c in reg.constraints:
+            d2 = _sq_dist(bx, ys, c.center)
+            np.minimum(upper_env, c.upper**2 - d2, out=upper_env)
+            np.maximum(lower_env, c.lower**2 - d2, out=lower_env)
+        ok = (lower_env <= upper_env) & (upper_env >= 0.0)
+        if not ok.any():
+            continue
+        values = np.where(ok, upper_env, -np.inf)
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        if best is None or values[i, j] > best[0]:
+            best = (values[i, j], bx[i], ys[j])
+    if best is None:
         raise EmptyRegionError(
             f"relaxed region has no feasible grid point at resolution {resolution}"
         )
-    values = np.where(ok, upper_env, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    return (float(xs[i]), float(ys[j])), float(values[i, j])
+    return (float(best[1]), float(best[2])), float(best[0])

@@ -60,16 +60,21 @@ as in the network-wide problem), centering term, the congruence W R W,
 step length, corrector, symmetrization, dual output, and the roundoff scale
 of the dual residual, <|A_k|, |Z|> per variable.  The solver loops over one
 list of such blocks and never asks what kind a block is.  A dense block enters through each
-class's first member, whose coefficients it lays out at compile time as the
-columns of one signed sparse matrix C of shape (d^2, classes): the
-combination is C y over the classes, reshaped; the adjoint is C^T vec(U),
-mapped to the variables; and the roundoff scale is |C|^T |vec Z|, which the
-two members of a pair share.  Only the Schur term needs more.  Small dense
+class's first member, whose coefficient entries it keeps at compile time as
+index arrays (position in vec(A), class, value), an off-diagonal entry in
+both of its positions, once sorted by position and once by class.  Each
+product is one gather and one np.bincount over them: the combination sums
+y_c A_c by position; the adjoint sums <A_c, U> by class, mapped to the
+variables; and the roundoff scale sums <|A_c|, |Z|> by class, which the two
+members of a pair share.  Only the Schur term needs more.  Small dense
 blocks keep a dense coefficient stack over their classes.  Large ones factor
 each class's coefficient into signed rank-one terms,
 A_c = sum_r sign_r u_r u_r^T, by one batched eigendecomposition on the
 supports, and assemble K from H[r, t] = (u_r^T W u_t)^2, which two dense
-products form, Y = U W and H = Y U^T.  The terms are ordered with each
+products form, Y = U W and H = Y U^T.  scipy's BLAS dgemm forms them, as its
+LAPACK factors the Schur matrix, so that a solve's products and Cholesky use
+one BLAS library and one thread pool; the eigendecompositions stay on
+numpy.  The terms are ordered with each
 class's first term in row c and the rest after it, so signing H and adding
 each later term's row, then its column, into its class's first in place
 leaves K in the leading corner of H, whatever the number of terms per class.
@@ -117,7 +122,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 Triplet = Tuple[int, int, float]
 
@@ -127,6 +131,9 @@ GAP_TOL = 1e-8  # relative duality gap of an OPTIMAL solve
 _STEP_FRACTION = 0.98  # of the largest cone-preserving step
 # LAPACK's Cholesky factor and solve in double precision, called directly
 _POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+# BLAS's double-precision product from the same library, so that the Schur
+# products and the Cholesky share one BLAS thread pool
+_GEMM = sla.get_blas_funcs("gemm", (np.empty(0),))
 
 
 class SolveStatus(Enum):
@@ -534,12 +541,13 @@ class _DenseBlock:
 
     Each class enters through its first member's coefficient; the block's
     variables map onto its classes through ``var_cls`` and ``var_sign``
-    (None when every variable is a class of its own).  ``C`` holds those
-    coefficients as the columns of one signed sparse (d*d, classes) matrix,
-    an off-diagonal entry in both of its positions, so the combination is one
-    product with C, the adjoint one with C^T and the roundoff scale one with
-    |C|^T.  The dense stack (small blocks) and the rank-one terms (large
-    ones) serve the Schur term only.
+    (None when every variable is a class of its own).  ``pos_order`` and
+    ``cls_order`` hold those coefficients' entries as (position in vec(A),
+    class, value) arrays, an off-diagonal entry in both of its positions,
+    sorted by (position, class) and by (class, position); ``cls_order`` also
+    has |value|.  np.bincount adds each output's entries in that order,
+    which is the order of a compressed-row product.  The dense stack (small
+    blocks) and the rank-one terms (large ones) serve the Schur term only.
     """
 
     def __init__(self, src: int, block: Block, classes: _SignClasses):
@@ -568,20 +576,23 @@ class _DenseBlock:
         ti, tj = np.divmod(table.pos[rows], d)
         tv = table.val[rows]
         off = ti != tj
-        self.C = sp.csr_matrix(
-            (
-                np.concatenate([tv, tv[off]]),
-                (np.concatenate([ti * d + tj, (tj * d + ti)[off]]), np.concatenate([tc, tc[off]])),
-            ),
-            shape=(d * d, nc),
-        )
-        self.Ct = self.C.T.tocsr()
-        self.abs_Ct = abs(self.Ct)
         norm2 = np.bincount(tc, weights=tv * tv * (1 + off), minlength=nc)  # |A_c|_F^2
         self.coeff_scale = math.sqrt(norm2.max(initial=0.0))
+        # every entry (position, class, value), an off-diagonal one in both
+        # of its positions, in the two orders the products add them in
+        ep = np.concatenate([ti * d + tj, (tj * d + ti)[off]])
+        ec = np.concatenate([tc, tc[off]])
+        ev = np.concatenate([tv, tv[off]])
+        by_pos = np.lexsort((ec, ep))
+        self.pos_order = (ep[by_pos], ec[by_pos], ev[by_pos])
+        by_cls = np.lexsort((ep, ec))
+        ep, ec, ev = ep[by_cls], ec[by_cls], ev[by_cls]
+        self.cls_order = (ep, ec, ev, np.abs(ev))
         self.rank1 = d > _DENSE_DIM_LIMIT
         if not self.rank1:
-            self.stack = self.Ct.toarray().reshape(nc, d, d)
+            stack = np.zeros((nc, d * d))
+            stack[ec, ep] = ev
+            self.stack = stack.reshape(nc, d, d)
             self.scratch = (0, 0)
             return
 
@@ -590,8 +601,7 @@ class _DenseBlock:
         # coefficients restricted to their supports and zero-padded to the
         # widest one.  keys are the sorted (class, index) pairs of the
         # supports, and slot each one's position within its class's support.
-        ec = np.repeat(np.arange(nc), np.diff(self.Ct.indptr))  # class of each entry
-        p, q = np.divmod(self.Ct.indices, d)
+        p, q = np.divmod(ep, d)
         keys = np.unique(ec * d + p)
         kc = keys // d
         slot = np.arange(len(keys)) - np.searchsorted(kc, kc)
@@ -600,7 +610,7 @@ class _DenseBlock:
         support[kc, slot] = keys % d
         a = np.zeros((nc, s, s))
         pos = [slot[np.searchsorted(keys, ec * d + r)] for r in (p, q)]
-        a[ec, pos[0], pos[1]] = self.Ct.data
+        a[ec, pos[0], pos[1]] = ev
         w, v = np.linalg.eigh(a)
         top = np.abs(w).max(axis=1, initial=0.0)
         keep = np.abs(w) > 1e-14 * np.maximum(top, 1.0)[:, None]
@@ -643,17 +653,22 @@ class _DenseBlock:
 
     def combine(self, y: np.ndarray) -> np.ndarray:
         """sum_k y_k A_k as a dense matrix (y indexed by problem variable);
-        symmetric exactly, as C stores both positions of an entry alike."""
-        return (self.C @ self._to_classes(y)).reshape(self.dim, self.dim)
+        symmetric exactly, as both positions of an entry hold it alike."""
+        ep, ec, ev = self.pos_order
+        v = np.bincount(ep, weights=ev * self._to_classes(y)[ec], minlength=self.dim**2)
+        return v.reshape(self.dim, self.dim)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         """<A_k, U> for each local variable, as a dense (mb,) vector."""
-        return self._to_vars(self.Ct @ u.ravel())
+        ep, ec, ev, _ = self.cls_order
+        v = np.bincount(ec, weights=ev * u.ravel()[ep], minlength=len(self.cls))
+        return self._to_vars(v)
 
     def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
         """<|A_k|, |Z|> for each local variable, as a dense (mb,) vector;
         the members of a negated pair share |A_k|."""
-        v = self.abs_Ct @ np.abs(z).ravel()
+        ep, ec, _, abs_ev = self.cls_order
+        v = np.bincount(ec, weights=abs_ev * np.abs(z.ravel()[ep]), minlength=len(self.cls))
         return v if self.var_cls is None else v[self.var_cls]
 
     def schur(self, w: np.ndarray, work: "_Workspace") -> np.ndarray:
@@ -675,8 +690,10 @@ class _DenseBlock:
             return g.reshape(nc, d * d) @ self.stack.reshape(nc, d * d).T
         nc = len(self.cls)
         y, h = work.rank_one(*self.scratch)
-        np.matmul(self.U, w, out=y)
-        np.matmul(y, self.U.T, out=h)
+        # Y = U W and H = Y U^T, written into the workspace through their
+        # F-ordered transposes: Y^T = W^T U^T and H^T = U Y^T
+        _GEMM(1.0, w.T, self.U.T, c=y.T, overwrite_c=1)
+        _GEMM(1.0, self.U.T, y.T, trans_a=1, c=h.T, overwrite_c=1)
         np.square(h, out=h)
         h *= 0.5 * self.sign[:, None]
         for c, r in self.extras:

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from minmaxloc.sdp import GAP_TOL, Block, SdpProblem, SdpSolution, SolverConfig
@@ -60,6 +61,35 @@ def block_from_dense(a0: np.ndarray, coeffs: Dict[int, np.ndarray]) -> Block:
 def dense_coeff(block: Block, k: int) -> np.ndarray:
     """Dense coefficient matrix of variable ``k`` in ``block``."""
     return Block(block.dim, block.coeffs.get(k, [])).dense_const()
+
+
+class SparseProducts:
+    """A compiled dense block's coefficient products through one signed
+    scipy.sparse CSR matrix C of shape (d^2, classes), whose column c is
+    vec of the ``dense_coeff`` of class c's first member: the combination is
+    C y over the classes, the adjoint C^T vec(U) and the roundoff scale
+    |C|^T |vec Z|.  A compressed-row product adds each output's entries in
+    index order, so the block's own products must equal these exactly."""
+
+    def __init__(self, block: Block, compiled):
+        self.compiled = compiled
+        first = compiled.vars
+        if compiled.var_cls is not None:
+            first = first[np.unique(compiled.var_cls, return_index=True)[1]]
+        self.c = sp.csr_matrix(np.column_stack([dense_coeff(block, k).ravel() for k in first]))
+        self.ct = self.c.T.tocsr()
+        self.abs_ct = abs(self.ct)
+
+    def combine(self, y: np.ndarray) -> np.ndarray:
+        d = self.compiled.dim
+        return (self.c @ self.compiled._to_classes(y)).reshape(d, d)
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        return self.compiled._to_vars(self.ct @ u.ravel())
+
+    def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
+        v = self.abs_ct @ np.abs(z).ravel()
+        return v if self.compiled.var_cls is None else v[self.compiled.var_cls]
 
 
 def scalar_block(const: float, coeffs: Dict[int, float]) -> Block:

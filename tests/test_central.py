@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from fixtures import ORACLE_FIXTURES, realized_errors, single_sensor_fixture
-from minmaxloc import central, geom, model, sdp
+from minmaxloc import central, dist, geom, model, sdp
 from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp, sample_feasible_positions
 from reference_central import assemble_interleaved_dual_sdp, recover_interleaved_estimate
-from reference_sdp import dense_coeff
+from reference_sdp import SparseProducts, dense_coeff
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
 
@@ -196,8 +196,8 @@ def test_rank_one_terms_rebuild_class_coefficients():
 
 @pytest.mark.parametrize("path", ["rank_one", "dense_stack"])
 def test_compiled_central_blocks_match_dense_coefficients(path, monkeypatch):
-    # combine, adjoint and abs_adjoint go through the block's one sparse
-    # coefficient matrix on both paths
+    # combine, adjoint and abs_adjoint use the block's entry arrays on both
+    # paths
     if path == "dense_stack":
         monkeypatch.setattr(sdp, "_DENSE_DIM_LIMIT", 10**6)
     problem, _ = central.assemble_dual_sdp(twenty_sensor_network(3))
@@ -230,6 +230,32 @@ def test_compiled_central_blocks_match_dense_coefficients(path, monkeypatch):
         s, c = compiled.var_sign, compiled.var_cls
         k_cls = compiled.schur(w, work)
         close(s[:, None] * s[None, :] * k_cls[np.ix_(c, c)], want)
+
+
+def test_coefficient_products_equal_the_sparse_reference():
+    # combine, adjoint and abs_adjoint add each output's entries in the
+    # order of a compressed-row product, so they equal scipy.sparse's
+    # products bit for bit: on the three central blocks (rank-one path) and
+    # on a per-node block (dense-stack path)
+    refs = [((0.1, 0.2), 0.0, 0.04), ((0.3, -0.1), 0.01, 0.05), ((-0.2, 0.4), 0.02, 0.09)]
+    cases = []
+    for problem, count in (
+        (central.assemble_dual_sdp(twenty_sensor_network(3))[0], 3),
+        (dist._chebyshev_dual(refs), 1),
+    ):
+        blocks, _ = sdp._compile(problem)
+        cases += [(problem, compiled) for compiled in blocks[:count]]
+    assert [compiled.rank1 for _, compiled in cases] == [True, True, True, False]
+    rng = np.random.default_rng(5)
+    for problem, compiled in cases:
+        ref = SparseProducts(problem.blocks[compiled.src], compiled)
+        for _ in range(3):
+            y = rng.standard_normal(problem.num_vars)
+            u = rng.standard_normal((compiled.dim, compiled.dim))
+            u = u + u.T
+            assert np.array_equal(compiled.combine(y), ref.combine(y))
+            assert np.array_equal(compiled.adjoint(u), ref.adjoint(u))
+            assert np.array_equal(compiled.abs_adjoint(u), ref.abs_adjoint(u))
 
 
 def test_newton_system_allocates_less_than_a_class_matrix():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +27,17 @@ def generated(tmp_path):
     )
     assert code == 0
     return path
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # the solver applies its coefficients with numpy alone; importing
+    # scipy.sparse would cost every command its import time and memory
+    code = "import sys, minmaxloc.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_generate_is_deterministic(tmp_path, generated):

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,15 +92,45 @@ def test_projection_onto_ring():
     assert inside[1] == pytest.approx(0.0, abs=1.5e-3)
 
 
+@contextlib.contextmanager
+def block_rows(rows):
+    """Scan the grid in row blocks of ``rows`` grid columns (None: the
+    module's own block size)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(geom, "_block_rows", lambda ny: rows)
+        yield
+
+
+# the module's block size, then blocks so small that ties and empty blocks
+# fall between them
+BLOCK_ROWS = (None, 1, 3)
+
+
 def test_projection_tie_breaks_to_first_grid_index():
     # on a unit-spaced grid over [-1, 1]^2, the points (0, 0) and (1, 0) are
     # both feasible and equidistant from (0.5, 0); x-major enumeration
-    # reaches (0, 0) first
+    # reaches (0, 0) first, also when they are in different row blocks
     reg = geom.region([((0.0, 0.0), 0.0, 1.0)])
-    q = geom.project_to_region(
-        reg, (0.5, 0.0), bbox=((-1.0, 1.0), (-1.0, 1.0)), resolution=1.0
-    )
-    assert q == (0.0, 0.0)
+    for rows in BLOCK_ROWS:
+        with block_rows(rows):
+            q = geom.project_to_region(
+                reg, (0.5, 0.0), bbox=((-1.0, 1.0), (-1.0, 1.0)), resolution=1.0
+            )
+        assert q == (0.0, 0.0)
+
+
+def test_relaxed_maximizer_tie_breaks_to_first_grid_index():
+    # on the same grid, the relaxed objective 1 - |y - (0.5, 0)|^2 of a unit
+    # disc is 0.75 at both (0, 0) and (1, 0), its largest value on the grid;
+    # x-major enumeration reaches (0, 0) first, also across row blocks
+    reg = geom.region([((0.5, 0.0), 0.0, 1.0)])
+    for rows in BLOCK_ROWS:
+        with block_rows(rows):
+            got = geom.relaxed_center_value(
+                reg, bbox=((-1.0, 1.0), (-1.0, 1.0)), resolution=1.0
+            )
+        assert got == ((0.0, 0.0), 0.75)
 
 
 def test_grid_max_distance_disc():
@@ -237,20 +269,26 @@ def _outcome(f, *args, **kwargs):
 
 
 def _assert_matches_reference(reg, points, bbox=None, resolution=5e-3):
+    """Every oracle equals the exhaustive scan, at each of ``BLOCK_ROWS``."""
     kw = dict(bbox=bbox, resolution=resolution)
-    assert _outcome(geom.grid_chebyshev_center, reg, **kw) == _outcome(
-        ref.chebyshev_center, reg, **kw
-    )
-    assert _outcome(geom.relaxed_center_value, reg, **kw) == _outcome(
-        ref.relaxed_center_value, reg, **kw
-    )
+    want = [
+        _outcome(ref.chebyshev_center, reg, **kw),
+        _outcome(ref.relaxed_center_value, reg, **kw),
+    ]
     for p in points:
-        assert _outcome(geom.project_to_region, reg, p, **kw) == _outcome(
-            ref.project, reg, p, **kw
-        )
-        assert _outcome(geom.grid_max_distance, reg, p, **kw) == _outcome(
-            ref.max_distance, reg, p, **kw
-        )
+        want += [_outcome(ref.project, reg, p, **kw), _outcome(ref.max_distance, reg, p, **kw)]
+    for rows in BLOCK_ROWS:
+        with block_rows(rows):
+            got = [
+                _outcome(geom.grid_chebyshev_center, reg, **kw),
+                _outcome(geom.relaxed_center_value, reg, **kw),
+            ]
+            for p in points:
+                got += [
+                    _outcome(geom.project_to_region, reg, p, **kw),
+                    _outcome(geom.grid_max_distance, reg, p, **kw),
+                ]
+        assert got == want, f"{rows} rows per block"
 
 
 def _assert_window_holds_minimizer(reg, bbox, resolution):
@@ -334,6 +372,25 @@ def test_oracles_equal_exhaustive_reference_on_degenerate_sets(name):
         _, feasible = ref.feasible_grid(reg, _GRID, 0.25)
         assert feasible.tolist() == [list(q) for q in expected]
     _assert_matches_reference(reg, [(0.6, -0.9), (-2.0, 0.3)], bbox=_GRID, resolution=0.25)
+
+
+@pytest.mark.parametrize(
+    "oracle", [geom.relaxed_center_value, geom.grid_chebyshev_center], ids=lambda f: f.__name__
+)
+def test_oracle_memory_stays_bounded_at_fine_resolution(oracle):
+    # the ring at the CLI's default resolution is a 4009 x 4009 grid: one
+    # float array over it is 123 MiB, and whole-grid scans peaked at 613 MiB
+    # (relaxed) and 169 MiB (Chebyshev); row blocks keep each under 32 MiB
+    reg = geom.region([((0.0, 0.0), 1.0, 2.0)])
+    xs, ys = geom._grid(reg, None, 1e-3)
+    assert (len(xs), len(ys)) == (4009, 4009)
+    tracemalloc.start()
+    try:
+        oracle(reg, resolution=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_scan_window_holds_minimizer_on_its_edge():
