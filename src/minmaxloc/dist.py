@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -341,7 +341,6 @@ class RoundRecord:
 class DisMinMaxResult:
     rounds: List[RoundRecord]
     converged: bool
-    table: BoundTable = field(repr=False)
 
 
 def _rmse_upper_bound(states: Mapping[int, NodeState]) -> float:
@@ -400,7 +399,6 @@ def run_dis_minmax(
     return DisMinMaxResult(
         rounds=rounds,
         converged=all(s.localized for s in states.values()),
-        table=table,
     )
 
 

@@ -21,37 +21,45 @@ Ties between grid points are always broken by the lexicographically smallest
 (ix, iy), which is the first index in x-major enumeration order.  All sets
 are closed: membership tests include boundaries.
 
-Four shortcuts save memory or work without changing any answer, tie-breaks
+These shortcuts save memory or work without changing any answer, tie-breaks
 included:
 
-* Row blocks.  Every scan of the whole grid (the feasibility mask behind
-  the column extremes and the projection, and the relaxed program's
-  envelopes) walks it in blocks of whole grid columns, ix ranges of at most
-  ``_BLOCK_POINTS`` points, in x-major order, and forms its arrays for one
-  block at a time.  A later block's best point replaces the best so far
-  only when it is strictly better, so the first best point of the whole
-  grid wins, as in one scan.  Memory is one block plus the column extremes,
-  whatever the resolution.
-* Column extremes.  Within one grid column the squared distance from any
-  point grows with the y-offset, and so does its rounded value, so the
-  farthest feasible point of a column is its lowest or its highest.  The
-  other feasible points of a column lie on the segment between those two.
+* Column intervals.  Along one grid column the rounded squared distance to
+  a point falls row by row down to that point's row and then rises, since
+  rounding is monotone.  So each annulus holds at most two intervals of
+  rows per column, and ``_column_intervals`` finds them exactly: from the
+  row where the exact circle crosses the column, each bound moves until the
+  mask's own comparison changes there.  The Chebyshev center, the
+  projection and the largest distance work from these intervals, at a cost
+  that grows with columns times annuli rather than with grid points.
+* Column extremes.  By the same valley shape, the farthest feasible point
+  of a column from any point is its lowest or its highest, and the other
+  feasible points of the column lie on the segment between those two.  The
+  largest distance is the largest over the column extremes, and the
+  nearest feasible point of a column is the first feasible row at or above
+  the query's row or the last one below it.
 * Hull vertices.  The farthest feasible grid point from any point is an
   extreme point of the feasible points' convex hull (squared distance is
   convex), and by the above every hull vertex is a column extreme; the
-  max-distance scans visit only the hull vertices of the column extremes.
+  Chebyshev scan visits only the hull vertices of the column extremes.
 * Pruned Chebyshev scan.  The worst case from p is at least R^2 + |p - c|^2
   for the minimum enclosing circle (c, R) of those vertices, so only a small
   window of grid points around c can beat the grid point nearest c.  The
   window is a rectangle of whole rows and columns, so scanning it in x-major
   order keeps the global tie-break (see ``_scan_window``).
+* Row blocks.  The relaxed program is the one scan of the whole grid.  It
+  walks the grid in blocks of whole grid columns, ix ranges of at most
+  ``_BLOCK_POINTS`` points, in x-major order, and forms its arrays for one
+  block at a time.  A later block's best point replaces the best so far
+  only when it is strictly better, so the first best point of the whole
+  grid wins, as in one scan.  Memory is one block, whatever the resolution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,11 +156,6 @@ def _grid_axes(bbox: BBox, resolution: float) -> Tuple[np.ndarray, np.ndarray]:
     return xlo + np.arange(nx) * resolution, ylo + np.arange(ny) * resolution
 
 
-def _sq_dist(xs: np.ndarray, ys: np.ndarray, p: Sequence[float]) -> np.ndarray:
-    """Squared distance from ``p`` to every point of the grid block xs × ys."""
-    return ((xs - p[0]) ** 2)[:, None] + ((ys - p[1]) ** 2)[None, :]
-
-
 def _extreme_points(feasible: np.ndarray) -> np.ndarray:
     """Vertices of the convex hull of the feasible grid points.
 
@@ -177,12 +180,6 @@ def _block_rows(ny: int) -> int:
     return max(_BLOCK_POINTS // max(ny, 1), 1)
 
 
-def _row_blocks(xs: np.ndarray, ny: int) -> Iterator[np.ndarray]:
-    """The x-axis of each row block, in order."""
-    step = _block_rows(ny)
-    return (xs[start : start + step] for start in range(0, len(xs), step))
-
-
 def _grid(
     reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -192,49 +189,128 @@ def _grid(
     return _grid_axes(bbox, resolution)
 
 
-def _feasible_blocks(
-    reg: FeasibleRegion, xs: np.ndarray, ys: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The feasibility mask one row block at a time, in x-major order: yields
-    each block's x-axis ``bx`` and its mask, where ``mask[i, iy]`` is the
-    grid point (bx[i], ys[iy]).  No mask of the whole grid is formed."""
-    for bx in _row_blocks(xs, len(ys)):
-        mask = np.ones((len(bx), len(ys)), dtype=bool)
-        for c in reg.constraints:
-            d2 = _sq_dist(bx, ys, c.center)
-            mask &= (d2 >= c.lower**2) & (d2 <= c.upper**2)
-        yield bx, mask
-
-
 def _empty(resolution: float) -> EmptyRegionError:
     return EmptyRegionError(f"no feasible grid point at resolution {resolution}")
 
 
-def _column_extremes(xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Lowest and highest feasible point of every grid column, x-major."""
-    cols = np.flatnonzero(mask.any(axis=1))
-    sub = mask[cols]
-    first = sub.argmax(axis=1)
-    last = len(ys) - 1 - sub[:, ::-1].argmax(axis=1)
-    ix = np.repeat(cols, 2)
-    iy = np.column_stack([first, last]).ravel()
-    keep = np.ones(len(ix), dtype=bool)
-    keep[1::2] = last != first
-    return np.column_stack([xs[ix[keep]], ys[iy[keep]]])
+def _offsets(
+    reg: FeasibleRegion, xs: np.ndarray, ys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each annulus's squared offsets on the grid, ``a`` (K, nx) for the
+    columns and ``b`` (K, ny) for the rows, and its squared bounds
+    ``lower2`` and ``upper2`` (K,).  Grid point (xs[i], ys[j]) lies in
+    annulus k exactly when ``lower2[k] <= a[k, i] + b[k, j] <= upper2[k]``,
+    the rounded sum of the rounded squares."""
+    cons = reg.constraints
+    return (
+        np.array([(xs - c.center[0]) ** 2 for c in cons]),
+        np.array([(ys - c.center[1]) ** 2 for c in cons]),
+        np.array([c.lower**2 for c in cons]),
+        np.array([c.upper**2 for c in cons]),
+    )
+
+
+# The four searches of _column_intervals, one per row: on the rising half
+# of a column (rows j0 and up, where the squared distance s to the center
+# never falls) s >= lower2 starts the interval and s > upper2 ends it; on
+# the falling half (rows below j0) s <= upper2 starts it and s < lower2
+# ends it.  Each test is false and then true along its half, and is written
+# as side * s >= limit: negation is exact, and a strict test compares with
+# the next float above instead.
+_SIDE = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+_STRICT = np.array([False, True, False, True])[:, None]
+
+
+def _column_intervals(
+    reg: FeasibleRegion, xs: np.ndarray, ys: np.ndarray, resolution: float
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Each annulus's feasible rows in every grid column, as exact intervals.
+
+    Returns the :func:`_offsets` and int arrays ``starts`` and ``ends`` of
+    shape (K, 2, nx): grid point (xs[i], ys[j]) lies in annulus k exactly
+    when ``starts[k, h, i] <= j < ends[k, h, i]`` for h = 0 (the rising half
+    of the column) or h = 1 (the falling half).  Each bound starts from the
+    row where the exact circle crosses the column and moves row by row until
+    the mask's own comparison changes there.
+    """
+    offsets = _offsets(reg, xs, ys)
+    a, b, lower2, upper2 = offsets
+    ny = len(ys)
+    cy = np.array([c.center[1] for c in reg.constraints])[:, None, None]
+    j0 = np.array([np.searchsorted(ys - c.center[1], 0.0) for c in reg.constraints])
+    lo = np.outer(j0, [1, 1, 0, 0])[:, :, None]
+    hi = (np.outer(j0, [0, 0, 1, 1]) + [ny, ny, 0, 0])[:, :, None]
+    bound = np.column_stack([lower2, upper2])[:, [0, 1, 1, 0], None]
+    limit = np.where(_STRICT, np.nextafter(_SIDE * bound, np.inf), _SIDE * bound)
+    a = a[:, None, :]
+    cross = cy + _SIDE * np.sqrt(np.maximum(bound - a, 0.0))
+    j = np.ceil((cross - (ys[0] if ny else 0.0)) / resolution)
+    j = np.minimum(np.maximum(j, lo), hi).astype(np.intp)
+
+    # b with one spare entry after each row, so that the reads at rows -1
+    # and ny, which the range checks below discard, stay inside the array
+    padded = np.zeros((len(j0), ny + 1))
+    padded[:, :ny] = b
+    padded = padded.ravel()
+    base = (np.arange(len(j0)) * (ny + 1))[:, None, None]
+
+    def holds(rows: np.ndarray) -> np.ndarray:
+        return _SIDE * (a + padded.take(base + rows)) >= limit
+
+    while True:
+        back = (j > lo) & holds(j - 1)
+        ahead = (j < hi) & ~holds(j)
+        if not (back.any() or ahead.any()):
+            break
+        j += ahead
+        j -= back
+    return offsets, j[:, 0::2], j[:, 1::2]
+
+
+def _inside(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether row ``rows[m, i]`` of column i lies in every annulus, by the
+    intervals of :func:`_column_intervals`; shape (M, nx)."""
+    r = rows[:, None, None, :]
+    return ((starts <= r) & (r < ends)).any(axis=2).all(axis=1)
+
+
+def _feasible_columns(
+    reg: FeasibleRegion, xs: np.ndarray, ys: np.ndarray, resolution: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid columns with a feasible point, ascending, and the row index
+    of each one's lowest and highest feasible point.
+
+    The lowest feasible row of a column is row 0 or a row whose lower
+    neighbour some annulus excludes, so it starts one of that annulus's
+    intervals: it is the least interval start that lies in every annulus.
+    Likewise the highest is the greatest interval end that does.
+    """
+    _, starts, ends = _column_intervals(reg, xs, ys, resolution)
+    ny = len(ys)
+    s, e = np.concatenate(starts), np.concatenate(ends) - 1
+    first = np.where(_inside(s, starts, ends), s, ny).min(axis=0)
+    last = np.where(_inside(e, starts, ends), e, -1).max(axis=0)
+    cols = np.flatnonzero(first < ny)
+    return cols, first[cols], last[cols]
 
 
 def _targets(
     reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid axes and the feasible points a max-distance scan must visit.
+    """Grid axes and the feasible points the Chebyshev scan must visit: the
+    hull vertices of the column extremes.
 
     Raises :class:`EmptyRegionError` when no grid point is feasible.
     """
     xs, ys = _grid(reg, bbox, resolution)
-    extremes = [_column_extremes(bx, ys, mask) for bx, mask in _feasible_blocks(reg, xs, ys)]
-    if not any(len(e) for e in extremes):
+    cols, first, last = _feasible_columns(reg, xs, ys, resolution)
+    if not len(cols):
         raise _empty(resolution)
-    return xs, ys, _extreme_points(np.concatenate(extremes))
+    ix = np.repeat(cols, 2)
+    iy = np.column_stack([first, last]).ravel()
+    keep = np.ones(len(ix), dtype=bool)
+    keep[1::2] = last != first
+    return xs, ys, _extreme_points(np.column_stack([xs[ix[keep]], ys[iy[keep]]]))
 
 
 def _worst_case(xs: np.ndarray, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -244,44 +320,49 @@ def _worst_case(xs: np.ndarray, ys: np.ndarray, targets: np.ndarray) -> np.ndarr
     return np.max((dx * dx)[:, None, :] + (dy * dy)[None, :, :], axis=2)
 
 
-_Circle = Tuple[np.ndarray, float, np.ndarray]
+_Point = Tuple[float, float]
+_Circle = Tuple[_Point, float, Tuple[_Point, ...]]
 
 
-def _circle_through(support: np.ndarray) -> _Circle:
+def _circle_through(support: Sequence[_Point]) -> _Circle:
     """(center, squared radius, support) of the circle through one point, the
     circle with two points as its diameter, or the circle through three."""
     if len(support) == 1:
-        center = support[0]
+        cx, cy = support[0]
     elif len(support) == 2:
-        center = 0.5 * (support[0] + support[1])
+        (ax, ay), (bx, by) = support
+        cx, cy = 0.5 * (ax + bx), 0.5 * (ay + by)
     else:
-        (ax, ay), (bx, by), (px, py) = support.tolist()
+        (ax, ay), (bx, by), (px, py) = support
         bx, by, px, py = bx - ax, by - ay, px - ax, py - ay
         d = 2.0 * (bx * py - by * px)
         b2, p2 = bx * bx + by * by, px * px + py * py
-        center = np.array([ax + (py * b2 - by * p2) / d, ay + (bx * p2 - px * b2) / d])
-    off = support - center
-    return center, float(np.max(off[:, 0] ** 2 + off[:, 1] ** 2)), support
+        cx, cy = ax + (py * b2 - by * p2) / d, ay + (bx * p2 - px * b2) / d
+    r2 = max((x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in support)
+    return (cx, cy), r2, tuple(support)
 
 
-def _first_outside(points: np.ndarray, start: int, circle: _Circle) -> Optional[int]:
-    """Index of the first point from ``start`` on outside ``circle``, if any."""
-    center, r2, _ = circle
-    off = points[start:] - center
-    out = np.flatnonzero(off[:, 0] ** 2 + off[:, 1] ** 2 > r2)
-    return start + int(out[0]) if len(out) else None
+def _first_outside(points: List[_Point], start: int, stop: int, circle: _Circle) -> Optional[int]:
+    """Index of the first of ``points[start:stop]`` outside ``circle``, if any."""
+    (cx, cy), r2, _ = circle
+    for i in range(start, stop):
+        x, y = points[i]
+        if (x - cx) * (x - cx) + (y - cy) * (y - cy) > r2:
+            return i
+    return None
 
 
-def _circle_with(points: np.ndarray, fixed: np.ndarray) -> _Circle:
-    """Smallest circle that encloses ``points`` with ``fixed`` on its boundary."""
+def _circle_with(points: List[_Point], stop: int, fixed: List[_Point]) -> _Circle:
+    """Smallest circle that encloses ``points[:stop]`` with ``fixed`` on its
+    boundary."""
     if len(fixed) == 3:
         return _circle_through(fixed)
-    start = 0 if len(fixed) else 1
-    circle = _circle_through(fixed if len(fixed) else points[:1])
-    i = _first_outside(points, start, circle)
+    start = 0 if fixed else 1
+    circle = _circle_through(fixed if fixed else points[:1])
+    i = _first_outside(points, start, stop, circle)
     while i is not None:
-        circle = _circle_with(points[:i], np.vstack([fixed, points[i : i + 1]]))
-        i = _first_outside(points, i + 1, circle)
+        circle = _circle_with(points, i, fixed + [points[i]])
+        i = _first_outside(points, i + 1, stop, circle)
     return circle
 
 
@@ -291,10 +372,11 @@ def _enclosing_circle(points: np.ndarray) -> _Circle:
     Returns the center, the squared radius and the one to three support
     points the circle passes through.  Points are visited in an order drawn
     from a fixed seed, which keeps the expected work linear in n and the
-    result the same on every call.
+    result the same on every call.  The recursion runs on Python floats:
+    it visits a few points per step, too few for numpy to pay off.
     """
     order = np.random.default_rng(0).permutation(len(points))
-    return _circle_with(points[order], points[:0])
+    return _circle_with([tuple(q) for q in points[order].tolist()], len(points), [])
 
 
 # Relative shrink of the enclosing circle's squared radius in the pruning
@@ -368,20 +450,31 @@ def project_to_region(
     bbox: Optional[BBox] = None,
     resolution: float = DEFAULT_RESOLUTION,
 ) -> Tuple[float, float]:
-    """Feasible grid point nearest to ``p`` (lexicographic tie-break)."""
+    """Feasible grid point nearest to ``p`` (lexicographic tie-break).
+
+    Within a column the squared distance to ``p`` falls down to row ``jp``
+    and rises from there, so the column's nearest feasible point is the
+    first feasible row from ``jp`` on or the last one before it; both are
+    ``jp`` or ``jp - 1`` clamped into one of the annuli's intervals.  The
+    first column with the least distance then gets one exact scan, which
+    finds its first nearest row when several tie.
+    """
     xs, ys = _grid(reg, bbox, resolution)
-    best = None  # (squared distance, x, y) of the first nearest point so far
-    for bx, mask in _feasible_blocks(reg, xs, ys):
-        ix, iy = np.nonzero(mask)
-        if not len(ix):
-            continue
-        d2 = (bx[ix] - float(p[0])) ** 2 + (ys[iy] - float(p[1])) ** 2
-        k = int(np.argmin(d2))
-        if best is None or d2[k] < best[0]:
-            best = (d2[k], bx[ix[k]], ys[iy[k]])
-    if best is None:
+    (a, b, lower2, upper2), starts, ends = _column_intervals(reg, xs, ys, resolution)
+    px, py = float(p[0]), float(p[1])
+    dx2, dy2 = (xs - px) ** 2, (ys - py) ** 2
+    jp = np.searchsorted(ys - py, 0.0)
+    s, e = np.concatenate(starts), np.concatenate(ends) - 1
+    rows = np.concatenate([np.minimum(np.maximum(jp - d, s), e) for d in (0, 1)])
+    rows = np.minimum(np.maximum(rows, 0), len(ys) - 1)
+    ok = _inside(rows, starts, ends)
+    if not ok.any():
         raise _empty(resolution)
-    return (float(best[1]), float(best[2]))
+    i = int(np.argmin(np.where(ok, dx2 + dy2[rows], np.inf).min(axis=0)))
+    d2 = a[:, i, None] + b
+    column = ((d2 >= lower2[:, None]) & (d2 <= upper2[:, None])).all(axis=0)
+    j = int(np.argmin(np.where(column, dx2[i] + dy2, np.inf)))
+    return (float(xs[i]), float(ys[j]))
 
 
 def grid_max_distance(
@@ -390,11 +483,18 @@ def grid_max_distance(
     bbox: Optional[BBox] = None,
     resolution: float = DEFAULT_RESOLUTION,
 ) -> float:
-    """Largest distance from ``p`` to any feasible grid point."""
-    _, _, targets = _targets(reg, bbox, resolution)
-    dx = targets[:, 0] - float(p[0])
-    dy = targets[:, 1] - float(p[1])
-    return math.sqrt(float(np.max(dx * dx + dy * dy)))
+    """Largest distance from ``p`` to any feasible grid point.
+
+    The squared distance along a column is smallest near ``p``'s row and
+    grows away from it, so a column's farthest feasible point is its lowest
+    or its highest one.
+    """
+    xs, ys = _grid(reg, bbox, resolution)
+    cols, first, last = _feasible_columns(reg, xs, ys, resolution)
+    if not len(cols):
+        raise _empty(resolution)
+    dx2, dy2 = (xs[cols] - float(p[0])) ** 2, (ys - float(p[1])) ** 2
+    return math.sqrt(float(np.max(np.maximum(dx2 + dy2[first], dx2 + dy2[last]))))
 
 
 def relaxed_center_value(
@@ -417,21 +517,30 @@ def relaxed_center_value(
     strictly concave, so the continuous maximizer is unique.
     """
     xs, ys = _grid(reg, bbox, resolution)
+    a, b, lower2, upper2 = _offsets(reg, xs, ys)
+    step = _block_rows(len(ys))
+    shape = (min(step, len(xs)), len(ys))
+    upper_buf, lower_buf, d2_buf, term_buf = (np.empty(shape) for _ in range(4))
     best = None  # (value, x, y) of the first maximizer so far
-    for bx in _row_blocks(xs, len(ys)):
-        upper_env = np.full((len(bx), len(ys)), np.inf)
-        lower_env = np.full((len(bx), len(ys)), -np.inf)
-        for c in reg.constraints:
-            d2 = _sq_dist(bx, ys, c.center)
-            np.minimum(upper_env, c.upper**2 - d2, out=upper_env)
-            np.maximum(lower_env, c.lower**2 - d2, out=lower_env)
-        ok = (lower_env <= upper_env) & (upper_env >= 0.0)
-        if not ok.any():
-            continue
-        values = np.where(ok, upper_env, -np.inf)
-        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-        if best is None or values[i, j] > best[0]:
-            best = (values[i, j], bx[i], ys[j])
+    for start in range(0, len(xs), step):
+        block = a[:, start : start + step]
+        n = block.shape[1]
+        upper_env, lower_env, d2, term = upper_buf[:n], lower_buf[:n], d2_buf[:n], term_buf[:n]
+        for k in range(len(block)):
+            np.add(block[k, :, None], b[k], out=d2)
+            if k == 0:
+                np.subtract(lower2[k], d2, out=lower_env)
+                np.subtract(upper2[k], d2, out=upper_env)
+                continue
+            np.maximum(lower_env, np.subtract(lower2[k], d2, out=term), out=lower_env)
+            np.minimum(upper_env, np.subtract(upper2[k], d2, out=term), out=upper_env)
+        if not upper_env.size:  # a box with no grid rows
+            break
+        # infeasible points drop to -inf; every other value is finite
+        np.copyto(upper_env, -np.inf, where=(lower_env > upper_env) | (upper_env < 0.0))
+        i, j = np.unravel_index(int(np.argmax(upper_env)), upper_env.shape)
+        if upper_env[i, j] > (-np.inf if best is None else best[0]):
+            best = (upper_env[i, j], xs[start + i], ys[j])
     if best is None:
         raise EmptyRegionError(
             f"relaxed region has no feasible grid point at resolution {resolution}"

@@ -120,6 +120,8 @@ class NetworkScenario:
     measurements  edge -> measured range z
     gamma         error bound shared by every measurement (0 = exact)
     sensing_range communication radius used to build the graph
+
+    Listing an edge twice, in either orientation, raises ValueError.
     """
 
     sensors: List[int]
@@ -130,6 +132,14 @@ class NetworkScenario:
     measurements: Dict[Edge, float]
     gamma: float
     sensing_range: float
+
+    def __post_init__(self):
+        seen: Set[Edge] = set()
+        for a, b in self.all_edges():
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                raise ValueError(f"edge ({a}, {b}) appears more than once")
+            seen.add(key)
 
     def all_edges(self) -> List[Edge]:
         return list(self.sensor_edges) + list(self.anchor_edges)
@@ -417,8 +427,6 @@ def scenario_from_json(text: str) -> NetworkScenario:
                 raise ValueError(f"edge ({rec['a']}, {rec['b']}) links unknown nodes")
             e = (a, b)
             anchor_edges.append(e)
-        if e in measurements:
-            raise ValueError(f"edge ({rec['a']}, {rec['b']}) appears more than once")
         measurements[e] = z
 
     gamma = _json_float(doc["gamma"])

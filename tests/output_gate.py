@@ -22,7 +22,12 @@ The solves come in families:
   ``rmse_upper_bound``;
 * ``baseline``: the ``sweep`` workload's nine trials, each scenario fitted by
   ``experiment.baseline_least_squares`` with the trial's seeds: its RMSE,
-  whether it converged and its Gauss-Newton iteration count.
+  whether it converged and its Gauss-Newton iteration count;
+* ``grid``: the four grid oracles of ``geom`` on the ``oracle`` workload's
+  ten fixtures at its resolution: the Chebyshev center and radius, the
+  projection and the largest distance of the truth and of a fixed probe
+  point, and the relaxed center and value, or the message of the
+  ``EmptyRegionError`` a call raised.
 
 Each central record holds a solve's status, iterations, ``worst_case_value``
 and positions.  The comparison prints, per family, the status flips in each
@@ -31,9 +36,11 @@ largest position deviation (both over solves whose status is unchanged) and
 every changed round or iteration count.  The gate fails on any status flip
 (a distributed or baseline fit that converges on one side only counts as
 one), any changed round or baseline iteration count, a relative deviation of
-``worst_case_value`` or ``rmse_upper_bound`` above 1e-6, and a position or
-baseline RMSE deviation above 1e-5.  A family that only one record holds is
-reported and not compared.  pytest does not collect this file.
+``worst_case_value`` or ``rmse_upper_bound`` above 1e-6, a position or
+baseline RMSE deviation above 1e-5, and any changed ``grid`` output: the
+oracles promise the exhaustive scan's answers bit for bit.  A family that
+only one record holds is reported and not compared.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -112,6 +119,50 @@ def record() -> dict:
             "iterations": res.iterations,
         }
         print("baseline", label, res.converged, res.iterations, file=sys.stderr)
+    out["grid"] = grid_outputs()
+    return out
+
+
+PROBE = (0.31, -0.17)  # a fixed point to project and measure from
+
+
+def grid_outputs() -> dict:
+    """Every grid oracle's answer on each ``oracle`` workload fixture."""
+    import workloads
+    from minmaxloc import geom
+
+    h = workloads.Oracle.RESOLUTION
+
+    def outcome(call):
+        try:
+            return call()
+        except geom.EmptyRegionError as exc:
+            return {"empty": str(exc)}
+
+    def chebyshev(reg):
+        res = geom.grid_chebyshev_center(reg, resolution=h)
+        return {"center": list(res.center), "radius": res.radius}
+
+    def relaxed(reg):
+        center, value = geom.relaxed_center_value(reg, resolution=h)
+        return {"center": list(center), "value": value}
+
+    out = {}
+    for fx in workloads.WORKLOADS["oracle"].build(workloads.FIXED_SEED):
+        reg = fx.region
+        rec = {
+            "chebyshev": outcome(lambda: chebyshev(reg)),
+            "relaxed": outcome(lambda: relaxed(reg)),
+        }
+        for name, p in (("truth", fx.scenario.true_positions[0]), ("probe", PROBE)):
+            rec[f"project-{name}"] = outcome(
+                lambda: list(geom.project_to_region(reg, p, resolution=h))
+            )
+            rec[f"max_distance-{name}"] = outcome(
+                lambda: geom.grid_max_distance(reg, p, resolution=h)
+            )
+        out[fx.name] = rec
+        print("grid", fx.name, file=sys.stderr)
     return out
 
 
@@ -155,6 +206,9 @@ def compare(before: dict, after: dict) -> bool:
             print(f"{family}: runs in one record only: {', '.join(missing)}")
             ok = False
         labels = [k for k in a if k in b]
+        if family == "grid":
+            ok &= compare_grid({k: a[k] for k in labels}, {k: b[k] for k in labels})
+            continue
         if family in ("distributed", "baseline"):
             ok &= compare_runs(family, {k: a[k] for k in labels}, {k: b[k] for k in labels})
             continue
@@ -201,6 +255,20 @@ def compare_runs(family: str, a: dict, b: dict) -> bool:
     print(f"{family}: {len(a)} runs, {len(flips)} convergence flips, {value} dev {dev:.1e}")
     print(f"  {count} kept" if not changed else "  " + "; ".join(changed))
     return not flips and not changed and dev <= tol
+
+
+def compare_grid(a: dict, b: dict) -> bool:
+    """The ``grid`` family: every oracle output equal, key for key."""
+    changed = [
+        f"{k}: {key}"
+        for k in a
+        for key in sorted(set(a[k]) | set(b[k]))
+        if a[k].get(key) != b[k].get(key)
+    ]
+    print(f"grid: {len(a)} fixtures, {len(changed)} changed outputs")
+    for line in changed:
+        print(f"  {line}")
+    return not changed
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,8 @@
 The plain way to answer what ``minmaxloc.geom`` answers with shortcuts:
 list every grid point as an (N, 2) array in x-major order, keep the feasible
 ones, and scan.  The Chebyshev center tests every grid point against every
-vertex of the hull of all feasible points; the projection and the relaxed
-program scan the full point lists.  The arithmetic per point is the same as
+vertex of the hull of all feasible points; the projection, the largest
+distance and the relaxed program scan the full point lists.  The arithmetic per point is the same as
 in ``geom``, so the tests compare the two with ``==``, tie-breaks and
 ``EmptyRegionError`` messages included.
 """
@@ -110,9 +110,8 @@ def max_distance(
     resolution: float = DEFAULT_RESOLUTION,
 ) -> float:
     _, feasible = feasible_grid(reg, bbox, resolution)
-    targets = _extreme_points(feasible)
-    dx = targets[:, 0] - float(p[0])
-    dy = targets[:, 1] - float(p[1])
+    dx = feasible[:, 0] - float(p[0])
+    dy = feasible[:, 1] - float(p[1])
     return math.sqrt(float(np.max(dx * dx + dy * dy)))
 
 
@@ -138,3 +137,54 @@ def relaxed_center_value(
     values = np.where(ok, upper_env, -np.inf)
     idx = int(np.argmax(values))
     return (float(points[idx, 0]), float(points[idx, 1])), float(values[idx])
+
+
+# The minimum enclosing circle on numpy arrays, as ``geom`` computed it before
+# its recursion moved to Python floats: same formulas, same visiting order.
+
+Circle = Tuple[np.ndarray, float, np.ndarray]
+
+
+def circle_through(support: np.ndarray) -> Circle:
+    """(center, squared radius, support) of the circle through one point, the
+    circle with two points as its diameter, or the circle through three."""
+    if len(support) == 1:
+        center = support[0]
+    elif len(support) == 2:
+        center = 0.5 * (support[0] + support[1])
+    else:
+        (ax, ay), (bx, by), (px, py) = support.tolist()
+        bx, by, px, py = bx - ax, by - ay, px - ax, py - ay
+        d = 2.0 * (bx * py - by * px)
+        b2, p2 = bx * bx + by * by, px * px + py * py
+        center = np.array([ax + (py * b2 - by * p2) / d, ay + (bx * p2 - px * b2) / d])
+    off = support - center
+    return center, float(np.max(off[:, 0] ** 2 + off[:, 1] ** 2)), support
+
+
+def first_outside(points: np.ndarray, start: int, circle: Circle) -> Optional[int]:
+    """Index of the first point from ``start`` on outside ``circle``, if any."""
+    center, r2, _ = circle
+    off = points[start:] - center
+    out = np.flatnonzero(off[:, 0] ** 2 + off[:, 1] ** 2 > r2)
+    return start + int(out[0]) if len(out) else None
+
+
+def circle_with(points: np.ndarray, fixed: np.ndarray) -> Circle:
+    """Smallest circle that encloses ``points`` with ``fixed`` on its boundary."""
+    if len(fixed) == 3:
+        return circle_through(fixed)
+    start = 0 if len(fixed) else 1
+    circle = circle_through(fixed if len(fixed) else points[:1])
+    i = first_outside(points, start, circle)
+    while i is not None:
+        circle = circle_with(points[:i], np.vstack([fixed, points[i : i + 1]]))
+        i = first_outside(points, i + 1, circle)
+    return circle
+
+
+def enclosing_circle(points: np.ndarray) -> Circle:
+    """Minimum enclosing circle of an (n, 2) array (Welzl 1991), visiting the
+    points in the order ``geom._enclosing_circle`` draws."""
+    order = np.random.default_rng(0).permutation(len(points))
+    return circle_with(points[order], points[:0])

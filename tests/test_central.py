@@ -87,16 +87,16 @@ def test_newton_system_has_one_unknown_per_interval(monkeypatch):
 
 
 def test_duplicated_sensor_edge_matches_single_copy():
-    # a network built in code may list a sensor edge twice; each copy's
-    # interval forms its own pair, the copies share no class, and the
+    # NetworkScenario rejects an edge listed twice when it is built, but its
+    # lists can still be edited afterwards; the solver then gives each
+    # copy's interval its own pair, the copies share no class, and the
     # feasible set and so the estimate are those of the single listing
     cfg = model.ScenarioConfig(n_sensors=8, anchor_positions=ANCHORS4, sensing_range=0.5)
     scen = model.apply_errors(
         model.generate_scenario(cfg, seed=4), model.UniformError(0.02), seed=4
     )
-    twice = dataclasses.replace(
-        scen, sensor_edges=sorted(scen.sensor_edges + scen.sensor_edges[:1])
-    )
+    twice = dataclasses.replace(scen, sensor_edges=list(scen.sensor_edges))
+    twice.sensor_edges = sorted(scen.sensor_edges + scen.sensor_edges[:1])
     problem, _ = central.assemble_dual_sdp(twice)
     _, classes = sdp._compile(problem)
     assert classes.size == 2 + len(twice.sensor_edges) + len(twice.anchor_edges)

@@ -299,6 +299,21 @@ def _assert_window_holds_minimizer(reg, bbox, resolution):
     assert sx.start <= ix < sx.stop and sy.start <= iy < sy.stop
 
 
+def _assert_intervals_match_mask(reg, bbox, resolution):
+    """Each annulus's column intervals hold exactly the grid points that its
+    mask, formed as the exhaustive scan forms it, holds."""
+    if bbox is None:
+        bbox = geom.default_bbox(reg, resolution)
+    xs, ys = geom._grid(reg, bbox, resolution)
+    _, starts, ends = geom._column_intervals(reg, xs, ys, resolution)
+    rows = np.arange(len(ys))
+    for k, c in enumerate(reg.constraints):
+        d2 = (xs[:, None] - c.center[0]) ** 2 + (ys[None, :] - c.center[1]) ** 2
+        want = (d2 >= c.lower**2) & (d2 <= c.upper**2)
+        got = (starts[k][:, :, None] <= rows) & (rows < ends[k][:, :, None])
+        assert np.array_equal(got.any(axis=0), want), f"annulus {k}"
+
+
 ALL_FIXTURES = {
     **{name: fx for name, (fx, _) in ORACLE_FIXTURES.items()},
     **NONCONVEX_FIXTURES,
@@ -312,6 +327,23 @@ def test_oracles_equal_exhaustive_reference_on_fixtures(name):
     points = [scen.true_positions[0], (0.31, -0.17), (2.0, 1.5)]
     _assert_matches_reference(reg, points, resolution=5e-3)
     _assert_window_holds_minimizer(reg, geom.default_bbox(reg, 5e-3), 5e-3)
+    _assert_intervals_match_mask(reg, None, 5e-3)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_max_distance_needs_no_hull(name, monkeypatch):
+    # a column's farthest feasible point is its lowest or highest one, so
+    # the largest distance comes from the column extremes without Qhull
+    scen, bounds = ALL_FIXTURES[name]
+    reg = geom.single_sensor_region(scen, bounds)
+    points = [scen.true_positions[0], (0.31, -0.17), (2.0, 1.5)]
+    want = [ref.max_distance(reg, p, resolution=5e-3) for p in points]
+
+    def no_hull(points):
+        raise AssertionError("grid_max_distance built a hull")
+
+    monkeypatch.setattr(geom, "_extreme_points", no_hull)
+    assert [geom.grid_max_distance(reg, p, resolution=5e-3) for p in points] == want
 
 
 annuli = st.lists(
@@ -337,6 +369,7 @@ annuli = st.lists(
 def test_oracles_equal_exhaustive_reference_on_random_regions(cons, h, p):
     reg = geom.region([(c, lower, lower + width) for c, lower, width in cons])
     _assert_matches_reference(reg, [p], resolution=h)
+    _assert_intervals_match_mask(reg, None, h)
 
 
 # On the grid over [-1, 1]^2 at step 1/4 (exact in binary), hand-built regions
@@ -372,6 +405,75 @@ def test_oracles_equal_exhaustive_reference_on_degenerate_sets(name):
         _, feasible = ref.feasible_grid(reg, _GRID, 0.25)
         assert feasible.tolist() == [list(q) for q in expected]
     _assert_matches_reference(reg, [(0.6, -0.9), (-2.0, 0.3)], bbox=_GRID, resolution=0.25)
+
+
+@pytest.mark.parametrize("bbox", [((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0))])
+def test_box_without_grid_points_has_no_feasible_point(bbox):
+    reg = geom.region([((0.5, 0.5), 0.0, 1.0)])
+    _assert_matches_reference(reg, [(0.5, 0.5)], bbox=bbox, resolution=0.25)
+
+
+# Regions on the same grid whose boundaries fall exactly on grid points, as
+# (constraints, points to query from, a check that the case is as described).
+# The squares of every offset and radius here are exact in binary, so the
+# mask's comparisons meet equality where the exact circles pass.
+_STRIP = [((-3.0, 0.0), 0.0, 3.2), ((3.0, 0.0), 0.0, 3.2)]  # the column x = 0 only
+
+
+def _points_at(reg, sq_radius):
+    """The feasible grid points at squared distance ``sq_radius`` from the
+    first annulus's center."""
+    _, feasible = ref.feasible_grid(reg, _GRID, 0.25)
+    (cx, cy) = reg.constraints[0].center
+    return [tuple(q) for q in feasible if (q[0] - cx) ** 2 + (q[1] - cy) ** 2 == sq_radius]
+
+
+EXACT = {
+    # four grid points on lower^2 = 1/4, and six on upper^2 = 25/16 (offsets
+    # (3/4, 1), (1, 3/4) and (5/4, 0))
+    "on both bounds": (
+        [((0.25, -0.25), 0.5, 1.25)],
+        [(0.25, -0.25), (0.9, 0.6), (-0.6, -0.9)],
+        lambda reg: len(_points_at(reg, 0.25)) == 4 and len(_points_at(reg, 1.5625)) == 6,
+    ),
+    # a circle: lower == upper, through the eight points at offsets (3/4, 1)
+    "zero width": (
+        [((0.0, 0.0), 1.25, 1.25)],
+        [(0.0, 0.0), (0.1, 0.7), (-0.9, 0.2)],
+        lambda reg: len(_points_at(reg, 1.5625)) == 8,
+    ),
+    # the center lies on the grid row y = 1/4, where the offset is exactly 0
+    "center on a row": (
+        [((0.1, 0.25), 0.25, 0.6)],
+        [(0.1, 0.25), (0.5, 0.25), (-0.4, -0.7)],
+        lambda reg: {q[0] < 0.1 for q in ref.feasible_grid(reg, _GRID, 0.25)[1] if q[1] == 0.25}
+        == {True, False},
+    ),
+    # column x = 0 holds y in {-1, -3/4, -1/2}, {1/2} and {1}: the ring
+    # [1/2, 1] around the origin, less the hole of radius 1/4 around (0, 3/4)
+    "three pieces": (
+        [((0.0, 0.0), 0.5, 1.0), ((0.0, 0.75), 0.25, 4.0)] + _STRIP,
+        [(0.0, 0.75), (0.0, 0.0), (0.2, -0.1)],
+        lambda reg: [q[1] for q in ref.feasible_grid(reg, _GRID, 0.25)[1]]
+        == [-1.0, -0.75, -0.5, 0.5, 1.0],
+    ),
+    # (0, -1/2) and (0, 1/2) are equally near (0.3, 0): the two pieces of
+    # the column are symmetric about p_y, and the first row wins
+    "symmetric tie": (
+        [((0.0, 0.0), 0.5, 1.0)] + _STRIP,
+        [(0.3, 0.0), (0.0, 0.0), (-0.1, 0.0)],
+        lambda reg: ref.project(reg, (0.3, 0.0), _GRID, 0.25) == (0.0, -0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_oracles_equal_exhaustive_reference_on_exact_boundaries(name):
+    cons, points, shape = EXACT[name]
+    reg = geom.region(cons)
+    assert shape(reg)
+    _assert_intervals_match_mask(reg, _GRID, 0.25)
+    _assert_matches_reference(reg, points, bbox=_GRID, resolution=0.25)
 
 
 @pytest.mark.parametrize(
@@ -448,6 +550,12 @@ def _brute_force_circle(points):
 def test_enclosing_circle_is_the_minimum_one(lattice, scale):
     points = np.array(lattice, dtype=float) * scale
     center, r2, support = geom._enclosing_circle(points)
+    # the recursion on Python floats returns the numpy recursion's circle
+    want_center, want_r2, want_support = ref.enclosing_circle(points)
+    assert center == tuple(want_center.tolist())
+    assert r2 == want_r2
+    assert support == tuple(map(tuple, want_support.tolist()))
+    support = np.array(support)
     d2 = np.sum((points - center) ** 2, axis=1)
     assert np.all(d2 <= r2 * (1 + 1e-12))
     s2 = np.sum((support - center) ** 2, axis=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -191,6 +192,19 @@ def test_json_rejects_unknown_edge_nodes():
     doc["edges"].append({"a": 99, "b": 100, "z": 1.0})
     with pytest.raises(ValueError):
         model.scenario_from_json(json.dumps(doc))
+
+
+def test_scenario_rejects_an_edge_listed_twice():
+    # scenarios built in code follow scenario_from_json's rule: a sensor edge
+    # listed again in the other orientation, or an anchor edge listed again,
+    # is a ValueError rather than a second interval for the same pair
+    sc = model.generate_scenario(small_config(), seed=4)
+    i, j = sc.sensor_edges[0]
+    with pytest.raises(ValueError, match=rf"edge \({j}, {i}\) appears more than once"):
+        dataclasses.replace(sc, sensor_edges=sc.sensor_edges + [(j, i)])
+    with pytest.raises(ValueError, match="appears more than once"):
+        dataclasses.replace(sc, anchor_edges=sc.anchor_edges + sc.anchor_edges[:1])
+    assert dataclasses.replace(sc).sensor_edges == sc.sensor_edges
 
 
 @given(

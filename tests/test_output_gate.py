@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -17,6 +18,12 @@ def record():
         },
         "distributed": {"seed-1": {"rounds": 3, "converged": True, "rmse_upper_bound": 0.1}},
         "baseline": {"trial-0": {"rmse": 0.02, "converged": True, "iterations": 7}},
+        "grid": {
+            "disc": {
+                "chebyshev": {"center": [0.0, 0.005], "radius": 0.9995},
+                "max_distance-probe": 1.2,
+            }
+        },
     }
 
 
@@ -41,6 +48,8 @@ def test_identical_records_pass(tmp_path):
         ("baseline", "iterations", 8, False),
         ("baseline", "converged", False, False),
         ("baseline", "rmse", 0.02 + 2e-5, False),
+        ("grid", "max_distance-probe", math.nextafter(1.2, 2.0), False),
+        ("grid", "chebyshev", {"empty": "no feasible grid point at resolution 0.005"}, False),
     ],
 )
 def test_gate_fails_on_a_flip_a_count_or_a_deviation_past_its_tolerance(
