@@ -42,6 +42,14 @@ included:
   extreme point of the feasible points' convex hull (squared distance is
   convex), and by the above every hull vertex is a column extreme; the
   Chebyshev scan visits only the hull vertices of the column extremes.
+  ``_hull_vertices`` finds them in grid-index space, where the points are
+  integers and a monotone chain's cross products are exact; it keeps only
+  strictly convex turns, so a point inside an edge is dropped.  Any other
+  feasible grid point m is a convex combination of vertices v_i != m, and
+  then max_i |p - v_i|^2 >= |p - m|^2 + min_i |v_i - m|^2 >= |p - m|^2 + h^2
+  for every p: a margin far above rounding, so the largest rounded squared
+  distance to the vertices is the largest to every feasible point, bit for
+  bit.
 * Pruned Chebyshev scan.  The worst case from p is at least R^2 + |p - c|^2
   for the minimum enclosing circle (c, R) of those vertices, so only a small
   window of grid points around c can beat the grid point nearest c.  The
@@ -154,24 +162,6 @@ def _grid_axes(bbox: BBox, resolution: float) -> Tuple[np.ndarray, np.ndarray]:
     nx = int(math.floor((xhi - xlo) / resolution + 1e-9)) + 1
     ny = int(math.floor((yhi - ylo) / resolution + 1e-9)) + 1
     return xlo + np.arange(nx) * resolution, ylo + np.arange(ny) * resolution
-
-
-def _extreme_points(feasible: np.ndarray) -> np.ndarray:
-    """Vertices of the convex hull of the feasible grid points.
-
-    Falls back to the full point set when the hull is degenerate (fewer than
-    three points, or all collinear); correctness never depends on the hull,
-    only speed does.
-    """
-    if len(feasible) < 3:
-        return feasible
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(feasible)
-    except QhullError:
-        return feasible
-    return feasible[hull.vertices]
 
 
 def _block_rows(ny: int) -> int:
@@ -294,6 +284,63 @@ def _feasible_columns(
     return cols, first[cols], last[cols]
 
 
+def _chain(x: np.ndarray, y: np.ndarray, turn: int) -> np.ndarray:
+    """Positions, ascending, of the vertices of the lower (``turn`` = 1) or
+    upper (``turn`` = -1) hull of the integer points (x[m], y[m]), x strictly
+    ascending: the points where the chain turns strictly left, or right.
+
+    Andrew's monotone chain (1979) on Python ints, so every cross product is
+    exact.  Rounds of numpy first drop every point that does not turn
+    strictly against its current neighbours, which no hull vertex does; they
+    stop once a round drops less than an eighth of the points, and the chain
+    runs on the rest.  On the ring of radii 1 and 2 at resolution 1e-3, four
+    rounds leave each half of the hull its 4000 column extremes' 285 or so
+    vertices, and the hull takes about 0.5 ms instead of 4 ms.
+    """
+    keep = np.arange(len(x))
+    while len(keep) > 2:
+        dx, dy = np.diff(x[keep]), np.diff(y[keep])
+        convex = turn * (dx[:-1] * dy[1:] - dy[:-1] * dx[1:]) > 0
+        dropped = len(convex) - int(np.count_nonzero(convex))
+        keep = np.concatenate([keep[:1], keep[1:-1][convex], keep[-1:]])
+        if 8 * dropped < len(keep):
+            break
+    px, py = x[keep].tolist(), y[keep].tolist()
+    hull: List[int] = []
+    for m in range(len(px)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            cross = (px[b] - px[a]) * (py[m] - py[a]) - (py[b] - py[a]) * (px[m] - px[a])
+            if turn * cross > 0:
+                break
+            hull.pop()
+        hull.append(m)
+    return keep[hull]
+
+
+def _hull_vertices(
+    cols: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid indices (ix, iy) of the convex hull vertices of the column
+    extremes of :func:`_feasible_columns`, counterclockwise from the lowest
+    point of the first column.  Collinear points are not vertices: a flat
+    set gives its two end points, and one point gives itself.
+
+    The lower hull runs over the lowest points, the upper hull over the
+    highest, and the two meet in the first and last columns.
+    """
+    lower = _chain(cols, first, 1)
+    upper = _chain(cols, last, -1)[::-1]
+    if first[-1] == last[-1]:
+        upper = upper[1:]
+    if first[0] == last[0]:
+        upper = upper[:-1]
+    return (
+        np.concatenate([cols[lower], cols[upper]]),
+        np.concatenate([first[lower], last[upper]]),
+    )
+
+
 def _targets(
     reg: FeasibleRegion, bbox: Optional[BBox], resolution: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,11 +353,8 @@ def _targets(
     cols, first, last = _feasible_columns(reg, xs, ys, resolution)
     if not len(cols):
         raise _empty(resolution)
-    ix = np.repeat(cols, 2)
-    iy = np.column_stack([first, last]).ravel()
-    keep = np.ones(len(ix), dtype=bool)
-    keep[1::2] = last != first
-    return xs, ys, _extreme_points(np.column_stack([xs[ix[keep]], ys[iy[keep]]]))
+    ix, iy = _hull_vertices(cols, first, last)
+    return xs, ys, np.column_stack([xs[ix], ys[iy]])
 
 
 def _worst_case(xs: np.ndarray, ys: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -121,7 +121,13 @@ class NetworkScenario:
     gamma         error bound shared by every measurement (0 = exact)
     sensing_range communication radius used to build the graph
 
-    Listing an edge twice, in either orientation, raises ValueError.
+    Construction raises ValueError on an id that is both a sensor and an
+    anchor, a repeated sensor id, a self edge, an edge listed twice in either
+    orientation, a sensor edge whose ends are not both sensors, an anchor
+    edge that is not (sensor, anchor), a non-finite measurement, or a gamma
+    that is negative or not finite.  A measurement may be negative: an
+    unbounded error can read a short edge below zero, and its interval
+    clamps at zero (see :func:`build_feasibility_intervals`).
     """
 
     sensors: List[int]
@@ -134,12 +140,32 @@ class NetworkScenario:
     sensing_range: float
 
     def __post_init__(self):
+        sensors = set(self.sensors)
+        if len(sensors) != len(self.sensors):
+            repeated = sorted({i for i in self.sensors if self.sensors.count(i) > 1})
+            raise ValueError(f"sensor ids {repeated} appear more than once")
+        shared = sorted(sensors & self.anchors.keys())
+        if shared:
+            raise ValueError(f"ids {shared} are both sensors and anchors")
         seen: Set[Edge] = set()
         for a, b in self.all_edges():
+            if a == b:
+                raise ValueError(f"edge ({a}, {b}) joins a node to itself")
             key = (min(a, b), max(a, b))
             if key in seen:
                 raise ValueError(f"edge ({a}, {b}) appears more than once")
             seen.add(key)
+        for a, b in self.sensor_edges:
+            if a not in sensors or b not in sensors:
+                raise ValueError(f"edge ({a}, {b}) links unknown nodes")
+        for a, b in self.anchor_edges:
+            if a not in sensors or b not in self.anchors:
+                raise ValueError(f"edge ({a}, {b}) links unknown nodes")
+        for (a, b), z in self.measurements.items():
+            if not math.isfinite(z):
+                raise ValueError(f"edge ({a}, {b}) has non-finite measurement {z}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
 
     def all_edges(self) -> List[Edge]:
         return list(self.sensor_edges) + list(self.anchor_edges)
@@ -148,7 +174,11 @@ class NetworkScenario:
         a, b = edge
         pa = self.true_positions[a] if a in self.true_positions else self.anchors[a]
         pb = self.true_positions[b] if b in self.true_positions else self.anchors[b]
-        return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+        return _distance(pa, pb)
+
+
+def _distance(pa: Point2, pb: Point2) -> float:
+    return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
 
 
 @dataclass(frozen=True)
@@ -248,20 +278,19 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> NetworkScenario:
 
         anchors = {n + k: (float(p[0]), float(p[1])) for k, p in enumerate(anchor_pos)}
         truth = {i: (float(sensor_pos[i, 0]), float(sensor_pos[i, 1])) for i in range(n)}
-        scenario = NetworkScenario(
+        nodes = {**anchors, **truth}
+        return NetworkScenario(
             sensors=list(range(n)),
             anchors=anchors,
             true_positions=truth,
             sensor_edges=sensor_edges,
             anchor_edges=anchor_edges,
-            measurements={},
+            measurements={
+                (a, b): _distance(nodes[a], nodes[b]) for a, b in sensor_edges + anchor_edges
+            },
             gamma=0.0,
             sensing_range=config.sensing_range,
         )
-        scenario.measurements = {
-            e: scenario.true_distance(e) for e in scenario.all_edges()
-        }
-        return scenario
 
     raise ScenarioGenerationError(
         f"no connected scenario in 100 attempts (seed={seed}, n={n}, "
@@ -387,15 +416,13 @@ def _json_point(value) -> Point2:
 
 def scenario_from_json(text: str) -> NetworkScenario:
     """Parse the on-disk schema; malformed input raises ValueError, KeyError
-    or TypeError."""
+    or TypeError.  The loader checks the JSON's shape and the
+    :class:`NetworkScenario` constructor its content."""
     doc = json.loads(text)
     sensors = [_json_int(i) for i in doc["sensors"]]
     if not sensors:
         raise ValueError("the scenario has no sensors")
     sensor_set = set(sensors)
-    if len(sensor_set) != len(sensors):
-        repeated = sorted({i for i in sensors if sensors.count(i) > 1})
-        raise ValueError(f"sensor ids {repeated} appear more than once")
     anchor_ids = [_json_int(a["id"]) for a in doc["anchors"]]
     if len(set(anchor_ids)) != len(anchor_ids):
         repeated = sorted({i for i in anchor_ids if anchor_ids.count(i) > 1})
@@ -406,32 +433,19 @@ def scenario_from_json(text: str) -> NetworkScenario:
     if not isinstance(doc["true_positions"], dict):
         raise ValueError("true_positions is not an object of sensor id -> position")
     truth = {_json_int(i): _json_point(p) for i, p in doc["true_positions"].items()}
-    shared = sorted(sensor_set & anchors.keys())
-    if shared:
-        raise ValueError(f"ids {shared} are both sensors and anchors")
 
+    # an edge between two sensors is stored as (low, high), one from an
+    # anchor to a sensor as (sensor, anchor); the constructor rejects the rest
     sensor_edges, anchor_edges, measurements = [], [], {}
     for rec in doc["edges"]:
         a, b, z = _json_int(rec["a"]), _json_int(rec["b"]), _json_float(rec["z"])
-        if not (math.isfinite(z) and z >= 0.0):
-            raise ValueError(f"edge ({a}, {b}) has non-finite or negative measurement {z}")
-        if a == b:
-            raise ValueError(f"edge ({a}, {b}) joins a node to itself")
         if a in sensor_set and b in sensor_set:
             e = (min(a, b), max(a, b))
             sensor_edges.append(e)
         else:
-            if a not in sensor_set:
-                a, b = b, a
-            if a not in sensor_set or b not in anchors:
-                raise ValueError(f"edge ({rec['a']}, {rec['b']}) links unknown nodes")
-            e = (a, b)
+            e = (b, a) if a in anchors and b in sensor_set else (a, b)
             anchor_edges.append(e)
         measurements[e] = z
-
-    gamma = _json_float(doc["gamma"])
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
 
     return NetworkScenario(
         sensors=sensors,
@@ -440,6 +454,6 @@ def scenario_from_json(text: str) -> NetworkScenario:
         sensor_edges=sorted(sensor_edges),
         anchor_edges=sorted(anchor_edges),
         measurements=measurements,
-        gamma=gamma,
+        gamma=_json_float(doc["gamma"]),
         sensing_range=_json_float(doc["sensing_range"]),
     )

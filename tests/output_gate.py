@@ -24,10 +24,11 @@ The solves come in families:
   ``experiment.baseline_least_squares`` with the trial's seeds: its RMSE,
   whether it converged and its Gauss-Newton iteration count;
 * ``grid``: the four grid oracles of ``geom`` on the ``oracle`` workload's
-  ten fixtures at its resolution: the Chebyshev center and radius, the
-  projection and the largest distance of the truth and of a fixed probe
-  point, and the relaxed center and value, or the message of the
-  ``EmptyRegionError`` a call raised.
+  ten fixtures at its resolution, and on the ring of radii 1 and 2 at the
+  CLI's default resolution 1e-3, the grid with the most column extremes:
+  the Chebyshev center and radius, the projection and the largest distance
+  of the truth and of a fixed probe point, and the relaxed center and
+  value, or the message of the ``EmptyRegionError`` a call raised.
 
 Each central record holds a solve's status, iterations, ``worst_case_value``
 and positions.  The comparison prints, per family, the status flips in each
@@ -126,12 +127,22 @@ def record() -> dict:
 PROBE = (0.31, -0.17)  # a fixed point to project and measure from
 
 
-def grid_outputs() -> dict:
-    """Every grid oracle's answer on each ``oracle`` workload fixture."""
+def grid_inputs():
+    """(label, region, truth, resolution) for every ``grid`` record."""
     import workloads
+    from fixtures import NONCONVEX_FIXTURES
     from minmaxloc import geom
 
-    h = workloads.Oracle.RESOLUTION
+    for fx in workloads.WORKLOADS["oracle"].build(workloads.FIXED_SEED):
+        yield fx.name, fx.region, fx.scenario.true_positions[0], workloads.Oracle.RESOLUTION
+    scen, bounds = NONCONVEX_FIXTURES["ring"]
+    reg = geom.single_sensor_region(scen, bounds)
+    yield "ring-1e-3", reg, scen.true_positions[0], geom.DEFAULT_RESOLUTION
+
+
+def grid_outputs() -> dict:
+    """Every grid oracle's answer on each input of :func:`grid_inputs`."""
+    from minmaxloc import geom
 
     def outcome(call):
         try:
@@ -139,30 +150,29 @@ def grid_outputs() -> dict:
         except geom.EmptyRegionError as exc:
             return {"empty": str(exc)}
 
-    def chebyshev(reg):
+    def chebyshev(reg, h):
         res = geom.grid_chebyshev_center(reg, resolution=h)
         return {"center": list(res.center), "radius": res.radius}
 
-    def relaxed(reg):
+    def relaxed(reg, h):
         center, value = geom.relaxed_center_value(reg, resolution=h)
         return {"center": list(center), "value": value}
 
     out = {}
-    for fx in workloads.WORKLOADS["oracle"].build(workloads.FIXED_SEED):
-        reg = fx.region
+    for label, reg, truth, h in grid_inputs():
         rec = {
-            "chebyshev": outcome(lambda: chebyshev(reg)),
-            "relaxed": outcome(lambda: relaxed(reg)),
+            "chebyshev": outcome(lambda: chebyshev(reg, h)),
+            "relaxed": outcome(lambda: relaxed(reg, h)),
         }
-        for name, p in (("truth", fx.scenario.true_positions[0]), ("probe", PROBE)):
+        for name, p in (("truth", truth), ("probe", PROBE)):
             rec[f"project-{name}"] = outcome(
                 lambda: list(geom.project_to_region(reg, p, resolution=h))
             )
             rec[f"max_distance-{name}"] = outcome(
                 lambda: geom.grid_max_distance(reg, p, resolution=h)
             )
-        out[fx.name] = rec
-        print("grid", fx.name, file=sys.stderr)
+        out[label] = rec
+        print("grid", label, file=sys.stderr)
     return out
 
 

@@ -3,16 +3,17 @@
 The plain way to answer what ``minmaxloc.geom`` answers with shortcuts:
 list every grid point as an (N, 2) array in x-major order, keep the feasible
 ones, and scan.  The Chebyshev center tests every grid point against every
-vertex of the hull of all feasible points; the projection, the largest
-distance and the relaxed program scan the full point lists.  The arithmetic per point is the same as
-in ``geom``, so the tests compare the two with ``==``, tie-breaks and
-``EmptyRegionError`` messages included.
+vertex of the hull of all feasible points, found by Qhull; the projection,
+the largest distance and the relaxed program scan the full point lists.  The
+arithmetic per point is the same as in ``geom``, so the tests compare the two
+with ``==``, tie-breaks and ``EmptyRegionError`` messages included.
 """
 
 import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from minmaxloc.geom import (
     DEFAULT_RESOLUTION,
@@ -20,7 +21,6 @@ from minmaxloc.geom import (
     ChebyshevResult,
     EmptyRegionError,
     FeasibleRegion,
-    _extreme_points,
     default_bbox,
 )
 
@@ -64,6 +64,19 @@ def feasible_grid(
     return points, points[mask]
 
 
+def extreme_points(feasible: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of ``feasible`` by Qhull, or every point
+    when the hull is degenerate (fewer than three points, or all collinear):
+    the farthest point is among them either way."""
+    if len(feasible) < 3:
+        return feasible
+    try:
+        hull = ConvexHull(feasible)
+    except QhullError:
+        return feasible
+    return feasible[hull.vertices]
+
+
 def min_max_distance(candidates: np.ndarray, targets: np.ndarray) -> Tuple[int, float]:
     """Index (first on ties) and value of min over candidates of max distance."""
     best_idx = -1
@@ -86,7 +99,7 @@ def chebyshev_center(
     resolution: float = DEFAULT_RESOLUTION,
 ) -> ChebyshevResult:
     points, feasible = feasible_grid(reg, bbox, resolution)
-    idx, radius = min_max_distance(points, _extreme_points(feasible))
+    idx, radius = min_max_distance(points, extreme_points(feasible))
     cx, cy = points[idx]
     return ChebyshevResult((float(cx), float(cy)), radius, resolution)
 

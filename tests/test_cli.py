@@ -40,6 +40,24 @@ def test_cli_import_leaves_out_scipy_sparse():
     assert out.stdout.strip() == "False"
 
 
+def test_chebyshev_oracle_leaves_out_scipy_spatial():
+    # the Chebyshev targets come from a hull in grid-index space, with
+    # numpy alone; importing Qhull would cost the oracle its memory
+    code = (
+        "import sys, minmaxloc.cli\n"
+        "from fixtures import NONCONVEX_FIXTURES\n"
+        "from minmaxloc import geom\n"
+        "scen, bounds = NONCONVEX_FIXTURES['ring']\n"
+        "geom.grid_chebyshev_center(geom.single_sensor_region(scen, bounds), resolution=5e-3)\n"
+        "print('scipy.spatial' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_generate_is_deterministic(tmp_path, generated):
     other = str(tmp_path / "again.json")
     assert main(
@@ -59,6 +77,20 @@ def test_generate_without_error_flags_is_exact(tmp_path):
     assert scen.gamma == 0.0
     for e, z in scen.measurements.items():
         assert z == pytest.approx(scen.true_distance(e), abs=1e-12)
+
+
+def test_generated_gaussian_scenario_with_negative_readings_is_accepted(tmp_path):
+    # unbounded noise can read a short edge below zero; its interval clamps
+    # at 0, so validate and the solvers take the file
+    path = str(tmp_path / "s.json")
+    assert main(
+        ["generate", "--seed", "1", "--n-sensors", "30", "--range", "0.3", "--sigma", "0.05",
+         "--out", path]
+    ) == 0
+    scen = model.scenario_from_json(open(path).read())
+    assert min(scen.measurements.values()) < 0.0
+    assert main(["validate", path]) == 0
+    assert main(["solve-central", path, "--out", str(tmp_path / "est.json")]) == 0
 
 
 def test_generate_rejects_conflicting_flags(capsys):
@@ -304,7 +336,7 @@ def _edited_scenario(tmp_path, n_sensors, edit):
 
 
 @pytest.mark.parametrize("command", ["validate", "solve-central", "solve-dist", "oracle"])
-@pytest.mark.parametrize("field, value", [("z", math.nan), ("gamma", -0.02), ("z", -0.1)])
+@pytest.mark.parametrize("field, value", [("z", math.nan), ("gamma", -0.02), ("z", math.inf)])
 def test_nonfinite_or_negative_numbers_are_usage_errors(
     tmp_path, capsys, command, field, value
 ):

@@ -153,25 +153,6 @@ def test_empty_region_raises():
         geom.relaxed_center_value(reg, resolution=5e-3)
 
 
-def test_extreme_points_fall_back_on_collinear_points():
-    # Qhull rejects a flat point set; every point is then kept as a target
-    line = np.column_stack([np.linspace(0.0, 1.0, 5), np.zeros(5)])
-    assert np.array_equal(geom._extreme_points(line), line)
-
-
-def test_extreme_points_propagate_unexpected_errors(monkeypatch):
-    # only a degenerate hull falls back; any other failure is a bug
-    import scipy.spatial
-
-    def broken_hull(points):
-        raise TypeError("not a hull")
-
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", broken_hull)
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(TypeError, match="not a hull"):
-        geom._extreme_points(square)
-
-
 def test_constraint_validation():
     with pytest.raises(ValueError):
         geom.AnnulusConstraint((0.0, 0.0), -1.0, 2.0)
@@ -333,17 +314,95 @@ def test_oracles_equal_exhaustive_reference_on_fixtures(name):
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 def test_max_distance_needs_no_hull(name, monkeypatch):
     # a column's farthest feasible point is its lowest or highest one, so
-    # the largest distance comes from the column extremes without Qhull
+    # the largest distance comes from the column extremes without a hull
     scen, bounds = ALL_FIXTURES[name]
     reg = geom.single_sensor_region(scen, bounds)
     points = [scen.true_positions[0], (0.31, -0.17), (2.0, 1.5)]
     want = [ref.max_distance(reg, p, resolution=5e-3) for p in points]
 
-    def no_hull(points):
+    def no_hull(cols, first, last):
         raise AssertionError("grid_max_distance built a hull")
 
-    monkeypatch.setattr(geom, "_extreme_points", no_hull)
+    monkeypatch.setattr(geom, "_hull_vertices", no_hull)
     assert [geom.grid_max_distance(reg, p, resolution=5e-3) for p in points] == want
+
+
+def _assert_hull_matches_qhull(reg, bbox, resolution):
+    """The hull of the column extremes has the vertices that Qhull finds for
+    all feasible points; a flat set, which Qhull rejects, gives its two end
+    points.  The vertices run counterclockwise with strict turns."""
+    try:
+        _, feasible = ref.feasible_grid(reg, bbox, resolution)
+    except geom.EmptyRegionError:
+        return
+    xs, ys = geom._grid(reg, bbox, resolution)
+    ix, iy = geom._hull_vertices(*geom._feasible_columns(reg, xs, ys, resolution))
+    got = list(zip(xs[ix].tolist(), ys[iy].tolist()))
+    assert len(set(got)) == len(got)
+    if len(got) <= 2:
+        assert set(got) == {tuple(feasible[0]), tuple(feasible[-1])}
+        return
+    assert set(got) == set(map(tuple, ref.extreme_points(feasible).tolist()))
+    p = np.array(got)
+    d = np.roll(p, -1, axis=0) - p
+    assert np.all(d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1) > 0)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_hull_vertices_equal_qhull_on_fixtures(name):
+    scen, bounds = ALL_FIXTURES[name]
+    _assert_hull_matches_qhull(geom.single_sensor_region(scen, bounds), None, 5e-3)
+
+
+@pytest.mark.parametrize(
+    "cols, first, last, want",
+    [
+        ([3], [2], [2], [(3, 2)]),  # one point
+        ([3], [1], [6], [(3, 1), (3, 6)]),  # one column
+        ([0, 1, 2, 3, 4], [2] * 5, [2] * 5, [(0, 2), (4, 2)]),  # one row
+        ([1, 2, 4, 5], [1, 2, 4, 5], [1, 2, 4, 5], [(1, 1), (5, 5)]),  # a diagonal
+        ([0, 2], [0, 1], [0, 3], [(0, 0), (2, 1), (2, 3)]),  # a triangle
+    ],
+    ids=["point", "column", "row", "diagonal", "triangle"],
+)
+def test_hull_vertices_of_degenerate_sets(cols, first, last, want):
+    ix, iy = geom._hull_vertices(*(np.array(v) for v in (cols, first, last)))
+    assert list(zip(ix.tolist(), iy.tolist())) == want
+
+
+def test_hull_chain_drops_a_long_convex_run():
+    # the points (m, m^2) are a convex chain until a deep last point hides
+    # every one of them; a pruning round drops only the point next to it, so
+    # the sequential chain must pop the rest back to the first point
+    n = 200
+    x = np.arange(n + 1)
+    y = np.append(x[:-1] ** 2, -10**6)
+    assert geom._chain(x, y, 1).tolist() == [0, n]
+    assert geom._chain(x, -y, -1).tolist() == [0, n]
+    assert geom._chain(x, y, -1).tolist() == [0, n - 1, n]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-40, 40), st.integers(-40, 40), st.integers(0, 30)),
+        min_size=1,
+        max_size=60,
+        unique_by=lambda t: t[0],
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_hull_vertices_equal_qhull_on_random_columns(columns):
+    # column x holds the points (x, low) and (x, low + height)
+    cols, first, height = (np.array(v) for v in zip(*sorted(columns)))
+    ix, iy = geom._hull_vertices(cols, first, first + height)
+    got = set(zip(ix.tolist(), iy.tolist()))
+    points = sorted({(x, y) for x, low, h in columns for y in (low, low + h)})
+    if len(got) <= 2:
+        # a flat set, which Qhull rejects: its two ends in (x, y) order remain
+        assert got == {points[0], points[-1]}
+    else:
+        want = ref.extreme_points(np.array(points, dtype=float))
+        assert got == {(int(x), int(y)) for x, y in want.tolist()}
 
 
 annuli = st.lists(
@@ -370,6 +429,7 @@ def test_oracles_equal_exhaustive_reference_on_random_regions(cons, h, p):
     reg = geom.region([(c, lower, lower + width) for c, lower, width in cons])
     _assert_matches_reference(reg, [p], resolution=h)
     _assert_intervals_match_mask(reg, None, h)
+    _assert_hull_matches_qhull(reg, None, h)
 
 
 # On the grid over [-1, 1]^2 at step 1/4 (exact in binary), hand-built regions
@@ -405,6 +465,7 @@ def test_oracles_equal_exhaustive_reference_on_degenerate_sets(name):
         _, feasible = ref.feasible_grid(reg, _GRID, 0.25)
         assert feasible.tolist() == [list(q) for q in expected]
     _assert_matches_reference(reg, [(0.6, -0.9), (-2.0, 0.3)], bbox=_GRID, resolution=0.25)
+    _assert_hull_matches_qhull(reg, _GRID, 0.25)
 
 
 @pytest.mark.parametrize("bbox", [((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, 1.0))])
@@ -474,6 +535,7 @@ def test_oracles_equal_exhaustive_reference_on_exact_boundaries(name):
     assert shape(reg)
     _assert_intervals_match_mask(reg, _GRID, 0.25)
     _assert_matches_reference(reg, points, bbox=_GRID, resolution=0.25)
+    _assert_hull_matches_qhull(reg, _GRID, 0.25)
 
 
 @pytest.mark.parametrize(

@@ -207,6 +207,68 @@ def test_scenario_rejects_an_edge_listed_twice():
     assert dataclasses.replace(sc).sensor_edges == sc.sensor_edges
 
 
+def _first_sensor_edge(value):
+    return lambda sc: {"measurements": {**sc.measurements, sc.sensor_edges[0]: value}}
+
+
+# rule -> (the fields to replace in a generated scenario, the error message)
+CONTENT_RULES = {
+    "sensor also anchor": (
+        lambda sc: {"anchors": {**sc.anchors, 0: (0.0, 0.0)}},
+        r"ids \[0\] are both sensors and anchors",
+    ),
+    "repeated sensor": (
+        lambda sc: {"sensors": sc.sensors + [0]},
+        r"sensor ids \[0\] appear more than once",
+    ),
+    "self edge": (
+        lambda sc: {"sensor_edges": sc.sensor_edges + [(1, 1)]},
+        r"edge \(1, 1\) joins a node to itself",
+    ),
+    "sensor edge to anchor": (
+        lambda sc: {"sensor_edges": sc.sensor_edges + [(0, min(sc.anchors))]},
+        "links unknown nodes",
+    ),
+    "anchor edge reversed": (
+        lambda sc: {"anchor_edges": [sc.anchor_edges[0][::-1]] + sc.anchor_edges[1:]},
+        "links unknown nodes",
+    ),
+    "edge between anchors": (
+        lambda sc: {"anchor_edges": sc.anchor_edges + [tuple(sorted(sc.anchors)[:2])]},
+        "links unknown nodes",
+    ),
+    "unknown node": (
+        lambda sc: {"anchor_edges": sc.anchor_edges + [(0, 99)]},
+        r"edge \(0, 99\) links unknown nodes",
+    ),
+    "nan measurement": (_first_sensor_edge(math.nan), "non-finite measurement nan"),
+    "infinite measurement": (_first_sensor_edge(-math.inf), "non-finite measurement -inf"),
+    "negative gamma": (lambda sc: {"gamma": -0.01}, "gamma must be finite and nonnegative"),
+    "nan gamma": (lambda sc: {"gamma": math.nan}, "gamma must be finite and nonnegative"),
+    "infinite gamma": (lambda sc: {"gamma": math.inf}, "gamma must be finite and nonnegative"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CONTENT_RULES))
+def test_scenario_constructor_checks_content(rule):
+    # scenarios built in code meet the rules that scenario_from_json applies
+    # to files, with the same messages
+    sc = model.generate_scenario(small_config(), seed=4)
+    edit, message = CONTENT_RULES[rule]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(sc, **edit(sc))
+
+
+def test_scenario_accepts_negative_measurements():
+    # unbounded noise can read a short edge below zero; the interval clamps
+    sc = model.generate_scenario(small_config(), seed=4)
+    e = sc.anchor_edges[0]
+    neg = dataclasses.replace(sc, measurements={**sc.measurements, e: -0.01}, gamma=0.02)
+    assert model.build_feasibility_intervals(neg)[e] == model.IntervalBound(0.0, 0.01)
+    back = model.scenario_from_json(model.scenario_to_json(neg))
+    assert back.measurements[e] == -0.01
+
+
 @given(
     z=st.floats(0.0, 10.0),
     gamma=st.floats(0.0, 2.0),
