@@ -1,4 +1,4 @@
-"""Centralized minimax localization via one network-wide SDP.
+"""Centralized minimax localization: one network-wide SDP, or a QP for one sensor.
 
 Every measurement interval contributes a pair of nonnegative multipliers,
 one per bound.  Collecting them into
@@ -27,6 +27,17 @@ multipliers clipped at zero, and :func:`certify` turns the same blocks
 into the reported bound on sum_i |y_i - x_i|^2 over every configuration x
 consistent with the measurement intervals, whether or not the gap closed.
 
+With one sensor, Mt is a scalar kappa and Mt - I >= 0 is kappa >= 1.  The
+program is then the dual of the sensor's relaxed Chebyshev center program,
+
+    maximize    t - |y|^2
+    subject to  lower_k^2 <= t - 2 a_k^T y + |a_k|^2 <= upper_k^2   per anchor k,
+
+a QP in the three variables (y, t), whose optimal multipliers have kappa = 1.
+:func:`chebyshev_qp` solves it exactly by active sets, and
+:func:`solve_minmax_sdp` hands its KKT multipliers to :func:`certify` as the
+1x1 case, so no SDP is solved and scipy is never loaded for one sensor.
+
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
 """
@@ -37,7 +48,9 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,10 +110,14 @@ class CentralEstimate:
                      inf when the multipliers certify none)
     multipliers      edge -> (lower-bound, upper-bound) dual weights
     solver_status    the solver's status; numerical_failure if it certifies none
+                     or the data are inconsistent
     solve_seconds    wall-clock time spent assembling and solving
-    iterations       interior-point iterations of the solve
+    iterations       interior-point iterations of the solve; for one sensor,
+                     the candidate active sets the QP solved
     gap, residual_primal, residual_dual
-                     relative duality gap and residuals of the returned iterate
+                     relative duality gap and residuals of the returned
+                     iterate; for one sensor, the QP value's relative gap to
+                     the certified value and its relative KKT violations
     """
 
     positions: Dict[int, Point2]
@@ -112,6 +129,14 @@ class CentralEstimate:
     gap: float
     residual_primal: float
     residual_dual: float
+
+
+def _require_anchored(scenario: NetworkScenario) -> None:
+    unanchored = unanchored_sensors(scenario)
+    if unanchored:
+        raise ValueError(
+            f"sensors {unanchored} have no path to an anchor; the estimate is unanchored"
+        )
 
 
 def _coupling_triplets(i: int, j: int, sign: float) -> List[Tuple[int, int, float]]:
@@ -133,11 +158,7 @@ def assemble_dual_sdp(
     """
     if intervals is None:
         intervals = build_feasibility_intervals(scenario)
-    unanchored = unanchored_sensors(scenario)
-    if unanchored:
-        raise ValueError(
-            f"sensors {unanchored} have no path to an anchor; the estimate is unanchored"
-        )
+    _require_anchored(scenario)
 
     sensor_index = {s: i for i, s in enumerate(scenario.sensors)}
     idx = DualIndex(
@@ -225,10 +246,230 @@ def recover_estimate(
     lmi = problem.blocks[0].evaluate(lam)
     m_mat = lmi[:-1, :-1]
     f = np.column_stack([lmi[-1, :-1], problem.blocks[1].evaluate(lam)[-1, :-1]])
-    cert = certify(m_mat, f, float(problem.objective @ lam))
+    return _positions(scenario, m_mat, f, float(problem.objective @ lam))
+
+
+def _positions(
+    scenario: NetworkScenario, m_mat: np.ndarray, f: np.ndarray, h: float
+) -> Tuple[Dict[int, Point2], float]:
+    cert = certify(m_mat, f, h)
     y, value = cert or (np.linalg.lstsq(m_mat, -f, rcond=None)[0], math.inf)
     positions = {s: (float(y[i, 0]), float(y[i, 1])) for i, s in enumerate(scenario.sensors)}
     return positions, value
+
+
+# A candidate active set is the QP's KKT point when its relative primal and
+# dual violations are both at most this.  Roundoff leaves the
+# true one near 1e-16; no KKT point within it means an empty linear set.
+_KKT_TOL = 1e-9
+# Planes whose references span less than this, relative to the references'
+# spread, are left out as dependent
+_SPAN_TOL = 1e-14
+
+
+@dataclass(frozen=True)
+class ChebyshevQp:
+    """KKT point of the single-node relaxed Chebyshev program.
+
+    omega, phi       per reference, the multipliers of its lower and upper
+                     bound as solved (0 where the bound is not in the active
+                     set); phi - omega sums to one
+    position, value  the maximizer y and t - |y|^2 there
+    consistent       whether some active set passed the KKT test; False
+                     means that the linear constraints admit no (y, t)
+    active_sets      the candidate active sets solved
+    residual_primal, residual_dual
+                     the point's largest bound violation, relative to the
+                     magnitudes in the lifted distances, and the larger of
+                     its largest wrong-signed multiplier, relative to their
+                     sum, and its stationarity residual
+    """
+
+    omega: np.ndarray
+    phi: np.ndarray
+    position: Point2
+    value: float
+    consistent: bool
+    active_sets: int
+    residual_primal: float
+    residual_dual: float
+
+
+@lru_cache(maxsize=None)
+def _active_sets(refs: int, size: int) -> np.ndarray:
+    """Every set of ``size`` planes of distinct references, as plane indices
+    2k (lower bound of reference k) and 2k + 1 (upper bound)."""
+    chosen = np.array(list(combinations(range(refs), size)), dtype=np.intp).reshape(-1, size)
+    sides = np.array(list(product((0, 1), repeat=size)), dtype=np.intp)
+    sets = (2 * chosen[:, None, :] + sides).reshape(-1, size)
+    sets.setflags(write=False)  # every caller shares the cached array
+    return sets
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched solve of a x = b, with NaN rows where rounding left a
+    nearly dependent system exactly singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i, (ai, bi) in enumerate(zip(a, b)):
+            try:
+                out[i] = np.linalg.solve(ai, bi)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
+    """Maximize t - |y|^2 subject to lower^2 <= t - 2 p^T y + |p|^2 <= upper^2.
+
+    ``refs`` holds one (p, lower^2, upper^2) triple per reference, as for
+    the per-node program of :mod:`minmaxloc.dist`.  The middle term is the
+    lifted |y - p|^2, so each reference bounds (y, t) by two parallel
+    planes.  The objective is strictly concave in y and grows with t, so the
+    maximizer is unique, and by Caratheodory's theorem its KKT multipliers
+    nu need at most three active planes with affinely independent p, so of
+    distinct references.  Every such set of one, two or three planes is
+    solved as equalities, all sets of one size in one batched solve of the
+    KKT system: stationarity, (-2y, 1) = sum_j nu_j (-2 p_j, 1), and the
+    planes.  The set that comes closest to a KKT point, with the other
+    references' bounds met and nu_j >= 0 on upper planes and <= 0 on lower
+    ones, wins.  The references are centered first, which the program's
+    translation invariance allows, to keep the solves well conditioned.
+    """
+    p = np.array([ref[0] for ref in refs], dtype=float).reshape(-1, 2)
+    bounds = np.array([ref[1:] for ref in refs], dtype=float).reshape(-1, 2)
+    if not len(p):
+        raise ValueError("the program needs at least one reference")
+    if not (np.isfinite(p).all() and np.isfinite(bounds).all()):
+        raise ValueError("references must be finite")
+    centre = p.mean(axis=0)
+    q = p - centre
+    qq = np.einsum("ij,ij->i", q, q)
+    spread = float(qq.max())
+    data_scale = max(spread, float(bounds.max()), np.finfo(float).tiny)
+    # plane 2k bounds reference k from below, plane 2k + 1 from above:
+    # t - 2 q_k^T y = rhs there, and its multiplier nu must have sign ``sign``
+    rhs = (bounds - qq[:, None]).ravel()
+    sign = np.tile([-1.0, 1.0], len(q))
+
+    best = None  # (violation, primal, dual, set, nu, y, t)
+    solved = 0
+    # a nearly singular set may overflow; its violation then rejects it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for size in range(1, min(len(q), 3) + 1):
+            sets = _active_sets(len(q), size)
+            qs = q[sets // 2]  # (sets, size, 2)
+            if size > 1:
+                # the squared length or area that the p span, exactly zero for
+                # repeated or exactly collinear p, whose planes are dependent;
+                # near-dependent ones would only give ill-conditioned solves
+                d = qs[:, 1:] - qs[:, :1]
+                span = d[:, 0, 0] ** 2 + d[:, 0, 1] ** 2
+                if size == 3:
+                    span = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) ** 2
+                keep = span > (_SPAN_TOL * spread) ** (size - 1)
+                sets, qs = sets[keep], qs[keep]
+                if not len(sets):
+                    continue
+            solved += len(sets)
+            # [[H, A^T], [A, 0]] [z; nu] = [(0, 0, 1); rhs] with H = diag(2, 2, 0)
+            # and A the planes' rows (-2 q^T, 1)
+            a = np.concatenate([-2.0 * qs, np.ones((len(sets), size, 1))], axis=2)
+            kkt = np.zeros((len(sets), 3 + size, 3 + size))
+            kkt[:, 0, 0] = kkt[:, 1, 1] = 2.0
+            kkt[:, :3, 3:] = a.transpose(0, 2, 1)
+            kkt[:, 3:, :3] = a
+            b = np.zeros((len(sets), 3 + size))
+            b[:, 2] = 1.0
+            b[:, 3:] = rhs[sets]
+            sol = _solve_each(kkt, b)
+            y, t, nu = sol[:, :2], sol[:, 2], sol[:, 3:]
+            lifted = t[:, None] - 2.0 * y @ q.T + qq
+            excess = np.maximum(bounds[:, 0] - lifted, lifted - bounds[:, 1]).max(axis=1)
+            magnitude = np.maximum(np.maximum(np.abs(t), np.einsum("si,si->s", y, y)), data_scale)
+            primal = np.maximum(excess, 0.0) / magnitude
+            # wrong-signed multipliers, and stationarity, which a nearly singular
+            # solve may miss
+            sign_error = np.maximum(-sign[sets] * nu, 0.0).max(axis=1) / np.abs(nu).sum(axis=1)
+            stationarity = np.maximum(
+                np.abs(nu.sum(axis=1) - 1.0),
+                np.abs(y - np.einsum("sj,sji->si", nu, qs)).max(axis=1) / math.sqrt(data_scale),
+            )
+            dual = np.maximum(sign_error, stationarity)
+            violation = np.nan_to_num(np.maximum(primal, dual), nan=np.inf)
+            i = int(np.argmin(violation))
+            if best is None or violation[i] < best[0]:
+                best = (violation[i], primal[i], dual[i], sets[i], nu[i], y[i], t[i])
+
+    violation, primal, dual, active, nu, y, t = best
+    omega, phi = np.zeros(len(q)), np.zeros(len(q))
+    for plane, v in zip(active, nu):
+        if plane % 2:
+            phi[plane // 2] = v
+        else:
+            omega[plane // 2] = -v
+    return ChebyshevQp(
+        omega=omega,
+        phi=phi,
+        position=(float(centre[0] + y[0]), float(centre[1] + y[1])),
+        value=float(t - y @ y),
+        consistent=bool(violation <= _KKT_TOL),
+        active_sets=solved,
+        residual_primal=float(primal),
+        residual_dual=float(dual),
+    )
+
+
+def _solve_one_sensor(
+    scenario: NetworkScenario, intervals: Dict[Edge, IntervalBound], t0: float
+) -> CentralEstimate:
+    """The network program for one sensor, from :func:`chebyshev_qp`.
+
+    Its multipliers, clipped at zero, give Mt = kappa = sum(phi - omega),
+    f = -sum (phi - omega) a and h, which :func:`certify` turns into the
+    estimate and its bound, as for the SDP.  The data are inconsistent when
+    the QP has no KKT point or the certified value is below minus the
+    rounding bound of its evaluation, (2N + 4) eps times the sum of the
+    magnitudes that enter it, so that exact data, whose value is zero, pass.
+    """
+    _require_anchored(scenario)
+    edges = sorted(scenario.anchor_edges)
+    refs = [(scenario.anchors[e[1]], intervals[e].lower ** 2, intervals[e].upper ** 2) for e in edges]
+    qp = chebyshev_qp(refs)
+    a = np.array([ref[0] for ref in refs], dtype=float)
+    lower_sq, upper_sq = np.array([ref[1:] for ref in refs]).T
+
+    omega, phi = np.maximum(qp.omega, 0.0), np.maximum(qp.phi, 0.0)
+    norm2 = np.einsum("ij,ij->i", a, a)
+    kappa = float(phi.sum() - omega.sum())
+    f = -((phi - omega) @ a)
+    h = float(omega @ (norm2 - lower_sq) + phi @ (upper_sq - norm2))
+    positions, value = _positions(scenario, np.array([[kappa]]), f[None, :], h)
+
+    magnitude = float(omega @ (norm2 + lower_sq) + phi @ (upper_sq + norm2))
+    if kappa > 0.0:
+        magnitude += float(f @ f) / kappa
+    rounding = (2 * len(edges) + 4) * np.finfo(float).eps * magnitude
+    consistent = qp.consistent and value >= -rounding
+    status = SolveStatus.OPTIMAL
+    if not consistent or math.isinf(value):
+        status = SolveStatus.NUMERICAL_FAILURE
+    gap = math.inf
+    if math.isfinite(value):
+        gap = abs(value - qp.value) / (1.0 + abs(value) + abs(qp.value))
+    return CentralEstimate(
+        positions=positions,
+        worst_case_value=max(value, 0.0),
+        multipliers={e: (float(qp.omega[i]), float(qp.phi[i])) for i, e in enumerate(edges)},
+        solver_status=status,
+        solve_seconds=time.perf_counter() - t0,
+        iterations=qp.active_sets,
+        gap=gap,
+        residual_primal=qp.residual_primal,
+        residual_dual=qp.residual_dual,
+    )
 
 
 def solve_minmax_sdp(
@@ -236,10 +477,16 @@ def solve_minmax_sdp(
     intervals: Optional[Dict[Edge, IntervalBound]] = None,
     config: Optional[SolverConfig] = None,
 ) -> CentralEstimate:
-    """Estimate every sensor position and certify the worst-case error."""
+    """Estimate every sensor position and certify the worst-case error.
+
+    One sensor without sensor edges is solved exactly as a QP
+    (:func:`chebyshev_qp`), every other network by the SDP.
+    """
     t0 = time.perf_counter()
     if intervals is None:
         intervals = build_feasibility_intervals(scenario)
+    if len(scenario.sensors) == 1 and not scenario.sensor_edges:
+        return _solve_one_sensor(scenario, intervals, t0)
     problem, idx = assemble_dual_sdp(scenario, intervals)
     sol = solve(problem, config)
     positions, value = recover_estimate(scenario, problem, sol.x)

@@ -134,19 +134,6 @@ class _RangeResiduals:
         return jac.reshape(len(d), 2 * self.n)
 
 
-def baseline_objective(
-    scenario: NetworkScenario, flat: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """Sum of squared range residuals and its analytic gradient.
-
-    ``flat`` interleaves coordinates as (x, y) per sensor in
-    ``scenario.sensors`` order.
-    """
-    ranges = _RangeResiduals(scenario, list(scenario.sensors))
-    r, diff, d = ranges.residuals(flat)
-    return float(r @ r), 2.0 * (ranges.jacobian(diff, d).T @ r)
-
-
 def _random_init(scenario: NetworkScenario, rng: np.random.Generator) -> np.ndarray:
     ax = [p[0] for p in scenario.anchors.values()]
     ay = [p[1] for p in scenario.anchors.values()]
@@ -443,10 +430,6 @@ def report_to_csv_rows(report: ExperimentReport) -> List[Dict[str, object]]:
                 }
             )
     return rows
-
-
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    return asdict(spec)
 
 
 def spec_from_dict(doc: Mapping) -> ExperimentSpec:

@@ -74,8 +74,9 @@ supports, and assemble K from H[r, t] = (u_r^T W u_t)^2, which two dense
 products form, Y = U W and H = Y U^T.  scipy's BLAS dgemm forms them, as its
 LAPACK factors the Schur matrix, so that a solve's products and Cholesky use
 one BLAS library and one thread pool; the eigendecompositions stay on
-numpy.  The terms are ordered with each
-class's first term in row c and the rest after it, so signing H and adding
+numpy.  scipy is imported by the first compile, not with the module.  The
+terms are ordered with each class's first term in row c and the rest after
+it, so signing H and adding
 each later term's row, then its column, into its class's first in place
 leaves K in the leading corner of H, whatever the number of terms per class.
 This is what makes networks of a few hundred variables cheap.
@@ -121,7 +122,6 @@ from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 Triplet = Tuple[int, int, float]
 
@@ -129,11 +129,29 @@ _DENSE_DIM_LIMIT = 12  # blocks at most this wide skip the rank-one machinery
 _JITTER = 1e-12
 GAP_TOL = 1e-8  # relative duality gap of an OPTIMAL solve
 _STEP_FRACTION = 0.98  # of the largest cone-preserving step
-# LAPACK's Cholesky factor and solve in double precision, called directly
-_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
-# BLAS's double-precision product from the same library, so that the Schur
-# products and the Cholesky share one BLAS thread pool
-_GEMM = sla.get_blas_funcs("gemm", (np.empty(0),))
+# scipy's LAPACK Cholesky factor and solve (_POTRF, _POTRS) and BLAS product
+# (_GEMM) in double precision, called directly, so that the Schur products
+# and the Cholesky share one BLAS thread pool.  The first compile, which
+# every solve starts with, binds them, so that a process that never solves
+# never loads scipy; reading one from outside the module binds them too.
+_SCIPY_ROUTINES = ("_POTRF", "_POTRS", "_GEMM")
+
+
+def _bind_scipy_routines() -> None:
+    global _POTRF, _POTRS, _GEMM
+    if "_GEMM" in globals():
+        return
+    import scipy.linalg as sla
+
+    _POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+    _GEMM = sla.get_blas_funcs("gemm", (np.empty(0),))
+
+
+def __getattr__(name: str):
+    if name in _SCIPY_ROUTINES:
+        _bind_scipy_routines()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolveStatus(Enum):
@@ -771,6 +789,7 @@ class _DenseBlock:
 def _compile(problem: SdpProblem) -> Tuple[list, _SignClasses]:
     """Compiled blocks, dense ones in problem order and the fused rows last,
     and the sign classes they are compiled against."""
+    _bind_scipy_routines()
     dense = [(bi, blk) for bi, blk in enumerate(problem.blocks) if blk.dim > 1]
     rows = [(bi, blk) for bi, blk in enumerate(problem.blocks) if blk.dim == 1]
     classes = _SignClasses(problem.num_vars, problem.pairs, len(rows))

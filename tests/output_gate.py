@@ -33,13 +33,14 @@ The solves come in families:
 Each central record holds a solve's status, iterations, ``worst_case_value``
 and positions.  The comparison prints, per family, the status flips in each
 direction, the largest relative deviation of ``worst_case_value``, the
-largest position deviation (both over solves whose status is unchanged) and
-every changed round or iteration count.  The gate fails on any status flip
-(a distributed or baseline fit that converges on one side only counts as
-one), any changed round or baseline iteration count, a relative deviation of
-``worst_case_value`` or ``rmse_upper_bound`` above 1e-6, a position or
-baseline RMSE deviation above 1e-5, and any changed ``grid`` output: the
-oracles promise the exhaustive scan's answers bit for bit.  A family that
+largest position deviation (both over solves whose status is unchanged, each
+with the solve that has it) and every changed round or iteration count.
+The gate fails on any status flip (a distributed or baseline fit that
+converges on one side only counts as one), any changed round or baseline
+iteration count, a relative deviation of ``worst_case_value`` or
+``rmse_upper_bound`` above 1e-6, a position or baseline RMSE deviation above
+1e-5, and any changed ``grid`` output: the oracles promise the exhaustive
+scan's answers bit for bit.  A family that
 only one record holds is reported and not compared.  pytest does not collect
 this file.
 """
@@ -204,6 +205,13 @@ def rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def largest(devs) -> tuple:
+    """The largest of (deviation, label) pairs, and " at <label>" naming the
+    solve that has it, or "" when no deviation is positive."""
+    dev, label = max(devs, key=lambda d: d[0], default=(0.0, ""))
+    return dev, f" at {label}" if dev > 0.0 else ""
+
+
 def compare(before: dict, after: dict) -> bool:
     """Print the comparison family by family; True when the gate passes."""
     ok = True
@@ -226,22 +234,19 @@ def compare(before: dict, after: dict) -> bool:
             (a[k]["status"], b[k]["status"]) for k in labels if a[k]["status"] != b[k]["status"]
         )
         kept = [k for k in labels if a[k]["status"] == b[k]["status"]]
-        values = [(a[k]["worst_case_value"], b[k]["worst_case_value"]) for k in kept]
-        value_dev = max((rel(u, v) for u, v in values), default=0.0)
-        value_abs = max((abs(u - v) for u, v in values), default=0.0)
-        pos_dev = max(
-            (
-                math.dist(p, b[k]["positions"][i])
-                for k in kept
-                for i, p in a[k]["positions"].items()
-            ),
-            default=0.0,
+        values = {k: (a[k]["worst_case_value"], b[k]["worst_case_value"]) for k in kept}
+        value_dev, value_at = largest((rel(u, v), k) for k, (u, v) in values.items())
+        value_abs = max((abs(u - v) for u, v in values.values()), default=0.0)
+        pos_dev, pos_at = largest(
+            (math.dist(p, b[k]["positions"][i]), k)
+            for k in kept
+            for i, p in a[k]["positions"].items()
         )
         iters = sum(b[k]["iterations"] - a[k]["iterations"] for k in labels)
         print(
             f"{family}: {len(a)} solves, {sum(flips.values())} status flips, "
-            f"worst_case_value rel dev {value_dev:.1e} (abs {value_abs:.1e}), "
-            f"position dev {pos_dev:.1e}, "
+            f"worst_case_value rel dev {value_dev:.1e}{value_at} (abs {value_abs:.1e}), "
+            f"position dev {pos_dev:.1e}{pos_at}, "
             f"iterations {iters:+d} in total"
         )
         for (s, t), n in sorted(flips.items()):
@@ -261,8 +266,8 @@ def compare_runs(family: str, a: dict, b: dict) -> bool:
     changed = [
         f"{k}: {a[k][count]} -> {b[k][count]} {count}" for k in a if a[k][count] != b[k][count]
     ]
-    dev = max((measure(a[k][value], b[k][value]) for k in a), default=0.0)
-    print(f"{family}: {len(a)} runs, {len(flips)} convergence flips, {value} dev {dev:.1e}")
+    dev, at = largest((measure(a[k][value], b[k][value]), k) for k in a)
+    print(f"{family}: {len(a)} runs, {len(flips)} convergence flips, {value} dev {dev:.1e}{at}")
     print(f"  {count} kept" if not changed else "  " + "; ".join(changed))
     return not flips and not changed and dev <= tol
 

@@ -1,15 +1,35 @@
-"""The baseline's range residuals and Jacobian edge by edge, used only by the tests.
+"""Experiment helpers that only the tests use.
 
-``minmaxloc.experiment`` forms them for all edges at once with index arrays;
-this is the per-edge loop it replaced.  The tests check that the two agree
-exactly.
+``reference_residuals_and_jacobian`` forms the baseline's range residuals and
+Jacobian edge by edge; ``minmaxloc.experiment`` forms them for all edges at
+once with index arrays, and the tests check that the two agree exactly.
+``baseline_objective`` is the baseline's objective and gradient, for a
+finite-difference check, and ``spec_to_dict`` the inverse of
+``experiment.spec_from_dict``.
 """
 
+from dataclasses import asdict
 from typing import List, Tuple
 
 import numpy as np
 
+from minmaxloc.experiment import ExperimentSpec, _RangeResiduals
 from minmaxloc.model import NetworkScenario
+
+
+def baseline_objective(scenario: NetworkScenario, flat: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Sum of squared range residuals and its analytic gradient.
+
+    ``flat`` interleaves coordinates as (x, y) per sensor in
+    ``scenario.sensors`` order.
+    """
+    ranges = _RangeResiduals(scenario, list(scenario.sensors))
+    r, diff, d = ranges.residuals(flat)
+    return float(r @ r), 2.0 * (ranges.jacobian(diff, d).T @ r)
+
+
+def spec_to_dict(spec: ExperimentSpec) -> dict:
+    return asdict(spec)
 
 
 def reference_residuals_and_jacobian(

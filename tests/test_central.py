@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fixtures import ORACLE_FIXTURES, realized_errors, single_sensor_fixture
+from fixtures import NONCONVEX_FIXTURES, ORACLE_FIXTURES, realized_errors, single_sensor_fixture
 from minmaxloc import central, dist, geom, model, sdp
 from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp, sample_feasible_positions
@@ -156,19 +157,23 @@ def test_coordinate_program_solves_like_interleaved_program(case):
         scen, bounds = ORACLE_FIXTURES[case][0]
     else:
         scen, bounds = twenty_sensor_network(int(case.split("-")[1])), None
-    est = central.solve_minmax_sdp(scen, intervals=bounds)
+    # both SDP forms, called directly: solve_minmax_sdp takes one sensor to
+    # the QP instead
+    split, _ = central.assemble_dual_sdp(scen, bounds)
+    sol = solve(split)
+    est_positions, est_value = central.recover_estimate(scen, split, sol.x)
     problem, _ = assemble_interleaved_dual_sdp(scen, bounds)
     ref = solve(problem)
-    assert est.solver_status == SolveStatus.OPTIMAL
+    assert sol.status == SolveStatus.OPTIMAL
     # the stacked form keeps the stall its solves had before the split: at
     # seed 1 with two BLAS threads it ends numerical_failure at a relative
     # gap of 1.1e-8, just above the tolerance, so it must be optimal or
     # stalled that close to the optimum
     assert ref.status == SolveStatus.OPTIMAL or ref.gap <= 1e-7
-    assert est.worst_case_value == pytest.approx(max(ref.objective_value, 0.0), rel=1e-6)
+    assert max(est_value, 0.0) == pytest.approx(max(ref.objective_value, 0.0), rel=1e-6)
     positions = recover_interleaved_estimate(scen, problem, ref.x)
     for i in scen.sensors:
-        assert math.dist(est.positions[i], positions[i]) <= 1e-5
+        assert math.dist(est_positions[i], positions[i]) <= 1e-5
 
 
 def test_rank_one_terms_rebuild_class_coefficients():
@@ -546,3 +551,149 @@ def test_sampler_output_is_feasible_and_deterministic():
         a = np.asarray(scen.anchors[k])
         d = np.hypot(s1[:, 0, 0] - a[0], s1[:, 0, 1] - a[1])
         assert (d >= b.lower - 1e-12).all() and (d <= b.upper + 1e-12).all()
+
+
+# --- the one-sensor QP ------------------------------------------------------------
+
+# closed-form maximizer y and value t - |y|^2 of each fixture's relaxed program
+QP_OPTIMA = {
+    "ring": ((0.0, 0.0), 4.0),
+    "lens": ((0.0, 0.0), 0.75),
+    "disc": ((0.0, 0.0), 0.9995**2),
+    "diamond": ((0.0, 0.0), 1.0),
+    "crescent": ((0.0, 0.0), 1.21),
+    "horseshoe": ((0.0, 0.0), 1.44),
+    "kidney": ((0.9, 0.0), 1.44),
+    "islands": ((0.0, 0.0), 0.3225),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QP_OPTIMA))
+def test_one_sensor_solve_reaches_closed_form_optimum(name):
+    fx = {**{k: v[0] for k, v in ORACLE_FIXTURES.items()}, **NONCONVEX_FIXTURES}
+    scen, bounds = fx[name]
+    center, value = QP_OPTIMA[name]
+    est = central.solve_minmax_sdp(scen, intervals=bounds)
+    assert est.solver_status == SolveStatus.OPTIMAL
+    assert est.worst_case_value == pytest.approx(value, rel=1e-12)
+    assert math.dist(est.positions[0], center) <= 1e-12
+    assert est.gap <= 1e-12 and est.residual_primal <= 1e-12 and est.residual_dual <= 1e-12
+
+
+def refs_around(truth, draws):
+    """(p, lower^2, upper^2) references whose intervals hold |truth - p|."""
+    refs = []
+    for px, py, below, above in draws:
+        d = math.hypot(truth[0] - px, truth[1] - py)
+        refs.append(((px, py), max(d - below, 0.0) ** 2, (d + above) ** 2))
+    return refs
+
+
+def per_node_sdp_value(refs):
+    """Status of the per-node SDP and the value its multipliers certify."""
+    problem = dist._chebyshev_dual(refs)
+    sol = solve(problem, dist._NODE_SOLVER)
+    lam = np.maximum(sol.x, 0.0)
+    lam[0] = 0.0
+    lmi = problem.blocks[0].evaluate(lam)
+    cert = central.certify(lmi[:1, :1], -lmi[2:3, :2], float(problem.objective @ lam))
+    return sol.status, (math.inf if cert is None else cert[1])
+
+
+coordinate = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    truth=st.tuples(coordinate, coordinate),
+    # every interval is at least 0.01 wide: with exact intervals the SDP
+    # reference stalls by rounding luck
+    draws=st.lists(
+        st.tuples(coordinate, coordinate, st.floats(0.0, 0.5), st.floats(0.01, 0.5)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_qp_meets_kkt_conditions_and_matches_per_node_sdp(truth, draws):
+    refs = refs_around(truth, draws)
+    qp = central.chebyshev_qp(refs)
+    assert qp.consistent
+    p = np.array([r[0] for r in refs])
+    lower_sq, upper_sq = np.array([r[1:] for r in refs]).T
+    y = np.array(qp.position)
+    nu = qp.phi - qp.omega
+    scale = 1.0 + np.abs(nu).sum()
+    # stationarity: sum nu = 1 and y = sum nu p
+    assert abs(nu.sum() - 1.0) <= 1e-9
+    assert np.abs(nu @ p - y).max() <= 1e-9 * scale
+    # primal feasibility of the lifted distances, signs, complementarity
+    lifted = qp.value + np.sum((y - p) ** 2, axis=1)
+    tol = 1e-9 * (1.0 + upper_sq.max())
+    assert np.all(lifted >= lower_sq - tol) and np.all(lifted <= upper_sq + tol)
+    assert qp.omega.min() >= -1e-12 and qp.phi.min() >= -1e-12
+    assert np.abs(qp.omega * (lifted - lower_sq)).max() <= tol * scale
+    assert np.abs(qp.phi * (upper_sq - lifted)).max() <= tol * scale
+    # the value bounds the truth's distance, as every consistent point's
+    assert math.dist(qp.position, truth) ** 2 <= qp.value * (1 + 1e-9) + 1e-12
+
+    status, sdp_value = per_node_sdp_value(refs)
+    # weak duality at any multipliers; equality at an optimal solve, whose
+    # gap and residuals the solver measures relative to 1 + |value|
+    assert sdp_value >= qp.value * (1 - 1e-9) - 1e-12
+    if status == SolveStatus.OPTIMAL:
+        assert abs(sdp_value - qp.value) <= 1e-6 * (1.0 + qp.value)
+
+
+def test_one_sensor_exact_measurements_recover_truth():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        anchors = {k: tuple(rng.uniform(-1.0, 1.0, 2)) for k in range(1, rng.integers(4, 6))}
+        truth = tuple(rng.uniform(-1.0, 1.0, 2))
+        dists = {k: math.dist(truth, a) for k, a in anchors.items()}
+        scen, bounds = single_sensor_fixture(
+            anchors, {k: (d, d) for k, d in dists.items()}, truth=truth
+        )
+        est = central.solve_minmax_sdp(scen, intervals=bounds)
+        assert est.solver_status == SolveStatus.OPTIMAL
+        assert math.dist(est.positions[0], truth) <= 1e-10
+        assert est.worst_case_value <= 1e-10
+
+
+def test_one_sensor_inconsistency_needs_no_sdp(monkeypatch):
+    def no_sdp(*args, **kwargs):
+        raise AssertionError("a one-sensor solve ran the SDP")
+
+    monkeypatch.setattr(sdp, "solve", no_sdp)
+    monkeypatch.setattr(central, "solve", no_sdp)
+    # a value below zero: no point is about 5 from one anchor and within
+    # 0.075 of another half a unit away
+    far, _ = single_sensor_fixture(
+        {1: (0.0, 0.0), 2: (0.5, 0.0)}, {1: (5.0, 5.1), 2: (0.0, 0.075)}
+    )
+    # an empty linear set: two anchors at one place, disjoint intervals
+    apart, _ = single_sensor_fixture(
+        {1: (0.2, 0.1), 2: (0.2, 0.1)}, {1: (1.0, 1.1), 2: (2.0, 2.1)}
+    )
+    for scen in (far, apart):
+        est = central.solve_minmax_sdp(scen)
+        assert est.solver_status == SolveStatus.NUMERICAL_FAILURE
+    qp = central.chebyshev_qp([((0.2, 0.1), 1.0, 1.21), ((0.2, 0.1), 4.0, 4.41)])
+    assert not qp.consistent
+    # consistent data solve without the SDP too
+    scen, bounds = ORACLE_FIXTURES["corner"][0]
+    assert central.solve_minmax_sdp(scen, intervals=bounds).solver_status == SolveStatus.OPTIMAL
+
+
+def test_one_sensor_without_anchor_edge_is_rejected():
+    scen = model.NetworkScenario(
+        sensors=(0,),
+        anchors={3: (0.0, 0.0)},
+        true_positions={0: (0.1, 0.0)},
+        sensor_edges=(),
+        anchor_edges=(),
+        measurements={},
+        gamma=0.05,
+        sensing_range=1.0,
+    )
+    with pytest.raises(ValueError, match=re.escape("sensors [0] have no path to an anchor")):
+        central.solve_minmax_sdp(scen)

@@ -42,20 +42,29 @@ def test_cli_import_leaves_out_scipy_sparse():
 
 def test_chebyshev_oracle_leaves_out_scipy_spatial():
     # the Chebyshev targets come from a hull in grid-index space, with
-    # numpy alone; importing Qhull would cost the oracle its memory
+    # numpy alone; importing Qhull would cost the oracle its memory.  Nor do
+    # the oracles or a one-sensor solve, an exact QP, load scipy.linalg: only
+    # the SDP's Cholesky and products need it
     code = (
         "import sys, minmaxloc.cli\n"
-        "from fixtures import NONCONVEX_FIXTURES\n"
-        "from minmaxloc import geom\n"
+        "from fixtures import NONCONVEX_FIXTURES, relay_chain_instance\n"
+        "from minmaxloc import central, geom\n"
         "scen, bounds = NONCONVEX_FIXTURES['ring']\n"
-        "geom.grid_chebyshev_center(geom.single_sensor_region(scen, bounds), resolution=5e-3)\n"
-        "print('scipy.spatial' in sys.modules)"
+        "assert central.solve_minmax_sdp(scen, bounds).solver_status.value == 'optimal'\n"
+        "reg = geom.single_sensor_region(scen, bounds)\n"
+        "geom.grid_chebyshev_center(reg, resolution=5e-3)\n"
+        "geom.project_to_region(reg, (0.5, 0.5), resolution=5e-3)\n"
+        "geom.grid_max_distance(reg, (0.5, 0.5), resolution=5e-3)\n"
+        "geom.relaxed_center_value(reg, resolution=5e-3)\n"
+        "print('scipy.spatial' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        "central.solve_minmax_sdp(relay_chain_instance())\n"
+        "print('scipy.linalg' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_generate_is_deterministic(tmp_path, generated):

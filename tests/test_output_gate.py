@@ -70,3 +70,19 @@ def test_a_run_missing_from_one_record_fails_and_a_new_family_does_not():
     assert output_gate.compare(record(), grown)
     del grown["baseline"]["trial-0"]
     assert not output_gate.compare(record(), grown)
+
+
+def test_comparison_names_the_solve_that_deviates_most(capsys):
+    after = record()
+    after["twenty"]["twenty-1"] = dict(after["twenty"]["twenty-0"])
+    before = json.loads(json.dumps(after))
+    after["twenty"]["twenty-1"]["worst_case_value"] = 0.5 * (1 + 3e-7)
+    after["twenty"]["twenty-1"]["positions"] = {"0": [0.1, 0.2 + 4e-6]}
+    after["distributed"]["seed-1"]["rmse_upper_bound"] = 0.1 * (1 + 2e-7)
+    assert output_gate.compare(before, after)
+    out = capsys.readouterr().out
+    assert "rel dev 3.0e-07 at twenty-1 (abs" in out
+    assert "position dev 4.0e-06 at twenty-1," in out
+    assert "rmse_upper_bound dev 2.0e-07 at seed-1" in out
+    assert output_gate.compare(before, before)
+    assert " at " not in capsys.readouterr().out
