@@ -34,9 +34,10 @@ program is then the dual of the sensor's relaxed Chebyshev center program,
     subject to  lower_k^2 <= t - 2 a_k^T y + |a_k|^2 <= upper_k^2   per anchor k,
 
 a QP in the three variables (y, t), whose optimal multipliers have kappa = 1.
-:func:`chebyshev_qp` solves it exactly by active sets, and
-:func:`solve_minmax_sdp` hands its KKT multipliers to :func:`certify` as the
-1x1 case, so no SDP is solved and scipy is never loaded for one sensor.
+:func:`chebyshev_qp` solves it exactly by active sets over a working set of
+anchors, and :func:`solve_minmax_sdp` hands its KKT multipliers to
+:func:`certify` as the 1x1 case, so no SDP is solved and scipy is never
+loaded for one sensor.
 
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
@@ -265,6 +266,8 @@ _KKT_TOL = 1e-9
 # Planes whose references span less than this, relative to the references'
 # spread, are left out as dependent
 _SPAN_TOL = 1e-14
+# References in the QP's first working set; with no more, it holds them all
+_WORKING_REFS = 8
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,7 @@ class ChebyshevQp:
     residual_dual: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # an entry for w references holds up to about 32 w^3 bytes
 def _active_sets(refs: int, size: int) -> np.ndarray:
     """Every set of ``size`` planes of distinct references, as plane indices
     2k (lower bound of reference k) and 2k + 1 (upper bound)."""
@@ -321,34 +324,20 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
-    """Maximize t - |y|^2 subject to lower^2 <= t - 2 p^T y + |p|^2 <= upper^2.
+def _magnitude(y: np.ndarray, t, data_scale: float):
+    """The scale of the lifted distances at (y, t), for relative violations."""
+    return np.maximum(np.maximum(np.abs(t), np.einsum("...i,...i->...", y, y)), data_scale)
 
-    ``refs`` holds one (p, lower^2, upper^2) triple per reference, as for
-    the per-node program of :mod:`minmaxloc.dist`.  The middle term is the
-    lifted |y - p|^2, so each reference bounds (y, t) by two parallel
-    planes.  The objective is strictly concave in y and grows with t, so the
-    maximizer is unique, and by Caratheodory's theorem its KKT multipliers
-    nu need at most three active planes with affinely independent p, so of
-    distinct references.  Every such set of one, two or three planes is
-    solved as equalities, all sets of one size in one batched solve of the
-    KKT system: stationarity, (-2y, 1) = sum_j nu_j (-2 p_j, 1), and the
-    planes.  The set that comes closest to a KKT point, with the other
-    references' bounds met and nu_j >= 0 on upper planes and <= 0 on lower
-    ones, wins.  The references are centered first, which the program's
-    translation invariance allows, to keep the solves well conditioned.
-    """
-    p = np.array([ref[0] for ref in refs], dtype=float).reshape(-1, 2)
-    bounds = np.array([ref[1:] for ref in refs], dtype=float).reshape(-1, 2)
-    if not len(p):
-        raise ValueError("the program needs at least one reference")
-    if not (np.isfinite(p).all() and np.isfinite(bounds).all()):
-        raise ValueError("references must be finite")
-    centre = p.mean(axis=0)
-    q = p - centre
+
+def _closest_kkt_set(
+    q: np.ndarray, bounds: np.ndarray, spread: float, data_scale: float
+) -> Tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray, float, int]:
+    """Of every set of one, two or three planes of distinct, affinely
+    independent references, the one whose equality solution comes closest to
+    a KKT point of the program over ``q``: its violation, primal and dual
+    violations, planes, multipliers nu, y and t, and the number of sets
+    solved.  All sets of one size go through one batched solve."""
     qq = np.einsum("ij,ij->i", q, q)
-    spread = float(qq.max())
-    data_scale = max(spread, float(bounds.max()), np.finfo(float).tiny)
     # plane 2k bounds reference k from below, plane 2k + 1 from above:
     # t - 2 q_k^T y = rhs there, and its multiplier nu must have sign ``sign``
     rhs = (bounds - qq[:, None]).ravel()
@@ -388,8 +377,7 @@ def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
             y, t, nu = sol[:, :2], sol[:, 2], sol[:, 3:]
             lifted = t[:, None] - 2.0 * y @ q.T + qq
             excess = np.maximum(bounds[:, 0] - lifted, lifted - bounds[:, 1]).max(axis=1)
-            magnitude = np.maximum(np.maximum(np.abs(t), np.einsum("si,si->s", y, y)), data_scale)
-            primal = np.maximum(excess, 0.0) / magnitude
+            primal = np.maximum(excess, 0.0) / _magnitude(y, t, data_scale)
             # wrong-signed multipliers, and stationarity, which a nearly singular
             # solve may miss
             sign_error = np.maximum(-sign[sets] * nu, 0.0).max(axis=1) / np.abs(nu).sum(axis=1)
@@ -402,14 +390,70 @@ def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
             i = int(np.argmin(violation))
             if best is None or violation[i] < best[0]:
                 best = (violation[i], primal[i], dual[i], sets[i], nu[i], y[i], t[i])
+    return best + (solved,)
 
-    violation, primal, dual, active, nu, y, t = best
+
+def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
+    """Maximize t - |y|^2 subject to lower^2 <= t - 2 p^T y + |p|^2 <= upper^2.
+
+    ``refs`` holds one (p, lower^2, upper^2) triple per reference, as for
+    the per-node program of :mod:`minmaxloc.dist`.  The middle term is the
+    lifted |y - p|^2, so each reference bounds (y, t) by two parallel
+    planes.  The objective is strictly concave in y and grows with t, so the
+    maximizer is unique, and by Caratheodory's theorem its KKT multipliers
+    nu need at most three active planes with affinely independent p, so of
+    distinct references.  Every such set of one, two or three planes is
+    solved as equalities: stationarity, (-2y, 1) = sum_j nu_j (-2 p_j, 1),
+    and the planes.  The set that comes closest to a KKT point, with the
+    other references' bounds met and nu_j >= 0 on upper planes and <= 0 on
+    lower ones, wins.  The references are centered first, which the
+    program's translation invariance allows, to keep the solves well
+    conditioned.
+
+    The sets grow as the cube of the references, so the enumeration runs
+    over a working set: at first the ``_WORKING_REFS`` references with the
+    smallest upper bounds, all of them when there are no more.  While the
+    working set's optimum breaks another reference's bounds, the reference
+    it breaks most joins and the working set is solved again.  An optimum
+    that meets every bound is the whole program's, with nu = 0 off the
+    working set, and a working set that admits no (y, t) leaves the whole
+    program none either.
+    """
+    p = np.array([ref[0] for ref in refs], dtype=float).reshape(-1, 2)
+    bounds = np.array([ref[1:] for ref in refs], dtype=float).reshape(-1, 2)
+    if not len(p):
+        raise ValueError("the program needs at least one reference")
+    if not (np.isfinite(p).all() and np.isfinite(bounds).all()):
+        raise ValueError("references must be finite")
+    centre = p.mean(axis=0)
+    q = p - centre
+    qq = np.einsum("ij,ij->i", q, q)
+    spread = float(qq.max())
+    data_scale = max(spread, float(bounds.max()), np.finfo(float).tiny)
+
+    work = np.sort(np.argsort(bounds[:, 1], kind="stable")[:_WORKING_REFS])
+    solved = 0
+    while True:
+        violation, primal, dual, active, nu, y, t, count = _closest_kkt_set(
+            q[work], bounds[work], spread, data_scale
+        )
+        solved += count
+        lifted = t - 2.0 * (q @ y) + qq
+        excess = np.maximum(bounds[:, 0] - lifted, lifted - bounds[:, 1])
+        excess[work] = -np.inf
+        worst = int(np.argmax(excess))
+        outside = max(float(excess[worst]), 0.0) / _magnitude(y, t, data_scale)
+        if violation > _KKT_TOL or outside <= _KKT_TOL:
+            break
+        work = np.sort(np.append(work, worst))
+
+    primal, violation = max(primal, outside), max(violation, outside)
     omega, phi = np.zeros(len(q)), np.zeros(len(q))
     for plane, v in zip(active, nu):
         if plane % 2:
-            phi[plane // 2] = v
+            phi[work[plane // 2]] = v
         else:
-            omega[plane // 2] = -v
+            omega[work[plane // 2]] = -v
     return ChebyshevQp(
         omega=omega,
         phi=phi,

@@ -76,9 +76,9 @@ LAPACK factors the Schur matrix, so that a solve's products and Cholesky use
 one BLAS library and one thread pool; the eigendecompositions stay on
 numpy.  scipy is imported by the first compile, not with the module.  The
 terms are ordered with each class's first term in row c and the rest after
-it, so signing H and adding
-each later term's row, then its column, into its class's first in place
-leaves K in the leading corner of H, whatever the number of terms per class.
+it, so signing H and adding each later term's row, then its column, into
+its class's first in place leaves K in the leading corner of H, whatever the
+number of terms per class.
 This is what makes networks of a few hundred variables cheap.
 
 A dense block's step factors come from the two eigendecompositions that W

@@ -40,9 +40,8 @@ converges on one side only counts as one), any changed round or baseline
 iteration count, a relative deviation of ``worst_case_value`` or
 ``rmse_upper_bound`` above 1e-6, a position or baseline RMSE deviation above
 1e-5, and any changed ``grid`` output: the oracles promise the exhaustive
-scan's answers bit for bit.  A family that
-only one record holds is reported and not compared.  pytest does not collect
-this file.
+scan's answers bit for bit.  A family that only one record holds is
+reported and not compared.  pytest does not collect this file.
 """
 
 from __future__ import annotations

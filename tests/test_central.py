@@ -644,6 +644,32 @@ def test_qp_meets_kkt_conditions_and_matches_per_node_sdp(truth, draws):
         assert abs(sdp_value - qp.value) <= 1e-6 * (1.0 + qp.value)
 
 
+def test_working_set_reaches_the_full_enumeration_answer(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = []
+    for trial in range(60):
+        truth = rng.uniform(-1.0, 1.0, 2)
+        refs = []
+        for _ in range(rng.integers(9, 30)):
+            p = rng.uniform(-1.0, 1.0, 2)
+            d = math.dist(p, truth)
+            # every third case may miss the truth from above, and be inconsistent
+            below, above = rng.uniform(0.0, 0.3), rng.uniform(-0.05 if trial % 3 == 0 else 0.0, 0.3)
+            refs.append((tuple(p), max(d - below, 0.0) ** 2, max(d + above, 0.0) ** 2))
+        cases.append(refs)
+    working = [central.chebyshev_qp(refs) for refs in cases]
+    monkeypatch.setattr(central, "_WORKING_REFS", 10**6)
+    full = [central.chebyshev_qp(refs) for refs in cases]
+    assert {qp.consistent for qp in full} == {True, False}
+    for w, f in zip(working, full):
+        assert w.consistent == f.consistent
+        if f.consistent:
+            assert math.dist(w.position, f.position) <= 1e-12
+            assert w.value == pytest.approx(f.value, rel=1e-12, abs=1e-15)
+            np.testing.assert_allclose(w.phi - w.omega, f.phi - f.omega, atol=1e-9)
+    assert sum(qp.active_sets for qp in working) < sum(qp.active_sets for qp in full) / 4
+
+
 def test_one_sensor_exact_measurements_recover_truth():
     rng = np.random.default_rng(21)
     for _ in range(200):
