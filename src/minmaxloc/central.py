@@ -35,9 +35,10 @@ program is then the dual of the sensor's relaxed Chebyshev center program,
 
 a QP in the three variables (y, t), whose optimal multipliers have kappa = 1.
 :func:`chebyshev_qp` solves it exactly by active sets over a working set of
-anchors, and :func:`solve_minmax_sdp` hands its KKT multipliers to
-:func:`certify` as the 1x1 case, so no SDP is solved and scipy is never
-loaded for one sensor.
+anchors, and :func:`certified_center` hands its KKT multipliers to
+:func:`certify` as the 1x1 case.  :func:`solve_minmax_sdp` solves one sensor
+this way, and :mod:`minmaxloc.dist` every per-node program, so neither a
+one-sensor solve nor a distributed run solves an SDP or loads scipy.
 
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
@@ -247,13 +248,7 @@ def recover_estimate(
     lmi = problem.blocks[0].evaluate(lam)
     m_mat = lmi[:-1, :-1]
     f = np.column_stack([lmi[-1, :-1], problem.blocks[1].evaluate(lam)[-1, :-1]])
-    return _positions(scenario, m_mat, f, float(problem.objective @ lam))
-
-
-def _positions(
-    scenario: NetworkScenario, m_mat: np.ndarray, f: np.ndarray, h: float
-) -> Tuple[Dict[int, Point2], float]:
-    cert = certify(m_mat, f, h)
+    cert = certify(m_mat, f, float(problem.objective @ lam))
     y, value = cert or (np.linalg.lstsq(m_mat, -f, rcond=None)[0], math.inf)
     positions = {s: (float(y[i, 0]), float(y[i, 1])) for i, s in enumerate(scenario.sensors)}
     return positions, value
@@ -466,45 +461,78 @@ def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
     )
 
 
+@dataclass(frozen=True)
+class CertifiedCenter:
+    """What the multipliers of a :func:`chebyshev_qp` solve certify.
+
+    qp          the QP solve
+    center      y = -f / kappa from :func:`certify`; the QP's maximizer when
+                the multipliers certify nothing
+    value       the certified bound on |y - x|^2 over every x that the
+                references admit; inf when the multipliers certify nothing
+    consistent  False when the QP has no KKT point, or the value is below
+                minus the rounding bound of its evaluation: no x meets every
+                reference
+    """
+
+    qp: ChebyshevQp
+    center: Point2
+    value: float
+    consistent: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.consistent and math.isfinite(self.value)
+
+
+def certified_center(refs: Sequence[Tuple[Point2, float, float]]) -> CertifiedCenter:
+    """Solve the program of :func:`chebyshev_qp` and certify its center.
+
+    The multipliers, clipped at zero, give Mt = kappa = sum(phi - omega),
+    f = -sum (phi - omega) p and h, which :func:`certify` turns into the
+    center and its bound as the 1x1 case, so the bound never rests on the QP
+    being exact.  The rounding bound of the value is (2N + 4) eps times the
+    sum of the magnitudes that enter it, for N references, so that exact
+    data, whose value is zero, pass.
+    """
+    qp = chebyshev_qp(refs)
+    p = np.array([ref[0] for ref in refs], dtype=float)
+    lower_sq, upper_sq = np.array([ref[1:] for ref in refs], dtype=float).T
+
+    omega, phi = np.maximum(qp.omega, 0.0), np.maximum(qp.phi, 0.0)
+    norm2 = np.einsum("ij,ij->i", p, p)
+    kappa = float(phi.sum() - omega.sum())
+    f = -((phi - omega) @ p)
+    h = float(omega @ (norm2 - lower_sq) + phi @ (upper_sq - norm2))
+    cert = certify(np.array([[kappa]]), f[None, :], h)
+    if cert is None:
+        return CertifiedCenter(qp, qp.position, math.inf, qp.consistent)
+    y, value = cert
+
+    magnitude = float(omega @ (norm2 + lower_sq) + phi @ (upper_sq + norm2))
+    magnitude += float(f @ f) / kappa
+    rounding = (2 * len(refs) + 4) * np.finfo(float).eps * magnitude
+    center = (float(y[0, 0]), float(y[0, 1]))
+    return CertifiedCenter(qp, center, value, qp.consistent and value >= -rounding)
+
+
 def _solve_one_sensor(
     scenario: NetworkScenario, intervals: Dict[Edge, IntervalBound], t0: float
 ) -> CentralEstimate:
-    """The network program for one sensor, from :func:`chebyshev_qp`.
-
-    Its multipliers, clipped at zero, give Mt = kappa = sum(phi - omega),
-    f = -sum (phi - omega) a and h, which :func:`certify` turns into the
-    estimate and its bound, as for the SDP.  The data are inconsistent when
-    the QP has no KKT point or the certified value is below minus the
-    rounding bound of its evaluation, (2N + 4) eps times the sum of the
-    magnitudes that enter it, so that exact data, whose value is zero, pass.
-    """
+    """The network program for one sensor, from :func:`certified_center`
+    over its anchors; the status is optimal when the center is certified."""
     _require_anchored(scenario)
     edges = sorted(scenario.anchor_edges)
-    refs = [(scenario.anchors[e[1]], intervals[e].lower ** 2, intervals[e].upper ** 2) for e in edges]
-    qp = chebyshev_qp(refs)
-    a = np.array([ref[0] for ref in refs], dtype=float)
-    lower_sq, upper_sq = np.array([ref[1:] for ref in refs]).T
-
-    omega, phi = np.maximum(qp.omega, 0.0), np.maximum(qp.phi, 0.0)
-    norm2 = np.einsum("ij,ij->i", a, a)
-    kappa = float(phi.sum() - omega.sum())
-    f = -((phi - omega) @ a)
-    h = float(omega @ (norm2 - lower_sq) + phi @ (upper_sq - norm2))
-    positions, value = _positions(scenario, np.array([[kappa]]), f[None, :], h)
-
-    magnitude = float(omega @ (norm2 + lower_sq) + phi @ (upper_sq + norm2))
-    if kappa > 0.0:
-        magnitude += float(f @ f) / kappa
-    rounding = (2 * len(edges) + 4) * np.finfo(float).eps * magnitude
-    consistent = qp.consistent and value >= -rounding
-    status = SolveStatus.OPTIMAL
-    if not consistent or math.isinf(value):
-        status = SolveStatus.NUMERICAL_FAILURE
+    cert = certified_center(
+        [(scenario.anchors[e[1]], intervals[e].lower ** 2, intervals[e].upper ** 2) for e in edges]
+    )
+    qp, value = cert.qp, cert.value
+    status = SolveStatus.OPTIMAL if cert.certified else SolveStatus.NUMERICAL_FAILURE
     gap = math.inf
     if math.isfinite(value):
         gap = abs(value - qp.value) / (1.0 + abs(value) + abs(qp.value))
     return CentralEstimate(
-        positions=positions,
+        positions={scenario.sensors[0]: cert.center},
         worst_case_value=max(value, 0.0),
         multipliers={e: (float(qp.omega[i]), float(qp.phi[i])) for i, e in enumerate(edges)},
         solver_status=status,

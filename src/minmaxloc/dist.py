@@ -7,8 +7,8 @@ The algorithm runs in three phases on each sensor:
    neighbor information along the shortest hop path into a distance
    interval [lower_ik, upper_ik] (triangle inequality both ways).
 
-2. Initial estimate.  Each sensor solves a small SDP over its anchor
-   distance intervals alone.  Its multipliers certify a squared
+2. Initial estimate.  Each sensor solves a three-variable QP over its
+   anchor distance intervals alone.  Its multipliers certify a squared
    radius: the true position lies within sqrt(radius_sq) of the estimate
    whenever every measurement error is within the error bound.
 
@@ -22,14 +22,14 @@ The algorithm runs in three phases on each sensor:
    every reported pair is certified, the per-node radii never grow and
    neither does the network-wide RMSE upper bound.
 
-Each per-node program is the single-sensor case of the network dual solved
-by :mod:`minmaxloc.central`, over references (p, lower^2, upper^2) that
-bound |y - p|^2.  The sensor's own ball is one with lower^2 = 0, which the
-lifted relaxation already implies.  The LMI is
-diag([[kappa I, g], [g^T, t]], kappa - 1) >= 0, so the normalization
-kappa >= 1 couples no multipliers, and each reference's two form one sign
-class of the solver.  The center g / kappa and the certified squared radius
-come from :func:`minmaxloc.central.certify`, in its 1x1 case Mt = kappa.
+Each per-node program is the single-sensor case of the network program of
+:mod:`minmaxloc.central`, over references (p, lower^2, upper^2) that bound
+|y - p|^2: the relaxed Chebyshev center, maximize t - |y|^2 subject to
+lower^2 <= t - 2 p^T y + |p|^2 <= upper^2.  The sensor's own ball is one
+reference with lower^2 = 0, which the lifted relaxation already implies.
+:func:`minmaxloc.central.certified_center` solves it exactly as a QP in
+(y, t) and turns its multipliers into the center and the certified squared
+radius, or finds the references inconsistent or certifying nothing.
 
 All rounds are Jacobi: updates at round tau+1 read only round-tau states,
 so any execution order inside a round produces the identical trace.
@@ -42,18 +42,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
-from .central import certify
+from .central import certified_center
 from .model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
-from .sdp import Block, SdpProblem, SdpSolution, SolveStatus, SolverConfig, solve
 
-
-# The per-node solver accepts dual feasibility at 1e-6 rather than the solver
-# default: symmetric anchor layouts put these tiny programs on degenerate
-# faces where pushing the dual residual to 1e-8 exceeds what finite precision
-# delivers, and every consumer of the certificates works at 1e-6 anyway.
-_NODE_SOLVER = SolverConfig(feas_tol=1e-6)
+# Unused here: the benchmark tracer's ("minmaxloc.dist", "solve") hook names
+# it, and the next benchmark change drops both.
+from .sdp import solve  # noqa: F401
 
 
 class UnreachableAnchor(RuntimeError):
@@ -193,49 +187,6 @@ def propagate_distance_bounds(
     return result
 
 
-def _chebyshev_dual(refs: List[Tuple[Point2, float, float]]) -> SdpProblem:
-    """Single-node dual SDP shared by the initial and iterate solves.
-
-    ``refs`` holds (position p, lower^2, upper^2) triples.  Variables are t,
-    then each reference's lower and upper multiplier, one negated pair.
-    kappa and g sum the upper multipliers less the lower ones, times 1 and
-    times p; the one block is diag([[kappa I, g], [g^T, t]], kappa - 1).
-    """
-    m = 1 + 2 * len(refs)
-    c = np.zeros(m)
-    c[0] = 1.0
-    lmi: Dict[int, List[Tuple[int, int, float]]] = {0: [(2, 2, 1.0)]}
-    for e, ((px, py), lower_sq, upper_sq) in enumerate(refs):
-        sq = px * px + py * py
-        c[1 + 2 * e] = sq - lower_sq
-        c[2 + 2 * e] = upper_sq - sq
-        upper = [(0, 0, 1.0), (1, 1, 1.0), (2, 0, px), (2, 1, py), (3, 3, 1.0)]
-        lmi[1 + 2 * e] = [(i, j, -v) for i, j, v in upper]
-        lmi[2 + 2 * e] = upper
-
-    block = Block(4, [(3, 3, -1.0)], lmi)
-    return SdpProblem(m, c, [block], pairs=np.arange(1, m).reshape(-1, 2))
-
-
-def _certified_center(problem: SdpProblem, sol: SdpSolution) -> Optional[Tuple[Point2, float]]:
-    """Center g / kappa and its certified squared radius from an optimal solve.
-
-    Block 0 at lambda = max(x, 0) leads with [[kappa I, g], [g^T, t]]: the
-    1x1 case Mt = kappa of :func:`certify`, with f = -g.  None when the solve
-    is not optimal or its multipliers certify nothing.
-    """
-    if sol.status != SolveStatus.OPTIMAL:
-        return None
-    lam = np.maximum(sol.x, 0.0)
-    lam[0] = 0.0
-    lmi = problem.blocks[0].evaluate(lam)
-    cert = certify(lmi[:1, :1], -lmi[2:3, :2], float(problem.objective @ lam))
-    if cert is None:
-        return None
-    y, value = cert
-    return (float(y[0, 0]), float(y[0, 1])), max(value, 0.0)
-
-
 def initial_estimate(
     sensor: int,
     table: BoundTable,
@@ -246,16 +197,15 @@ def initial_estimate(
         (anchors[k], table[(sensor, k)].lower ** 2, table[(sensor, k)].upper ** 2)
         for k in sorted(anchors)
     ]
-    problem = _chebyshev_dual(refs)
-    sol = solve(problem, _NODE_SOLVER)
-    cert = _certified_center(problem, sol)
-    if cert is None:
-        raise RuntimeError(
-            f"initial estimate for sensor {sensor} not certified: {sol.status.value}"
-        )
-    center, value = cert
+    cert = certified_center(refs)
+    if not cert.certified:
+        reason = "the multipliers certify nothing"
+        if not cert.consistent:
+            reason = "its anchor intervals are inconsistent"
+        raise RuntimeError(f"initial estimate for sensor {sensor} not certified: {reason}")
+    value = max(cert.value, 0.0)
     return NodeState(
-        estimate=center,
+        estimate=cert.center,
         radius_sq=value,
         localized=False,
         iteration=0,
@@ -280,9 +230,10 @@ def iterate_node(
     that radius of it.  Without the widening the region can lose the true
     position entirely (neighbor error shifts the annulus off it), which
     both voids the certificate and empties the region when intervals are
-    tight.  The new center and raw radius are what the multipliers of an
-    optimal solve certify (:func:`_certified_center`); without them the node
-    keeps its previous state for the round.  When the raw radius exceeds the
+    tight.  The new center and raw radius are what the multipliers of the
+    exact QP certify (:func:`minmaxloc.central.certified_center`); when they
+    certify nothing, or find the references inconsistent, the node keeps its
+    previous state for the round.  When the raw radius exceeds the
     old one, which only rounding allows, the node keeps its old estimate and
     radius too, and records the raw value.
     """
@@ -291,9 +242,8 @@ def iterate_node(
     cfg = config or DisMinMaxConfig()
     if own.radius_sq <= cfg.epsilon:
         # The radius cannot grow, so any solve outcome would change it by
-        # at most its current value; the node is localized by definition.
-        # Skipping the solve also avoids a singleton ball constraint that
-        # leaves the solver nothing strictly feasible to work with.
+        # at most its current value; the node is localized by definition
+        # and needs no solve.
         return replace(
             own,
             iteration=own.iteration + 1,
@@ -309,14 +259,12 @@ def iterate_node(
             (neighbor_states[j].estimate, max(b.lower - slack, 0.0) ** 2, (b.upper + slack) ** 2)
         )
 
-    problem = _chebyshev_dual(refs)
-    sol = solve(problem, _NODE_SOLVER)
-    cert = _certified_center(problem, sol)
-    if cert is None:
+    cert = certified_center(refs)
+    if not cert.certified:
         return replace(
             own, iteration=own.iteration + 1, localized=False, raw_radius_sq=own.radius_sq
         )
-    center, raw = cert
+    center, raw = cert.center, max(cert.value, 0.0)
     if raw > own.radius_sq:
         # rounding put the new center's certificate above the old radius
         return replace(own, iteration=own.iteration + 1, localized=True, raw_radius_sq=raw)

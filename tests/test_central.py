@@ -13,6 +13,7 @@ from minmaxloc import central, dist, geom, model, sdp
 from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp, sample_feasible_positions
 from reference_central import assemble_interleaved_dual_sdp, recover_interleaved_estimate
+from reference_dist import NODE_SOLVER, chebyshev_dual
 from reference_sdp import SparseProducts, dense_coeff
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
@@ -246,7 +247,7 @@ def test_coefficient_products_equal_the_sparse_reference():
     cases = []
     for problem, count in (
         (central.assemble_dual_sdp(twenty_sensor_network(3))[0], 3),
-        (dist._chebyshev_dual(refs), 1),
+        (chebyshev_dual(refs), 1),
     ):
         blocks, _ = sdp._compile(problem)
         cases += [(problem, compiled) for compiled in blocks[:count]]
@@ -580,24 +581,27 @@ def test_one_sensor_solve_reaches_closed_form_optimum(name):
     assert est.gap <= 1e-12 and est.residual_primal <= 1e-12 and est.residual_dual <= 1e-12
 
 
-def refs_around(truth, draws):
-    """(p, lower^2, upper^2) references whose intervals hold |truth - p|."""
-    refs = []
+def intervals_around(truth, draws):
+    """(p, lower, upper) references whose intervals hold |truth - p|."""
+    out = []
     for px, py, below, above in draws:
         d = math.hypot(truth[0] - px, truth[1] - py)
-        refs.append(((px, py), max(d - below, 0.0) ** 2, (d + above) ** 2))
-    return refs
+        out.append(((px, py), max(d - below, 0.0), d + above))
+    return out
 
 
-def per_node_sdp_value(refs):
-    """Status of the per-node SDP and the value its multipliers certify."""
-    problem = dist._chebyshev_dual(refs)
-    sol = solve(problem, dist._NODE_SOLVER)
+def per_node_sdp_center(refs):
+    """Status of the per-node SDP, and the center and value its multipliers
+    certify (value inf when they certify none)."""
+    problem = chebyshev_dual(refs)
+    sol = solve(problem, NODE_SOLVER)
     lam = np.maximum(sol.x, 0.0)
     lam[0] = 0.0
     lmi = problem.blocks[0].evaluate(lam)
     cert = central.certify(lmi[:1, :1], -lmi[2:3, :2], float(problem.objective @ lam))
-    return sol.status, (math.inf if cert is None else cert[1])
+    if cert is None:
+        return sol.status, None, math.inf
+    return sol.status, tuple(cert[0][0]), cert[1]
 
 
 coordinate = st.floats(-1.0, 1.0)
@@ -615,7 +619,8 @@ coordinate = st.floats(-1.0, 1.0)
     ),
 )
 def test_qp_meets_kkt_conditions_and_matches_per_node_sdp(truth, draws):
-    refs = refs_around(truth, draws)
+    intervals = intervals_around(truth, draws)
+    refs = [(p, lower**2, upper**2) for p, lower, upper in intervals]
     qp = central.chebyshev_qp(refs)
     assert qp.consistent
     p = np.array([r[0] for r in refs])
@@ -636,12 +641,39 @@ def test_qp_meets_kkt_conditions_and_matches_per_node_sdp(truth, draws):
     # the value bounds the truth's distance, as every consistent point's
     assert math.dist(qp.position, truth) ** 2 <= qp.value * (1 + 1e-9) + 1e-12
 
-    status, sdp_value = per_node_sdp_value(refs)
+    status, _, sdp_value = per_node_sdp_center(refs)
     # weak duality at any multipliers; equality at an optimal solve, whose
     # gap and residuals the solver measures relative to 1 + |value|
     assert sdp_value >= qp.value * (1 - 1e-9) - 1e-12
     if status == SolveStatus.OPTIMAL:
         assert abs(sdp_value - qp.value) <= 1e-6 * (1.0 + qp.value)
+
+    # the distributed estimator's two per-node solves certify the center
+    # that the SDP's multipliers do: an initial estimate over the references
+    # as anchors, and a round over the first as the node's own ball and the
+    # others as neighbors.  The SDP's center y has the bound V >= V* +
+    # |y - y*|^2 (the bound at y over the point (y*, t*) of the relaxed
+    # set), so where V exceeds the exact V* it may stand sqrt(V - V*) off:
+    # 2.4e-5 for the ball of radius 1 at the origin and the annulus [0.5, 1]
+    # around (0, 1), whose center is (0, 0.5) by symmetry
+    anchors = {k: ref for k, (ref, _, _) in enumerate(intervals)}
+    table = {(-1, k): dist.BoundEntry(lo, up, 1) for k, (_, lo, up) in enumerate(intervals)}
+    cases = [(refs, lambda: dist.initial_estimate(-1, table, anchors))]
+    if len(intervals) > 1:
+        own = dist.NodeState(anchors[0], refs[0][2], False, 0, refs[0][2])
+        nbrs = {k: dist.NodeState(anchors[k], 0.0, True, 0, 0.0) for k in range(1, len(refs))}
+        bounds = {(-1, k): model.IntervalBound(lo, up) for k, (_, lo, up) in enumerate(intervals)}
+        node_refs = [(own.estimate, 0.0, own.radius_sq)] + refs[1:]
+        cases.append((node_refs, lambda: dist.iterate_node(-1, nbrs, own, bounds)))
+    for case_refs, run in cases:
+        status, center, value = per_node_sdp_center(case_refs)
+        if status != SolveStatus.OPTIMAL:
+            continue
+        state = run()
+        assert abs(state.raw_radius_sq - max(value, 0.0)) <= 1e-6 * (1.0 + value)
+        if state.radius_sq == state.raw_radius_sq:
+            excess = math.sqrt(max(value - state.raw_radius_sq, 0.0))
+            assert math.dist(state.estimate, center) <= 1e-5 + excess
 
 
 def test_working_set_reaches_the_full_enumeration_answer(monkeypatch):

@@ -43,12 +43,14 @@ def test_cli_import_leaves_out_scipy_sparse():
 def test_chebyshev_oracle_leaves_out_scipy_spatial():
     # the Chebyshev targets come from a hull in grid-index space, with
     # numpy alone; importing Qhull would cost the oracle its memory.  Nor do
-    # the oracles or a one-sensor solve, an exact QP, load scipy.linalg: only
-    # the SDP's Cholesky and products need it
+    # the oracles, a one-sensor solve or a distributed run, whose per-node
+    # programs are exact QPs, load scipy.linalg: only the SDP's Cholesky and
+    # products need it
     code = (
         "import sys, minmaxloc.cli\n"
         "from fixtures import NONCONVEX_FIXTURES, relay_chain_instance\n"
-        "from minmaxloc import central, geom\n"
+        "from minmaxloc import central, dist, geom\n"
+        "assert dist.run_dis_minmax(relay_chain_instance()).converged\n"
         "scen, bounds = NONCONVEX_FIXTURES['ring']\n"
         "assert central.solve_minmax_sdp(scen, bounds).solver_status.value == 'optimal'\n"
         "reg = geom.single_sensor_region(scen, bounds)\n"

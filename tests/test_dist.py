@@ -353,21 +353,14 @@ def test_iterate_keeps_state_when_region_is_empty():
 
 
 def test_zero_multipliers_certify_nothing(monkeypatch):
-    # An "optimal" solve that returns all-zero multipliers has kappa = 0, so
-    # it certifies no center: the node keeps its state for the round, and an
-    # initial estimate fails loudly.
-    def zero_solve(problem, config=None, callback=None):
-        return sdp.SdpSolution(
-            x=np.zeros(problem.num_vars),
-            objective_value=0.0,
-            dual_blocks=[],
-            status=sdp.SolveStatus.OPTIMAL,
-            gap=0.0,
-            residuals=sdp.Residuals(0.0, 0.0),
-            iterations=0,
-        )
+    # A consistent QP solve that returns all-zero multipliers has kappa = 0,
+    # so it certifies no center: the node keeps its state for the round, and
+    # an initial estimate fails loudly.
+    def zero_qp(refs):
+        zeros = np.zeros(len(refs))
+        return central.ChebyshevQp(zeros, zeros, (0.0, 0.0), 0.0, True, 0, 0.0, 0.0)
 
-    monkeypatch.setattr(dist, "solve", zero_solve)
+    monkeypatch.setattr(central, "chebyshev_qp", zero_qp)
     nbrs = {1: NodeState((1.0, 0.0), 0.0, True, 0, 0.0)}
     bounds = {(0, 1): model.IntervalBound(0.9, 1.1)}
     own = NodeState((0.5, 0.5), 0.25, False, 0, 0.25)
@@ -375,6 +368,16 @@ def test_zero_multipliers_certify_nothing(monkeypatch):
     table = {(0, 1): BoundEntry(0.9, 1.1, 1)}
     with pytest.raises(RuntimeError, match="initial estimate for sensor 0 not certified"):
         dist.initial_estimate(0, table, {1: (1.0, 0.0)})
+
+
+def test_understated_gamma_reports_inconsistent_anchor_intervals():
+    # errors up to 0.06 declared as 0.01: sensor 6's anchor intervals admit
+    # no position, and the run stops there saying so
+    cfg = model.ScenarioConfig(n_sensors=20, anchor_positions=ANCHORS4, sensing_range=0.5)
+    scen = model.generate_scenario(cfg, seed=6)
+    scen = replace(model.apply_errors(scen, model.UniformError(0.06), seed=7), gamma=0.01)
+    with pytest.raises(RuntimeError, match="initial estimate for sensor 6 .*inconsistent"):
+        dist.run_dis_minmax(scen)
 
 
 def test_iterate_widens_annuli_by_neighbor_radius():
@@ -403,7 +406,7 @@ def test_node_program_pairs_each_reference():
     # unknown for t and one per reference.
     refs = [((0.1, 0.2), 0.0, 0.04)]
     refs += [((0.3 * k, -0.1), 0.01 * k, 0.05 * k) for k in (1, 2, 3)]
-    problem = dist._chebyshev_dual(refs)
+    problem = reference_dist.chebyshev_dual(refs)
     assert len(problem.blocks) == 1 and len(problem.pairs) == len(refs)
     blocks, classes = sdp._compile(problem)
     dense = [b for b in blocks if isinstance(b, sdp._DenseBlock)]

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fixtures import ORACLE_FIXTURES
-from minmaxloc import central, dist, sdp
+from minmaxloc import central, sdp
+from reference_dist import chebyshev_dual
 from reference_sdp import (
     block_from_dense,
     check_certificate,
@@ -448,7 +449,7 @@ def fused_rows(kind):
         problem, _ = central.assemble_dual_sdp(scen, bounds)
     else:
         refs = [((0.1, 0.2), 0.0, 0.04), ((0.3, -0.1), 0.01, 0.05), ((-0.2, 0.4), 0.02, 0.09)]
-        problem = dist._chebyshev_dual(refs)
+        problem = chebyshev_dual(refs)
     blocks, _ = sdp._compile(problem)
     lin = blocks[-1]
     rows = [problem.blocks[bi] for bi in lin.src] + unit_rows(problem)
