@@ -35,10 +35,12 @@ program is then the dual of the sensor's relaxed Chebyshev center program,
 
 a QP in the three variables (y, t), whose optimal multipliers have kappa = 1.
 :func:`chebyshev_qp` solves it exactly by active sets over a working set of
-anchors, and :func:`certified_center` hands its KKT multipliers to
-:func:`certify` as the 1x1 case.  :func:`solve_minmax_sdp` solves one sensor
-this way, and :mod:`minmaxloc.dist` every per-node program, so neither a
-one-sensor solve nor a distributed run solves an SDP or loads scipy.
+anchors, each set in closed form, and :func:`certified_center` hands its KKT
+multipliers to :func:`certify` as the 1x1 case.  :func:`chebyshev_qps` and
+:func:`certified_centers` do both for a batch of nodes at once.
+:func:`solve_minmax_sdp` solves one sensor this way, and
+:mod:`minmaxloc.dist` every per-node program, a round at a time, so neither
+a one-sensor solve nor a distributed run solves an SDP or loads scipy.
 
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
@@ -52,7 +54,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -263,6 +265,13 @@ _KKT_TOL = 1e-9
 _SPAN_TOL = 1e-14
 # References in the QP's first working set; with no more, it holds them all
 _WORKING_REFS = 8
+# Entries of the largest temporary of a batched solve (32 KB of floats): the
+# nodes go through in chunks of at most this many references, and their
+# candidate sets in blocks of at most this many (node, set) pairs
+_BLOCK = 1 << 12
+# Blocks of at least this many (node, set) pairs pass on only the sets whose
+# multipliers have the planes' signs
+_PRUNE_FROM = 256
 
 
 @dataclass(frozen=True)
@@ -293,6 +302,23 @@ class ChebyshevQp:
     residual_dual: float
 
 
+class QpBatch(NamedTuple):
+    """:class:`ChebyshevQp` of a batch of nodes, one row per node.
+
+    ``omega`` and ``phi`` are (nodes, references), zero past a node's own
+    references; ``position`` is (nodes, 2); every other field is per node.
+    """
+
+    omega: np.ndarray
+    phi: np.ndarray
+    position: np.ndarray
+    value: np.ndarray
+    consistent: np.ndarray
+    active_sets: np.ndarray
+    residual_primal: np.ndarray
+    residual_dual: np.ndarray
+
+
 @lru_cache(maxsize=32)  # an entry for w references holds up to about 32 w^3 bytes
 def _active_sets(refs: int, size: int) -> np.ndarray:
     """Every set of ``size`` planes of distinct references, as plane indices
@@ -304,88 +330,284 @@ def _active_sets(refs: int, size: int) -> np.ndarray:
     return sets
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched solve of a x = b, with NaN rows where rounding left a
-    nearly dependent system exactly singular."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i, (ai, bi) in enumerate(zip(a, b)):
-            try:
-                out[i] = np.linalg.solve(ai, bi)
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _equality_solutions(qx, qy, rhs, sets, spread):
+    """Every node's solution of each set of planes as equalities, in closed form.
+
+    ``qx``, ``qy`` (nodes, refs) are the references, ``rhs`` (nodes,
+    planes) the planes' right-hand sides and ``sets`` (sets, size) plane
+    indices: whole groups of the 2^size sets on one tuple of references, in
+    :func:`_active_sets` order, so that each tuple's geometry is worked out
+    once.  Returns y, t and the multipliers nu, one (nodes, sets) array per
+    plane, and per tuple (nodes, tuples) whether its references are affinely
+    independent (None: always).
+
+    Stationarity gives y = sum_j nu_j q_j and sum_j nu_j = 1, and the planes
+    t - 2 q_j^T y = rhs_j less the first give (q_j - q_0)^T y =
+    (rhs_0 - rhs_j) / 2.  So one plane has y = q_0, two put y on the line
+    through their references, and three fix y by a 2x2 system whose
+    determinant squared is the span that the independence test measures.
+    """
+    nodes, size = len(qx), sets.shape[1]
+    group = 1 << size
+    refs = sets[::group] // 2
+    xs = [qx[:, refs[:, j], None] for j in range(size)]
+    ys = [qy[:, refs[:, j], None] for j in range(size)]
+    r = [rhs[:, sets[:, j]].reshape(nodes, -1, group) for j in range(size)]
+    x0, y0 = xs[0], ys[0]
+    keep = None
+    if size == 1:
+        yx, yy, nu = x0 + 0.0 * r[0], y0 + 0.0 * r[0], [np.ones(r[0].shape)]
+    elif size == 2:
+        dx, dy = xs[1] - x0, ys[1] - y0
+        span = dx * dx + dy * dy
+        keep = span > _SPAN_TOL * spread[:, None, None]
+        nu1 = (0.5 * (r[0] - r[1]) - (dx * x0 + dy * y0)) / span
+        nu = [1.0 - nu1, nu1]
+        yx, yy = x0 + nu1 * dx, y0 + nu1 * dy
+    else:
+        ax, ay, bx, by = xs[1] - x0, ys[1] - y0, xs[2] - x0, ys[2] - y0
+        det = ax * by - ay * bx
+        keep = det * det > (_SPAN_TOL * spread[:, None, None]) ** 2
+        c, e = 0.5 * (r[0] - r[1]), 0.5 * (r[0] - r[2])
+        yx, yy = (c * by - e * ay) / det, (ax * e - bx * c) / det
+        # y - q_0 = nu_1 (q_1 - q_0) + nu_2 (q_2 - q_0), by the same determinant
+        ex, ey = yx - x0, yy - y0
+        nu1, nu2 = (ex * by - ey * bx) / det, (ax * ey - ay * ex) / det
+        nu = [1.0 - nu1 - nu2, nu1, nu2]
+    t = r[0] + 2.0 * (x0 * yx + y0 * yy)
+    return (
+        *(a.reshape(nodes, -1) for a in (yx, yy, t)), [v.reshape(nodes, -1) for v in nu],
+        None if keep is None else keep[..., 0],
+    )
 
 
-def _magnitude(y: np.ndarray, t, data_scale: float):
-    """The scale of the lifted distances at (y, t), for relative violations."""
-    return np.maximum(np.maximum(np.abs(t), np.einsum("...i,...i->...", y, y)), data_scale)
+def _sign_error(flip, nu):
+    """The largest wrong-signed multiplier relative to the multipliers' sum:
+    nu must be <= 0 on a lower plane and >= 0 on an upper one.  ``flip`` is 1
+    on lower planes and -1 on upper ones, a plane at a time as ``nu``."""
+    wrong, total = 0.0, 0.0
+    for f, v in zip(flip, nu):
+        wrong = np.maximum(wrong, f * v)
+        total = total + np.abs(v)
+    return wrong / total
 
 
-def _closest_kkt_set(
-    q: np.ndarray, bounds: np.ndarray, spread: float, data_scale: float
-) -> Tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """Of every set of one, two or three planes of distinct, affinely
-    independent references, the one whose equality solution comes closest to
-    a KKT point of the program over ``q``: its violation, primal and dual
-    violations, planes, multipliers nu, y and t, and the number of sets
-    solved.  All sets of one size go through one batched solve."""
-    qq = np.einsum("ij,ij->i", q, q)
+def _closest_kkt_sets(qx, qy, lower, upper, spread, data_scale, prune=True):
+    """Per node, of every set of one, two or three planes of distinct,
+    affinely independent references, the one whose equality solution comes
+    closest to a KKT point of the program over the node's references.
+
+    The arguments are per node: the references' coordinates ``qx`` and ``qy``
+    and their ``lower`` and ``upper`` bounds (nodes, refs), and ``spread``
+    and ``data_scale`` (nodes,).  Returns the set's violation, primal and
+    dual violations, y (nodes, 2) and t, its planes and multipliers nu
+    (nodes, 3; -1 and 0 past the set's size), and the number of sets solved.
+    Among equally close sets, the first in :func:`_active_sets` order of the
+    smallest size wins.  The sets are solved in blocks of at most ``_BLOCK``
+    (node, set) pairs.
+
+    A KKT point's multipliers have the planes' signs, and only a few sets'
+    do, so with ``prune`` only those sets go on to the other tests; that
+    finds the same set for every node that has a KKT point, and the nodes
+    without one are searched again in full.  The sums over a set's planes
+    are written out, and those over references reduce a leading axis.
+    """
+    nodes, refs = qx.shape
+    qq = qx * qx + qy * qy
     # plane 2k bounds reference k from below, plane 2k + 1 from above:
-    # t - 2 q_k^T y = rhs there, and its multiplier nu must have sign ``sign``
-    rhs = (bounds - qq[:, None]).ravel()
-    sign = np.tile([-1.0, 1.0], len(q))
-
-    best = None  # (violation, primal, dual, set, nu, y, t)
-    solved = 0
+    # t - 2 q_k^T y = rhs there, and its multiplier nu must be <= 0 and >= 0
+    rhs = np.stack([lower - qq, upper - qq], axis=2).reshape(nodes, 2 * refs)
+    solved = np.zeros(nodes, dtype=np.intp)
+    tuples = max(1, _BLOCK // (8 * nodes))
+    # per block, the sets that go on: (node, order of the set, planes) and
+    # (y, t, nu)
+    picked, values = [], []
+    order = 0
     # a nearly singular set may overflow; its violation then rejects it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for size in range(1, min(len(q), 3) + 1):
-            sets = _active_sets(len(q), size)
-            qs = q[sets // 2]  # (sets, size, 2)
-            if size > 1:
-                # the squared length or area that the p span, exactly zero for
-                # repeated or exactly collinear p, whose planes are dependent;
-                # near-dependent ones would only give ill-conditioned solves
-                d = qs[:, 1:] - qs[:, :1]
-                span = d[:, 0, 0] ** 2 + d[:, 0, 1] ** 2
-                if size == 3:
-                    span = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) ** 2
-                keep = span > (_SPAN_TOL * spread) ** (size - 1)
-                sets, qs = sets[keep], qs[keep]
-                if not len(sets):
-                    continue
-            solved += len(sets)
-            # [[H, A^T], [A, 0]] [z; nu] = [(0, 0, 1); rhs] with H = diag(2, 2, 0)
-            # and A the planes' rows (-2 q^T, 1)
-            a = np.concatenate([-2.0 * qs, np.ones((len(sets), size, 1))], axis=2)
-            kkt = np.zeros((len(sets), 3 + size, 3 + size))
-            kkt[:, 0, 0] = kkt[:, 1, 1] = 2.0
-            kkt[:, :3, 3:] = a.transpose(0, 2, 1)
-            kkt[:, 3:, :3] = a
-            b = np.zeros((len(sets), 3 + size))
-            b[:, 2] = 1.0
-            b[:, 3:] = rhs[sets]
-            sol = _solve_each(kkt, b)
-            y, t, nu = sol[:, :2], sol[:, 2], sol[:, 3:]
-            lifted = t[:, None] - 2.0 * y @ q.T + qq
-            excess = np.maximum(bounds[:, 0] - lifted, lifted - bounds[:, 1]).max(axis=1)
-            primal = np.maximum(excess, 0.0) / _magnitude(y, t, data_scale)
-            # wrong-signed multipliers, and stationarity, which a nearly singular
-            # solve may miss
-            sign_error = np.maximum(-sign[sets] * nu, 0.0).max(axis=1) / np.abs(nu).sum(axis=1)
-            stationarity = np.maximum(
-                np.abs(nu.sum(axis=1) - 1.0),
-                np.abs(y - np.einsum("sj,sji->si", nu, qs)).max(axis=1) / math.sqrt(data_scale),
+        for size in range(1, min(refs, 3) + 1):
+            every, group = _active_sets(refs, size), 1 << size
+            for start in range(0, len(every), tuples * group):
+                sets = every[start : start + tuples * group]
+                yx, yy, t, nu, keep = _equality_solutions(qx, qy, rhs, sets, spread)
+                chosen = np.ones(t.shape, dtype=bool)
+                if prune and chosen.size >= _PRUNE_FROM:
+                    chosen = _sign_error((1.0 - 2.0 * (sets % 2)).T, nu) <= _KKT_TOL
+                if keep is None:
+                    solved += len(sets)
+                else:
+                    chosen.reshape(nodes, -1, group)[...] &= keep[..., None]
+                    solved += group * keep.sum(axis=1)
+                node, s = np.nonzero(chosen)
+                found = np.full((len(node), 5), -1)
+                found[:, 0], found[:, 1], found[:, 2 : 2 + size] = node, order + start + s, sets[s]
+                picked.append(found)
+                values.append(
+                    np.array(
+                        [yx[node, s], yy[node, s], t[node, s]]
+                        + [v[node, s] for v in nu]
+                        + [np.zeros(len(node))] * (3 - size)
+                    ).T
+                )
+            order += len(every)
+
+        picked, values = np.concatenate(picked), np.concatenate(values)
+        node, planes = picked[:, 0], picked[:, 2:]
+        yx, yy, t = values[:, :3].T
+        # past a set's size, nu is 0 and the plane -1, which reads some reference
+        nu, at = values[:, 3:], (node[:, None], planes // 2)
+        xs, ys = qx[at], qy[at]
+        lifted = t - 2.0 * (qx.T[:, node] * yx + qy.T[:, node] * yy) + qq.T[:, node]
+        excess = np.maximum(lower.T[:, node] - lifted, lifted - upper.T[:, node]).max(axis=0)
+        magnitude = np.maximum(np.maximum(np.abs(t), yx * yx + yy * yy), data_scale[node])
+        primal = np.maximum(excess, 0.0) / magnitude
+        # stationarity, which a nearly singular set may miss
+        sum_nu = nu[:, 0] + nu[:, 1] + nu[:, 2]
+        sx = nu[:, 0] * xs[:, 0] + nu[:, 1] * xs[:, 1] + nu[:, 2] * xs[:, 2]
+        sy = nu[:, 0] * ys[:, 0] + nu[:, 1] * ys[:, 1] + nu[:, 2] * ys[:, 2]
+        stationarity = np.maximum(
+            np.abs(sum_nu - 1.0), np.maximum(np.abs(yx - sx), np.abs(yy - sy)) / np.sqrt(data_scale[node])
+        )
+        dual = np.maximum(_sign_error((1.0 - 2.0 * (planes % 2)).T, nu.T), stationarity)
+        violation = np.maximum(primal, dual)
+        violation[np.isnan(violation)] = np.inf
+
+    # each node's closest set: its smallest violation, the first set on ties
+    rank = np.lexsort((picked[:, 1], violation, node))
+    first = np.ones(len(rank), dtype=bool)
+    first[1:] = node[rank[1:]] != node[rank[:-1]]
+    first = rank[first]
+    best = np.full((nodes, 9), np.inf)
+    best[node[first]] = np.column_stack([violation, primal, dual, yx, yy, t, nu])[first]
+    planes = np.full((nodes, 3), -1)
+    planes[node[first]] = picked[first, 2:]
+    if prune:
+        again = np.flatnonzero(best[:, 0] > _KKT_TOL)
+        if len(again):
+            full = _closest_kkt_sets(
+                qx[again], qy[again], lower[again], upper[again],
+                spread[again], data_scale[again], prune=False,
             )
-            dual = np.maximum(sign_error, stationarity)
-            violation = np.nan_to_num(np.maximum(primal, dual), nan=np.inf)
-            i = int(np.argmin(violation))
-            if best is None or violation[i] < best[0]:
-                best = (violation[i], primal[i], dual[i], sets[i], nu[i], y[i], t[i])
-    return best + (solved,)
+            best[again] = np.column_stack(full[:3] + (full[3], full[4], full[6]))
+            planes[again] = full[5]
+    return best[:, 0], best[:, 1], best[:, 2], best[:, 3:5], best[:, 5], planes, best[:, 6:], solved
+
+
+def _as_batch(p, bounds, count) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float arrays of a batch with every entry past a node's count zeroed;
+    raises ValueError for a node without references or with one not finite."""
+    p, bounds = np.asarray(p, dtype=float), np.asarray(bounds, dtype=float)
+    count = np.asarray(count, dtype=np.intp)
+    if (count < 1).any():
+        raise ValueError("the program needs at least one reference")
+    valid = (np.arange(p.shape[1]) < count[:, None])[..., None]
+    if not (np.isfinite(p[valid[..., 0]]).all() and np.isfinite(bounds[valid[..., 0]]).all()):
+        raise ValueError("references must be finite")
+    if valid.all():
+        return p, bounds, count
+    return np.where(valid, p, 0.0), np.where(valid, bounds, 0.0), count
+
+
+def _batch_of_one(refs: Sequence[Tuple[Point2, float, float]]):
+    p = np.array([ref[0] for ref in refs], dtype=float).reshape(1, -1, 2)
+    bounds = np.array([ref[1:] for ref in refs], dtype=float).reshape(1, -1, 2)
+    return _as_batch(p, bounds, [len(refs)])
+
+
+def chebyshev_qps(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
+    """:func:`chebyshev_qp` for a batch of nodes at once.
+
+    Node b has the ``count[b]`` references ``p[b, k]`` (nodes, refs, 2) with
+    bounds ``bounds[b, k] = (lower^2, upper^2)``; entries past its count are
+    ignored.  The nodes go through in chunks of at most ``_BLOCK``
+    references, each chunk grouped by the size of its nodes' working sets,
+    so every node gets what :func:`chebyshev_qp` gives it alone.
+    """
+    return _solve(*_as_batch(p, bounds, count))
+
+
+def _solve(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
+    chunk = max(1, _BLOCK // max(p.shape[1], 1))
+    parts = [
+        _solve_chunk(p[s : s + chunk], bounds[s : s + chunk], count[s : s + chunk])
+        for s in range(0, max(len(p), 1), chunk)
+    ]
+    return parts[0] if len(parts) == 1 else QpBatch(*map(np.concatenate, zip(*parts)))
+
+
+def _solve_chunk(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
+    nodes, refs = p.shape[:2]
+    valid = np.arange(refs) < count[:, None]
+    centre = p.sum(axis=1) / count[:, None]
+    q = np.where(valid[..., None], p - centre[:, None], 0.0)
+    qx, qy = q[..., 0].copy(), q[..., 1].copy()
+    qq = qx * qx + qy * qy
+    lower, upper = bounds[..., 0].copy(), bounds[..., 1].copy()
+    spread = qq.max(axis=1)
+    data_scale = np.maximum(np.maximum(spread, bounds.max(axis=(1, 2))), np.finfo(float).tiny)
+
+    # the working sets, grouped by size; each growth step makes a new group
+    order = np.argsort(np.where(valid, upper, np.inf), axis=1, kind="stable")
+    width = np.minimum(count, _WORKING_REFS)
+    pending = {
+        w: [(np.flatnonzero(width == w), np.sort(order[width == w, :w], axis=1))]
+        for w in set(width.tolist())
+    }
+    # per node: violation, primal and dual violations, y, t and candidate
+    # sets solved
+    found = np.zeros((nodes, 7))
+    omega, phi = np.zeros((nodes, refs)), np.zeros((nodes, refs))
+    while pending:
+        w = min(pending)
+        group, work = (np.concatenate(a) for a in zip(*pending.pop(w)))
+        rows, at = np.arange(len(group)), group[:, None]
+        violation, primal, dual, y, t, active, nu, solved = _closest_kkt_sets(
+            qx[at, work], qy[at, work], lower[at, work], upper[at, work],
+            spread[group], data_scale[group],
+        )
+        found[group, 6] += solved
+        outside, grow = np.zeros(len(group)), np.zeros(len(group), dtype=bool)
+        if (count[group] > w).any():
+            # every reference's bounds at the working set's optimum
+            lifted = t[:, None] - 2.0 * (qx[group] * y[:, :1] + qy[group] * y[:, 1:]) + qq[group]
+            excess = np.maximum(lower[group] - lifted, lifted - upper[group])
+            excess[~valid[group]] = -np.inf
+            excess[rows[:, None], work] = -np.inf
+            worst = excess.argmax(axis=1)
+            magnitude = np.maximum(
+                np.maximum(np.abs(t), np.einsum("ij,ij->i", y, y)), data_scale[group]
+            )
+            outside = np.maximum(excess[rows, worst], 0.0) / magnitude
+            grow = (violation <= _KKT_TOL) & (outside > _KKT_TOL)
+            if grow.any():
+                bigger = np.sort(np.column_stack([work[grow], worst[grow]]), axis=1)
+                pending.setdefault(w + 1, []).append((group[grow], bigger))
+
+        done = ~grow
+        found[group[done], :6] = np.column_stack(
+            [
+                np.maximum(violation, outside), np.maximum(primal, outside), dual, y, t
+            ]
+        )[done]
+        active = active[done]
+        on = active >= 0
+        node = np.repeat(group[done], 3)[on.ravel()]
+        ref = work[done][np.arange(len(active))[:, None], active // 2][on]
+        nu, up = nu[done][on], active[on] % 2 == 1
+        phi[node[up], ref[up]] = nu[up]
+        omega[node[~up], ref[~up]] = -nu[~up]
+
+    y, t = found[:, 3:5], found[:, 5]
+    return QpBatch(
+        omega=omega,
+        phi=phi,
+        position=centre + y,
+        value=t - np.einsum("ij,ij->i", y, y),
+        consistent=found[:, 0] <= _KKT_TOL,
+        active_sets=found[:, 6].astype(np.intp),
+        residual_primal=found[:, 1],
+        residual_dual=found[:, 2],
+    )
 
 
 def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
@@ -398,10 +620,10 @@ def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
     maximizer is unique, and by Caratheodory's theorem its KKT multipliers
     nu need at most three active planes with affinely independent p, so of
     distinct references.  Every such set of one, two or three planes is
-    solved as equalities: stationarity, (-2y, 1) = sum_j nu_j (-2 p_j, 1),
-    and the planes.  The set that comes closest to a KKT point, with the
-    other references' bounds met and nu_j >= 0 on upper planes and <= 0 on
-    lower ones, wins.  The references are centered first, which the
+    solved as equalities in closed form: stationarity, (-2y, 1) = sum_j nu_j
+    (-2 p_j, 1), and the planes.  The set that comes closest to a KKT point,
+    with the other references' bounds met and nu_j >= 0 on upper planes and
+    <= 0 on lower ones, wins.  The references are centered first, which the
     program's translation invariance allows, to keep the solves well
     conditioned.
 
@@ -412,52 +634,18 @@ def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
     it breaks most joins and the working set is solved again.  An optimum
     that meets every bound is the whole program's, with nu = 0 off the
     working set, and a working set that admits no (y, t) leaves the whole
-    program none either.
+    program none either.  This is the batch of one of :func:`chebyshev_qps`.
     """
-    p = np.array([ref[0] for ref in refs], dtype=float).reshape(-1, 2)
-    bounds = np.array([ref[1:] for ref in refs], dtype=float).reshape(-1, 2)
-    if not len(p):
-        raise ValueError("the program needs at least one reference")
-    if not (np.isfinite(p).all() and np.isfinite(bounds).all()):
-        raise ValueError("references must be finite")
-    centre = p.mean(axis=0)
-    q = p - centre
-    qq = np.einsum("ij,ij->i", q, q)
-    spread = float(qq.max())
-    data_scale = max(spread, float(bounds.max()), np.finfo(float).tiny)
-
-    work = np.sort(np.argsort(bounds[:, 1], kind="stable")[:_WORKING_REFS])
-    solved = 0
-    while True:
-        violation, primal, dual, active, nu, y, t, count = _closest_kkt_set(
-            q[work], bounds[work], spread, data_scale
-        )
-        solved += count
-        lifted = t - 2.0 * (q @ y) + qq
-        excess = np.maximum(bounds[:, 0] - lifted, lifted - bounds[:, 1])
-        excess[work] = -np.inf
-        worst = int(np.argmax(excess))
-        outside = max(float(excess[worst]), 0.0) / _magnitude(y, t, data_scale)
-        if violation > _KKT_TOL or outside <= _KKT_TOL:
-            break
-        work = np.sort(np.append(work, worst))
-
-    primal, violation = max(primal, outside), max(violation, outside)
-    omega, phi = np.zeros(len(q)), np.zeros(len(q))
-    for plane, v in zip(active, nu):
-        if plane % 2:
-            phi[work[plane // 2]] = v
-        else:
-            omega[work[plane // 2]] = -v
+    qp = _solve(*_batch_of_one(refs))
     return ChebyshevQp(
-        omega=omega,
-        phi=phi,
-        position=(float(centre[0] + y[0]), float(centre[1] + y[1])),
-        value=float(t - y @ y),
-        consistent=bool(violation <= _KKT_TOL),
-        active_sets=solved,
-        residual_primal=float(primal),
-        residual_dual=float(dual),
+        omega=qp.omega[0],
+        phi=qp.phi[0],
+        position=(float(qp.position[0, 0]), float(qp.position[0, 1])),
+        value=float(qp.value[0]),
+        consistent=bool(qp.consistent[0]),
+        active_sets=int(qp.active_sets[0]),
+        residual_primal=float(qp.residual_primal[0]),
+        residual_dual=float(qp.residual_dual[0]),
     )
 
 
@@ -485,6 +673,50 @@ class CertifiedCenter:
         return self.consistent and math.isfinite(self.value)
 
 
+@dataclass(frozen=True)
+class CenterBatch:
+    """:class:`CertifiedCenter` of a batch of nodes without the QP solves:
+    ``center`` is (nodes, 2), ``value`` and ``consistent`` per node."""
+
+    center: np.ndarray
+    value: np.ndarray
+    consistent: np.ndarray
+
+    @property
+    def certified(self) -> np.ndarray:
+        return self.consistent & np.isfinite(self.value)
+
+
+def _certify_each(p, bounds, count, omega, phi, position, consistent) -> CenterBatch:
+    """:func:`certify` in its 1x1 case, node by node, at the QP multipliers
+    ``omega`` and ``phi`` of a batch from :func:`_as_batch`."""
+    eps = np.finfo(float).eps
+    omega, phi = np.maximum(omega, 0.0), np.maximum(phi, 0.0)
+    lower_sq, upper_sq = bounds[..., 0], bounds[..., 1]
+    norm2 = np.einsum("bki,bki->bk", p, p)
+    kappa = phi.sum(axis=1) - omega.sum(axis=1)
+    f = -np.einsum("bk,bki->bi", phi - omega, p)
+    h = np.einsum("bk,bk->b", omega, norm2 - lower_sq) + np.einsum("bk,bk->b", phi, upper_sq - norm2)
+    rho = kappa - eps * np.abs(kappa)
+    certified = rho > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(certified, (f[:, 0] * f[:, 0] / kappa + f[:, 1] * f[:, 1] / kappa + h) / rho, np.inf)
+        center = np.where(certified[:, None], -(f / kappa[:, None]), position)
+        magnitude = np.einsum("bk,bk->b", omega, norm2 + lower_sq)
+        magnitude += np.einsum("bk,bk->b", phi, upper_sq + norm2)
+        magnitude += (f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1]) / kappa
+    rounding = (2 * count + 4) * eps * magnitude
+    return CenterBatch(center, value, consistent & ~(certified & ~(value >= -rounding)))
+
+
+def certified_centers(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> CenterBatch:
+    """:func:`certified_center` for a batch of nodes, laid out as for
+    :func:`chebyshev_qps`."""
+    p, bounds, count = _as_batch(p, bounds, count)
+    qp = _solve(p, bounds, count)
+    return _certify_each(p, bounds, count, qp.omega, qp.phi, qp.position, qp.consistent)
+
+
 def certified_center(refs: Sequence[Tuple[Point2, float, float]]) -> CertifiedCenter:
     """Solve the program of :func:`chebyshev_qp` and certify its center.
 
@@ -496,24 +728,17 @@ def certified_center(refs: Sequence[Tuple[Point2, float, float]]) -> CertifiedCe
     data, whose value is zero, pass.
     """
     qp = chebyshev_qp(refs)
-    p = np.array([ref[0] for ref in refs], dtype=float)
-    lower_sq, upper_sq = np.array([ref[1:] for ref in refs], dtype=float).T
-
-    omega, phi = np.maximum(qp.omega, 0.0), np.maximum(qp.phi, 0.0)
-    norm2 = np.einsum("ij,ij->i", p, p)
-    kappa = float(phi.sum() - omega.sum())
-    f = -((phi - omega) @ p)
-    h = float(omega @ (norm2 - lower_sq) + phi @ (upper_sq - norm2))
-    cert = certify(np.array([[kappa]]), f[None, :], h)
-    if cert is None:
-        return CertifiedCenter(qp, qp.position, math.inf, qp.consistent)
-    y, value = cert
-
-    magnitude = float(omega @ (norm2 + lower_sq) + phi @ (upper_sq + norm2))
-    magnitude += float(f @ f) / kappa
-    rounding = (2 * len(refs) + 4) * np.finfo(float).eps * magnitude
-    center = (float(y[0, 0]), float(y[0, 1]))
-    return CertifiedCenter(qp, center, value, qp.consistent and value >= -rounding)
+    one = _certify_each(
+        np.array([ref[0] for ref in refs], dtype=float)[None],
+        np.array([ref[1:] for ref in refs], dtype=float)[None],
+        np.array([len(refs)]),
+        qp.omega[None],
+        qp.phi[None],
+        np.array([qp.position]),
+        np.array([qp.consistent]),
+    )
+    center = (float(one.center[0, 0]), float(one.center[0, 1]))
+    return CertifiedCenter(qp, center, float(one.value[0]), bool(one.consistent[0]))
 
 
 def _solve_one_sensor(

@@ -31,8 +31,13 @@ reference with lower^2 = 0, which the lifted relaxation already implies.
 (y, t) and turns its multipliers into the center and the certified squared
 radius, or finds the references inconsistent or certifying nothing.
 
-All rounds are Jacobi: updates at round tau+1 read only round-tau states,
-so any execution order inside a round produces the identical trace.
+Phases 2 and 3 run a whole round as arrays: every sensor's initial
+estimate is one batch of :func:`minmaxloc.central.certified_centers`, and
+so is each round's refinement of its active sensors, with the rules of the
+one-node :func:`initial_estimate` and :func:`iterate_node`.  All rounds are
+Jacobi: updates at round tau+1 read only round-tau states, so batching a
+round changes nothing in its trace.  The rounds' states are kept packed
+(:class:`RoundStates`).
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .central import certified_center
+import numpy as np
+
+from .central import certified_center, certified_centers
 from .model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
 
 # Unused here: the benchmark tracer's ("minmaxloc.dist", "solve") hook names
@@ -112,10 +119,8 @@ class DisMinMaxConfig:
 
 
 def _interval(bounds: Mapping[Edge, IntervalBound], a: int, b: int) -> IntervalBound:
-    try:
-        return bounds[(a, b)]
-    except KeyError:
-        return bounds[(b, a)]
+    found = bounds.get((a, b))
+    return bounds[(b, a)] if found is None else found
 
 
 def _adjacency(scenario: NetworkScenario) -> Dict[int, List[int]]:
@@ -187,22 +192,29 @@ def propagate_distance_bounds(
     return result
 
 
+def _initial_failure(sensor: int, consistent: bool) -> RuntimeError:
+    reason = "the multipliers certify nothing"
+    if not consistent:
+        reason = "its anchor intervals are inconsistent"
+    return RuntimeError(f"initial estimate for sensor {sensor} not certified: {reason}")
+
+
 def initial_estimate(
     sensor: int,
     table: BoundTable,
     anchors: Mapping[int, Point2],
 ) -> NodeState:
-    """First position fix from the propagated anchor distance intervals."""
+    """First position fix from the propagated anchor distance intervals.
+
+    :func:`run_dis_minmax` makes every sensor's in one batch, the same way.
+    """
     refs = [
         (anchors[k], table[(sensor, k)].lower ** 2, table[(sensor, k)].upper ** 2)
         for k in sorted(anchors)
     ]
     cert = certified_center(refs)
     if not cert.certified:
-        reason = "the multipliers certify nothing"
-        if not cert.consistent:
-            reason = "its anchor intervals are inconsistent"
-        raise RuntimeError(f"initial estimate for sensor {sensor} not certified: {reason}")
+        raise _initial_failure(sensor, cert.consistent)
     value = max(cert.value, 0.0)
     return NodeState(
         estimate=cert.center,
@@ -211,6 +223,21 @@ def initial_estimate(
         iteration=0,
         raw_radius_sq=value,
     )
+
+
+def _refine(
+    radius_sq: np.ndarray, value: np.ndarray, certified: np.ndarray, epsilon: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcome of a round for nodes that solved: whether each moves to its
+    new center, with radius_sq the raw one, whether it is localized, and its
+    raw squared radius.  A node whose multipliers certify nothing keeps its
+    state and its old radius as the raw one; a node whose raw radius rounds
+    above its old one keeps its state too, records the raw value and is
+    localized."""
+    raw = np.where(certified, np.maximum(value, 0.0), radius_sq)
+    move = certified & (raw <= radius_sq)
+    localized = (certified & ~move) | (move & (radius_sq - raw <= epsilon))
+    return move, localized, raw
 
 
 def iterate_node(
@@ -235,7 +262,8 @@ def iterate_node(
     certify nothing, or find the references inconsistent, the node keeps its
     previous state for the round.  When the raw radius exceeds the
     old one, which only rounding allows, the node keeps its old estimate and
-    radius too, and records the raw value.
+    radius too, and records the raw value.  :func:`run_dis_minmax` runs
+    every node of a round this way in one batch.
     """
     if not neighbor_states:
         raise ValueError(f"sensor {sensor} has no neighbors to iterate against")
@@ -260,27 +288,129 @@ def iterate_node(
         )
 
     cert = certified_center(refs)
-    if not cert.certified:
+    move, localized, raw = _refine(
+        np.array([own.radius_sq]), np.array([cert.value]), np.array([cert.certified]), cfg.epsilon
+    )
+    if not move[0]:
         return replace(
-            own, iteration=own.iteration + 1, localized=False, raw_radius_sq=own.radius_sq
+            own, iteration=own.iteration + 1, localized=bool(localized[0]), raw_radius_sq=float(raw[0])
         )
-    center, raw = cert.center, max(cert.value, 0.0)
-    if raw > own.radius_sq:
-        # rounding put the new center's certificate above the old radius
-        return replace(own, iteration=own.iteration + 1, localized=True, raw_radius_sq=raw)
     return NodeState(
-        estimate=center,
-        radius_sq=raw,
-        localized=own.radius_sq - raw <= cfg.epsilon,
+        estimate=cert.center,
+        radius_sq=float(raw[0]),
+        localized=bool(localized[0]),
         iteration=own.iteration + 1,
-        raw_radius_sq=raw,
+        raw_radius_sq=float(raw[0]),
     )
 
 
-@dataclass
+class _RunStates:
+    """Every node state of one run, packed to be kept.
+
+    ``state`` holds rows of estimate and radius_sq: one per sensor for round
+    0, then one per sensor that moved in each later round; ``rows[tau]``
+    gives each sensor's row after round tau, in the smallest unsigned type
+    that holds them, and ``localized[tau]`` its flag.  A sensor is active in
+    every round until it is localized, so its iteration after round tau is
+    tau or the round that localized it, whichever is first.  Its
+    raw_radius_sq is its radius_sq, except where the round that last
+    updated it, times the sensor count, plus its index in scenario order, is
+    in ``raw_keys``: then it is the matching one of ``raw_values``.
+    """
+
+    __slots__ = ("sensors", "state", "rows", "localized", "raw_keys", "raw_values", "_index", "_last")
+
+    def __init__(self, sensors, state, rows, localized, raw_keys, raw_values):
+        self.sensors = sensors
+        self.state, self.rows, self.localized = state, rows, localized
+        self.raw_keys, self.raw_values = raw_keys, raw_values
+        self._index: Optional[Dict[int, int]] = None
+        self._last: Optional[np.ndarray] = None
+
+    def index(self, sensor: int) -> int:
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.sensors)}
+        return self._index[sensor]
+
+    def iteration(self, tau: int) -> np.ndarray:
+        """Each sensor's refinement rounds up to round tau."""
+        if self._last is None:
+            loc = self.localized
+            self._last = np.where(loc.any(axis=0), loc.argmax(axis=0), len(loc) - 1)
+        return np.minimum(tau, self._last)
+
+    def raw_radius_sq(self, tau: int, at: np.ndarray) -> np.ndarray:
+        """raw_radius_sq after round tau of the sensors at indices ``at``."""
+        raw = self.state[self.rows[tau, at], 2]
+        keys = self.iteration(tau)[at] * len(self.sensors) + at
+        found = np.minimum(np.searchsorted(self.raw_keys, keys), max(len(self.raw_keys) - 1, 0))
+        hit = self.raw_keys[found] == keys if len(self.raw_keys) else np.zeros(len(at), dtype=bool)
+        raw[hit] = self.raw_values[found[hit]]
+        return raw
+
+
+class RoundStates(Mapping[int, NodeState]):
+    """One round's node states, read-only, from the run's packed arrays.
+
+    Each :class:`NodeState` is built, with Python float, bool and int
+    fields, when it is read.  The round's arrays, one row per sensor in
+    scenario order, are ``estimate`` (n, 2), ``radius_sq``,
+    ``raw_radius_sq``, ``localized`` and ``iteration``.
+    """
+
+    __slots__ = ("_run", "_tau")
+
+    def __init__(self, run: _RunStates, tau: int):
+        self._run = run
+        self._tau = tau
+
+    def __getitem__(self, sensor: int) -> NodeState:
+        run, tau = self._run, self._tau
+        i = run.index(sensor)
+        x, y, radius_sq = run.state[run.rows[tau, i]].tolist()
+        return NodeState(
+            estimate=(x, y),
+            radius_sq=radius_sq,
+            localized=bool(run.localized[tau, i]),
+            iteration=int(run.iteration(tau)[i]),
+            raw_radius_sq=float(run.raw_radius_sq(tau, np.array([i]))[0]),
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._run.sensors)
+
+    def __len__(self) -> int:
+        return len(self._run.sensors)
+
+    @property
+    def estimate(self) -> np.ndarray:
+        return self._run.state[self._run.rows[self._tau], :2]
+
+    @property
+    def radius_sq(self) -> np.ndarray:
+        return self._run.state[self._run.rows[self._tau], 2]
+
+    @property
+    def raw_radius_sq(self) -> np.ndarray:
+        return self._run.raw_radius_sq(self._tau, np.arange(len(self)))
+
+    @property
+    def localized(self) -> np.ndarray:
+        return self._run.localized[self._tau].copy()
+
+    @property
+    def iteration(self) -> np.ndarray:
+        return self._run.iteration(self._tau)
+
+
+@dataclass(slots=True)
 class RoundRecord:
+    """One round of a run: the node states after it, the RMSE upper bound
+    sqrt(mean radius_sq) and the reals sent.  :func:`run_dis_minmax` gives
+    ``states`` as a :class:`RoundStates`."""
+
     round_index: int
-    states: Dict[int, NodeState]
+    states: Mapping[int, NodeState]
     rmse_upper_bound: float
     messages: int
 
@@ -291,8 +421,26 @@ class DisMinMaxResult:
     converged: bool
 
 
-def _rmse_upper_bound(states: Mapping[int, NodeState]) -> float:
-    return math.sqrt(sum(s.radius_sq for s in states.values()) / len(states))
+def _neighbor_table(scenario: NetworkScenario, bounds: Mapping[Edge, IntervalBound]):
+    """Per sensor, in scenario order: the rows of its references, its own
+    first and then its neighbors by id, in the stacked positions of the
+    sensors and then the anchors by id; the neighbors' measured intervals;
+    the reference count; and the reals it broadcasts to its sensor
+    neighbors in a round, two each."""
+    sensors = list(scenario.sensors)
+    nbrs = _adjacency(scenario)
+    row = {s: r for r, s in enumerate(sensors)}
+    row.update({k: len(sensors) + a for a, k in enumerate(sorted(scenario.anchors))})
+    count = np.array([1 + len(nbrs[i]) for i in sensors])
+    refs = np.zeros((len(sensors), count.max()), dtype=np.intp)
+    lower, upper = np.zeros(refs.shape), np.zeros(refs.shape)
+    for r, i in enumerate(sensors):
+        refs[r, 0] = r
+        for c, j in enumerate(nbrs[i], start=1):
+            b = _interval(bounds, i, j)
+            refs[r, c], lower[r, c], upper[r, c] = row[j], b.lower, b.upper
+    sends = np.array([2 * sum(j not in scenario.anchors for j in nbrs[i]) for i in sensors])
+    return refs, lower, upper, count, sends
 
 
 def run_dis_minmax(
@@ -304,49 +452,98 @@ def run_dis_minmax(
     estimate keeps serving neighbors.  Message accounting charges each
     active sensor two reals per sensor neighbor (its broadcast estimate);
     anchor neighbors cost nothing because their positions are already
-    known after the propagation phase.
+    known after the propagation phase.  The initial estimates are one batch
+    of :func:`minmaxloc.central.certified_centers`, and so is each round's
+    refinement of its active nodes, with the rules of
+    :func:`initial_estimate` and :func:`iterate_node`.
     """
     cfg = config or DisMinMaxConfig()
     bounds = build_feasibility_intervals(scenario)
     table = propagate_distance_bounds(scenario, bounds)
+    sensors = list(scenario.sensors)
+    n = len(sensors)
+    anchor_ids = sorted(scenario.anchors)
+    anchor_pos = np.array([scenario.anchors[k] for k in anchor_ids], dtype=float).reshape(-1, 2)
 
-    states = {
-        i: initial_estimate(i, table, scenario.anchors) for i in scenario.sensors
-    }
-    rounds = [RoundRecord(0, dict(states), _rmse_upper_bound(states), 0)]
+    first = np.array(
+        [[(table[(i, k)].lower ** 2, table[(i, k)].upper ** 2) for k in anchor_ids] for i in sensors]
+    ).reshape(n, len(anchor_ids), 2)
+    cert = certified_centers(
+        np.broadcast_to(anchor_pos, first.shape), first, np.full(n, len(anchor_ids))
+    )
+    failed = np.flatnonzero(~cert.certified)
+    if len(failed):
+        raise _initial_failure(sensors[failed[0]], bool(cert.consistent[failed[0]]))
+    estimate, radius_sq = cert.center, np.maximum(cert.value, 0.0)
+    localized = np.zeros(n, dtype=bool)
 
-    nbrs = _adjacency(scenario)
-    sensor_nbrs = {i: [j for j in nbrs[i] if j not in scenario.anchors] for i in scenario.sensors}
-    anchor_nbrs = {i: [j for j in nbrs[i] if j in scenario.anchors] for i in scenario.sensors}
+    # the state rows written so far, each round's rows and flags, the keys
+    # and values of raw radii that differ from radius_sq, and per round the
+    # bound and the messages
+    states, rows, flags = [np.column_stack([estimate, radius_sq])], [np.arange(n)], [localized]
+    raw_keys: List[np.ndarray] = []
+    raw_values: List[np.ndarray] = []
+    bounds_and_messages = [(math.sqrt(radius_sq.sum() / n), 0)]
+    refs, lower, upper, count, sends = _neighbor_table(scenario, bounds)
 
     for tau in range(1, cfg.max_rounds + 1):
-        if all(s.localized for s in states.values()):
+        if localized.all():
             break
-        prev = states
-        states = {}
-        messages = 0
-        for i in scenario.sensors:
-            if prev[i].localized:
-                states[i] = prev[i]
-                continue
-            nbr_states: Dict[int, NodeState] = {}
-            for j in sensor_nbrs[i]:
-                nbr_states[j] = prev[j]
-            for k in anchor_nbrs[i]:
-                nbr_states[k] = NodeState(
-                    estimate=scenario.anchors[k],
-                    radius_sq=0.0,
-                    localized=True,
-                    iteration=tau - 1,
-                    raw_radius_sq=0.0,
-                )
-            messages += 2 * len(sensor_nbrs[i])
-            states[i] = iterate_node(i, nbr_states, prev[i], bounds, cfg)
-        rounds.append(RoundRecord(tau, dict(states), _rmse_upper_bound(states), messages))
+        active = np.flatnonzero(~localized)
+        solve = active[radius_sq[active] > cfg.epsilon]
+        # Jacobi: every reference reads the previous round's states
+        positions = np.concatenate([estimate, anchor_pos])
+        slack = np.sqrt(np.maximum(np.concatenate([radius_sq, np.zeros(len(anchor_pos))]), 0.0))
+        at = refs[solve]
+        span = np.stack(
+            [
+                np.maximum(lower[solve] - slack[at], 0.0) ** 2,
+                (upper[solve] + slack[at]) ** 2,
+            ],
+            axis=2,
+        )
+        # the own ball, whose lower bound 0 the relaxation implies
+        span[:, 0] = np.column_stack([np.zeros(len(solve)), radius_sq[solve]])
 
+        estimate, old_radius_sq = estimate.copy(), radius_sq
+        radius_sq, raw, localized = radius_sq.copy(), np.zeros(n), localized.copy()
+        # a node with radius_sq <= epsilon cannot shrink by more than
+        # epsilon, so it is localized without a solve
+        raw[active], localized[active] = old_radius_sq[active], True
+        moved = solve[:0]
+        if len(solve):
+            cert = certified_centers(positions[at], span, count[solve])
+            move, localized[solve], raw[solve] = _refine(
+                old_radius_sq[solve], cert.value, cert.certified, cfg.epsilon
+            )
+            moved = solve[move]
+            estimate[moved] = cert.center[move]
+            radius_sq[moved] = raw[moved]
+
+        rows.append(rows[-1].copy())
+        rows[-1][moved] = sum(map(len, states)) + np.arange(len(moved))
+        states.append(np.column_stack([estimate[moved], radius_sq[moved]]))
+        flags.append(localized)
+        differ = active[raw[active] != radius_sq[active]]
+        raw_keys.append(tau * n + differ)
+        raw_values.append(raw[differ])
+        bounds_and_messages.append((math.sqrt(radius_sq.sum() / n), int(sends[active].sum())))
+
+    state = np.concatenate(states)
+    run = _RunStates(
+        scenario.sensors,
+        state,
+        np.array(rows, dtype=np.min_scalar_type(max(len(state) - 1, 0))),
+        np.array(flags),
+        np.concatenate([np.zeros(0, dtype=np.intp), *raw_keys]),
+        np.concatenate([np.zeros(0), *raw_values]),
+    )
     return DisMinMaxResult(
-        rounds=rounds,
-        converged=all(s.localized for s in states.values()),
+        rounds=[
+            RoundRecord(tau, RoundStates(run, tau), float(bound), messages)
+            for tau, (bound, messages) in enumerate(bounds_and_messages)
+        ],
+        converged=bool(localized.all()),
     )
 
 

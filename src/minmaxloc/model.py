@@ -198,16 +198,41 @@ def _build_edges(
     n: int,
     sensing_range: float,
 ) -> Tuple[List[Edge], List[Edge]]:
-    sensor_edges = []
-    for i in range(n):
-        d = np.hypot(*(sensor_pos[i + 1 :] - sensor_pos[i]).T)
-        for off in np.flatnonzero(d <= sensing_range):
-            sensor_edges.append((i, i + 1 + int(off)))
-    anchor_edges = []
-    for i in range(n):
-        d = np.hypot(*(anchor_pos - sensor_pos[i]).T)
-        for k in np.flatnonzero(d <= sensing_range):
-            anchor_edges.append((i, n + int(k)))
+    """Every sensor pair and sensor-anchor pair within ``sensing_range``,
+    each sorted by (sensor, other node).
+
+    Only sensors in the same or adjacent cells of a grid whose side is just
+    above the range can be that close, so only those pairs are measured, in
+    time linear in the sensors and edges.  The side's margin keeps two
+    sensors within range in adjacent cells despite rounding, and it is at
+    least 2^-20 of the sensors' extent so that the cell indices stay small.
+    """
+    pos = sensor_pos[:n]
+    extent = float(np.ptp(pos, axis=0).max()) if n else 0.0
+    side = extent * 2.0**-20 or 1.0
+    if sensing_range * (1.0 + 1e-9) > side:
+        side = sensing_range * (1.0 + 1e-9)
+    cell = np.floor((pos - pos.min(axis=0, initial=np.inf)) / side).astype(np.int64)
+    stride = int(cell[:, 1].max(initial=0)) + 3
+    key = cell[:, 0] * stride + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    # for each sensor and each of the nine cells around it, the sensors there
+    offsets = np.array([dx * stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    target = (key[:, None] + offsets).ravel()
+    first = np.searchsorted(keys, target, side="left")
+    count = np.searchsorted(keys, target, side="right") - first
+    i = np.repeat(np.repeat(np.arange(n), len(offsets)), count)
+    j = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    i, j = i[i < j], j[i < j]
+    near = np.hypot(*(pos[j] - pos[i]).T) <= sensing_range
+    i, j = i[near], j[near]
+    pairs = np.lexsort((j, i))
+    sensor_edges = list(zip(i[pairs].tolist(), j[pairs].tolist()))
+
+    d = np.hypot(*(anchor_pos[None, :, :] - pos[:, None, :]).transpose(2, 0, 1))
+    si, k = np.nonzero(d <= sensing_range)
+    anchor_edges = list(zip(si.tolist(), (n + k).tolist()))
     return sensor_edges, anchor_edges
 
 

@@ -18,8 +18,9 @@ The solves come in families:
 * ``fixtures``: the single-sensor ``ORACLE_FIXTURES``;
 * ``exact``: 10 sensors at range 0.5 with exact measurements, seeds 0-39;
 * ``distributed``: the ``distributed`` workload's network at error seeds
-  1-13, run by ``dist.run_dis_minmax``: round counts and the final
-  ``rmse_upper_bound``;
+  1-13, and 400 sensors at range 0.125 with geometry and error seed 7,
+  ``UniformError(0.02)``, run by ``dist.run_dis_minmax``: round counts and
+  the final ``rmse_upper_bound``;
 * ``baseline``: the ``sweep`` workload's nine trials, each scenario fitted by
   ``experiment.baseline_least_squares`` with the trial's seeds: its RMSE,
   whether it converged and its Gauss-Newton iteration count;
@@ -113,6 +114,13 @@ def record() -> dict:
             "rmse_upper_bound": res.rounds[-1].rmse_upper_bound,
         }
         print("distributed", seed, len(res.rounds) - 1, file=sys.stderr)
+    res = dist.run_dis_minmax(workloads.network(400, 0.125, 7, 0.02, 7))
+    out["distributed"]["n400"] = {
+        "rounds": len(res.rounds) - 1,
+        "converged": res.converged,
+        "rmse_upper_bound": res.rounds[-1].rmse_upper_bound,
+    }
+    print("distributed n400", len(res.rounds) - 1, file=sys.stderr)
     for label, res, value in baseline_fits():
         out.setdefault("baseline", {})[label] = {
             "rmse": value,

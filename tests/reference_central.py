@@ -10,12 +10,18 @@ with M = Mt kron I_2, blocks 2n + 1 and 2n wide.  The multipliers sit at the
 indices ``central.DualIndex`` gives them; the single t is index 0 and there
 is no t_y, so the problem has one variable fewer.  The tests check that the
 two forms assemble the same matrices and solve to the same estimate.
+
+It also keeps the per-node QP's candidate search as stacked LAPACK solves of
+each active set's KKT system (:func:`closest_kkt_set`), against which the
+tests check the closed-form solves of ``minmaxloc.central``.
 """
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from minmaxloc import central
 from minmaxloc.central import DualIndex
 from minmaxloc.model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
 from minmaxloc.sdp import Block, SdpProblem
@@ -95,3 +101,93 @@ def recover_interleaved_estimate(
     lmi = problem.blocks[0].evaluate(x)
     y = np.linalg.solve(lmi[:-1, :-1], -lmi[-1, :-1])
     return {s: (float(y[2 * i]), float(y[2 * i + 1])) for i, s in enumerate(scenario.sensors)}
+
+
+def solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched solve of a x = b, with NaN rows where rounding left a
+    nearly dependent system exactly singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i, (ai, bi) in enumerate(zip(a, b)):
+            try:
+                out[i] = np.linalg.solve(ai, bi)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def kkt_systems(q: np.ndarray, rhs: np.ndarray, sets: np.ndarray):
+    """The KKT system of each set of planes of ``sets`` as equalities:
+    [[H, A^T], [A, 0]] [z; nu] = [(0, 0, 1); rhs] with H = diag(2, 2, 0) and
+    A the planes' rows (-2 q^T, 1), z = (y, t); plane 2k belongs to
+    reference k.  Returns the stacked matrices and right-hand sides."""
+    size = sets.shape[1]
+    qs = q[sets // 2]  # (sets, size, 2)
+    a = np.concatenate([-2.0 * qs, np.ones((len(sets), size, 1))], axis=2)
+    kkt = np.zeros((len(sets), 3 + size, 3 + size))
+    kkt[:, 0, 0] = kkt[:, 1, 1] = 2.0
+    kkt[:, :3, 3:] = a.transpose(0, 2, 1)
+    kkt[:, 3:, :3] = a
+    b = np.zeros((len(sets), 3 + size))
+    b[:, 2] = 1.0
+    b[:, 3:] = rhs[sets]
+    return kkt, b
+
+
+def kkt_solutions(q: np.ndarray, rhs: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Each set of planes solved as equalities by one stacked LAPACK solve
+    of :func:`kkt_systems`: rows (y_x, y_y, t, nu...) per set."""
+    return solve_each(*kkt_systems(q, rhs, sets))
+
+
+def closest_kkt_set(q: np.ndarray, bounds: np.ndarray, spread: float, data_scale: float):
+    """The candidate search of ``central._closest_kkt_sets`` for one node, by
+    stacked LAPACK solves instead of closed forms.
+
+    Of every set of one, two or three planes of distinct, affinely
+    independent references, the one whose equality solution comes closest
+    to a KKT point of the program over ``q``: its violation, primal and dual
+    violations, planes, multipliers nu, y and t, and the number of sets
+    solved.
+    """
+    qq = np.einsum("ij,ij->i", q, q)
+    rhs = (bounds - qq[:, None]).ravel()
+    sign = np.tile([-1.0, 1.0], len(q))
+
+    def magnitude(y, t):
+        return np.maximum(np.maximum(np.abs(t), np.einsum("...i,...i->...", y, y)), data_scale)
+
+    best = None  # (violation, primal, dual, set, nu, y, t)
+    solved = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for size in range(1, min(len(q), 3) + 1):
+            sets = central._active_sets(len(q), size)
+            qs = q[sets // 2]
+            if size > 1:
+                d = qs[:, 1:] - qs[:, :1]
+                span = d[:, 0, 0] ** 2 + d[:, 0, 1] ** 2
+                if size == 3:
+                    span = (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) ** 2
+                keep = span > (central._SPAN_TOL * spread) ** (size - 1)
+                sets, qs = sets[keep], qs[keep]
+                if not len(sets):
+                    continue
+            solved += len(sets)
+            sol = kkt_solutions(q, rhs, sets)
+            y, t, nu = sol[:, :2], sol[:, 2], sol[:, 3:]
+            lifted = t[:, None] - 2.0 * y @ q.T + qq
+            excess = np.maximum(bounds[:, 0] - lifted, lifted - bounds[:, 1]).max(axis=1)
+            primal = np.maximum(excess, 0.0) / magnitude(y, t)
+            sign_error = np.maximum(-sign[sets] * nu, 0.0).max(axis=1) / np.abs(nu).sum(axis=1)
+            stationarity = np.maximum(
+                np.abs(nu.sum(axis=1) - 1.0),
+                np.abs(y - np.einsum("sj,sji->si", nu, qs)).max(axis=1) / math.sqrt(data_scale),
+            )
+            dual = np.maximum(sign_error, stationarity)
+            violation = np.nan_to_num(np.maximum(primal, dual), nan=np.inf)
+            i = int(np.argmin(violation))
+            if best is None or violation[i] < best[0]:
+                best = (violation[i], primal[i], dual[i], sets[i], nu[i], y[i], t[i])
+    return best + (solved,)

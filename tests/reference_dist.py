@@ -1,5 +1,5 @@
-"""Fixed-point bound flooding, neighbor lists and the per-node SDP, used only
-by the test suite.
+"""Fixed-point bound flooding, neighbor lists, the per-node SDP and the
+node-by-node distributed run, used only by the test suite.
 
 The plain way to answer what ``minmaxloc.dist.propagate_distance_bounds``
 answers breadth-first: synchronous relaxation rounds over every (sensor,
@@ -11,15 +11,30 @@ tables with ``==``, key order included.
 
 ``chebyshev_dual`` is the per-node program as an SDP, the second oracle for
 ``minmaxloc.central.chebyshev_qp`` and a program shape for the ``sdp`` tests.
+
+``run_dis_minmax`` is the distributed run one node at a time: a dict of
+``NodeState`` per round, one ``dist.initial_estimate`` and then one
+``dist.iterate_node`` per active sensor, against which the tests check the
+whole-round batches of ``minmaxloc.dist.run_dis_minmax``.
 """
 
 import math
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from minmaxloc.dist import BoundEntry, BoundTable, UnreachableAnchor, _interval
-from minmaxloc.model import Edge, IntervalBound, NetworkScenario, Point2
+from minmaxloc import dist
+from minmaxloc.dist import (
+    BoundEntry,
+    BoundTable,
+    DisMinMaxConfig,
+    DisMinMaxResult,
+    NodeState,
+    RoundRecord,
+    UnreachableAnchor,
+    _interval,
+)
+from minmaxloc.model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
 from minmaxloc.sdp import Block, SdpProblem, SolverConfig
 
 # The per-node solver accepts dual feasibility at 1e-6 rather than the solver
@@ -120,3 +135,37 @@ def propagate_distance_bounds(
                 )
             result[(i, k)] = table[(i, k)]
     return result
+
+
+def run_dis_minmax(
+    scenario: NetworkScenario, config: Optional[DisMinMaxConfig] = None
+) -> DisMinMaxResult:
+    """``minmaxloc.dist.run_dis_minmax`` node by node, with dict states."""
+    cfg = config or DisMinMaxConfig()
+    bounds = build_feasibility_intervals(scenario)
+    table = dist.propagate_distance_bounds(scenario, bounds)
+    states = {i: dist.initial_estimate(i, table, scenario.anchors) for i in scenario.sensors}
+
+    def bound(states):
+        return math.sqrt(sum(s.radius_sq for s in states.values()) / len(states))
+
+    rounds = [RoundRecord(0, dict(states), bound(states), 0)]
+    nbrs = {i: neighbors(scenario, i) for i in scenario.sensors}
+    for tau in range(1, cfg.max_rounds + 1):
+        if all(s.localized for s in states.values()):
+            break
+        prev, states, messages = states, {}, 0
+        for i in scenario.sensors:
+            if prev[i].localized:
+                states[i] = prev[i]
+                continue
+            nbr_states = {}
+            for j in nbrs[i]:
+                if j in scenario.anchors:
+                    nbr_states[j] = NodeState(scenario.anchors[j], 0.0, True, tau - 1, 0.0)
+                else:
+                    nbr_states[j] = prev[j]
+                    messages += 2
+            states[i] = dist.iterate_node(i, nbr_states, prev[i], bounds, cfg)
+        rounds.append(RoundRecord(tau, dict(states), bound(states), messages))
+    return DisMinMaxResult(rounds, all(s.localized for s in states.values()))

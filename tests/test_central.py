@@ -12,6 +12,7 @@ from fixtures import NONCONVEX_FIXTURES, ORACLE_FIXTURES, realized_errors, singl
 from minmaxloc import central, dist, geom, model, sdp
 from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp, sample_feasible_positions
+import reference_central
 from reference_central import assemble_interleaved_dual_sdp, recover_interleaved_estimate
 from reference_dist import NODE_SOLVER, chebyshev_dual
 from reference_sdp import SparseProducts, dense_coeff
@@ -674,6 +675,94 @@ def test_qp_meets_kkt_conditions_and_matches_per_node_sdp(truth, draws):
         if state.radius_sq == state.raw_radius_sq:
             excess = math.sqrt(max(value - state.raw_radius_sq, 0.0))
             assert math.dist(state.estimate, center) <= 1e-5 + excess
+
+
+def one_node_program(points, bounds):
+    """The centered references and scales of one node, as ``central`` forms
+    them before its candidate search over every reference."""
+    q = points - points.mean(axis=0)
+    spread = float(np.einsum("ij,ij->i", q, q).max())
+    data_scale = max(spread, float(bounds.max()), np.finfo(float).tiny)
+    return q, spread, data_scale
+
+
+@st.composite
+def awkward_references(draw):
+    """1-12 references around a truth, with repeated points and nearly
+    collinear triples whose span straddles ``central._SPAN_TOL``; every
+    fourth draw may miss the truth and be inconsistent."""
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["free", "repeat", "collinear"]))
+        if kind == "repeat" and points:
+            points.append(points[draw(st.integers(0, len(points) - 1))])
+        elif kind == "collinear" and len(points) >= 2:
+            a = np.array(points[draw(st.integers(0, len(points) - 1))])
+            b = np.array(points[draw(st.integers(0, len(points) - 1))])
+            along = draw(st.floats(-2.0, 2.0))
+            off = draw(st.sampled_from([0.0, 1e-17, 1e-16, 1e-15, 3e-15, 1e-14, 1e-13, 1e-8]))
+            d = b - a
+            points.append(tuple(a + along * d + off * np.array([-d[1], d[0]])))
+        else:
+            points.append((draw(coordinate), draw(coordinate)))
+    points = np.array(points, dtype=float)
+    truth = np.array([draw(coordinate), draw(coordinate)])
+    dist = np.hypot(*(points - truth).T)
+    miss = -0.05 if draw(st.integers(0, 3)) == 0 else 0.0
+    below = np.array([draw(st.floats(0.0, 0.3)) for _ in dist])
+    above = np.array([draw(st.floats(miss, 0.3)) for _ in dist])
+    lower = np.maximum(dist - below, 0.0) ** 2
+    return points, np.column_stack([lower, np.maximum((dist + above).clip(0.0) ** 2, lower)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(refs=awkward_references())
+def test_closed_form_candidates_match_lapack_solves(refs):
+    points, bounds = refs
+    q, spread, data_scale = one_node_program(points, bounds)
+    qq = np.einsum("ij,ij->i", q, q)
+    rhs = (bounds - qq[:, None]).ravel()
+
+    # every well-conditioned candidate: y, t and nu as the stacked KKT solve
+    with np.errstate(all="ignore"):
+        for size in range(1, min(len(q), 3) + 1):
+            sets = central._active_sets(len(q), size)
+            yx, yy, t, nu, _ = central._equality_solutions(
+                q[None, :, 0].copy(), q[None, :, 1].copy(), rhs[None], sets, np.array([spread])
+            )
+            closed = np.column_stack([yx[0], yy[0], t[0], *[v[0] for v in nu]])
+            kkt, b = reference_central.kkt_systems(q, rhs, sets)
+            good = np.linalg.cond(kkt) < 1e6
+            lapack = reference_central.solve_each(kkt[good], b[good])
+            scale = 1.0 + np.abs(lapack).max(axis=1, initial=0.0)
+            assert np.all(np.abs(closed[good] - lapack).max(axis=1, initial=0.0) <= 1e-8 * scale)
+
+    # the closest set: the same count of sets, the same verdict away from the
+    # tolerance, and where a KKT point exists the same point, and the same
+    # set and multipliers unless rounding ties two sets at it
+    expected = reference_central.closest_kkt_set(q, bounds, spread, data_scale)
+    got = central._closest_kkt_sets(
+        q[None, :, 0].copy(), q[None, :, 1].copy(), bounds[None, :, 0].copy(),
+        bounds[None, :, 1].copy(), np.array([spread]), np.array([data_scale]),
+    )
+    violation, _, _, y, t, planes, nu, solved = (a[0] for a in got)
+    assert solved == expected[7]
+    if expected[0] <= 1e-12:
+        assert violation <= central._KKT_TOL
+        kkt, _ = reference_central.kkt_systems(q, rhs, expected[3][None])
+        if np.linalg.cond(kkt[0]) >= 1e6:
+            return  # the closest set is too ill-conditioned to compare its solves
+        scale = 1.0 + abs(expected[6]) + np.abs(expected[5]).max()
+        assert np.abs(y - expected[5]).max() <= 1e-9 * scale
+        assert abs(t - expected[6]) <= 1e-9 * scale
+        chosen = planes[planes >= 0]
+        if list(chosen) == list(expected[3]):
+            assert np.abs(nu[: len(chosen)] - expected[4]).max() <= 1e-9 * (1.0 + np.abs(expected[4]).max())
+        else:
+            assert expected[0] <= central._KKT_TOL and violation <= 1e-12
+    elif expected[0] >= 1e-6:
+        # no KKT point: nearly singular sets may come closest, by rounding
+        assert violation > central._KKT_TOL
 
 
 def test_working_set_reaches_the_full_enumeration_answer(monkeypatch):

@@ -1,6 +1,11 @@
+import gc
+import importlib.util
 import json
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -547,6 +552,101 @@ def test_saturated_exact_network_localizes_immediately():
         tx, ty = scen.true_positions[i]
         assert math.hypot(s.estimate[0] - tx, s.estimate[1] - ty) <= 1e-4
         assert s.radius_sq <= 1e-6
+
+
+# --- whole-round batches against the node-by-node run -----------------------
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workload definitions, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_same_runs(batched, per_node, scen):
+    assert len(batched.rounds) == len(per_node.rounds)
+    assert batched.converged == per_node.converged
+    for a, b in zip(batched.rounds, per_node.rounds):
+        assert (a.round_index, a.messages) == (b.round_index, b.messages)
+        assert a.rmse_upper_bound == pytest.approx(b.rmse_upper_bound, rel=1e-12)
+        for i in scen.sensors:
+            got, want = a.states[i], b.states[i]
+            assert (got.localized, got.iteration) == (want.localized, want.iteration)
+            assert got.radius_sq == pytest.approx(want.radius_sq, rel=1e-12, abs=1e-300)
+            assert got.raw_radius_sq == pytest.approx(want.raw_radius_sq, rel=1e-12, abs=1e-300)
+            assert got.estimate == pytest.approx(want.estimate, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(1, 14))
+def test_batched_rounds_match_node_by_node_run(workloads, seed):
+    (scen,) = workloads.WORKLOADS["distributed"].build(seed)
+    assert_same_runs(dist.run_dis_minmax(scen), reference_dist.run_dis_minmax(scen), scen)
+
+
+def test_batched_rounds_match_node_by_node_run_at_400_sensors(workloads):
+    scen = workloads.network(400, 0.125, 7, 0.02, 7)
+    batched = dist.run_dis_minmax(scen)
+    assert len(batched.rounds) - 1 == 7
+    assert_same_runs(batched, reference_dist.run_dis_minmax(scen), scen)
+
+
+def test_round_states_are_read_only_arrays(noisy_run):
+    scen, res = noisy_run
+    for rec in res.rounds:
+        states = rec.states
+        assert isinstance(states, dist.RoundStates)
+        assert list(states) == list(scen.sensors) and len(states) == len(scen.sensors)
+        for k, i in enumerate(scen.sensors):
+            s = states[i]
+            assert type(s.estimate[0]) is float and type(s.radius_sq) is float
+            assert type(s.localized) is bool and type(s.iteration) is int
+            assert s.estimate == tuple(states.estimate[k])
+            assert s.radius_sq == states.radius_sq[k]
+            assert s.raw_radius_sq == states.raw_radius_sq[k]
+            assert (s.localized, s.iteration) == (states.localized[k], states.iteration[k])
+        with pytest.raises(TypeError):
+            states[scen.sensors[0]] = states[scen.sensors[0]]
+        with pytest.raises(KeyError):
+            states[-1]
+    last = res.rounds[-1]
+    first = scen.sensors[0]
+    moved = replace(last.states[first], estimate=(9.0, 9.0))
+    swapped = replace(last, states={**last.states, first: moved})
+    assert swapped.states[first].estimate == (9.0, 9.0)
+    assert last.states[first].estimate != (9.0, 9.0)
+    assert dict(swapped.states).keys() == dict(last.states).keys()
+
+
+def traced_run(scen):
+    """The bytes a run's result keeps, and the run's peak above its start."""
+    dist.run_dis_minmax(scen)  # warm the caches of the candidate sets
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = dist.run_dis_minmax(scen)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    return kept - start, peak - start
+
+
+def test_run_keeps_little_and_peaks_low(workloads):
+    # the benchmark keeps every pass's result, so a faster pass must keep
+    # fewer bytes for its peak RSS to hold; 74 KB kept and a 1.66 MB peak
+    # before the rounds ran as arrays
+    (scen,) = workloads.WORKLOADS["distributed"].build(21)
+    kept, peak = traced_run(scen)
+    assert kept <= 16 * 1024
+    assert peak <= 2 * 1024 * 1024
 
 
 # --- serialization and determinism ------------------------------------------

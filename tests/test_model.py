@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_dist
+import reference_model
 from fixtures import contains, realized_errors
 from minmaxloc import model
 
@@ -54,6 +56,56 @@ def test_generated_ids_and_measurements():
         assert i < j
     for i, k in sc.anchor_edges:
         assert i in sc.sensors and k in sc.anchors
+
+
+# sensors on the lines of a lattice of pitch ``range``, moved off them by at
+# most a few ulps or a hair, and some sensors on top of others: every pair
+# near a cell boundary, and pairs exactly ``range`` apart
+@settings(max_examples=150, deadline=None)
+@given(
+    sensing_range=st.sampled_from([0.05, 0.1, 0.125, 0.3, 1.0 / 3.0, 2.0]),
+    cells=st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.sampled_from([0, 1, 2, 3])),
+        min_size=1,
+        max_size=40,
+    ),
+    offsets=st.lists(
+        st.tuples(*[st.sampled_from([0.0, 1e-17, -1e-17, 1e-15, -1e-15, 1e-9, -1e-9])] * 2),
+        min_size=40,
+        max_size=40,
+    ),
+    repeats=st.integers(0, 5),
+)
+def test_grid_edges_match_all_pairs_near_cell_boundaries(sensing_range, cells, offsets, repeats):
+    pos = np.array(
+        [
+            ((cx + 0.5 * half) * sensing_range + dx, (cy + 0.5 * (half // 2)) * sensing_range + dy)
+            for (cx, cy, half), (dx, dy) in zip(cells, offsets)
+        ]
+    )
+    pos = np.concatenate([pos, pos[:repeats]])
+    n = len(pos)
+    anchors = np.array(ANCHORS_4)
+    expected = reference_model.build_edges(pos, anchors, n, sensing_range)
+    assert model._build_edges(pos, anchors, n, sensing_range) == expected
+
+
+def test_grid_edges_match_all_pairs_on_random_networks():
+    rng = np.random.default_rng(3)
+    anchors = np.array(ANCHORS_4)
+    for r in (0.0, 0.02, 0.1, 0.5, 2.0, np.inf, -1.0, np.nan):
+        for n in (1, 2, 50, 400):
+            pos = rng.uniform(-0.5, 0.5, (n, 2))
+            got = model._build_edges(pos, anchors, n, r)
+            assert got == reference_model.build_edges(pos, anchors, n, r), (r, n)
+
+
+def test_ten_thousand_sensor_scenario_is_generated_quickly():
+    cfg = model.ScenarioConfig(n_sensors=10000, anchor_positions=ANCHORS_4, sensing_range=0.02)
+    t0 = time.perf_counter()
+    scen = model.generate_scenario(cfg, seed=7)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(scen.sensors) == 10000
 
 
 def test_generation_failure_raises():
