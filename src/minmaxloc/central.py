@@ -36,11 +36,11 @@ program is then the dual of the sensor's relaxed Chebyshev center program,
 a QP in the three variables (y, t), whose optimal multipliers have kappa = 1.
 :func:`chebyshev_qp` solves it exactly by active sets over a working set of
 anchors, each set in closed form, and :func:`certified_center` hands its KKT
-multipliers to :func:`certify` as the 1x1 case.  :func:`chebyshev_qps` and
-:func:`certified_centers` do both for a batch of nodes at once.
-:func:`solve_minmax_sdp` solves one sensor this way, and
-:mod:`minmaxloc.dist` every per-node program, a round at a time, so neither
-a one-sensor solve nor a distributed run solves an SDP or loads scipy.
+multipliers to :func:`certify` as the 1x1 case; :func:`certified_centers`
+does both for a batch of nodes at once.  :func:`solve_minmax_sdp` solves one
+sensor this way, and :mod:`minmaxloc.dist` every per-node program, a round
+at a time, so neither a one-sensor solve nor a distributed run solves an SDP
+or loads scipy.
 
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
@@ -482,14 +482,16 @@ def _closest_kkt_sets(qx, qy, lower, upper, spread, data_scale, prune=True):
     planes = np.full((nodes, 3), -1)
     planes[node[first]] = picked[first, 2:]
     if prune:
+        # a few nodes at a time, so that all their sets stay within a block
         again = np.flatnonzero(best[:, 0] > _KKT_TOL)
-        if len(again):
+        step = max(1, _BLOCK // order)
+        for part in (again[k : k + step] for k in range(0, len(again), step)):
             full = _closest_kkt_sets(
-                qx[again], qy[again], lower[again], upper[again],
-                spread[again], data_scale[again], prune=False,
+                qx[part], qy[part], lower[part], upper[part],
+                spread[part], data_scale[part], prune=False,
             )
-            best[again] = np.column_stack(full[:3] + (full[3], full[4], full[6]))
-            planes[again] = full[5]
+            best[part] = np.column_stack(full[:3] + (full[3], full[4], full[6]))
+            planes[part] = full[5]
     return best[:, 0], best[:, 1], best[:, 2], best[:, 3:5], best[:, 5], planes, best[:, 6:], solved
 
 
@@ -501,11 +503,11 @@ def _as_batch(p, bounds, count) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     if (count < 1).any():
         raise ValueError("the program needs at least one reference")
     valid = (np.arange(p.shape[1]) < count[:, None])[..., None]
-    if not (np.isfinite(p[valid[..., 0]]).all() and np.isfinite(bounds[valid[..., 0]]).all()):
+    if not valid.all():
+        p, bounds = np.where(valid, p, 0.0), np.where(valid, bounds, 0.0)
+    if not (np.isfinite(p).all() and np.isfinite(bounds).all()):
         raise ValueError("references must be finite")
-    if valid.all():
-        return p, bounds, count
-    return np.where(valid, p, 0.0), np.where(valid, bounds, 0.0), count
+    return p, bounds, count
 
 
 def _batch_of_one(refs: Sequence[Tuple[Point2, float, float]]):
@@ -514,19 +516,11 @@ def _batch_of_one(refs: Sequence[Tuple[Point2, float, float]]):
     return _as_batch(p, bounds, [len(refs)])
 
 
-def chebyshev_qps(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
-    """:func:`chebyshev_qp` for a batch of nodes at once.
-
-    Node b has the ``count[b]`` references ``p[b, k]`` (nodes, refs, 2) with
-    bounds ``bounds[b, k] = (lower^2, upper^2)``; entries past its count are
-    ignored.  The nodes go through in chunks of at most ``_BLOCK``
-    references, each chunk grouped by the size of its nodes' working sets,
-    so every node gets what :func:`chebyshev_qp` gives it alone.
-    """
-    return _solve(*_as_batch(p, bounds, count))
-
-
 def _solve(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
+    """:func:`chebyshev_qp` for a batch from :func:`_as_batch`.  The nodes go
+    through in chunks of at most ``_BLOCK`` references, each chunk grouped by
+    the size of its nodes' working sets, so every node gets what
+    :func:`chebyshev_qp` gives it alone."""
     chunk = max(1, _BLOCK // max(p.shape[1], 1))
     parts = [
         _solve_chunk(p[s : s + chunk], bounds[s : s + chunk], count[s : s + chunk])
@@ -634,7 +628,7 @@ def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
     it breaks most joins and the working set is solved again.  An optimum
     that meets every bound is the whole program's, with nu = 0 off the
     working set, and a working set that admits no (y, t) leaves the whole
-    program none either.  This is the batch of one of :func:`chebyshev_qps`.
+    program none either.
     """
     qp = _solve(*_batch_of_one(refs))
     return ChebyshevQp(
@@ -710,8 +704,12 @@ def _certify_each(p, bounds, count, omega, phi, position, consistent) -> CenterB
 
 
 def certified_centers(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> CenterBatch:
-    """:func:`certified_center` for a batch of nodes, laid out as for
-    :func:`chebyshev_qps`."""
+    """:func:`certified_center` for a batch of nodes at once.
+
+    Node b has the ``count[b]`` references ``p[b, k]`` (nodes, refs, 2) with
+    bounds ``bounds[b, k] = (lower^2, upper^2)``; entries past its count are
+    ignored.
+    """
     p, bounds, count = _as_batch(p, bounds, count)
     qp = _solve(p, bounds, count)
     return _certify_each(p, bounds, count, qp.omega, qp.phi, qp.position, qp.consistent)

@@ -33,8 +33,9 @@ radius, or finds the references inconsistent or certifying nothing.
 
 Phases 2 and 3 run a whole round as arrays: every sensor's initial
 estimate is one batch of :func:`minmaxloc.central.certified_centers`, and
-so is each round's refinement of its active sensors, with the rules of the
-one-node :func:`initial_estimate` and :func:`iterate_node`.  All rounds are
+each round refines its active sensors in batches of up to ``_ROUND_NODES``,
+with the rules of the one-node :func:`initial_estimate` and
+:func:`iterate_node`.  All rounds are
 Jacobi: updates at round tau+1 read only round-tau states, so batching a
 round changes nothing in its trace.  The rounds' states are kept packed
 (:class:`RoundStates`).
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -315,34 +317,33 @@ class _RunStates:
     tau or the round that localized it, whichever is first.  Its
     raw_radius_sq is its radius_sq, except where the round that last
     updated it, times the sensor count, plus its index in scenario order, is
-    in ``raw_keys``: then it is the matching one of ``raw_values``.
+    in ``raw_keys``: then it is the matching one of ``raw_values``.  Nothing
+    read is cached but the id lookup of :meth:`index`, so reading every
+    state in order keeps no more bytes than the run did.
     """
 
-    __slots__ = ("sensors", "state", "rows", "localized", "raw_keys", "raw_values", "_index", "_last")
+    __slots__ = ("sensors", "state", "rows", "localized", "raw_keys", "raw_values", "_index")
 
     def __init__(self, sensors, state, rows, localized, raw_keys, raw_values):
         self.sensors = sensors
         self.state, self.rows, self.localized = state, rows, localized
         self.raw_keys, self.raw_values = raw_keys, raw_values
         self._index: Optional[Dict[int, int]] = None
-        self._last: Optional[np.ndarray] = None
 
     def index(self, sensor: int) -> int:
         if self._index is None:
             self._index = {s: i for i, s in enumerate(self.sensors)}
         return self._index[sensor]
 
-    def iteration(self, tau: int) -> np.ndarray:
-        """Each sensor's refinement rounds up to round tau."""
-        if self._last is None:
-            loc = self.localized
-            self._last = np.where(loc.any(axis=0), loc.argmax(axis=0), len(loc) - 1)
-        return np.minimum(tau, self._last)
+    def iteration(self, tau: int, at: np.ndarray) -> np.ndarray:
+        """The refinement rounds up to round tau of the sensors at indices ``at``."""
+        loc = self.localized[:, at]
+        return np.minimum(tau, np.where(loc.any(axis=0), loc.argmax(axis=0), len(loc) - 1))
 
     def raw_radius_sq(self, tau: int, at: np.ndarray) -> np.ndarray:
         """raw_radius_sq after round tau of the sensors at indices ``at``."""
         raw = self.state[self.rows[tau, at], 2]
-        keys = self.iteration(tau)[at] * len(self.sensors) + at
+        keys = self.iteration(tau, at) * len(self.sensors) + at
         found = np.minimum(np.searchsorted(self.raw_keys, keys), max(len(self.raw_keys) - 1, 0))
         hit = self.raw_keys[found] == keys if len(self.raw_keys) else np.zeros(len(at), dtype=bool)
         raw[hit] = self.raw_values[found[hit]]
@@ -353,8 +354,9 @@ class RoundStates(Mapping[int, NodeState]):
     """One round's node states, read-only, from the run's packed arrays.
 
     Each :class:`NodeState` is built, with Python float, bool and int
-    fields, when it is read.  The round's arrays, one row per sensor in
-    scenario order, are ``estimate`` (n, 2), ``radius_sq``,
+    fields, when it is read; ``items()`` and ``values()`` build them in
+    scenario order without looking ids up.  The round's arrays, one row per
+    sensor in scenario order, are ``estimate`` (n, 2), ``radius_sq``,
     ``raw_radius_sq``, ``localized`` and ``iteration``.
     """
 
@@ -364,23 +366,31 @@ class RoundStates(Mapping[int, NodeState]):
         self._run = run
         self._tau = tau
 
-    def __getitem__(self, sensor: int) -> NodeState:
+    def _states(self, at: np.ndarray) -> Iterator[NodeState]:
         run, tau = self._run, self._tau
-        i = run.index(sensor)
-        x, y, radius_sq = run.state[run.rows[tau, i]].tolist()
-        return NodeState(
-            estimate=(x, y),
-            radius_sq=radius_sq,
-            localized=bool(run.localized[tau, i]),
-            iteration=int(run.iteration(tau)[i]),
-            raw_radius_sq=float(run.raw_radius_sq(tau, np.array([i]))[0]),
+        columns = (
+            run.state[run.rows[tau, at]].tolist(),
+            run.localized[tau, at].tolist(),
+            run.iteration(tau, at).tolist(),
+            run.raw_radius_sq(tau, at).tolist(),
         )
+        for (x, y, radius_sq), localized, iteration, raw in zip(*columns):
+            yield NodeState((x, y), radius_sq, localized, iteration, raw)
+
+    def __getitem__(self, sensor: int) -> NodeState:
+        return next(self._states(np.array([self._run.index(sensor)])))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._run.sensors)
 
     def __len__(self) -> int:
         return len(self._run.sensors)
+
+    def items(self) -> ItemsView[int, NodeState]:
+        return _InOrderItems(self)
+
+    def values(self) -> ValuesView[NodeState]:
+        return _InOrderValues(self)
 
     @property
     def estimate(self) -> np.ndarray:
@@ -400,7 +410,19 @@ class RoundStates(Mapping[int, NodeState]):
 
     @property
     def iteration(self) -> np.ndarray:
-        return self._run.iteration(self._tau)
+        return self._run.iteration(self._tau, np.arange(len(self)))
+
+
+class _InOrderItems(ItemsView):
+    def __iter__(self):
+        states = self._mapping
+        return zip(states, states._states(np.arange(len(states))))
+
+
+class _InOrderValues(ValuesView):
+    def __iter__(self):
+        states = self._mapping
+        return states._states(np.arange(len(states)))
 
 
 @dataclass(slots=True)
@@ -419,6 +441,11 @@ class RoundRecord:
 class DisMinMaxResult:
     rounds: List[RoundRecord]
     converged: bool
+
+
+# Nodes per batch of a round, so that the batch's padded references stay a
+# few hundred KB however many nodes the round solves
+_ROUND_NODES = 1024
 
 
 def _neighbor_table(scenario: NetworkScenario, bounds: Mapping[Edge, IntervalBound]):
@@ -453,9 +480,10 @@ def run_dis_minmax(
     active sensor two reals per sensor neighbor (its broadcast estimate);
     anchor neighbors cost nothing because their positions are already
     known after the propagation phase.  The initial estimates are one batch
-    of :func:`minmaxloc.central.certified_centers`, and so is each round's
-    refinement of its active nodes, with the rules of
-    :func:`initial_estimate` and :func:`iterate_node`.
+    of :func:`minmaxloc.central.certified_centers`, and each round's
+    refinement of its active nodes runs in batches of up to
+    ``_ROUND_NODES``, with the rules of :func:`initial_estimate` and
+    :func:`iterate_node`.
     """
     cfg = config or DisMinMaxConfig()
     bounds = build_feasibility_intervals(scenario)
@@ -494,31 +522,28 @@ def run_dis_minmax(
         # Jacobi: every reference reads the previous round's states
         positions = np.concatenate([estimate, anchor_pos])
         slack = np.sqrt(np.maximum(np.concatenate([radius_sq, np.zeros(len(anchor_pos))]), 0.0))
-        at = refs[solve]
-        span = np.stack(
-            [
-                np.maximum(lower[solve] - slack[at], 0.0) ** 2,
-                (upper[solve] + slack[at]) ** 2,
-            ],
-            axis=2,
-        )
-        # the own ball, whose lower bound 0 the relaxation implies
-        span[:, 0] = np.column_stack([np.zeros(len(solve)), radius_sq[solve]])
 
         estimate, old_radius_sq = estimate.copy(), radius_sq
         radius_sq, raw, localized = radius_sq.copy(), np.zeros(n), localized.copy()
         # a node with radius_sq <= epsilon cannot shrink by more than
         # epsilon, so it is localized without a solve
         raw[active], localized[active] = old_radius_sq[active], True
-        moved = solve[:0]
-        if len(solve):
-            cert = certified_centers(positions[at], span, count[solve])
-            move, localized[solve], raw[solve] = _refine(
-                old_radius_sq[solve], cert.value, cert.certified, cfg.epsilon
+        moved_parts = [solve[:0]]
+        for part in (solve[k : k + _ROUND_NODES] for k in range(0, len(solve), _ROUND_NODES)):
+            at = refs[part]
+            span = np.stack(
+                [np.maximum(lower[part] - slack[at], 0.0) ** 2, (upper[part] + slack[at]) ** 2], axis=2
             )
-            moved = solve[move]
-            estimate[moved] = cert.center[move]
-            radius_sq[moved] = raw[moved]
+            # the own ball, whose lower bound 0 the relaxation implies
+            span[:, 0] = np.column_stack([np.zeros(len(part)), old_radius_sq[part]])
+            cert = certified_centers(positions[at], span, count[part])
+            move, localized[part], raw[part] = _refine(
+                old_radius_sq[part], cert.value, cert.certified, cfg.epsilon
+            )
+            moved_parts.append(part[move])
+            estimate[part[move]] = cert.center[move]
+            radius_sq[part[move]] = raw[part[move]]
+        moved = np.concatenate(moved_parts)
 
         rows.append(rows[-1].copy())
         rows[-1][moved] = sum(map(len, states)) + np.arange(len(moved))

@@ -765,6 +765,33 @@ def test_closed_form_candidates_match_lapack_solves(refs):
         assert violation > central._KKT_TOL
 
 
+@pytest.mark.parametrize("block", [central._BLOCK, 64])
+def test_batched_centers_equal_one_node_solves(monkeypatch, block):
+    # padded nodes of 1-13 references, half of them inconsistent; a small
+    # block splits the nodes, their candidate sets and the full searches of
+    # the nodes without a KKT point into many pieces
+    monkeypatch.setattr(central, "_BLOCK", block)
+    rng = np.random.default_rng(1)
+    inconsistent = 0
+    for refs in (1, 2, 3, 8, 13):
+        nodes = 40
+        p = rng.uniform(-1.0, 1.0, (nodes, refs, 2))
+        truth = rng.uniform(-1.0, 1.0, (nodes, 2))
+        d = np.hypot(*(p - truth[:, None]).transpose(2, 0, 1))
+        miss = np.where(rng.random((nodes, 1)) < 0.5, -0.2, 0.0)
+        lower = np.maximum(d - rng.uniform(0.0, 0.3, d.shape), 0.0) ** 2
+        upper = np.maximum((d + rng.uniform(0.0, 0.3, d.shape) + miss).clip(0.0) ** 2, lower)
+        count = rng.integers(1, refs + 1, nodes)
+        batch = central.certified_centers(p, np.stack([lower, upper], axis=2), count)
+        for b in range(nodes):
+            one = central.certified_center([(p[b, k], lower[b, k], upper[b, k]) for k in range(count[b])])
+            assert (bool(batch.consistent[b]), bool(batch.certified[b])) == (one.consistent, one.certified)
+            assert tuple(batch.center[b]) == one.center
+            assert batch.value[b] == one.value
+        inconsistent += int((~batch.consistent).sum())
+    assert inconsistent >= 20
+
+
 def test_working_set_reaches_the_full_enumeration_answer(monkeypatch):
     rng = np.random.default_rng(5)
     cases = []

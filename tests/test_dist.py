@@ -589,6 +589,13 @@ def test_batched_rounds_match_node_by_node_run(workloads, seed):
     assert_same_runs(dist.run_dis_minmax(scen), reference_dist.run_dis_minmax(scen), scen)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rounds_in_small_batches_match_node_by_node_run(workloads, monkeypatch, seed):
+    monkeypatch.setattr(dist, "_ROUND_NODES", 7)
+    (scen,) = workloads.WORKLOADS["distributed"].build(seed)
+    assert_same_runs(dist.run_dis_minmax(scen), reference_dist.run_dis_minmax(scen), scen)
+
+
 def test_batched_rounds_match_node_by_node_run_at_400_sensors(workloads):
     scen = workloads.network(400, 0.125, 7, 0.02, 7)
     batched = dist.run_dis_minmax(scen)
@@ -624,13 +631,16 @@ def test_round_states_are_read_only_arrays(noisy_run):
 
 
 def traced_run(scen):
-    """The bytes a run's result keeps, and the run's peak above its start."""
+    """The bytes a run's result keeps once every state has been read in
+    order, and the peak above the start."""
     dist.run_dis_minmax(scen)  # warm the caches of the candidate sets
     gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         res = dist.run_dis_minmax(scen)
+        for rec in res.rounds:  # as the benchmark's checks read them
+            assert len(list(rec.states.items())) == len(list(rec.states.values())) == len(scen.sensors)
         gc.collect()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
