@@ -226,12 +226,20 @@ def certify(m_mat: np.ndarray, f: np.ndarray, h: float) -> Optional[Tuple[np.nda
     over rho whatever the solver's status.  None when rho is not positive.
     """
     w, v = np.linalg.eigh(m_mat)
-    rho = w[0] - len(w) * np.finfo(float).eps * max(-w[0], w[-1])
+    value, rho, z = _certificate(w, v.T @ f, h)
     if rho <= 0.0:
         return None
-    g = v.T @ f
-    y = -v @ (g / w[:, None])
-    return y, float((np.sum(g * g / w[:, None]) + h) / rho)
+    return -v @ z, float(value)
+
+
+def _certificate(w, g, h):
+    """:func:`certify` from the eigenvalues ``w`` (..., n) of Mt, ascending,
+    f in Mt's eigenbasis ``g`` (..., n, 2) and ``h`` (...): the bound
+    (sum g^2 / w + h) / rho, rho and Mt^{-1} f in the eigenbasis, g / w.
+    The bound holds where rho is positive."""
+    rho = w[..., 0] - w.shape[-1] * np.finfo(float).eps * np.maximum(-w[..., 0], w[..., -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.sum(g * g / w[..., None], axis=(-2, -1)) + h) / rho, rho, g / w[..., None]
 
 
 def recover_estimate(
@@ -265,13 +273,11 @@ _KKT_TOL = 1e-9
 _SPAN_TOL = 1e-14
 # References in the QP's first working set; with no more, it holds them all
 _WORKING_REFS = 8
-# Entries of the largest temporary of a batched solve (32 KB of floats): the
-# nodes go through in chunks of at most this many references, and their
-# candidate sets in blocks of at most this many (node, set) pairs
+# The nodes of a batched solve go through in chunks of at most this many
+# references, and their candidate sets in blocks of about this many (node,
+# set) pairs, so that a temporary holds this many floats (32 KB) per
+# reference of the working set
 _BLOCK = 1 << 12
-# Blocks of at least this many (node, set) pairs pass on only the sets whose
-# multipliers have the planes' signs
-_PRUNE_FROM = 256
 
 
 @dataclass(frozen=True)
@@ -330,169 +336,157 @@ def _active_sets(refs: int, size: int) -> np.ndarray:
     return sets
 
 
-def _equality_solutions(qx, qy, rhs, sets, spread):
-    """Every node's solution of each set of planes as equalities, in closed form.
+@lru_cache(maxsize=64)
+def _set_blocks(refs: int, sets: int) -> tuple:
+    """The candidate sets of :func:`_closest_kkt_sets` over ``refs``
+    references, by size and then in :func:`_active_sets` order, in blocks of
+    at most ``sets`` sets or one group of them.  ``sets`` is rounded down to
+    a power of two, so that few block sizes are cached.  Per block: its
+    pieces of one size in whole groups, each with its planes' signs (size,
+    1, 1, 2^size), 1 on a lower plane and -1 on an upper one, as they repeat
+    in every group; and its sets' planes padded with -1 to three."""
+    most = 1 << max(sets, 1).bit_length() - 1
+    blocks, pieces, taken = [], [], 0
+    for size in range(1, min(refs, 3) + 1):
+        every, group = _active_sets(refs, size), 1 << size
+        step = max(1, most // group) * group
+        for start in range(0, len(every), step):
+            piece = every[start : start + step]
+            if pieces and taken + len(piece) > most:
+                blocks.append(pieces)
+                pieces, taken = [], 0
+            pieces.append(piece)
+            taken += len(piece)
+    blocks.append(pieces)
+    return tuple(
+        (
+            tuple((s, (1.0 - 2.0 * (s[: 1 << s.shape[1]] % 2)).T[:, None, None]) for s in pieces),
+            np.concatenate([np.pad(s, ((0, 0), (0, 3 - s.shape[1])), constant_values=-1) for s in pieces]),
+        )
+        for pieces in blocks
+    )
+
+
+def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale):
+    """Every node's solution of each set of planes as equalities, in closed
+    form, and how far its multipliers are from a KKT point's.
 
     ``qx``, ``qy`` (nodes, refs) are the references, ``rhs`` (nodes,
-    planes) the planes' right-hand sides and ``sets`` (sets, size) plane
-    indices: whole groups of the 2^size sets on one tuple of references, in
-    :func:`_active_sets` order, so that each tuple's geometry is worked out
-    once.  Returns y, t and the multipliers nu, one (nodes, sets) array per
-    plane, and per tuple (nodes, tuples) whether its references are affinely
-    independent (None: always).
+    planes) the planes' right-hand sides, ``sets`` (sets, size) plane
+    indices and ``flip`` their signs as from :func:`_set_blocks`, and
+    ``spread`` and ``root_scale``, the square root of the data scale, per
+    node.  The sets come in whole groups of the 2^size sets on
+    one tuple of references, in :func:`_active_sets` order, so that each
+    tuple's geometry is worked out once.  Returns a (7, nodes, sets) array,
+    y_x, y_y, t, the dual violation and nu per plane, 0 past the set's
+    size, and per node the number of sets whose references are affinely
+    independent.  The dual violation is the largest wrong-signed
+    multiplier, relative to their sum, or the stationarity residual, which
+    a nearly singular set may show, whichever is larger; inf where the
+    references are dependent.
 
     Stationarity gives y = sum_j nu_j q_j and sum_j nu_j = 1, and the planes
     t - 2 q_j^T y = rhs_j less the first give (q_j - q_0)^T y =
-    (rhs_0 - rhs_j) / 2.  So one plane has y = q_0, two put y on the line
-    through their references, and three fix y by a 2x2 system whose
-    determinant squared is the span that the independence test measures.
+    (rhs_0 - rhs_j) / 2.  So one plane has y = q_0 and nu = 1 exactly, two
+    put y on the line through their references, and three fix y by a 2x2
+    system whose determinant squared is the span that the independence test
+    measures.
     """
     nodes, size = len(qx), sets.shape[1]
     group = 1 << size
     refs = sets[::group] // 2
-    xs = [qx[:, refs[:, j], None] for j in range(size)]
-    ys = [qy[:, refs[:, j], None] for j in range(size)]
+    # (size, nodes, tuples, 1)
+    xs, ys = qx[:, refs.T, None].swapaxes(0, 1), qy[:, refs.T, None].swapaxes(0, 1)
     r = [rhs[:, sets[:, j]].reshape(nodes, -1, group) for j in range(size)]
+    out = np.zeros((7, nodes, len(refs), group))
+    yx, yy, t, dual, nu = out[0], out[1], out[2], out[3], out[4 : 4 + size]
     x0, y0 = xs[0], ys[0]
-    keep = None
     if size == 1:
-        yx, yy, nu = x0 + 0.0 * r[0], y0 + 0.0 * r[0], [np.ones(r[0].shape)]
-    elif size == 2:
+        # nu = 1, wrong-signed on a lower plane, and stationarity is exact
+        yx[...], yy[...], t[...], nu[0] = x0, y0, r[0] + 2.0 * (x0 * x0 + y0 * y0), 1.0
+        dual[...] = np.maximum(flip[0], 0.0)
+        return out.reshape(7, nodes, -1), np.full(nodes, len(sets))
+    if size == 2:
         dx, dy = xs[1] - x0, ys[1] - y0
         span = dx * dx + dy * dy
         keep = span > _SPAN_TOL * spread[:, None, None]
-        nu1 = (0.5 * (r[0] - r[1]) - (dx * x0 + dy * y0)) / span
-        nu = [1.0 - nu1, nu1]
-        yx, yy = x0 + nu1 * dx, y0 + nu1 * dy
+        nu[1] = (0.5 * (r[0] - r[1]) - (dx * x0 + dy * y0)) / span
+        nu[0] = 1.0 - nu[1]
+        yx[...], yy[...] = x0 + nu[1] * dx, y0 + nu[1] * dy
     else:
         ax, ay, bx, by = xs[1] - x0, ys[1] - y0, xs[2] - x0, ys[2] - y0
         det = ax * by - ay * bx
         keep = det * det > (_SPAN_TOL * spread[:, None, None]) ** 2
         c, e = 0.5 * (r[0] - r[1]), 0.5 * (r[0] - r[2])
-        yx, yy = (c * by - e * ay) / det, (ax * e - bx * c) / det
+        yx[...], yy[...] = (c * by - e * ay) / det, (ax * e - bx * c) / det
         # y - q_0 = nu_1 (q_1 - q_0) + nu_2 (q_2 - q_0), by the same determinant
         ex, ey = yx - x0, yy - y0
-        nu1, nu2 = (ex * by - ey * bx) / det, (ax * ey - ay * ex) / det
-        nu = [1.0 - nu1 - nu2, nu1, nu2]
-    t = r[0] + 2.0 * (x0 * yx + y0 * yy)
-    return (
-        *(a.reshape(nodes, -1) for a in (yx, yy, t)), [v.reshape(nodes, -1) for v in nu],
-        None if keep is None else keep[..., 0],
+        nu[1], nu[2] = (ex * by - ey * bx) / det, (ax * ey - ay * ex) / det
+        nu[0] = 1.0 - nu[1] - nu[2]
+    t[...] = r[0] + 2.0 * (x0 * yx + y0 * yy)
+    # nu must be <= 0 on a lower plane and >= 0 on an upper one
+    dual[...] = np.maximum(flip * nu, 0.0).max(axis=0) / np.abs(nu).sum(axis=0)
+    stationarity = np.maximum(
+        np.abs(nu.sum(axis=0) - 1.0),
+        np.maximum(np.abs(yx - (nu * xs).sum(axis=0)), np.abs(yy - (nu * ys).sum(axis=0)))
+        / root_scale[:, None, None],
     )
+    np.maximum(dual, stationarity, out=dual)
+    dual[~keep[..., 0]] = np.inf
+    return out.reshape(7, nodes, -1), group * keep[..., 0].sum(axis=1)
 
 
-def _sign_error(flip, nu):
-    """The largest wrong-signed multiplier relative to the multipliers' sum:
-    nu must be <= 0 on a lower plane and >= 0 on an upper one.  ``flip`` is 1
-    on lower planes and -1 on upper ones, a plane at a time as ``nu``."""
-    wrong, total = 0.0, 0.0
-    for f, v in zip(flip, nu):
-        wrong = np.maximum(wrong, f * v)
-        total = total + np.abs(v)
-    return wrong / total
-
-
-def _closest_kkt_sets(qx, qy, lower, upper, spread, data_scale, prune=True):
+def _closest_kkt_sets(qx, qy, lower, upper, spread, data_scale):
     """Per node, of every set of one, two or three planes of distinct,
     affinely independent references, the one whose equality solution comes
     closest to a KKT point of the program over the node's references.
 
     The arguments are per node: the references' coordinates ``qx`` and ``qy``
     and their ``lower`` and ``upper`` bounds (nodes, refs), and ``spread``
-    and ``data_scale`` (nodes,).  Returns the set's violation, primal and
-    dual violations, y (nodes, 2) and t, its planes and multipliers nu
-    (nodes, 3; -1 and 0 past the set's size), and the number of sets solved.
+    and ``data_scale`` (nodes,).  Returns per node the set's violation,
+    primal violation, y, t, dual violation and multipliers nu (nodes, 9;
+    nu 0 past the set's size), its planes (nodes, 3; -1 past its size) and
+    the number of sets solved.
     Among equally close sets, the first in :func:`_active_sets` order of the
-    smallest size wins.  The sets are solved in blocks of at most ``_BLOCK``
-    (node, set) pairs.
-
-    A KKT point's multipliers have the planes' signs, and only a few sets'
-    do, so with ``prune`` only those sets go on to the other tests; that
-    finds the same set for every node that has a KKT point, and the nodes
-    without one are searched again in full.  The sums over a set's planes
-    are written out, and those over references reduce a leading axis.
+    smallest size wins.  The sets go through in blocks of about ``_BLOCK``
+    (node, set) pairs, each keeping its nodes' closest set so far, and the
+    sums over references reduce a leading axis.  A nearly singular set may
+    overflow, which its violation then rejects, so the caller ignores
+    floating-point errors.
     """
     nodes, refs = qx.shape
     qq = qx * qx + qy * qy
     # plane 2k bounds reference k from below, plane 2k + 1 from above:
-    # t - 2 q_k^T y = rhs there, and its multiplier nu must be <= 0 and >= 0
-    rhs = np.stack([lower - qq, upper - qq], axis=2).reshape(nodes, 2 * refs)
+    # t - 2 q_k^T y = rhs there
+    rhs = np.empty((nodes, 2 * refs))
+    rhs[:, 0::2], rhs[:, 1::2] = lower - qq, upper - qq
+    # per reference on a leading axis: its coordinates and its planes' sides
+    at_x, at_y = qx.T[..., None], qy.T[..., None]
+    at_lower, at_upper = rhs[:, 0::2].T[..., None], rhs[:, 1::2].T[..., None]
+    scale, root_scale = data_scale[:, None], np.sqrt(data_scale)
     solved = np.zeros(nodes, dtype=np.intp)
-    tuples = max(1, _BLOCK // (8 * nodes))
-    # per block, the sets that go on: (node, order of the set, planes) and
-    # (y, t, nu)
-    picked, values = [], []
-    order = 0
-    # a nearly singular set may overflow; its violation then rejects it
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for size in range(1, min(refs, 3) + 1):
-            every, group = _active_sets(refs, size), 1 << size
-            for start in range(0, len(every), tuples * group):
-                sets = every[start : start + tuples * group]
-                yx, yy, t, nu, keep = _equality_solutions(qx, qy, rhs, sets, spread)
-                chosen = np.ones(t.shape, dtype=bool)
-                if prune and chosen.size >= _PRUNE_FROM:
-                    chosen = _sign_error((1.0 - 2.0 * (sets % 2)).T, nu) <= _KKT_TOL
-                if keep is None:
-                    solved += len(sets)
-                else:
-                    chosen.reshape(nodes, -1, group)[...] &= keep[..., None]
-                    solved += group * keep.sum(axis=1)
-                node, s = np.nonzero(chosen)
-                found = np.full((len(node), 5), -1)
-                found[:, 0], found[:, 1], found[:, 2 : 2 + size] = node, order + start + s, sets[s]
-                picked.append(found)
-                values.append(
-                    np.array(
-                        [yx[node, s], yy[node, s], t[node, s]]
-                        + [v[node, s] for v in nu]
-                        + [np.zeros(len(node))] * (3 - size)
-                    ).T
-                )
-            order += len(every)
-
-        picked, values = np.concatenate(picked), np.concatenate(values)
-        node, planes = picked[:, 0], picked[:, 2:]
-        yx, yy, t = values[:, :3].T
-        # past a set's size, nu is 0 and the plane -1, which reads some reference
-        nu, at = values[:, 3:], (node[:, None], planes // 2)
-        xs, ys = qx[at], qy[at]
-        lifted = t - 2.0 * (qx.T[:, node] * yx + qy.T[:, node] * yy) + qq.T[:, node]
-        excess = np.maximum(lower.T[:, node] - lifted, lifted - upper.T[:, node]).max(axis=0)
-        magnitude = np.maximum(np.maximum(np.abs(t), yx * yx + yy * yy), data_scale[node])
-        primal = np.maximum(excess, 0.0) / magnitude
-        # stationarity, which a nearly singular set may miss
-        sum_nu = nu[:, 0] + nu[:, 1] + nu[:, 2]
-        sx = nu[:, 0] * xs[:, 0] + nu[:, 1] * xs[:, 1] + nu[:, 2] * xs[:, 2]
-        sy = nu[:, 0] * ys[:, 0] + nu[:, 1] * ys[:, 1] + nu[:, 2] * ys[:, 2]
-        stationarity = np.maximum(
-            np.abs(sum_nu - 1.0), np.maximum(np.abs(yx - sx), np.abs(yy - sy)) / np.sqrt(data_scale[node])
-        )
-        dual = np.maximum(_sign_error((1.0 - 2.0 * (planes % 2)).T, nu.T), stationarity)
-        violation = np.maximum(primal, dual)
-        violation[np.isnan(violation)] = np.inf
-
-    # each node's closest set: its smallest violation, the first set on ties
-    rank = np.lexsort((picked[:, 1], violation, node))
-    first = np.ones(len(rank), dtype=bool)
-    first[1:] = node[rank[1:]] != node[rank[:-1]]
-    first = rank[first]
+    # per node: violation, primal violation, y, t, dual violation and nu; and planes
     best = np.full((nodes, 9), np.inf)
-    best[node[first]] = np.column_stack([violation, primal, dual, yx, yy, t, nu])[first]
     planes = np.full((nodes, 3), -1)
-    planes[node[first]] = picked[first, 2:]
-    if prune:
-        # a few nodes at a time, so that all their sets stay within a block
-        again = np.flatnonzero(best[:, 0] > _KKT_TOL)
-        step = max(1, _BLOCK // order)
-        for part in (again[k : k + step] for k in range(0, len(again), step)):
-            full = _closest_kkt_sets(
-                qx[part], qy[part], lower[part], upper[part],
-                spread[part], data_scale[part], prune=False,
-            )
-            best[part] = np.column_stack(full[:3] + (full[3], full[4], full[6]))
-            planes[part] = full[5]
-    return best[:, 0], best[:, 1], best[:, 2], best[:, 3:5], best[:, 5], planes, best[:, 6:], solved
+    rows = np.arange(nodes)
+    for k, (block, block_planes) in enumerate(_set_blocks(refs, _BLOCK // nodes)):
+        parts = [_equality_solutions(qx, qy, rhs, *piece, spread, root_scale) for piece in block]
+        values = np.concatenate([v for v, _ in parts], axis=2) if len(parts) > 1 else parts[0][0]
+        solved += sum(n for _, n in parts)
+        yx, yy, t = values[0], values[1], values[2]
+        # every reference's planes at each set's point
+        level = t + at_x * (-2.0 * yx) + at_y * (-2.0 * yy)
+        excess = np.maximum(at_lower - level, level - at_upper).max(axis=0)
+        primal = np.maximum(excess, 0.0) / np.maximum(np.maximum(np.abs(t), yx * yx + yy * yy), scale)
+        violation = np.maximum(primal, values[3])
+        violation[np.isnan(violation)] = np.inf
+        s = violation.argmin(axis=1)
+        # the first block decides for nodes without a finite violation
+        at = rows[violation[rows, s] < best[:, 0]] if k else rows
+        s = s[at]
+        best[at, 0], best[at, 1], best[at, 2:] = violation[at, s], primal[at, s], values[:, at, s].T
+        planes[at] = block_planes[s]
+    return best, planes, solved
 
 
 def _as_batch(p, bounds, count) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -522,10 +516,12 @@ def _solve(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
     the size of its nodes' working sets, so every node gets what
     :func:`chebyshev_qp` gives it alone."""
     chunk = max(1, _BLOCK // max(p.shape[1], 1))
-    parts = [
-        _solve_chunk(p[s : s + chunk], bounds[s : s + chunk], count[s : s + chunk])
-        for s in range(0, max(len(p), 1), chunk)
-    ]
+    # a nearly singular set may overflow; its violation then rejects it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        parts = [
+            _solve_chunk(p[s : s + chunk], bounds[s : s + chunk], count[s : s + chunk])
+            for s in range(0, max(len(p), 1), chunk)
+        ]
     return parts[0] if len(parts) == 1 else QpBatch(*map(np.concatenate, zip(*parts)))
 
 
@@ -533,10 +529,10 @@ def _solve_chunk(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatc
     nodes, refs = p.shape[:2]
     valid = np.arange(refs) < count[:, None]
     centre = p.sum(axis=1) / count[:, None]
-    q = np.where(valid[..., None], p - centre[:, None], 0.0)
-    qx, qy = q[..., 0].copy(), q[..., 1].copy()
+    qx = np.where(valid, p[..., 0] - centre[:, :1], 0.0)
+    qy = np.where(valid, p[..., 1] - centre[:, 1:], 0.0)
     qq = qx * qx + qy * qy
-    lower, upper = bounds[..., 0].copy(), bounds[..., 1].copy()
+    lower, upper = bounds[..., 0], bounds[..., 1]
     spread = qq.max(axis=1)
     data_scale = np.maximum(np.maximum(spread, bounds.max(axis=(1, 2))), np.finfo(float).tiny)
 
@@ -547,60 +543,53 @@ def _solve_chunk(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatc
         w: [(np.flatnonzero(width == w), np.sort(order[width == w, :w], axis=1))]
         for w in set(width.tolist())
     }
-    # per node: violation, primal and dual violations, y, t and candidate
-    # sets solved
-    found = np.zeros((nodes, 7))
+    # per node: what _closest_kkt_sets finds, and the candidate sets solved
+    found = np.zeros((nodes, 10))
     omega, phi = np.zeros((nodes, refs)), np.zeros((nodes, refs))
     while pending:
         w = min(pending)
         group, work = (np.concatenate(a) for a in zip(*pending.pop(w)))
-        rows, at = np.arange(len(group)), group[:, None]
-        violation, primal, dual, y, t, active, nu, solved = _closest_kkt_sets(
+        at = group[:, None]
+        best, active, solved = _closest_kkt_sets(
             qx[at, work], qy[at, work], lower[at, work], upper[at, work],
             spread[group], data_scale[group],
         )
-        found[group, 6] += solved
-        outside, grow = np.zeros(len(group)), np.zeros(len(group), dtype=bool)
+        found[group, 9] += solved
         if (count[group] > w).any():
             # every reference's bounds at the working set's optimum
+            rows, y, t = np.arange(len(group)), best[:, 2:4], best[:, 4]
             lifted = t[:, None] - 2.0 * (qx[group] * y[:, :1] + qy[group] * y[:, 1:]) + qq[group]
             excess = np.maximum(lower[group] - lifted, lifted - upper[group])
             excess[~valid[group]] = -np.inf
             excess[rows[:, None], work] = -np.inf
             worst = excess.argmax(axis=1)
-            magnitude = np.maximum(
-                np.maximum(np.abs(t), np.einsum("ij,ij->i", y, y)), data_scale[group]
-            )
+            magnitude = np.maximum(np.maximum(np.abs(t), np.einsum("ij,ij->i", y, y)), data_scale[group])
             outside = np.maximum(excess[rows, worst], 0.0) / magnitude
-            grow = (violation <= _KKT_TOL) & (outside > _KKT_TOL)
+            grow = (best[:, 0] <= _KKT_TOL) & (outside > _KKT_TOL)
+            best[:, :2] = np.maximum(best[:, :2], outside[:, None])
             if grow.any():
                 bigger = np.sort(np.column_stack([work[grow], worst[grow]]), axis=1)
                 pending.setdefault(w + 1, []).append((group[grow], bigger))
+                group, work, best, active = group[~grow], work[~grow], best[~grow], active[~grow]
 
-        done = ~grow
-        found[group[done], :6] = np.column_stack(
-            [
-                np.maximum(violation, outside), np.maximum(primal, outside), dual, y, t
-            ]
-        )[done]
-        active = active[done]
+        found[group, :9] = best
         on = active >= 0
-        node = np.repeat(group[done], 3)[on.ravel()]
-        ref = work[done][np.arange(len(active))[:, None], active // 2][on]
-        nu, up = nu[done][on], active[on] % 2 == 1
+        node = np.repeat(group, 3)[on.ravel()]
+        ref = work[np.arange(len(active))[:, None], active // 2][on]
+        nu, up = best[:, 6:][on], active[on] % 2 == 1
         phi[node[up], ref[up]] = nu[up]
         omega[node[~up], ref[~up]] = -nu[~up]
 
-    y, t = found[:, 3:5], found[:, 5]
+    y, t = found[:, 2:4], found[:, 4]
     return QpBatch(
         omega=omega,
         phi=phi,
         position=centre + y,
         value=t - np.einsum("ij,ij->i", y, y),
         consistent=found[:, 0] <= _KKT_TOL,
-        active_sets=found[:, 6].astype(np.intp),
+        active_sets=found[:, 9].astype(np.intp),
         residual_primal=found[:, 1],
-        residual_dual=found[:, 2],
+        residual_dual=found[:, 5],
     )
 
 
@@ -684,22 +673,20 @@ class CenterBatch:
 def _certify_each(p, bounds, count, omega, phi, position, consistent) -> CenterBatch:
     """:func:`certify` in its 1x1 case, node by node, at the QP multipliers
     ``omega`` and ``phi`` of a batch from :func:`_as_batch`."""
-    eps = np.finfo(float).eps
     omega, phi = np.maximum(omega, 0.0), np.maximum(phi, 0.0)
     lower_sq, upper_sq = bounds[..., 0], bounds[..., 1]
     norm2 = np.einsum("bki,bki->bk", p, p)
     kappa = phi.sum(axis=1) - omega.sum(axis=1)
     f = -np.einsum("bk,bki->bi", phi - omega, p)
     h = np.einsum("bk,bk->b", omega, norm2 - lower_sq) + np.einsum("bk,bk->b", phi, upper_sq - norm2)
-    rho = kappa - eps * np.abs(kappa)
+    value, rho, z = _certificate(kappa[:, None], f[:, None], h)
     certified = rho > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(certified, (f[:, 0] * f[:, 0] / kappa + f[:, 1] * f[:, 1] / kappa + h) / rho, np.inf)
-        center = np.where(certified[:, None], -(f / kappa[:, None]), position)
-        magnitude = np.einsum("bk,bk->b", omega, norm2 + lower_sq)
-        magnitude += np.einsum("bk,bk->b", phi, upper_sq + norm2)
-        magnitude += (f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1]) / kappa
-    rounding = (2 * count + 4) * eps * magnitude
+    value[~certified] = np.inf
+    center = np.where(certified[:, None], -z[:, 0], position)
+    magnitude = np.einsum("bk,bk->b", omega, norm2 + lower_sq)
+    magnitude += np.einsum("bk,bk->b", phi, upper_sq + norm2)
+    magnitude += np.einsum("bi,bi->b", f, z[:, 0])
+    rounding = (2 * count + 4) * np.finfo(float).eps * magnitude
     return CenterBatch(center, value, consistent & ~(certified & ~(value >= -rounding)))
 
 

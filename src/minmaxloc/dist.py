@@ -194,6 +194,14 @@ def propagate_distance_bounds(
     return result
 
 
+def _anchor_bounds(sensors: List[int], table: BoundTable, anchor_ids: List[int]) -> np.ndarray:
+    """The references of the sensors' initial estimates, one row per sensor:
+    the squared propagated interval to every anchor, in id order
+    (sensors, anchors, 2)."""
+    rows = [[(table[(i, k)].lower ** 2, table[(i, k)].upper ** 2) for k in anchor_ids] for i in sensors]
+    return np.array(rows, dtype=float).reshape(len(sensors), len(anchor_ids), 2)
+
+
 def _initial_failure(sensor: int, consistent: bool) -> RuntimeError:
     reason = "the multipliers certify nothing"
     if not consistent:
@@ -208,13 +216,12 @@ def initial_estimate(
 ) -> NodeState:
     """First position fix from the propagated anchor distance intervals.
 
-    :func:`run_dis_minmax` makes every sensor's in one batch, the same way.
+    :func:`run_dis_minmax` makes every sensor's in one batch, from the same
+    references.
     """
-    refs = [
-        (anchors[k], table[(sensor, k)].lower ** 2, table[(sensor, k)].upper ** 2)
-        for k in sorted(anchors)
-    ]
-    cert = certified_center(refs)
+    anchor_ids = sorted(anchors)
+    bounds = _anchor_bounds([sensor], table, anchor_ids)[0].tolist()
+    cert = certified_center([(anchors[k], *b) for k, b in zip(anchor_ids, bounds)])
     if not cert.certified:
         raise _initial_failure(sensor, cert.consistent)
     value = max(cert.value, 0.0)
@@ -225,6 +232,24 @@ def initial_estimate(
         iteration=0,
         raw_radius_sq=value,
     )
+
+
+def _round_bounds(radius_sq: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The bounds on the squared distances of a batch of nodes' references in
+    a refinement round (nodes, refs, 2).
+
+    Per node, reference 0 is its own state and the next ones its neighbors
+    by id: ``radius_sq`` are their certified squared radii after the
+    previous round, 0 for an anchor, and ``lower`` and ``upper`` the
+    measured intervals to the neighbors (column 0 unused).  The own ball
+    comes first, with the lower bound 0 that the relaxation implies; each
+    neighbor's interval is widened by the neighbor's certified radius, its
+    lower end clipped at 0.
+    """
+    slack = np.sqrt(np.maximum(radius_sq, 0.0))
+    bounds = np.stack([np.maximum(lower - slack, 0.0) ** 2, (upper + slack) ** 2], axis=2)
+    bounds[:, 0, 0], bounds[:, 0, 1] = 0.0, radius_sq[:, 0]
+    return bounds
 
 
 def _refine(
@@ -265,7 +290,7 @@ def iterate_node(
     previous state for the round.  When the raw radius exceeds the
     old one, which only rounding allows, the node keeps its old estimate and
     radius too, and records the raw value.  :func:`run_dis_minmax` runs
-    every node of a round this way in one batch.
+    every node of a round this way in batches, from the same references.
     """
     if not neighbor_states:
         raise ValueError(f"sensor {sensor} has no neighbors to iterate against")
@@ -280,16 +305,15 @@ def iterate_node(
             localized=True,
             raw_radius_sq=own.radius_sq,
         )
-    # the own ball is a reference whose lower bound 0 the relaxation implies
-    refs = [(own.estimate, 0.0, own.radius_sq)]
-    for j in sorted(neighbor_states):
-        b = _interval(bounds, sensor, j)
-        slack = math.sqrt(max(neighbor_states[j].radius_sq, 0.0))
-        refs.append(
-            (neighbor_states[j].estimate, max(b.lower - slack, 0.0) ** 2, (b.upper + slack) ** 2)
-        )
-
-    cert = certified_center(refs)
+    ids = sorted(neighbor_states)
+    states = [own, *(neighbor_states[j] for j in ids)]
+    edges = [_interval(bounds, sensor, j) for j in ids]
+    span = _round_bounds(
+        np.array([[state.radius_sq for state in states]]),
+        np.array([[0.0, *(b.lower for b in edges)]]),
+        np.array([[0.0, *(b.upper for b in edges)]]),
+    )[0].tolist()
+    cert = certified_center([(state.estimate, *b) for state, b in zip(states, span)])
     move, localized, raw = _refine(
         np.array([own.radius_sq]), np.array([cert.value]), np.array([cert.certified]), cfg.epsilon
     )
@@ -493,9 +517,7 @@ def run_dis_minmax(
     anchor_ids = sorted(scenario.anchors)
     anchor_pos = np.array([scenario.anchors[k] for k in anchor_ids], dtype=float).reshape(-1, 2)
 
-    first = np.array(
-        [[(table[(i, k)].lower ** 2, table[(i, k)].upper ** 2) for k in anchor_ids] for i in sensors]
-    ).reshape(n, len(anchor_ids), 2)
+    first = _anchor_bounds(sensors, table, anchor_ids)
     cert = certified_centers(
         np.broadcast_to(anchor_pos, first.shape), first, np.full(n, len(anchor_ids))
     )
@@ -521,7 +543,7 @@ def run_dis_minmax(
         solve = active[radius_sq[active] > cfg.epsilon]
         # Jacobi: every reference reads the previous round's states
         positions = np.concatenate([estimate, anchor_pos])
-        slack = np.sqrt(np.maximum(np.concatenate([radius_sq, np.zeros(len(anchor_pos))]), 0.0))
+        radii = np.concatenate([radius_sq, np.zeros(len(anchor_pos))])
 
         estimate, old_radius_sq = estimate.copy(), radius_sq
         radius_sq, raw, localized = radius_sq.copy(), np.zeros(n), localized.copy()
@@ -531,11 +553,7 @@ def run_dis_minmax(
         moved_parts = [solve[:0]]
         for part in (solve[k : k + _ROUND_NODES] for k in range(0, len(solve), _ROUND_NODES)):
             at = refs[part]
-            span = np.stack(
-                [np.maximum(lower[part] - slack[at], 0.0) ** 2, (upper[part] + slack[at]) ** 2], axis=2
-            )
-            # the own ball, whose lower bound 0 the relaxation implies
-            span[:, 0] = np.column_stack([np.zeros(len(part)), old_radius_sq[part]])
+            span = _round_bounds(radii[at], lower[part], upper[part])
             cert = certified_centers(positions[at], span, count[part])
             move, localized[part], raw[part] = _refine(
                 old_radius_sq[part], cert.value, cert.certified, cfg.epsilon

@@ -12,18 +12,21 @@ tables with ``==``, key order included.
 ``chebyshev_dual`` is the per-node program as an SDP, the second oracle for
 ``minmaxloc.central.chebyshev_qp`` and a program shape for the ``sdp`` tests.
 
-``run_dis_minmax`` is the distributed run one node at a time: a dict of
-``NodeState`` per round, one ``dist.initial_estimate`` and then one
-``dist.iterate_node`` per active sensor, against which the tests check the
-whole-round batches of ``minmaxloc.dist.run_dis_minmax``.
+``initial_estimate`` and ``iterate_node`` build one node's references and
+apply the rules of a round in scalar Python, one ``central.certified_center``
+each, and ``run_dis_minmax`` is the distributed run one node at a time with
+them: a dict of ``NodeState`` per round.  The tests check the one-node
+functions and the whole-round batches of ``minmaxloc.dist`` against them.
 """
 
 import math
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from minmaxloc import dist
+from minmaxloc.central import certified_center
 from minmaxloc.dist import (
     BoundEntry,
     BoundTable,
@@ -137,6 +140,56 @@ def propagate_distance_bounds(
     return result
 
 
+def initial_estimate(
+    sensor: int, table: BoundTable, anchors: Mapping[int, Point2]
+) -> NodeState:
+    """``minmaxloc.dist.initial_estimate``: the QP over the squared
+    propagated interval to every anchor, in id order."""
+    refs = [
+        (anchors[k], table[(sensor, k)].lower ** 2, table[(sensor, k)].upper ** 2)
+        for k in sorted(anchors)
+    ]
+    cert = certified_center(refs)
+    if not cert.certified:
+        reason = "the multipliers certify nothing"
+        if not cert.consistent:
+            reason = "its anchor intervals are inconsistent"
+        raise RuntimeError(f"initial estimate for sensor {sensor} not certified: {reason}")
+    value = max(cert.value, 0.0)
+    return NodeState(cert.center, value, False, 0, value)
+
+
+def iterate_node(
+    sensor: int,
+    neighbor_states: Mapping[int, NodeState],
+    own: NodeState,
+    bounds: Mapping[Edge, IntervalBound],
+    config: Optional[DisMinMaxConfig] = None,
+) -> NodeState:
+    """``minmaxloc.dist.iterate_node``: the own ball first, then each
+    neighbor by id with its interval widened by its certified radius."""
+    if not neighbor_states:
+        raise ValueError(f"sensor {sensor} has no neighbors to iterate against")
+    cfg = config or DisMinMaxConfig()
+    if own.radius_sq <= cfg.epsilon:
+        return replace(own, iteration=own.iteration + 1, localized=True, raw_radius_sq=own.radius_sq)
+    refs = [(own.estimate, 0.0, own.radius_sq)]
+    for j in sorted(neighbor_states):
+        b = _interval(bounds, sensor, j)
+        slack = math.sqrt(max(neighbor_states[j].radius_sq, 0.0))
+        refs.append(
+            (neighbor_states[j].estimate, max(b.lower - slack, 0.0) ** 2, (b.upper + slack) ** 2)
+        )
+    cert = certified_center(refs)
+    if not cert.certified:
+        return replace(own, iteration=own.iteration + 1, localized=False, raw_radius_sq=own.radius_sq)
+    raw = max(cert.value, 0.0)
+    if raw > own.radius_sq:
+        # rounding put the new center's certificate above the old radius
+        return replace(own, iteration=own.iteration + 1, localized=True, raw_radius_sq=raw)
+    return NodeState(cert.center, raw, own.radius_sq - raw <= cfg.epsilon, own.iteration + 1, raw)
+
+
 def run_dis_minmax(
     scenario: NetworkScenario, config: Optional[DisMinMaxConfig] = None
 ) -> DisMinMaxResult:
@@ -144,7 +197,7 @@ def run_dis_minmax(
     cfg = config or DisMinMaxConfig()
     bounds = build_feasibility_intervals(scenario)
     table = dist.propagate_distance_bounds(scenario, bounds)
-    states = {i: dist.initial_estimate(i, table, scenario.anchors) for i in scenario.sensors}
+    states = {i: initial_estimate(i, table, scenario.anchors) for i in scenario.sensors}
 
     def bound(states):
         return math.sqrt(sum(s.radius_sq for s in states.values()) / len(states))
@@ -166,6 +219,6 @@ def run_dis_minmax(
                 else:
                     nbr_states[j] = prev[j]
                     messages += 2
-            states[i] = dist.iterate_node(i, nbr_states, prev[i], bounds, cfg)
+            states[i] = iterate_node(i, nbr_states, prev[i], bounds, cfg)
         rounds.append(RoundRecord(tau, dict(states), bound(states), messages))
     return DisMinMaxResult(rounds, all(s.localized for s in states.values()))

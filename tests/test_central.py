@@ -725,12 +725,14 @@ def test_closed_form_candidates_match_lapack_solves(refs):
 
     # every well-conditioned candidate: y, t and nu as the stacked KKT solve
     with np.errstate(all="ignore"):
-        for size in range(1, min(len(q), 3) + 1):
-            sets = central._active_sets(len(q), size)
-            yx, yy, t, nu, _ = central._equality_solutions(
-                q[None, :, 0].copy(), q[None, :, 1].copy(), rhs[None], sets, np.array([spread])
+        (pieces, _), = central._set_blocks(len(q), 1 << 20)
+        for sets, flip in pieces:
+            size = sets.shape[1]
+            values, _ = central._equality_solutions(
+                q[None, :, 0].copy(), q[None, :, 1].copy(), rhs[None], sets, flip,
+                np.array([spread]), np.sqrt([data_scale]),
             )
-            closed = np.column_stack([yx[0], yy[0], t[0], *[v[0] for v in nu]])
+            closed = values[[0, 1, 2, *range(4, 4 + size)], 0].T
             kkt, b = reference_central.kkt_systems(q, rhs, sets)
             good = np.linalg.cond(kkt) < 1e6
             lapack = reference_central.solve_each(kkt[good], b[good])
@@ -741,21 +743,30 @@ def test_closed_form_candidates_match_lapack_solves(refs):
     # tolerance, and where a KKT point exists the same point, and the same
     # set and multipliers unless rounding ties two sets at it
     expected = reference_central.closest_kkt_set(q, bounds, spread, data_scale)
-    got = central._closest_kkt_sets(
-        q[None, :, 0].copy(), q[None, :, 1].copy(), bounds[None, :, 0].copy(),
-        bounds[None, :, 1].copy(), np.array([spread]), np.array([data_scale]),
-    )
-    violation, _, _, y, t, planes, nu, solved = (a[0] for a in got)
+    with np.errstate(all="ignore"):
+        got = central._closest_kkt_sets(
+            q[None, :, 0].copy(), q[None, :, 1].copy(), bounds[None, :, 0].copy(),
+            bounds[None, :, 1].copy(), np.array([spread]), np.array([data_scale]),
+        )
+    best, planes, solved = (a[0] for a in got)
+    violation, y, t, nu = best[0], best[2:4], best[4], best[6:]
     assert solved == expected[7]
     if expected[0] <= 1e-12:
         assert violation <= central._KKT_TOL
-        kkt, _ = reference_central.kkt_systems(q, rhs, expected[3][None])
-        if np.linalg.cond(kkt[0]) >= 1e6:
+        def conditioned(planes):
+            kkt, _ = reference_central.kkt_systems(q, rhs, planes[None])
+            return np.linalg.cond(kkt[0]) < 1e6
+
+        if not conditioned(expected[3]):
             return  # the closest set is too ill-conditioned to compare its solves
         scale = 1.0 + abs(expected[6]) + np.abs(expected[5]).max()
-        assert np.abs(y - expected[5]).max() <= 1e-9 * scale
         assert abs(t - expected[6]) <= 1e-9 * scale
+        assert abs(t - y @ y - (expected[6] - expected[5] @ expected[5])) <= 1e-9 * scale
         chosen = planes[planes >= 0]
+        # an ill-conditioned set that rounding puts at the KKT point holds y
+        # only up to its conditioning, across the references' span
+        if conditioned(chosen):
+            assert np.abs(y - expected[5]).max() <= 1e-9 * scale
         if list(chosen) == list(expected[3]):
             assert np.abs(nu[: len(chosen)] - expected[4]).max() <= 1e-9 * (1.0 + np.abs(expected[4]).max())
         else:
@@ -768,8 +779,7 @@ def test_closed_form_candidates_match_lapack_solves(refs):
 @pytest.mark.parametrize("block", [central._BLOCK, 64])
 def test_batched_centers_equal_one_node_solves(monkeypatch, block):
     # padded nodes of 1-13 references, half of them inconsistent; a small
-    # block splits the nodes, their candidate sets and the full searches of
-    # the nodes without a KKT point into many pieces
+    # block splits the nodes and their candidate sets into many pieces
     monkeypatch.setattr(central, "_BLOCK", block)
     rng = np.random.default_rng(1)
     inconsistent = 0

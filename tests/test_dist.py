@@ -603,6 +603,30 @@ def test_batched_rounds_match_node_by_node_run_at_400_sensors(workloads):
     assert_same_runs(batched, reference_dist.run_dis_minmax(scen), scen)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_node_functions_match_reference(workloads, seed):
+    # every sensor's initial estimate and every active sensor's refinement
+    # in each round of the node-by-node run, from the same inputs
+    (scen,) = workloads.WORKLOADS["distributed"].build(seed)
+    bounds = model.build_feasibility_intervals(scen)
+    table = dist.propagate_distance_bounds(scen, bounds)
+    for i in scen.sensors:
+        want = reference_dist.initial_estimate(i, table, scen.anchors)
+        assert dist.initial_estimate(i, table, scen.anchors) == want
+    run = reference_dist.run_dis_minmax(scen)
+    refined = 0
+    for rec in run.rounds[:-1]:
+        states = {**rec.states, **{k: NodeState(a, 0.0, True, 0, 0.0) for k, a in scen.anchors.items()}}
+        for i in scen.sensors:
+            if rec.states[i].localized:
+                continue
+            nbrs = {j: states[j] for j in reference_dist.neighbors(scen, i)}
+            want = reference_dist.iterate_node(i, nbrs, states[i], bounds)
+            assert dist.iterate_node(i, nbrs, states[i], bounds) == want
+            refined += 1
+    assert refined >= 100
+
+
 def test_round_states_are_read_only_arrays(noisy_run):
     scen, res = noisy_run
     for rec in res.rounds:
