@@ -367,7 +367,7 @@ def _set_blocks(refs: int, sets: int) -> tuple:
     )
 
 
-def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale):
+def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale, out):
     """Every node's solution of each set of planes as equalities, in closed
     form, and how far its multipliers are from a KKT point's.
 
@@ -375,15 +375,15 @@ def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale):
     planes) the planes' right-hand sides, ``sets`` (sets, size) plane
     indices and ``flip`` their signs as from :func:`_set_blocks`, and
     ``spread`` and ``root_scale``, the square root of the data scale, per
-    node.  The sets come in whole groups of the 2^size sets on
-    one tuple of references, in :func:`_active_sets` order, so that each
-    tuple's geometry is worked out once.  Returns a (7, nodes, sets) array,
-    y_x, y_y, t, the dual violation and nu per plane, 0 past the set's
-    size, and per node the number of sets whose references are affinely
-    independent.  The dual violation is the largest wrong-signed
-    multiplier, relative to their sum, or the stationarity residual, which
-    a nearly singular set may show, whichever is larger; inf where the
-    references are dependent.
+    node.  The sets come in whole groups of the 2^size sets on one tuple of
+    references, in :func:`_active_sets` order, so that each tuple's geometry
+    is worked out once.  Fills ``out`` (7, nodes, sets), zero on entry, with
+    y_x, y_y, t, the dual violation and nu per plane, 0 past the set's size,
+    and returns per node the number of sets whose references are affinely
+    independent.  The dual violation is the largest wrong-signed multiplier,
+    relative to their sum, or the stationarity residual, which a nearly
+    singular set may show, whichever is larger; inf where the references
+    are dependent.
 
     Stationarity gives y = sum_j nu_j q_j and sum_j nu_j = 1, and the planes
     t - 2 q_j^T y = rhs_j less the first give (q_j - q_0)^T y =
@@ -398,14 +398,14 @@ def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale):
     # (size, nodes, tuples, 1)
     xs, ys = qx[:, refs.T, None].swapaxes(0, 1), qy[:, refs.T, None].swapaxes(0, 1)
     r = [rhs[:, sets[:, j]].reshape(nodes, -1, group) for j in range(size)]
-    out = np.zeros((7, nodes, len(refs), group))
+    out = out.reshape(7, nodes, -1, group)
     yx, yy, t, dual, nu = out[0], out[1], out[2], out[3], out[4 : 4 + size]
     x0, y0 = xs[0], ys[0]
     if size == 1:
         # nu = 1, wrong-signed on a lower plane, and stationarity is exact
         yx[...], yy[...], t[...], nu[0] = x0, y0, r[0] + 2.0 * (x0 * x0 + y0 * y0), 1.0
         dual[...] = np.maximum(flip[0], 0.0)
-        return out.reshape(7, nodes, -1), np.full(nodes, len(sets))
+        return len(sets)
     if size == 2:
         dx, dy = xs[1] - x0, ys[1] - y0
         span = dx * dx + dy * dy
@@ -433,7 +433,7 @@ def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale):
     )
     np.maximum(dual, stationarity, out=dual)
     dual[~keep[..., 0]] = np.inf
-    return out.reshape(7, nodes, -1), group * keep[..., 0].sum(axis=1)
+    return group * keep[..., 0].sum(axis=1)
 
 
 def _closest_kkt_sets(qx, qy, lower, upper, spread, data_scale):
@@ -470,9 +470,13 @@ def _closest_kkt_sets(qx, qy, lower, upper, spread, data_scale):
     planes = np.full((nodes, 3), -1)
     rows = np.arange(nodes)
     for k, (block, block_planes) in enumerate(_set_blocks(refs, _BLOCK // nodes)):
-        parts = [_equality_solutions(qx, qy, rhs, *piece, spread, root_scale) for piece in block]
-        values = np.concatenate([v for v, _ in parts], axis=2) if len(parts) > 1 else parts[0][0]
-        solved += sum(n for _, n in parts)
+        values = np.zeros((7, nodes, len(block_planes)))
+        start = 0
+        for sets, flip in block:
+            solved += _equality_solutions(
+                qx, qy, rhs, sets, flip, spread, root_scale, values[:, :, start : start + len(sets)]
+            )
+            start += len(sets)
         yx, yy, t = values[0], values[1], values[2]
         # every reference's planes at each set's point
         level = t + at_x * (-2.0 * yx) + at_y * (-2.0 * yy)

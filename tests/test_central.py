@@ -728,9 +728,10 @@ def test_closed_form_candidates_match_lapack_solves(refs):
         (pieces, _), = central._set_blocks(len(q), 1 << 20)
         for sets, flip in pieces:
             size = sets.shape[1]
-            values, _ = central._equality_solutions(
+            values = np.zeros((7, 1, len(sets)))
+            central._equality_solutions(
                 q[None, :, 0].copy(), q[None, :, 1].copy(), rhs[None], sets, flip,
-                np.array([spread]), np.sqrt([data_scale]),
+                np.array([spread]), np.sqrt([data_scale]), values,
             )
             closed = values[[0, 1, 2, *range(4, 4 + size)], 0].T
             kkt, b = reference_central.kkt_systems(q, rhs, sets)
