@@ -62,6 +62,7 @@ from .model import Edge, IntervalBound, NetworkScenario, Point2
 from .model import build_feasibility_intervals, unanchored_sensors
 from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, solve
 
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class DualIndex:
@@ -237,7 +238,7 @@ def _certificate(w, g, h):
     f in Mt's eigenbasis ``g`` (..., n, 2) and ``h`` (...): the bound
     (sum g^2 / w + h) / rho, rho and Mt^{-1} f in the eigenbasis, g / w.
     The bound holds where rho is positive."""
-    rho = w[..., 0] - w.shape[-1] * np.finfo(float).eps * np.maximum(-w[..., 0], w[..., -1])
+    rho = w[..., 0] - w.shape[-1] * _EPS * np.maximum(-w[..., 0], w[..., -1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return (np.sum(g * g / w[..., None], axis=(-2, -1)) + h) / rho, rho, g / w[..., None]
 
@@ -342,9 +343,10 @@ def _set_blocks(refs: int, sets: int) -> tuple:
     references, by size and then in :func:`_active_sets` order, in blocks of
     at most ``sets`` sets or one group of them.  ``sets`` is rounded down to
     a power of two, so that few block sizes are cached.  Per block: its
-    pieces of one size in whole groups, each with its planes' signs (size,
-    1, 1, 2^size), 1 on a lower plane and -1 on an upper one, as they repeat
-    in every group; and its sets' planes padded with -1 to three."""
+    pieces of one size in whole groups, each as its sets' planes (size,
+    sets), the references of its groups (size, groups) and its planes' signs
+    (size, 1, 1, 2^size), 1 on a lower plane and -1 on an upper one, as they
+    repeat in every group; and its sets' planes padded with -1 to three."""
     most = 1 << max(sets, 1).bit_length() - 1
     blocks, pieces, taken = [], [], 0
     for size in range(1, min(refs, 3) + 1):
@@ -360,20 +362,27 @@ def _set_blocks(refs: int, sets: int) -> tuple:
     blocks.append(pieces)
     return tuple(
         (
-            tuple((s, (1.0 - 2.0 * (s[: 1 << s.shape[1]] % 2)).T[:, None, None]) for s in pieces),
+            tuple(
+                (
+                    np.ascontiguousarray(s.T),
+                    s[:: 1 << s.shape[1]].T // 2,
+                    (1.0 - 2.0 * (s[: 1 << s.shape[1]] % 2)).T[:, None, None],
+                )
+                for s in pieces
+            ),
             np.concatenate([np.pad(s, ((0, 0), (0, 3 - s.shape[1])), constant_values=-1) for s in pieces]),
         )
         for pieces in blocks
     )
 
 
-def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale, out):
+def _equality_solutions(qx, qy, rhs, planes, refs, flip, spread, root_scale, out):
     """Every node's solution of each set of planes as equalities, in closed
     form, and how far its multipliers are from a KKT point's.
 
     ``qx``, ``qy`` (nodes, refs) are the references, ``rhs`` (nodes,
-    planes) the planes' right-hand sides, ``sets`` (sets, size) plane
-    indices and ``flip`` their signs as from :func:`_set_blocks`, and
+    planes) the planes' right-hand sides, ``planes``, ``refs`` and ``flip``
+    a piece of sets as from :func:`_set_blocks`, and
     ``spread`` and ``root_scale``, the square root of the data scale, per
     node.  The sets come in whole groups of the 2^size sets on one tuple of
     references, in :func:`_active_sets` order, so that each tuple's geometry
@@ -392,12 +401,11 @@ def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale, out):
     system whose determinant squared is the span that the independence test
     measures.
     """
-    nodes, size = len(qx), sets.shape[1]
+    nodes, size = len(qx), len(planes)
     group = 1 << size
-    refs = sets[::group] // 2
-    # (size, nodes, tuples, 1)
-    xs, ys = qx[:, refs.T, None].swapaxes(0, 1), qy[:, refs.T, None].swapaxes(0, 1)
-    r = [rhs[:, sets[:, j]].reshape(nodes, -1, group) for j in range(size)]
+    # (size, nodes, tuples, 1) and (size, nodes, tuples, group)
+    xs, ys = qx[:, refs, None].swapaxes(0, 1), qy[:, refs, None].swapaxes(0, 1)
+    r = rhs[:, planes].reshape(nodes, size, -1, group).swapaxes(0, 1)
     out = out.reshape(7, nodes, -1, group)
     yx, yy, t, dual, nu = out[0], out[1], out[2], out[3], out[4 : 4 + size]
     x0, y0 = xs[0], ys[0]
@@ -405,7 +413,7 @@ def _equality_solutions(qx, qy, rhs, sets, flip, spread, root_scale, out):
         # nu = 1, wrong-signed on a lower plane, and stationarity is exact
         yx[...], yy[...], t[...], nu[0] = x0, y0, r[0] + 2.0 * (x0 * x0 + y0 * y0), 1.0
         dual[...] = np.maximum(flip[0], 0.0)
-        return len(sets)
+        return planes.shape[1]
     if size == 2:
         dx, dy = xs[1] - x0, ys[1] - y0
         span = dx * dx + dy * dy
@@ -470,25 +478,28 @@ def _closest_kkt_sets(qx, qy, lower, upper, spread, data_scale):
     planes = np.full((nodes, 3), -1)
     rows = np.arange(nodes)
     for k, (block, block_planes) in enumerate(_set_blocks(refs, _BLOCK // nodes)):
-        values = np.zeros((7, nodes, len(block_planes)))
+        # per set: violation, primal violation and what _equality_solutions gives
+        values = np.zeros((9, nodes, len(block_planes)))
+        violation, primal, yx, yy, t, dual = values[:6]
         start = 0
-        for sets, flip in block:
+        for piece, tuples, flip in block:
+            stop = start + piece.shape[1]
             solved += _equality_solutions(
-                qx, qy, rhs, sets, flip, spread, root_scale, values[:, :, start : start + len(sets)]
+                qx, qy, rhs, piece, tuples, flip, spread, root_scale, values[2:, :, start:stop]
             )
-            start += len(sets)
-        yx, yy, t = values[0], values[1], values[2]
+            start = stop
         # every reference's planes at each set's point
         level = t + at_x * (-2.0 * yx) + at_y * (-2.0 * yy)
         excess = np.maximum(at_lower - level, level - at_upper).max(axis=0)
-        primal = np.maximum(excess, 0.0) / np.maximum(np.maximum(np.abs(t), yx * yx + yy * yy), scale)
-        violation = np.maximum(primal, values[3])
+        np.maximum(excess, 0.0, out=primal)
+        primal /= np.maximum(np.maximum(np.abs(t), yx * yx + yy * yy), scale)
+        np.maximum(primal, dual, out=violation)
         violation[np.isnan(violation)] = np.inf
         s = violation.argmin(axis=1)
         # the first block decides for nodes without a finite violation
         at = rows[violation[rows, s] < best[:, 0]] if k else rows
         s = s[at]
-        best[at, 0], best[at, 1], best[at, 2:] = violation[at, s], primal[at, s], values[:, at, s].T
+        best[at] = values[:, at, s].T
         planes[at] = block_planes[s]
     return best, planes, solved
 
@@ -532,13 +543,15 @@ def _solve(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
 def _solve_chunk(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
     nodes, refs = p.shape[:2]
     valid = np.arange(refs) < count[:, None]
-    centre = p.sum(axis=1) / count[:, None]
-    qx = np.where(valid, p[..., 0] - centre[:, :1], 0.0)
-    qy = np.where(valid, p[..., 1] - centre[:, 1:], 0.0)
+    centre = _sum_in_order(p) / count[:, None]
+    # per node and reference: the centred coordinates and the two bounds
+    data = np.empty((4, nodes, refs))
+    data[:2] = np.where(valid, (p - centre[:, None]).transpose(2, 0, 1), 0.0)
+    data[2:] = bounds.transpose(2, 0, 1)
+    qx, qy, lower, upper = data
     qq = qx * qx + qy * qy
-    lower, upper = bounds[..., 0], bounds[..., 1]
     spread = qq.max(axis=1)
-    data_scale = np.maximum(np.maximum(spread, bounds.max(axis=(1, 2))), np.finfo(float).tiny)
+    data_scale = np.maximum(np.maximum(spread, bounds.max(axis=(1, 2))), _TINY)
 
     # the working sets, grouped by size; each growth step makes a new group
     order = np.argsort(np.where(valid, upper, np.inf), axis=1, kind="stable")
@@ -547,16 +560,16 @@ def _solve_chunk(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatc
         w: [(np.flatnonzero(width == w), np.sort(order[width == w, :w], axis=1))]
         for w in set(width.tolist())
     }
-    # per node: what _closest_kkt_sets finds, and the candidate sets solved
+    # per node: what _closest_kkt_sets finds, and the candidate sets solved;
+    # and the multiplier of each plane, 2k bounding reference k from below
+    # and 2k + 1 from above, with a last column that takes the padding
     found = np.zeros((nodes, 10))
-    omega, phi = np.zeros((nodes, refs)), np.zeros((nodes, refs))
+    nu = np.zeros((nodes, 2 * refs + 1))
     while pending:
         w = min(pending)
         group, work = (np.concatenate(a) for a in zip(*pending.pop(w)))
-        at = group[:, None]
         best, active, solved = _closest_kkt_sets(
-            qx[at, work], qy[at, work], lower[at, work], upper[at, work],
-            spread[group], data_scale[group],
+            *data[:, group[:, None], work], spread[group], data_scale[group]
         )
         found[group, 9] += solved
         if (count[group] > w).any():
@@ -577,17 +590,13 @@ def _solve_chunk(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatc
                 group, work, best, active = group[~grow], work[~grow], best[~grow], active[~grow]
 
         found[group, :9] = best
-        on = active >= 0
-        node = np.repeat(group, 3)[on.ravel()]
-        ref = work[np.arange(len(active))[:, None], active // 2][on]
-        nu, up = best[:, 6:][on], active[on] % 2 == 1
-        phi[node[up], ref[up]] = nu[up]
-        omega[node[~up], ref[~up]] = -nu[~up]
+        ref = work[np.arange(len(work))[:, None], active // 2]
+        nu[group[:, None], np.where(active >= 0, 2 * ref + active % 2, 2 * refs)] = best[:, 6:]
 
     y, t = found[:, 2:4], found[:, 4]
     return QpBatch(
-        omega=omega,
-        phi=phi,
+        omega=0.0 - nu[:, 0:-1:2],
+        phi=nu[:, 1:-1:2],
         position=centre + y,
         value=t - np.einsum("ij,ij->i", y, y),
         consistent=found[:, 0] <= _KKT_TOL,
@@ -624,10 +633,11 @@ def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
     program none either.
     """
     qp = _solve(*_batch_of_one(refs))
+    x, y = qp.position[0].tolist()
     return ChebyshevQp(
         omega=qp.omega[0],
         phi=qp.phi[0],
-        position=(float(qp.position[0, 0]), float(qp.position[0, 1])),
+        position=(x, y),
         value=float(qp.value[0]),
         consistent=bool(qp.consistent[0]),
         active_sets=int(qp.active_sets[0]),
@@ -674,23 +684,33 @@ class CenterBatch:
         return self.consistent & np.isfinite(self.value)
 
 
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """Sums over axis 1, the references, added in order, so that zeros that
+    pad a node's references change no bit of them: ``np.sum`` groups the
+    terms by the length of the axis."""
+    return np.add.accumulate(x, axis=1)[:, -1]
+
+
 def _certify_each(p, bounds, count, omega, phi, position, consistent) -> CenterBatch:
     """:func:`certify` in its 1x1 case, node by node, at the QP multipliers
     ``omega`` and ``phi`` of a batch from :func:`_as_batch`."""
     omega, phi = np.maximum(omega, 0.0), np.maximum(phi, 0.0)
     lower_sq, upper_sq = bounds[..., 0], bounds[..., 1]
-    norm2 = np.einsum("bki,bki->bk", p, p)
-    kappa = phi.sum(axis=1) - omega.sum(axis=1)
-    f = -np.einsum("bk,bki->bi", phi - omega, p)
-    h = np.einsum("bk,bk->b", omega, norm2 - lower_sq) + np.einsum("bk,bk->b", phi, upper_sq - norm2)
+    norm2 = (p * p).sum(axis=2)
+    net = phi - omega
+    kappa = _sum_in_order(net)
+    f = -_sum_in_order(net[..., None] * p)
+    low, high = omega * lower_sq, phi * upper_sq
+    # h, and the magnitudes of its terms less those of f^T z
+    h = _sum_in_order(high - low - net * norm2)
+    magnitude = _sum_in_order(high + low + (omega + phi) * norm2)
     value, rho, z = _certificate(kappa[:, None], f[:, None], h)
     certified = rho > 0.0
     value[~certified] = np.inf
-    center = np.where(certified[:, None], -z[:, 0], position)
-    magnitude = np.einsum("bk,bk->b", omega, norm2 + lower_sq)
-    magnitude += np.einsum("bk,bk->b", phi, upper_sq + norm2)
-    magnitude += np.einsum("bi,bi->b", f, z[:, 0])
-    rounding = (2 * count + 4) * np.finfo(float).eps * magnitude
+    z = z[:, 0]
+    center = np.where(certified[:, None], -z, position)
+    magnitude += (f * z).sum(axis=1)
+    rounding = (2 * count + 4) * _EPS * magnitude
     return CenterBatch(center, value, consistent & ~(certified & ~(value >= -rounding)))
 
 
@@ -726,8 +746,8 @@ def certified_center(refs: Sequence[Tuple[Point2, float, float]]) -> CertifiedCe
         np.array([qp.position]),
         np.array([qp.consistent]),
     )
-    center = (float(one.center[0, 0]), float(one.center[0, 1]))
-    return CertifiedCenter(qp, center, float(one.value[0]), bool(one.consistent[0]))
+    x, y = one.center[0].tolist()
+    return CertifiedCenter(qp, (x, y), float(one.value[0]), bool(one.consistent[0]))
 
 
 def _solve_one_sensor(

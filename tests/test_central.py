@@ -726,11 +726,11 @@ def test_closed_form_candidates_match_lapack_solves(refs):
     # every well-conditioned candidate: y, t and nu as the stacked KKT solve
     with np.errstate(all="ignore"):
         (pieces, _), = central._set_blocks(len(q), 1 << 20)
-        for sets, flip in pieces:
-            size = sets.shape[1]
+        for planes, tuples, flip in pieces:
+            sets, size = planes.T, len(planes)
             values = np.zeros((7, 1, len(sets)))
             central._equality_solutions(
-                q[None, :, 0].copy(), q[None, :, 1].copy(), rhs[None], sets, flip,
+                q[None, :, 0].copy(), q[None, :, 1].copy(), rhs[None], planes, tuples, flip,
                 np.array([spread]), np.sqrt([data_scale]), values,
             )
             closed = values[[0, 1, 2, *range(4, 4 + size)], 0].T
