@@ -64,6 +64,7 @@ from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, solve
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
+
 @dataclass(frozen=True)
 class DualIndex:
     """Variable layout of the dual assembly.
