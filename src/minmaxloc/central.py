@@ -34,13 +34,12 @@ program is then the dual of the sensor's relaxed Chebyshev center program,
     subject to  lower_k^2 <= t - 2 a_k^T y + |a_k|^2 <= upper_k^2   per anchor k,
 
 a QP in the three variables (y, t), whose optimal multipliers have kappa = 1.
-:func:`chebyshev_qp` solves it exactly by active sets over a working set of
-anchors, each set in closed form, and :func:`certified_center` hands its KKT
-multipliers to :func:`certify` as the 1x1 case; :func:`certified_centers`
-does both for a batch of nodes at once.  :func:`solve_minmax_sdp` solves one
-sensor this way, and :mod:`minmaxloc.dist` every per-node program, a round
-at a time, so neither a one-sensor solve nor a distributed run solves an SDP
-or loads scipy.
+:func:`certified_centers` solves it for a batch of nodes at once, exactly,
+by active sets over a working set of references, each set in closed form,
+and hands its KKT multipliers to :func:`certify` as the 1x1 case.
+:func:`solve_minmax_sdp` solves one sensor this way, as a batch of one, and
+:mod:`minmaxloc.dist` every per-node program, a round at a time, so neither
+a one-sensor solve nor a distributed run solves an SDP or loads scipy.
 
 Variable ordering in the assembled problem is frozen and documented on
 ``DualIndex``, so multipliers can be mapped back to edges.
@@ -54,13 +53,13 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .model import Edge, IntervalBound, NetworkScenario, Point2
 from .model import build_feasibility_intervals, unanchored_sensors
-from .sdp import Block, SdpProblem, SolveStatus, SolverConfig, solve
+from .sdp import Block, SdpProblem, SolveStatus, solve
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
@@ -282,14 +281,14 @@ _WORKING_REFS = 8
 _BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class ChebyshevQp:
-    """KKT point of the single-node relaxed Chebyshev program.
+class QpBatch(NamedTuple):
+    """KKT points of the single-node relaxed Chebyshev program, one row per node.
 
-    omega, phi       per reference, the multipliers of its lower and upper
-                     bound as solved (0 where the bound is not in the active
-                     set); phi - omega sums to one
-    position, value  the maximizer y and t - |y|^2 there
+    omega, phi       (nodes, references), the multipliers of each reference's
+                     lower and upper bound as solved (0 where the bound is not
+                     in the active set, and past a node's own references);
+                     phi - omega sums to one
+    position, value  the maximizer y (nodes, 2) and t - |y|^2 there
     consistent       whether some active set passed the KKT test; False
                      means that the linear constraints admit no (y, t)
     active_sets      the candidate active sets solved
@@ -298,23 +297,6 @@ class ChebyshevQp:
                      magnitudes in the lifted distances, and the larger of
                      its largest wrong-signed multiplier, relative to their
                      sum, and its stationarity residual
-    """
-
-    omega: np.ndarray
-    phi: np.ndarray
-    position: Point2
-    value: float
-    consistent: bool
-    active_sets: int
-    residual_primal: float
-    residual_dual: float
-
-
-class QpBatch(NamedTuple):
-    """:class:`ChebyshevQp` of a batch of nodes, one row per node.
-
-    ``omega`` and ``phi`` are (nodes, references), zero past a node's own
-    references; ``position`` is (nodes, 2); every other field is per node.
     """
 
     omega: np.ndarray
@@ -520,17 +502,11 @@ def _as_batch(p, bounds, count) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p, bounds, count
 
 
-def _batch_of_one(refs: Sequence[Tuple[Point2, float, float]]):
-    p = np.array([ref[0] for ref in refs], dtype=float).reshape(1, -1, 2)
-    bounds = np.array([ref[1:] for ref in refs], dtype=float).reshape(1, -1, 2)
-    return _as_batch(p, bounds, [len(refs)])
-
-
 def _solve(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatch:
-    """:func:`chebyshev_qp` for a batch from :func:`_as_batch`.  The nodes go
-    through in chunks of at most ``_BLOCK`` references, each chunk grouped by
-    the size of its nodes' working sets, so every node gets what
-    :func:`chebyshev_qp` gives it alone."""
+    """The QP of :func:`certified_centers` for a batch from :func:`_as_batch`.
+    The nodes go through in chunks of at most ``_BLOCK`` references, each
+    chunk grouped by the size of its nodes' working sets, so every node gets
+    what it gets in a batch of its own."""
     chunk = max(1, _BLOCK // max(p.shape[1], 1))
     # a nearly singular set may overflow; its violation then rejects it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -607,75 +583,21 @@ def _solve_chunk(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> QpBatc
     )
 
 
-def chebyshev_qp(refs: Sequence[Tuple[Point2, float, float]]) -> ChebyshevQp:
-    """Maximize t - |y|^2 subject to lower^2 <= t - 2 p^T y + |p|^2 <= upper^2.
-
-    ``refs`` holds one (p, lower^2, upper^2) triple per reference, as for
-    the per-node program of :mod:`minmaxloc.dist`.  The middle term is the
-    lifted |y - p|^2, so each reference bounds (y, t) by two parallel
-    planes.  The objective is strictly concave in y and grows with t, so the
-    maximizer is unique, and by Caratheodory's theorem its KKT multipliers
-    nu need at most three active planes with affinely independent p, so of
-    distinct references.  Every such set of one, two or three planes is
-    solved as equalities in closed form: stationarity, (-2y, 1) = sum_j nu_j
-    (-2 p_j, 1), and the planes.  The set that comes closest to a KKT point,
-    with the other references' bounds met and nu_j >= 0 on upper planes and
-    <= 0 on lower ones, wins.  The references are centered first, which the
-    program's translation invariance allows, to keep the solves well
-    conditioned.
-
-    The sets grow as the cube of the references, so the enumeration runs
-    over a working set: at first the ``_WORKING_REFS`` references with the
-    smallest upper bounds, all of them when there are no more.  While the
-    working set's optimum breaks another reference's bounds, the reference
-    it breaks most joins and the working set is solved again.  An optimum
-    that meets every bound is the whole program's, with nu = 0 off the
-    working set, and a working set that admits no (y, t) leaves the whole
-    program none either.
-    """
-    qp = _solve(*_batch_of_one(refs))
-    x, y = qp.position[0].tolist()
-    return ChebyshevQp(
-        omega=qp.omega[0],
-        phi=qp.phi[0],
-        position=(x, y),
-        value=float(qp.value[0]),
-        consistent=bool(qp.consistent[0]),
-        active_sets=int(qp.active_sets[0]),
-        residual_primal=float(qp.residual_primal[0]),
-        residual_dual=float(qp.residual_dual[0]),
-    )
-
-
 @dataclass(frozen=True)
-class CertifiedCenter:
-    """What the multipliers of a :func:`chebyshev_qp` solve certify.
+class CenterBatch:
+    """What the multipliers of a batch of QP solves certify, one row per node.
 
-    qp          the QP solve
-    center      y = -f / kappa from :func:`certify`; the QP's maximizer when
-                the multipliers certify nothing
+    qp          the QP solves
+    center      (nodes, 2), y = -f / kappa from :func:`certify`; the QP's
+                maximizer where the multipliers certify nothing
     value       the certified bound on |y - x|^2 over every x that the
-                references admit; inf when the multipliers certify nothing
-    consistent  False when the QP has no KKT point, or the value is below
+                references admit; inf where the multipliers certify nothing
+    consistent  False where the QP has no KKT point, or the value is below
                 minus the rounding bound of its evaluation: no x meets every
                 reference
     """
 
-    qp: ChebyshevQp
-    center: Point2
-    value: float
-    consistent: bool
-
-    @property
-    def certified(self) -> bool:
-        return self.consistent and math.isfinite(self.value)
-
-
-@dataclass(frozen=True)
-class CenterBatch:
-    """:class:`CertifiedCenter` of a batch of nodes without the QP solves:
-    ``center`` is (nodes, 2), ``value`` and ``consistent`` per node."""
-
+    qp: QpBatch
     center: np.ndarray
     value: np.ndarray
     consistent: np.ndarray
@@ -692,10 +614,10 @@ def _sum_in_order(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=1)[:, -1]
 
 
-def _certify_each(p, bounds, count, omega, phi, position, consistent) -> CenterBatch:
-    """:func:`certify` in its 1x1 case, node by node, at the QP multipliers
-    ``omega`` and ``phi`` of a batch from :func:`_as_batch`."""
-    omega, phi = np.maximum(omega, 0.0), np.maximum(phi, 0.0)
+def _certify_each(p, bounds, count, qp: QpBatch) -> CenterBatch:
+    """:func:`certify` in its 1x1 case, node by node, at the multipliers of
+    the solves ``qp`` of a batch from :func:`_as_batch`."""
+    omega, phi = np.maximum(qp.omega, 0.0), np.maximum(qp.phi, 0.0)
     lower_sq, upper_sq = bounds[..., 0], bounds[..., 1]
     norm2 = (p * p).sum(axis=2)
     net = phi - omega
@@ -709,85 +631,90 @@ def _certify_each(p, bounds, count, omega, phi, position, consistent) -> CenterB
     certified = rho > 0.0
     value[~certified] = np.inf
     z = z[:, 0]
-    center = np.where(certified[:, None], -z, position)
+    center = np.where(certified[:, None], -z, qp.position)
     magnitude += (f * z).sum(axis=1)
     rounding = (2 * count + 4) * _EPS * magnitude
-    return CenterBatch(center, value, consistent & ~(certified & ~(value >= -rounding)))
+    return CenterBatch(qp, center, value, qp.consistent & ~(certified & ~(value >= -rounding)))
 
 
 def certified_centers(p: np.ndarray, bounds: np.ndarray, count: np.ndarray) -> CenterBatch:
-    """:func:`certified_center` for a batch of nodes at once.
+    """Maximize t - |y|^2 subject to lower^2 <= t - 2 p^T y + |p|^2 <= upper^2
+    for a batch of nodes, and certify each node's center.
 
     Node b has the ``count[b]`` references ``p[b, k]`` (nodes, refs, 2) with
-    bounds ``bounds[b, k] = (lower^2, upper^2)``; entries past its count are
-    ignored.
-    """
-    p, bounds, count = _as_batch(p, bounds, count)
-    qp = _solve(p, bounds, count)
-    return _certify_each(p, bounds, count, qp.omega, qp.phi, qp.position, qp.consistent)
+    bounds ``bounds[b, k] = (lower^2, upper^2)``, as for the per-node program
+    of :mod:`minmaxloc.dist`; entries past its count are ignored.  The
+    middle term is the lifted |y - p|^2, so each reference bounds (y, t) by
+    two parallel planes.  The objective is strictly concave in y and grows
+    with t, so the maximizer is unique, and by Caratheodory's theorem its
+    KKT multipliers nu need at most three active planes with affinely
+    independent p, so of distinct references.  Every such set of one, two or
+    three planes is solved as equalities in closed form: stationarity,
+    (-2y, 1) = sum_j nu_j (-2 p_j, 1), and the planes.  The set that comes
+    closest to a KKT point, with the other references' bounds met and
+    nu_j >= 0 on upper planes and <= 0 on lower ones, wins.  The references
+    are centered first, which the program's translation invariance allows,
+    to keep the solves well conditioned.
 
-
-def certified_center(refs: Sequence[Tuple[Point2, float, float]]) -> CertifiedCenter:
-    """Solve the program of :func:`chebyshev_qp` and certify its center.
+    The sets grow as the cube of the references, so the enumeration runs
+    over a working set: at first the ``_WORKING_REFS`` references with the
+    smallest upper bounds, all of them when there are no more.  While the
+    working set's optimum breaks another reference's bounds, the reference
+    it breaks most joins and the working set is solved again.  An optimum
+    that meets every bound is the whole program's, with nu = 0 off the
+    working set, and a working set that admits no (y, t) leaves the whole
+    program none either.
 
     The multipliers, clipped at zero, give Mt = kappa = sum(phi - omega),
     f = -sum (phi - omega) p and h, which :func:`certify` turns into the
     center and its bound as the 1x1 case, so the bound never rests on the QP
     being exact.  The rounding bound of the value is (2N + 4) eps times the
     sum of the magnitudes that enter it, for N references, so that exact
-    data, whose value is zero, pass.
+    data, whose value is zero, pass.  A node gets the same bits in any batch.
     """
-    qp = chebyshev_qp(refs)
-    one = _certify_each(
-        np.array([ref[0] for ref in refs], dtype=float)[None],
-        np.array([ref[1:] for ref in refs], dtype=float)[None],
-        np.array([len(refs)]),
-        qp.omega[None],
-        qp.phi[None],
-        np.array([qp.position]),
-        np.array([qp.consistent]),
-    )
-    x, y = one.center[0].tolist()
-    return CertifiedCenter(qp, (x, y), float(one.value[0]), bool(one.consistent[0]))
+    p, bounds, count = _as_batch(p, bounds, count)
+    return _certify_each(p, bounds, count, _solve(p, bounds, count))
 
 
 def _solve_one_sensor(
     scenario: NetworkScenario, intervals: Dict[Edge, IntervalBound], t0: float
 ) -> CentralEstimate:
-    """The network program for one sensor, from :func:`certified_center`
-    over its anchors; the status is optimal when the center is certified."""
+    """The network program for one sensor, from :func:`certified_centers`
+    over its anchors as a batch of one; the status is optimal when the
+    center is certified."""
     _require_anchored(scenario)
     edges = sorted(scenario.anchor_edges)
-    cert = certified_center(
-        [(scenario.anchors[e[1]], intervals[e].lower ** 2, intervals[e].upper ** 2) for e in edges]
+    cert = certified_centers(
+        [[scenario.anchors[e[1]] for e in edges]],
+        [[(intervals[e].lower ** 2, intervals[e].upper ** 2) for e in edges]],
+        [len(edges)],
     )
-    qp, value = cert.qp, cert.value
-    status = SolveStatus.OPTIMAL if cert.certified else SolveStatus.NUMERICAL_FAILURE
+    qp, value, qp_value = cert.qp, float(cert.value[0]), float(cert.qp.value[0])
+    status = SolveStatus.OPTIMAL if cert.certified[0] else SolveStatus.NUMERICAL_FAILURE
     gap = math.inf
     if math.isfinite(value):
-        gap = abs(value - qp.value) / (1.0 + abs(value) + abs(qp.value))
+        gap = abs(value - qp_value) / (1.0 + abs(value) + abs(qp_value))
+    x, y = cert.center[0].tolist()
     return CentralEstimate(
-        positions={scenario.sensors[0]: cert.center},
+        positions={scenario.sensors[0]: (x, y)},
         worst_case_value=max(value, 0.0),
-        multipliers={e: (float(qp.omega[i]), float(qp.phi[i])) for i, e in enumerate(edges)},
+        multipliers={e: (float(qp.omega[0, i]), float(qp.phi[0, i])) for i, e in enumerate(edges)},
         solver_status=status,
         solve_seconds=time.perf_counter() - t0,
-        iterations=qp.active_sets,
+        iterations=int(qp.active_sets[0]),
         gap=gap,
-        residual_primal=qp.residual_primal,
-        residual_dual=qp.residual_dual,
+        residual_primal=float(qp.residual_primal[0]),
+        residual_dual=float(qp.residual_dual[0]),
     )
 
 
 def solve_minmax_sdp(
-    scenario: NetworkScenario,
-    intervals: Optional[Dict[Edge, IntervalBound]] = None,
-    config: Optional[SolverConfig] = None,
+    scenario: NetworkScenario, intervals: Optional[Dict[Edge, IntervalBound]] = None
 ) -> CentralEstimate:
     """Estimate every sensor position and certify the worst-case error.
 
     One sensor without sensor edges is solved exactly as a QP
-    (:func:`chebyshev_qp`), every other network by the SDP.
+    (:func:`certified_centers`), every other network by the SDP.
     """
     t0 = time.perf_counter()
     if intervals is None:
@@ -795,7 +722,7 @@ def solve_minmax_sdp(
     if len(scenario.sensors) == 1 and not scenario.sensor_edges:
         return _solve_one_sensor(scenario, intervals, t0)
     problem, idx = assemble_dual_sdp(scenario, intervals)
-    sol = solve(problem, config)
+    sol = solve(problem)
     positions, value = recover_estimate(scenario, problem, sol.x)
     status = sol.status
     if status == SolveStatus.OPTIMAL and math.isinf(value):

@@ -27,7 +27,7 @@ Each per-node program is the single-sensor case of the network program of
 |y - p|^2: the relaxed Chebyshev center, maximize t - |y|^2 subject to
 lower^2 <= t - 2 p^T y + |p|^2 <= upper^2.  The sensor's own ball is one
 reference with lower^2 = 0, which the lifted relaxation already implies.
-:func:`minmaxloc.central.certified_center` solves it exactly as a QP in
+:func:`minmaxloc.central.certified_centers` solves it exactly as a QP in
 (y, t) and turns its multipliers into the center and the certified squared
 radius, or finds the references inconsistent or certifying nothing.
 
@@ -35,7 +35,7 @@ Phases 2 and 3 run a whole round as arrays: every sensor's initial
 estimate is one batch of :func:`minmaxloc.central.certified_centers`, and
 each round refines its active sensors in batches of up to ``_ROUND_NODES``,
 with the rules of the one-node :func:`initial_estimate` and
-:func:`iterate_node`.  All rounds are
+:func:`iterate_node`, which solve a batch of one.  All rounds are
 Jacobi: updates at round tau+1 read only round-tau states, so batching a
 round changes nothing in its trace.  The rounds' states are kept packed
 (:class:`RoundStates`).
@@ -51,7 +51,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .central import certified_center, certified_centers
+from .central import certified_centers
 from .model import Edge, IntervalBound, NetworkScenario, Point2, build_feasibility_intervals
 
 # Unused here: the benchmark tracer's ("minmaxloc.dist", "solve") hook names
@@ -220,13 +220,14 @@ def initial_estimate(
     references.
     """
     anchor_ids = sorted(anchors)
-    bounds = _anchor_bounds([sensor], table, anchor_ids)[0].tolist()
-    cert = certified_center([(anchors[k], *b) for k, b in zip(anchor_ids, bounds)])
-    if not cert.certified:
-        raise _initial_failure(sensor, cert.consistent)
-    value = max(cert.value, 0.0)
+    bounds = _anchor_bounds([sensor], table, anchor_ids)
+    cert = certified_centers([[anchors[k] for k in anchor_ids]], bounds, [len(anchor_ids)])
+    if not cert.certified[0]:
+        raise _initial_failure(sensor, bool(cert.consistent[0]))
+    value = max(float(cert.value[0]), 0.0)
+    x, y = cert.center[0].tolist()
     return NodeState(
-        estimate=cert.center,
+        estimate=(x, y),
         radius_sq=value,
         localized=False,
         iteration=0,
@@ -285,7 +286,7 @@ def iterate_node(
     position entirely (neighbor error shifts the annulus off it), which
     both voids the certificate and empties the region when intervals are
     tight.  The new center and raw radius are what the multipliers of the
-    exact QP certify (:func:`minmaxloc.central.certified_center`); when they
+    exact QP certify (:func:`minmaxloc.central.certified_centers`); when they
     certify nothing, or find the references inconsistent, the node keeps its
     previous state for the round.  When the raw radius exceeds the
     old one, which only rounding allows, the node keeps its old estimate and
@@ -312,17 +313,16 @@ def iterate_node(
         np.array([[state.radius_sq for state in states]]),
         np.array([[0.0, *(b.lower for b in edges)]]),
         np.array([[0.0, *(b.upper for b in edges)]]),
-    )[0].tolist()
-    cert = certified_center([(state.estimate, *b) for state, b in zip(states, span)])
-    move, localized, raw = _refine(
-        np.array([own.radius_sq]), np.array([cert.value]), np.array([cert.certified]), cfg.epsilon
     )
+    cert = certified_centers([[state.estimate for state in states]], span, [len(states)])
+    move, localized, raw = _refine(np.array([own.radius_sq]), cert.value, cert.certified, cfg.epsilon)
     if not move[0]:
         return replace(
             own, iteration=own.iteration + 1, localized=bool(localized[0]), raw_radius_sq=float(raw[0])
         )
+    x, y = cert.center[0].tolist()
     return NodeState(
-        estimate=cert.center,
+        estimate=(x, y),
         radius_sq=float(raw[0]),
         localized=bool(localized[0]),
         iteration=own.iteration + 1,

@@ -52,21 +52,22 @@ the Cholesky needs a jitter, the reduction is that of M + jitter I, so a
 paired member's diagonal term is lam_k + jitter.  When the problem declares no
 pair, the same reduction is the identity.
 
-Each block is compiled to an object with one per-block interface: start
-point, inner product, NT scaling (returning W, S^-1 and the step factors
-of S and Z), Schur contribution over its classes and the index of those
-entries in the class matrix (plain slices when its classes are contiguous,
-as in the network-wide problem), centering term, the congruence W R W,
-step length, corrector, symmetrization, dual output, and the roundoff scale
-of the dual residual, <|A_k|, |Z|> per variable.  The solver loops over one
-list of such blocks and never asks what kind a block is.  A dense block enters through each
-class's first member, whose coefficient entries it keeps at compile time as
-index arrays (position in vec(A), class, value), an off-diagonal entry in
-both of its positions, once sorted by position and once by class.  Each
-product is one gather and one np.bincount over them: the combination sums
-y_c A_c by position; the adjoint sums <A_c, U> by class, mapped to the
-variables; and the roundoff scale sums <|A_c|, |Z|> by class, which the two
-members of a pair share.  Only the Schur term needs more.  Small dense
+Each problem block, 1x1 ones included, is compiled to a dense block with
+one per-block interface: start point, inner product, NT scaling (returning
+W, S^-1 and the step factors of S and Z), Schur contribution over its
+classes and the index of those entries in the class matrix (plain slices
+when its classes are contiguous, as in the network-wide problem), centering
+term, the congruence W R W, step length, corrector, symmetrization, and the
+roundoff scale of the dual residual, <|A_k|, |Z|> per variable.  The solver
+loops over one list of such blocks and never asks what kind a block is; the
+fused unit rows, which have no Schur term, come last.  A dense block enters
+through each class's first member, whose coefficient entries it keeps at
+compile time as index arrays (position in vec(A), class, value), an
+off-diagonal entry in both of its positions, once sorted by position and
+once by class.  Each product is one gather and one np.bincount over them:
+the combination sums y_c A_c by position; the adjoint sums <A_c, U> by
+class, mapped to the variables; and the roundoff scale sums <|A_c|, |Z|> by
+class, which the two members of a pair share.  Only the Schur term needs more.  Small dense
 blocks keep a dense coefficient stack over their classes.  Large ones factor
 each class's coefficient into signed rank-one terms,
 A_c = sum_r sign_r u_r u_r^T, by one batched eigendecomposition on the
@@ -102,15 +103,11 @@ matrix is finite: a non-finite one ends the attempts, and the solve ends
 numerical_failure, while one that is not positive definite is tried again
 with a larger jitter.
 
-All 1x1 blocks are fused into one diagonal block of vectors, kept last in
-the list, whose methods do the same steps row by row: the problem's own 1x1
-blocks first, then the paired members' unit rows.  No sparse matrix is
-formed.  The problem's own rows are a small dense array over the variables;
-of the package's programs only a single-sensor network has one, Mt - I.
-The unit rows are index arithmetic: a gather y[paired] in the combination
-and a scatter-add in the adjoints.  Its Schur term is one dense product over
-the classes that the problem's rows touch, a pair through its +1 member; the
-unit rows enter through h.
+The paired members' unit rows are fused into one diagonal block of
+vectors, kept last in the list, whose methods do the same steps row by row.
+No matrix is formed: the rows are index arithmetic, a gather y[paired] in
+the combination, and the adjoints are the rows' own values on the paired
+variables.  They have no Schur term; they enter through h.
 """
 
 from __future__ import annotations
@@ -353,12 +350,11 @@ class _SignClasses:
     member has sign +1 and the other -1, every other variable +1, and the
     classes are numbered in the order of their lowest members.  ``paired``
     lists the paired variables in ascending order, ``partner`` gives each
-    one's partner as a position in ``paired``, and ``own_rows`` is the slice
-    of the fused rows that holds their unit rows, in the same order, after
-    the ``first_row`` rows of the problem's own 1x1 blocks.
+    one's partner as a position in ``paired``; the fused block holds their
+    unit rows in the same order.
     """
 
-    def __init__(self, num_vars: int, pairs: np.ndarray, first_row: int):
+    def __init__(self, num_vars: int, pairs: np.ndarray):
         lo, hi = np.sort(pairs, axis=1).T
         rep = np.arange(num_vars)
         rep[hi] = lo
@@ -376,7 +372,6 @@ class _SignClasses:
         self.paired_sign = self.sign[self.paired]
         self.pair_flag = np.zeros(self.size)  # 1 on each pair's class
         self.pair_flag[self.paired_cls] = 1.0
-        self.own_rows = slice(first_row, first_row + len(self.paired))
 
 
 class _Reduction:
@@ -457,63 +452,37 @@ class _Scaling(NamedTuple):
 
 
 class _LinBlock:
-    """All 1x1 blocks fused: rows a0 + D x >= 0, slack and dual as vectors.
+    """The unit rows x_k >= 0 of the paired variables, fused: slack and dual
+    as vectors, one row per paired variable in ascending order.
 
-    The rows are the problem's own 1x1 blocks, then one unit row x_k >= 0
-    per paired variable (``classes.own_rows``).  D is never formed: the
-    problem's rows are the small dense array ``G`` of shape (rows, m), and
-    the unit rows are index arithmetic, a gather ``y[paired]`` in the
-    combination and a scatter-add in the adjoints.  Implements the per-block
-    interface of :class:`_DenseBlock` row by row.  Where a dense block
-    multiplies by S^-1, a row divides by s, so the scaling hands back s
-    itself in the place of S^-1.  Its Schur term covers the problem's own
-    rows only, through ``Ds``, the columns of G for the classes they touch:
-    a pair is negated in those rows too, so its +1 member's column stands
-    for the class.  The unit rows enter through the reduction.
+    D is never formed: the combination is the gather ``y[paired]``, and the
+    adjoints are the rows' own values on the paired variables, ``vars``.
+    Implements the per-block interface of :class:`_DenseBlock` row by row,
+    without a Schur term: each row's W^2 = z / s enters through the
+    reduction, as its member's lam_k.  Where a dense block multiplies by
+    S^-1, a row divides by s, so the scaling hands back s itself in the
+    place of S^-1.
     """
 
-    def __init__(self, blocks: List[Tuple[int, Block]], classes: _SignClasses):
-        self.src = [bi for bi, _ in blocks]
-        self.general = general = len(blocks)
-        self.paired = classes.paired
-        self.q = q = general + len(classes.paired)
-        self.vars = slice(None)  # rows may touch any variable
-        self.a0 = np.zeros(q)
-        self.G = np.zeros((general, len(classes.cls)))
-        for r, (_, blk) in enumerate(blocks):
-            for _, _, v in blk.const:
-                self.a0[r] += v
-            for k, trips in blk.coeffs.items():
-                self.G[r, k] = sum(v for _, _, v in trips)
-        self.abs_G = np.abs(self.G)
-        touched = self.G.any(axis=0)
-        touched[classes.sign < 0] = False  # a pair enters through its +1 member
-        self.entries = _square(classes.cls[touched])
-        self.Ds = self.G[:, touched]
-        self.norm_a0 = float(np.linalg.norm(self.a0))
-        col_sq = (self.G * self.G).sum(axis=0)
-        col_sq[self.paired] += 1.0
-        self.coeff_scale = float(np.sqrt(col_sq).max()) if q else 0.0
-        self.scratch = (0, 0)
+    def __init__(self, classes: _SignClasses):
+        self.vars = classes.paired
+        self.q = len(classes.paired)
+        self.a0 = np.zeros(self.q)
+        self.norm_a0, self.coeff_scale = 0.0, 1.0  # |a0| and the largest |D column|
 
     def start(self) -> Tuple[np.ndarray, np.ndarray]:
         return np.full(self.q, 1.0 + self.norm_a0 + self.coeff_scale), np.ones(self.q)
 
     def combine(self, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.G @ y, y[self.paired]])
+        return y[self.vars]
 
-    def adjoint(self, u: np.ndarray) -> np.ndarray:
-        out = self.G.T @ u[: self.general]
-        out[self.paired] += u[self.general :]
-        return out
+    @staticmethod
+    def adjoint(u: np.ndarray) -> np.ndarray:
+        return u
 
-    def abs_adjoint(self, z: np.ndarray) -> np.ndarray:
-        out = self.abs_G.T @ np.abs(z[: self.general])
-        out[self.paired] += np.abs(z[self.general :])
-        return out
-
-    def schur(self, w2: np.ndarray, work: "_Workspace") -> np.ndarray:
-        return (self.Ds.T * w2[: self.general]) @ self.Ds
+    @staticmethod
+    def abs_adjoint(z: np.ndarray) -> np.ndarray:
+        return np.abs(z)
 
     @staticmethod
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -549,10 +518,6 @@ class _LinBlock:
     def sym(v: np.ndarray) -> np.ndarray:
         return v
 
-    def duals(self, z: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-        """The problem's own rows; the unit rows belong to no block."""
-        return [(src, np.array([[v]])) for src, v in zip(self.src, z)]
-
 
 class _DenseBlock:
     """One dense block over the classes of its variables.
@@ -568,8 +533,7 @@ class _DenseBlock:
     blocks) and the rank-one terms (large ones) serve the Schur term only.
     """
 
-    def __init__(self, src: int, block: Block, classes: _SignClasses):
-        self.src = src
+    def __init__(self, block: Block, classes: _SignClasses):
         self.dim = d = block.dim
         self.a0 = block.dense_const()
         self.vars = np.array(sorted(block.coeffs), dtype=np.intp)
@@ -782,21 +746,22 @@ class _DenseBlock:
     def sym(m: np.ndarray) -> np.ndarray:
         return 0.5 * (m + m.T)
 
-    def duals(self, z: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-        return [(self.src, z)]
-
 
 def _compile(problem: SdpProblem) -> Tuple[list, _SignClasses]:
-    """Compiled blocks, dense ones in problem order and the fused rows last,
-    and the sign classes they are compiled against."""
+    """Compiled blocks, one dense block per problem block in problem order
+    and then the fused unit rows when the problem declares pairs, and the
+    sign classes they are compiled against."""
     _bind_scipy_routines()
-    dense = [(bi, blk) for bi, blk in enumerate(problem.blocks) if blk.dim > 1]
-    rows = [(bi, blk) for bi, blk in enumerate(problem.blocks) if blk.dim == 1]
-    classes = _SignClasses(problem.num_vars, problem.pairs, len(rows))
-    blocks: list = [_DenseBlock(bi, blk, classes) for bi, blk in dense]
-    if rows or len(classes.paired):
-        blocks.append(_LinBlock(rows, classes))
+    classes = _SignClasses(problem.num_vars, problem.pairs)
+    blocks: list = [_DenseBlock(blk, classes) for blk in problem.blocks]
+    if len(classes.paired):
+        blocks.append(_LinBlock(classes))
     return blocks, classes
+
+
+def _dense(blocks: list, classes: _SignClasses) -> list:
+    """The dense blocks of a compiled list: all but the fused unit rows."""
+    return blocks[:-1] if len(classes.paired) else blocks
 
 
 class _Workspace:
@@ -811,14 +776,15 @@ class _Workspace:
       with the most terms and shared by the blocks in turn.
     """
 
-    def __init__(self, blocks: list, size: int):
+    def __init__(self, blocks: list, classes: _SignClasses):
+        size = classes.size
         self.schur = np.zeros((size, size))
         self._flat = np.empty(size * size)
         self.factor = self._flat.reshape(size, size, order="F")
         self.factor_diag = self._flat[:: size + 1]
-        terms = [b.scratch for b in blocks]
-        self._y = np.empty(max(r * d for r, d in terms))
-        self._h = np.empty(max(r * r for r, _ in terms))
+        terms = [b.scratch for b in _dense(blocks, classes)]
+        self._y = np.empty(max((r * d for r, d in terms), default=0))
+        self._h = np.empty(max((r * r for r, _ in terms), default=0))
 
     def rank_one(self, terms: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
         """Views (Y, H) of shapes (terms, dim) and (terms, terms)."""
@@ -847,11 +813,11 @@ class _NewtonSystem:
         self.classes, self.work = classes, work
         self.schur = schur = work.schur
         schur.fill(0.0)
-        for b, sc in zip(blocks, scal):
+        for b, sc in zip(_dense(blocks, classes), scal):
             schur[b.entries] += b.schur(sc.w, work)
         # each paired member's lam_k, from its unit row in the fused block,
         # which is last
-        self.lam = scal[-1].w[classes.own_rows] if len(classes.paired) else np.zeros(0)
+        self.lam = scal[-1].w if len(classes.paired) else np.zeros(0)
         # Cholesky with growing jitter, scaled by the trace of the full
         # system M + jitter I
         trace = (
@@ -958,7 +924,7 @@ def solve(
     blocks, classes = _compile(problem)
     if not blocks:
         raise ValueError("problem has no blocks")
-    work = _Workspace(blocks, classes.size)
+    work = _Workspace(blocks, classes)
     c = problem.objective
     m = problem.num_vars
 
@@ -1093,10 +1059,8 @@ def solve(
         iters_done = cfg.max_iters
 
     _, x_best, z_best, binfo = best
-    dual_blocks: List[np.ndarray] = [np.zeros((0, 0))] * len(problem.blocks)
-    for b, z in zip(blocks, z_best):
-        for src, zb in b.duals(z):
-            dual_blocks[src] = zb
+    # one dense block per problem block, in order; the unit rows belong to none
+    dual_blocks = list(z_best[: len(problem.blocks)])
 
     return SdpSolution(
         x=x_best,

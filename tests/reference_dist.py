@@ -10,13 +10,15 @@ uses the same parents and the same arithmetic, and the tests compare the two
 tables with ``==``, key order included.
 
 ``chebyshev_dual`` is the per-node program as an SDP, the second oracle for
-``minmaxloc.central.chebyshev_qp`` and a program shape for the ``sdp`` tests.
+the QP of ``minmaxloc.central.certified_centers`` and a program shape for
+the ``sdp`` tests.  ``one_node`` is ``certified_centers`` for one node's
+list of (p, lower^2, upper^2) triples, a batch of one.
 
 ``initial_estimate`` and ``iterate_node`` build one node's references and
-apply the rules of a round in scalar Python, one ``central.certified_center``
-each, and ``run_dis_minmax`` is the distributed run one node at a time with
-them: a dict of ``NodeState`` per round.  The tests check the one-node
-functions and the whole-round batches of ``minmaxloc.dist`` against them.
+apply the rules of a round in scalar Python, one ``one_node`` solve each,
+and ``run_dis_minmax`` is the distributed run one node at a time with them:
+a dict of ``NodeState`` per round.  The tests check the one-node functions
+and the whole-round batches of ``minmaxloc.dist`` against them.
 """
 
 import math
@@ -26,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from minmaxloc import dist
-from minmaxloc.central import certified_center
+from minmaxloc.central import CenterBatch, certified_centers
 from minmaxloc.dist import (
     BoundEntry,
     BoundTable,
@@ -73,6 +75,12 @@ def chebyshev_dual(refs: List[Tuple[Point2, float, float]]) -> SdpProblem:
 
     block = Block(4, [(3, 3, -1.0)], lmi)
     return SdpProblem(m, c, [block], pairs=np.arange(1, m).reshape(-1, 2))
+
+
+def one_node(refs: List[Tuple[Point2, float, float]]) -> CenterBatch:
+    """``certified_centers`` of one node whose references are the
+    (p, lower^2, upper^2) triples ``refs``: a batch of one row."""
+    return certified_centers([[p for p, _, _ in refs]], [[b for _, *b in refs]], [len(refs)])
 
 
 def neighbors(scenario: NetworkScenario, i: int) -> List[int]:
@@ -149,14 +157,14 @@ def initial_estimate(
         (anchors[k], table[(sensor, k)].lower ** 2, table[(sensor, k)].upper ** 2)
         for k in sorted(anchors)
     ]
-    cert = certified_center(refs)
-    if not cert.certified:
+    cert = one_node(refs)
+    if not cert.certified[0]:
         reason = "the multipliers certify nothing"
-        if not cert.consistent:
+        if not cert.consistent[0]:
             reason = "its anchor intervals are inconsistent"
         raise RuntimeError(f"initial estimate for sensor {sensor} not certified: {reason}")
-    value = max(cert.value, 0.0)
-    return NodeState(cert.center, value, False, 0, value)
+    value = max(float(cert.value[0]), 0.0)
+    return NodeState(tuple(cert.center[0].tolist()), value, False, 0, value)
 
 
 def iterate_node(
@@ -180,14 +188,15 @@ def iterate_node(
         refs.append(
             (neighbor_states[j].estimate, max(b.lower - slack, 0.0) ** 2, (b.upper + slack) ** 2)
         )
-    cert = certified_center(refs)
-    if not cert.certified:
+    cert = one_node(refs)
+    if not cert.certified[0]:
         return replace(own, iteration=own.iteration + 1, localized=False, raw_radius_sq=own.radius_sq)
-    raw = max(cert.value, 0.0)
+    raw = max(float(cert.value[0]), 0.0)
     if raw > own.radius_sq:
         # rounding put the new center's certificate above the old radius
         return replace(own, iteration=own.iteration + 1, localized=True, raw_radius_sq=raw)
-    return NodeState(cert.center, raw, own.radius_sq - raw <= cfg.epsilon, own.iteration + 1, raw)
+    center = tuple(cert.center[0].tolist())
+    return NodeState(center, raw, own.radius_sq - raw <= cfg.epsilon, own.iteration + 1, raw)
 
 
 def run_dis_minmax(

@@ -103,7 +103,7 @@ def scalar_block(const: float, coeffs: Dict[int, float]) -> Block:
 
 def unit_rows(problem: SdpProblem) -> List[Block]:
     """The rows x_k >= 0 of the declared pairs' members, in ascending order,
-    as the solver appends them to the problem's own 1x1 blocks."""
+    as the solver's fused block holds them after the problem's blocks."""
     return [scalar_block(0.0, {k: 1.0}) for k in sorted(problem.pairs.ravel().tolist())]
 
 

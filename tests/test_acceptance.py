@@ -41,7 +41,7 @@ import pytest
 
 from fixtures import NONCONVEX_FIXTURES, ORACLE_FIXTURES, realized_errors, trilateration_instance
 from minmaxloc import central, dist, experiment, geom, model
-from minmaxloc.sdp import SolveStatus, SolverConfig, solve
+from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
@@ -220,7 +220,7 @@ def test_projected_estimate_within_twice_oracle_radius():
 def test_exact_measurements_recover_truth():
     scen = trilateration_instance()
 
-    est = central.solve_minmax_sdp(scen, config=SolverConfig(feas_tol=1e-6))
+    est = central.solve_minmax_sdp(scen)
     central_err = max(
         math.dist(est.positions[s], scen.true_positions[s]) for s in scen.sensors
     )

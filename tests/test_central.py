@@ -14,7 +14,7 @@ from minmaxloc.sdp import SolveStatus, solve
 from primal_sdp import assemble_primal_sdp, sample_feasible_positions
 import reference_central
 from reference_central import assemble_interleaved_dual_sdp, recover_interleaved_estimate
-from reference_dist import NODE_SOLVER, chebyshev_dual
+from reference_dist import NODE_SOLVER, chebyshev_dual, one_node
 from reference_sdp import SparseProducts, dense_coeff
 
 ANCHORS4 = ((0.3, 0.3), (-0.3, 0.3), (0.3, -0.3), (-0.3, -0.3))
@@ -185,9 +185,8 @@ def test_rank_one_terms_rebuild_class_coefficients():
     problem, _ = central.assemble_dual_sdp(twenty_sensor_network(3))
     blocks, _ = sdp._compile(problem)
     widths = set()
-    for compiled in blocks[:3]:
+    for block, compiled in zip(problem.blocks, blocks[:3]):
         assert compiled.rank1
-        block = problem.blocks[compiled.src]
         u = compiled.U
         term_cls = np.arange(len(u))  # row c < classes holds class c's first term
         for c, r in compiled.extras:
@@ -209,17 +208,16 @@ def test_compiled_central_blocks_match_dense_coefficients(path, monkeypatch):
         monkeypatch.setattr(sdp, "_DENSE_DIM_LIMIT", 10**6)
     problem, _ = central.assemble_dual_sdp(twenty_sensor_network(3))
     blocks, classes = sdp._compile(problem)
-    work = sdp._Workspace(blocks, classes.size)
+    work = sdp._Workspace(blocks, classes)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(problem.num_vars)
 
     def close(got, want):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    for compiled in blocks[:3]:
+    for block, compiled in zip(problem.blocks, blocks[:3]):
         assert compiled.rank1 == (path == "rank_one")
         assert compiled.var_cls is not None  # the block's pairs share classes
-        block = problem.blocks[compiled.src]
         dense = [dense_coeff(block, k) for k in compiled.vars]
         u = rng.standard_normal((block.dim, block.dim))
         u = u + u.T
@@ -251,11 +249,11 @@ def test_coefficient_products_equal_the_sparse_reference():
         (chebyshev_dual(refs), 1),
     ):
         blocks, _ = sdp._compile(problem)
-        cases += [(problem, compiled) for compiled in blocks[:count]]
-    assert [compiled.rank1 for _, compiled in cases] == [True, True, True, False]
+        cases += [(problem, block, compiled) for block, compiled in zip(problem.blocks, blocks[:count])]
+    assert [compiled.rank1 for _, _, compiled in cases] == [True, True, True, False]
     rng = np.random.default_rng(5)
-    for problem, compiled in cases:
-        ref = SparseProducts(problem.blocks[compiled.src], compiled)
+    for problem, block, compiled in cases:
+        ref = SparseProducts(block, compiled)
         for _ in range(3):
             y = rng.standard_normal(problem.num_vars)
             u = rng.standard_normal((compiled.dim, compiled.dim))
@@ -277,7 +275,7 @@ def test_newton_system_allocates_less_than_a_class_matrix():
     problem, _ = central.assemble_dual_sdp(scen)
     blocks, classes = sdp._compile(problem)
     assert all(b.rank1 for b in blocks[:3])
-    work = sdp._Workspace(blocks, classes.size)
+    work = sdp._Workspace(blocks, classes)
     s_blk, z_blk = zip(*(b.start() for b in blocks))
     r_s = [b.a0 - s for b, s in zip(blocks, s_blk)]
     r_z = problem.objective.copy()
@@ -622,32 +620,32 @@ coordinate = st.floats(-1.0, 1.0)
 def test_qp_meets_kkt_conditions_and_matches_per_node_sdp(truth, draws):
     intervals = intervals_around(truth, draws)
     refs = [(p, lower**2, upper**2) for p, lower, upper in intervals]
-    qp = central.chebyshev_qp(refs)
-    assert qp.consistent
+    qp = one_node(refs).qp
+    assert qp.consistent[0]
     p = np.array([r[0] for r in refs])
     lower_sq, upper_sq = np.array([r[1:] for r in refs]).T
-    y = np.array(qp.position)
-    nu = qp.phi - qp.omega
+    y, value, omega, phi = qp.position[0], float(qp.value[0]), qp.omega[0], qp.phi[0]
+    nu = phi - omega
     scale = 1.0 + np.abs(nu).sum()
     # stationarity: sum nu = 1 and y = sum nu p
     assert abs(nu.sum() - 1.0) <= 1e-9
     assert np.abs(nu @ p - y).max() <= 1e-9 * scale
     # primal feasibility of the lifted distances, signs, complementarity
-    lifted = qp.value + np.sum((y - p) ** 2, axis=1)
+    lifted = value + np.sum((y - p) ** 2, axis=1)
     tol = 1e-9 * (1.0 + upper_sq.max())
     assert np.all(lifted >= lower_sq - tol) and np.all(lifted <= upper_sq + tol)
-    assert qp.omega.min() >= -1e-12 and qp.phi.min() >= -1e-12
-    assert np.abs(qp.omega * (lifted - lower_sq)).max() <= tol * scale
-    assert np.abs(qp.phi * (upper_sq - lifted)).max() <= tol * scale
+    assert omega.min() >= -1e-12 and phi.min() >= -1e-12
+    assert np.abs(omega * (lifted - lower_sq)).max() <= tol * scale
+    assert np.abs(phi * (upper_sq - lifted)).max() <= tol * scale
     # the value bounds the truth's distance, as every consistent point's
-    assert math.dist(qp.position, truth) ** 2 <= qp.value * (1 + 1e-9) + 1e-12
+    assert math.dist(y, truth) ** 2 <= value * (1 + 1e-9) + 1e-12
 
     status, _, sdp_value = per_node_sdp_center(refs)
     # weak duality at any multipliers; equality at an optimal solve, whose
     # gap and residuals the solver measures relative to 1 + |value|
-    assert sdp_value >= qp.value * (1 - 1e-9) - 1e-12
+    assert sdp_value >= value * (1 - 1e-9) - 1e-12
     if status == SolveStatus.OPTIMAL:
-        assert abs(sdp_value - qp.value) <= 1e-6 * (1.0 + qp.value)
+        assert abs(sdp_value - value) <= 1e-6 * (1.0 + value)
 
     # the distributed estimator's two per-node solves certify the center
     # that the SDP's multipliers do: an initial estimate over the references
@@ -793,12 +791,14 @@ def test_batched_centers_equal_one_node_solves(monkeypatch, block):
         lower = np.maximum(d - rng.uniform(0.0, 0.3, d.shape), 0.0) ** 2
         upper = np.maximum((d + rng.uniform(0.0, 0.3, d.shape) + miss).clip(0.0) ** 2, lower)
         count = rng.integers(1, refs + 1, nodes)
-        batch = central.certified_centers(p, np.stack([lower, upper], axis=2), count)
+        bounds = np.stack([lower, upper], axis=2)
+        batch = central.certified_centers(p, bounds, count)
         for b in range(nodes):
-            one = central.certified_center([(p[b, k], lower[b, k], upper[b, k]) for k in range(count[b])])
-            assert (bool(batch.consistent[b]), bool(batch.certified[b])) == (one.consistent, one.certified)
-            assert tuple(batch.center[b]) == one.center
-            assert batch.value[b] == one.value
+            k = count[b]
+            one = central.certified_centers(p[b : b + 1, :k], bounds[b : b + 1, :k], count[b : b + 1])
+            assert batch.consistent[b] == one.consistent[0] and batch.certified[b] == one.certified[0]
+            assert np.array_equal(batch.center[b], one.center[0])
+            assert batch.value[b] == one.value[0]
         inconsistent += int((~batch.consistent).sum())
     assert inconsistent >= 20
 
@@ -816,17 +816,17 @@ def test_working_set_reaches_the_full_enumeration_answer(monkeypatch):
             below, above = rng.uniform(0.0, 0.3), rng.uniform(-0.05 if trial % 3 == 0 else 0.0, 0.3)
             refs.append((tuple(p), max(d - below, 0.0) ** 2, max(d + above, 0.0) ** 2))
         cases.append(refs)
-    working = [central.chebyshev_qp(refs) for refs in cases]
+    working = [one_node(refs).qp for refs in cases]
     monkeypatch.setattr(central, "_WORKING_REFS", 10**6)
-    full = [central.chebyshev_qp(refs) for refs in cases]
-    assert {qp.consistent for qp in full} == {True, False}
+    full = [one_node(refs).qp for refs in cases]
+    assert {bool(qp.consistent[0]) for qp in full} == {True, False}
     for w, f in zip(working, full):
-        assert w.consistent == f.consistent
-        if f.consistent:
-            assert math.dist(w.position, f.position) <= 1e-12
-            assert w.value == pytest.approx(f.value, rel=1e-12, abs=1e-15)
+        assert w.consistent[0] == f.consistent[0]
+        if f.consistent[0]:
+            assert math.dist(w.position[0], f.position[0]) <= 1e-12
+            assert w.value[0] == pytest.approx(f.value[0], rel=1e-12, abs=1e-15)
             np.testing.assert_allclose(w.phi - w.omega, f.phi - f.omega, atol=1e-9)
-    assert sum(qp.active_sets for qp in working) < sum(qp.active_sets for qp in full) / 4
+    assert sum(qp.active_sets[0] for qp in working) < sum(qp.active_sets[0] for qp in full) / 4
 
 
 def test_one_sensor_exact_measurements_recover_truth():
@@ -862,8 +862,8 @@ def test_one_sensor_inconsistency_needs_no_sdp(monkeypatch):
     for scen in (far, apart):
         est = central.solve_minmax_sdp(scen)
         assert est.solver_status == SolveStatus.NUMERICAL_FAILURE
-    qp = central.chebyshev_qp([((0.2, 0.1), 1.0, 1.21), ((0.2, 0.1), 4.0, 4.41)])
-    assert not qp.consistent
+    qp = one_node([((0.2, 0.1), 1.0, 1.21), ((0.2, 0.1), 4.0, 4.41)]).qp
+    assert not qp.consistent[0]
     # consistent data solve without the SDP too
     scen, bounds = ORACLE_FIXTURES["corner"][0]
     assert central.solve_minmax_sdp(scen, intervals=bounds).solver_status == SolveStatus.OPTIMAL

@@ -361,11 +361,12 @@ def test_zero_multipliers_certify_nothing(monkeypatch):
     # A consistent QP solve that returns all-zero multipliers has kappa = 0,
     # so it certifies no center: the node keeps its state for the round, and
     # an initial estimate fails loudly.
-    def zero_qp(refs):
-        zeros = np.zeros(len(refs))
-        return central.ChebyshevQp(zeros, zeros, (0.0, 0.0), 0.0, True, 0, 0.0, 0.0)
+    def zero_qp(p, bounds, count):
+        zeros, nodes = np.zeros(p.shape[:2]), np.zeros(len(p))
+        consistent, sets = np.ones(len(p), dtype=bool), np.zeros(len(p), dtype=np.intp)
+        return central.QpBatch(zeros, zeros, np.zeros((len(p), 2)), nodes, consistent, sets, nodes, nodes)
 
-    monkeypatch.setattr(central, "chebyshev_qp", zero_qp)
+    monkeypatch.setattr(central, "_solve", zero_qp)
     nbrs = {1: NodeState((1.0, 0.0), 0.0, True, 0, 0.0)}
     bounds = {(0, 1): model.IntervalBound(0.9, 1.1)}
     own = NodeState((0.5, 0.5), 0.25, False, 0, 0.25)
@@ -406,9 +407,9 @@ def test_iterate_widens_annuli_by_neighbor_radius():
 
 def test_node_program_pairs_each_reference():
     # A ball and three neighbors give one block and one declared pair per
-    # reference.  They compile to one dense block and one unit row per
-    # multiplier, and each pair shares a class, so the Newton system has one
-    # unknown for t and one per reference.
+    # reference.  They compile to one dense block and a fused block of only
+    # the unit rows, one per multiplier, and each pair shares a class, so the
+    # Newton system has one unknown for t and one per reference.
     refs = [((0.1, 0.2), 0.0, 0.04)]
     refs += [((0.3 * k, -0.1), 0.01 * k, 0.05 * k) for k in (1, 2, 3)]
     problem = reference_dist.chebyshev_dual(refs)
@@ -417,7 +418,8 @@ def test_node_program_pairs_each_reference():
     dense = [b for b in blocks if isinstance(b, sdp._DenseBlock)]
     rows = [b for b in blocks if isinstance(b, sdp._LinBlock)]
     assert [b.dim for b in dense] == [4]
-    assert len(rows) == 1 and rows[0].general == 0 and rows[0].q == 2 * len(refs)
+    assert len(rows) == 1 and rows[0].q == 2 * len(refs)
+    assert rows[0].vars.tolist() == problem.pairs.ravel().tolist()
     assert classes.size == 1 + len(refs)
 
 

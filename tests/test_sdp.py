@@ -155,7 +155,7 @@ def test_sign_classes_reproduce_dense_operators():
 
     # the block's Schur matrix is over its classes: <A_k, W A_j W> is
     # s_k s_j K[c_k, c_j]
-    k_cls = compiled.schur(w, sdp._Workspace(blocks, classes.size))
+    k_cls = compiled.schur(w, sdp._Workspace(blocks, classes))
     s, c = compiled.var_sign, compiled.var_cls
     close(
         s[:, None] * s[None, :] * k_cls[np.ix_(c, c)],
@@ -184,11 +184,13 @@ def test_classes_are_single_variables_or_negated_pairs():
 
 @pytest.mark.parametrize("shape", ["general", "pairs", "pair_in_row"])
 def test_fused_rows_schur_term_over_single_variable_classes(shape):
-    # the fused rows' Schur term is sum_r w2_r d_r d_r^T over the classes
-    # that the problem's own rows touch, d_r read from the row's dense_coeff
-    # at each class's +1 member; the declared pairs' unit rows enter the
-    # reduction instead, so a problem without rows of its own, as the
-    # network-wide one with two or more sensors, has an empty term
+    # the problem's own 1x1 rows compile to 1-wide dense blocks, whose Schur
+    # terms at scalings w_r sum to sum_r w_r^2 d_r d_r^T over the classes
+    # that the rows touch, d_r read from the row's dense_coeff at each
+    # class's +1 member; the fused block holds only the declared pairs' unit
+    # rows, which enter the reduction instead and add nothing to the class
+    # matrix, so a problem without rows of its own, as the network-wide one
+    # with two or more sensors, gets no term from them
     rng = np.random.default_rng(19)
     a = rng.standard_normal((3, 3))
     a = a + a.T
@@ -211,14 +213,18 @@ def test_fused_rows_schur_term_over_single_variable_classes(shape):
     )
     compiled, classes = sdp._compile(problem)
     lin = compiled[-1]
-    assert lin.q == len(rows) + 4
-    w2 = rng.uniform(0.1, 3.0, lin.q)
-    got = lin.schur(w2, sdp._Workspace(compiled, classes.size))
-    want = np.zeros((len(reps), len(reps)))
-    for w, row in zip(w2, rows):
+    assert isinstance(lin, sdp._LinBlock) and lin.q == 4 and not hasattr(lin, "schur")
+    assert [b.dim for b in compiled[1:-1]] == [1] * len(rows)
+    scalings = rng.uniform(0.1, 3.0, len(rows))
+    work = sdp._Workspace(compiled, classes)
+    got = np.zeros((classes.size, classes.size))
+    for b, w in zip(compiled[1:-1], scalings):
+        got[b.entries] += b.schur(np.array([[w]]), work)
+    want = np.zeros_like(got)
+    at = classes.cls[reps]
+    for w, row in zip(scalings, rows):
         d = np.array([dense_coeff(row, k)[0, 0] for k in reps])
-        want += w * np.outer(d, d)
-    assert got.shape == want.shape
+        want[np.ix_(at, at)] += w * w * np.outer(d, d)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -282,20 +288,18 @@ def newton_case(n):
     z_mats = [pd(b.dim) for b in full]
     x = rng.standard_normal(prob.num_vars)
 
-    def compiled_form(mats, b):
-        if isinstance(b, sdp._DenseBlock):
-            return mats[b.src]
-        units = mats[len(prob.blocks):]
-        return np.array([mats[i][0, 0] for i in b.src] + [u[0, 0] for u in units])
+    def compiled_form(mats):
+        # one dense block per problem block, then the fused unit rows
+        dense = len(prob.blocks)
+        return [*mats[:dense], np.array([u[0, 0] for u in mats[dense:]])]
 
-    s_blk = [compiled_form(s_mats, b) for b in blocks]
-    z_blk = [compiled_form(z_mats, b) for b in blocks]
+    s_blk, z_blk = compiled_form(s_mats), compiled_form(z_mats)
     r_s = [b.a0 + b.combine(x) - s for b, s in zip(blocks, s_blk)]
     a_z = np.zeros(prob.num_vars)
     for b, z in zip(blocks, z_blk):
         a_z[b.vars] += b.adjoint(z)
     scal = [b.scaling(s, z) for b, s, z in zip(blocks, s_blk, z_blk)]
-    work = sdp._Workspace(blocks, classes.size)
+    work = sdp._Workspace(blocks, classes)
     newton = sdp._NewtonSystem(blocks, classes, work, scal, z_blk, r_s, prob.objective - a_z)
 
     def want(sigma_mu, jitter):
@@ -406,7 +410,7 @@ def test_scaling_rejects_a_dual_block_that_is_not_positive_definite():
 @pytest.mark.parametrize("kind", ["narrow", "rows"])
 def test_abs_adjoint_sums_coefficient_magnitudes(kind):
     # <|A_k|, |Z|> per variable on a block at the dense cutoff (dense stack)
-    # and on fused 1x1 rows; variables 2 and 5 appear in no block
+    # and summed over 1x1 blocks; variables 2 and 5 appear in no block
     rng = np.random.default_rng(13)
     m = 6
 
@@ -418,18 +422,18 @@ def test_abs_adjoint_sums_coefficient_magnitudes(kind):
         n = sdp._DENSE_DIM_LIMIT
         blocks = [block_from_dense(sym(n), {k: sym(n) for k in (0, 1, 3, 4)})]
         zs = [sym(n)]
-        compiled = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][0]
-        assert not compiled.rank1
-        got = np.zeros(m)
-        got[compiled.vars] = compiled.abs_adjoint(zs[0])
     else:
         blocks = [
             scalar_block(1.0, {k: float(rng.standard_normal()) for k in ks})
             for ks in ((0, 1), (1, 3, 4), (4,))
         ]
         zs = [sym(1) for _ in blocks]
-        compiled = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0][0]
-        got = compiled.abs_adjoint(np.array([z[0, 0] for z in zs]))
+    compiled = sdp._compile(sdp.SdpProblem(m, np.zeros(m), blocks))[0]
+    assert [b.dim for b in compiled] == [b.dim for b in blocks]
+    assert not any(b.rank1 for b in compiled)
+    got = np.zeros(m)
+    for b, z in zip(compiled, zs):
+        got[b.vars] += b.abs_adjoint(z)
     want = np.array([
         sum(np.sum(np.abs(dense_coeff(b, k)) * np.abs(z)) for b, z in zip(blocks, zs))
         for k in range(m)
@@ -438,11 +442,11 @@ def test_abs_adjoint_sums_coefficient_magnitudes(kind):
 
 
 def fused_rows(kind):
-    """The compiled fused rows of a package program and their D, built
-    densely from the program's 1x1 blocks and its declared pairs' unit rows.
+    """The compiled blocks of a package program, and the D of their fused
+    rows, built densely from the declared pairs' unit rows.
 
-    ``central`` is a single-sensor network program, whose Mt - I is a row
-    of its own; ``node`` is a per-node program, which has none.
+    ``central`` is a single-sensor network program, whose Mt - I is a 1x1
+    block of its own; ``node`` is a per-node program, which has none.
     """
     if kind == "central":
         (scen, bounds), _ = ORACLE_FIXTURES["diamond"]
@@ -451,33 +455,67 @@ def fused_rows(kind):
         refs = [((0.1, 0.2), 0.0, 0.04), ((0.3, -0.1), 0.01, 0.05), ((-0.2, 0.4), 0.02, 0.09)]
         problem = chebyshev_dual(refs)
     blocks, _ = sdp._compile(problem)
+    d = np.array(
+        [[dense_coeff(b, k)[0, 0] for k in range(problem.num_vars)] for b in unit_rows(problem)]
+    )
+    return blocks, d
+
+
+def fused_adjoint(lin, u, m):
+    """The fused rows' adjoint of ``u`` as a vector over all ``m`` variables."""
+    out = np.zeros(m)
+    out[lin.vars] += lin.adjoint(u)
+    return out
+
+
+@pytest.mark.parametrize("kind, narrow", [("central", 1), ("node", 0)])
+def test_fused_rows_adjoint_is_the_transpose_of_the_combination(kind, narrow):
+    # the program's 1x1 blocks compile to 1-wide dense blocks, and the fused
+    # rows, last, are the unit rows alone
+    blocks, d = fused_rows(kind)
     lin = blocks[-1]
-    rows = [problem.blocks[bi] for bi in lin.src] + unit_rows(problem)
-    d = np.array([[dense_coeff(b, k)[0, 0] for k in range(problem.num_vars)] for b in rows])
-    return lin, d
-
-
-@pytest.mark.parametrize("kind, general", [("central", 1), ("node", 0)])
-def test_fused_rows_adjoint_is_the_transpose_of_the_combination(kind, general):
-    lin, d = fused_rows(kind)
     q, m = d.shape
-    assert lin.general == general and lin.q == q
+    assert [b.dim for b in blocks[:-1]].count(1) == narrow and lin.q == q
     # column by column and row by row, both maps are D exactly
     combined = np.column_stack([lin.combine(e) for e in np.eye(m)])
-    adjoined = np.array([lin.adjoint(e) for e in np.eye(q)])
+    adjoined = np.array([fused_adjoint(lin, e, m) for e in np.eye(q)])
     assert np.array_equal(combined, d) and np.array_equal(adjoined, d)
-    rng = np.random.default_rng(general)
+    rng = np.random.default_rng(narrow)
     for _ in range(5):
         y, u = rng.standard_normal(m), rng.standard_normal(q)
-        assert lin.combine(y) @ u == pytest.approx(y @ lin.adjoint(u), rel=1e-13)
+        assert lin.combine(y) @ u == pytest.approx(y @ fused_adjoint(lin, u, m), rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", ["central", "node"])
 def test_fused_rows_abs_adjoint_is_the_absolute_transpose(kind):
-    lin, d = fused_rows(kind)
+    blocks, d = fused_rows(kind)
+    lin = blocks[-1]
     z = np.random.default_rng(3).standard_normal(len(d))
     want = np.abs(d).T @ np.abs(z)
-    assert np.linalg.norm(lin.abs_adjoint(z) - want) <= 1e-15 * np.linalg.norm(want)
+    got = np.zeros(d.shape[1])
+    got[lin.vars] += lin.abs_adjoint(z)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_one_by_one_blocks_compile_dense_and_fused_rows_are_unit_rows():
+    # every problem block, 1x1 ones included, compiles to a dense block of
+    # its width, in problem order; the fused block is last and holds exactly
+    # one row per paired member, in ascending order
+    problem = class_test_problem(4, np.random.default_rng(4))
+    blocks, classes = sdp._compile(problem)
+    assert len(blocks) == len(problem.blocks) + 1
+    assert all(isinstance(b, sdp._DenseBlock) for b in blocks[:-1])
+    assert [b.dim for b in blocks[:-1]] == [b.dim for b in problem.blocks]
+    assert [b.dim for b in blocks[:-1]].count(1) == len(problem.blocks) - 2
+    lin = blocks[-1]
+    assert isinstance(lin, sdp._LinBlock)
+    assert lin.vars.tolist() == [1, 2, 3, 4] == sorted(problem.pairs.ravel().tolist())
+    assert lin.q == len(lin.a0) == 2 * len(problem.pairs)
+    s, z = lin.start()
+    assert s.shape == z.shape == (lin.q,)
+    # without pairs there is no fused block
+    unpaired = sdp.SdpProblem(problem.num_vars, problem.objective, problem.blocks)
+    assert all(isinstance(b, sdp._DenseBlock) for b in sdp._compile(unpaired)[0])
 
 
 def two_class_newton(monkeypatch, schur):
@@ -500,7 +538,7 @@ def two_class_newton(monkeypatch, schur):
     monkeypatch.setattr(sdp._NewtonSystem, "factor", recorded)
     eye = np.eye(2)
     scal = [block.scaling(eye, eye)]
-    work = sdp._Workspace(blocks, classes.size)
+    work = sdp._Workspace(blocks, classes)
     zero = np.zeros(2)
     newton = sdp._NewtonSystem(blocks, classes, work, scal, [eye], [0 * eye], zero)
     return newton, work, jitters
@@ -538,23 +576,24 @@ def test_cholesky_of_a_non_finite_matrix_stops_the_attempts(monkeypatch):
 
 
 def test_nan_in_the_schur_matrix_ends_the_solve_numerical_failure(monkeypatch):
-    # from the fourth iteration on, one block's Schur term is NaN: the solve
+    # from the fourth iteration on, the blocks' Schur terms are NaN: the solve
     # stops there with the best iterate so far, not with an exception
     problem = lp_problem()
     clean = sdp.solve(problem)
     assert clean.iterations > 4
-    schur = sdp._LinBlock.schur
+    schur = sdp._DenseBlock.schur
     calls = []
+    per_iteration = len(problem.blocks)
 
-    def poisoned(self, w2, work):
+    def poisoned(self, w, work):
         calls.append(1)
-        out = schur(self, w2, work)
-        return out * np.nan if len(calls) > 3 else out
+        out = schur(self, w, work)
+        return out * np.nan if len(calls) > 3 * per_iteration else out
 
-    monkeypatch.setattr(sdp._LinBlock, "schur", poisoned)
+    monkeypatch.setattr(sdp._DenseBlock, "schur", poisoned)
     sol = sdp.solve(problem)
     assert sol.status == sdp.SolveStatus.NUMERICAL_FAILURE
-    assert sol.iterations == 3 and len(calls) == 4
+    assert sol.iterations == 3 and len(calls) == 4 * per_iteration
     assert np.all(np.isfinite(sol.x))
 
 
