@@ -212,14 +212,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve-dist", help="distributed run, JSON-lines trace")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--max-rounds", type=int, default=200)
+    p.add_argument("--epsilon", type=float, default=dist.DisMinMaxConfig.epsilon)
+    p.add_argument("--max-rounds", type=int, default=dist.DisMinMaxConfig.max_rounds)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_solve_dist)
 
     p = sub.add_parser("oracle", help="grid Chebyshev center of one sensor's region")
     p.add_argument("scenario", help="single-sensor scenario JSON file")
-    p.add_argument("--resolution", type=float, default=1e-3)
+    p.add_argument("--resolution", type=float, default=geom.DEFAULT_RESOLUTION)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_oracle)
 

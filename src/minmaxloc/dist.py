@@ -31,13 +31,16 @@ reference with lower^2 = 0, which the lifted relaxation already implies.
 (y, t) and turns its multipliers into the center and the certified squared
 radius, or finds the references inconsistent or certifying nothing.
 
-Phases 2 and 3 run a whole round as arrays: every sensor's initial
-estimate is one batch of :func:`minmaxloc.central.certified_centers`, and
-each round refines its active sensors in batches of up to ``_ROUND_NODES``,
-with the rules of the one-node :func:`initial_estimate` and
-:func:`iterate_node`, which solve a batch of one.  All rounds are
-Jacobi: updates at round tau+1 read only round-tau states, so batching a
-round changes nothing in its trace.  The rounds' states are kept packed
+Each phase-2 and phase-3 rule is written once, over arrays:
+:func:`_initial_centers` makes the initial estimates of any set of sensors
+as one batch of :func:`minmaxloc.central.certified_centers`, and
+:func:`_round` refines any set of nodes in batches of up to
+``_ROUND_NODES``, with the epsilon shortcut and the keep-state rules.
+:func:`run_dis_minmax` calls them for every sensor and every round's
+active nodes; the one-node :func:`initial_estimate` and
+:func:`iterate_node` call them with one row.  All rounds are Jacobi:
+updates at round tau+1 read only round-tau states, so batching a round
+changes nothing in its trace.  The rounds' states are kept packed
 (:class:`RoundStates`).
 """
 
@@ -194,19 +197,30 @@ def propagate_distance_bounds(
     return result
 
 
-def _anchor_bounds(sensors: List[int], table: BoundTable, anchor_ids: List[int]) -> np.ndarray:
-    """The references of the sensors' initial estimates, one row per sensor:
-    the squared propagated interval to every anchor, in id order
-    (sensors, anchors, 2)."""
+def _initial_centers(
+    sensors: List[int], table: BoundTable, anchors: Mapping[int, Point2]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The initial estimates of ``sensors``, as centers (n, 2) and certified
+    squared radii clipped at 0.
+
+    Each sensor's references are the anchors in id order, each bounding the
+    squared distance by the squared propagated interval, and all sensors are
+    one batch of :func:`minmaxloc.central.certified_centers`.  The first
+    sensor whose center is not certified raises RuntimeError, saying whether
+    its anchor intervals are inconsistent or the multipliers certify nothing.
+    """
+    anchor_ids = sorted(anchors)
+    pos = np.array([anchors[k] for k in anchor_ids], dtype=float).reshape(-1, 2)
     rows = [[(table[(i, k)].lower ** 2, table[(i, k)].upper ** 2) for k in anchor_ids] for i in sensors]
-    return np.array(rows, dtype=float).reshape(len(sensors), len(anchor_ids), 2)
-
-
-def _initial_failure(sensor: int, consistent: bool) -> RuntimeError:
-    reason = "the multipliers certify nothing"
-    if not consistent:
-        reason = "its anchor intervals are inconsistent"
-    return RuntimeError(f"initial estimate for sensor {sensor} not certified: {reason}")
+    bounds = np.array(rows, dtype=float).reshape(len(sensors), len(anchor_ids), 2)
+    cert = certified_centers(np.broadcast_to(pos, bounds.shape), bounds, np.full(len(sensors), len(pos)))
+    failed = np.flatnonzero(~cert.certified)
+    if len(failed):
+        reason = "the multipliers certify nothing"
+        if not cert.consistent[failed[0]]:
+            reason = "its anchor intervals are inconsistent"
+        raise RuntimeError(f"initial estimate for sensor {sensors[failed[0]]} not certified: {reason}")
+    return cert.center, np.maximum(cert.value, 0.0)
 
 
 def initial_estimate(
@@ -214,58 +228,71 @@ def initial_estimate(
     table: BoundTable,
     anchors: Mapping[int, Point2],
 ) -> NodeState:
-    """First position fix from the propagated anchor distance intervals.
+    """First position fix from the propagated anchor distance intervals:
+    :func:`_initial_centers` for one sensor."""
+    center, radius_sq = _initial_centers([sensor], table, anchors)
+    x, y = center[0].tolist()
+    value = float(radius_sq[0])
+    return NodeState(estimate=(x, y), radius_sq=value, localized=False, iteration=0, raw_radius_sq=value)
 
-    :func:`run_dis_minmax` makes every sensor's in one batch, from the same
-    references.
+
+# Nodes per batch of a round, so that the batch's padded references stay a
+# few hundred KB however many nodes the round solves
+_ROUND_NODES = 1024
+
+
+def _round(
+    positions: np.ndarray,
+    radius_sq: np.ndarray,
+    refs: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    count: np.ndarray,
+    nodes: np.ndarray,
+    epsilon: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One refinement round of the sensors at rows ``nodes`` of ``refs``.
+
+    ``positions`` and ``radius_sq`` are every reference's estimate and
+    certified squared radius after the previous round, 0 for an anchor.
+    Row r of ``refs`` lists node r's ``count[r]`` references: its own state
+    first, then its neighbors by id, with the measured intervals ``lower``
+    and ``upper`` to them (column 0 unused).  The own ball bounds the
+    squared distance by [0, radius_sq], the lower bound the relaxation
+    implies; each neighbor's interval is widened by the neighbor's certified
+    radius, its lower end clipped at 0, because the measurement bounds the
+    distance to the neighbor's true position and its estimate can sit
+    anywhere within that radius of it.
+
+    A node with radius_sq <= epsilon cannot shrink by more than epsilon, so
+    it is localized without a solve.  The others are solved in batches of
+    up to ``_ROUND_NODES`` by :func:`minmaxloc.central.certified_centers`.  A
+    node whose multipliers certify nothing, or find its references
+    inconsistent, keeps its state with its old radius as the raw one.  A node
+    whose raw radius rounds above its old one keeps its state too, records
+    the raw value and is localized.  Any other node moves to its new center
+    with the raw radius, and is localized once the radius shrank by at most
+    epsilon.
+
+    Returns, per node, whether it moves, its estimate after the round, its
+    raw squared radius and whether it is localized.
     """
-    anchor_ids = sorted(anchors)
-    bounds = _anchor_bounds([sensor], table, anchor_ids)
-    cert = certified_centers([[anchors[k] for k in anchor_ids]], bounds, [len(anchor_ids)])
-    if not cert.certified[0]:
-        raise _initial_failure(sensor, bool(cert.consistent[0]))
-    value = max(float(cert.value[0]), 0.0)
-    x, y = cert.center[0].tolist()
-    return NodeState(
-        estimate=(x, y),
-        radius_sq=value,
-        localized=False,
-        iteration=0,
-        raw_radius_sq=value,
-    )
-
-
-def _round_bounds(radius_sq: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The bounds on the squared distances of a batch of nodes' references in
-    a refinement round (nodes, refs, 2).
-
-    Per node, reference 0 is its own state and the next ones its neighbors
-    by id: ``radius_sq`` are their certified squared radii after the
-    previous round, 0 for an anchor, and ``lower`` and ``upper`` the
-    measured intervals to the neighbors (column 0 unused).  The own ball
-    comes first, with the lower bound 0 that the relaxation implies; each
-    neighbor's interval is widened by the neighbor's certified radius, its
-    lower end clipped at 0.
-    """
-    slack = np.sqrt(np.maximum(radius_sq, 0.0))
-    bounds = np.stack([np.maximum(lower - slack, 0.0) ** 2, (upper + slack) ** 2], axis=2)
-    bounds[:, 0, 0], bounds[:, 0, 1] = 0.0, radius_sq[:, 0]
-    return bounds
-
-
-def _refine(
-    radius_sq: np.ndarray, value: np.ndarray, certified: np.ndarray, epsilon: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The outcome of a round for nodes that solved: whether each moves to its
-    new center, with radius_sq the raw one, whether it is localized, and its
-    raw squared radius.  A node whose multipliers certify nothing keeps its
-    state and its old radius as the raw one; a node whose raw radius rounds
-    above its old one keeps its state too, records the raw value and is
-    localized."""
-    raw = np.where(certified, np.maximum(value, 0.0), radius_sq)
-    move = certified & (raw <= radius_sq)
-    localized = (certified & ~move) | (move & (radius_sq - raw <= epsilon))
-    return move, localized, raw
+    old = radius_sq[nodes]
+    move, center = np.zeros(len(nodes), dtype=bool), positions[nodes]
+    raw, localized = old.copy(), np.ones(len(nodes), dtype=bool)
+    solve = np.flatnonzero(old > epsilon)
+    for part in (solve[k : k + _ROUND_NODES] for k in range(0, len(solve), _ROUND_NODES)):
+        rows = nodes[part]
+        at = refs[rows]
+        slack = np.sqrt(np.maximum(radius_sq[at], 0.0))
+        span = np.stack([np.maximum(lower[rows] - slack, 0.0) ** 2, (upper[rows] + slack) ** 2], axis=2)
+        span[:, 0, 0], span[:, 0, 1] = 0.0, old[part]
+        cert = certified_centers(positions[at], span, count[rows])
+        raw[part] = np.where(cert.certified, np.maximum(cert.value, 0.0), old[part])
+        move[part] = cert.certified & (raw[part] <= old[part])
+        localized[part] = cert.certified & (~move[part] | (old[part] - raw[part] <= epsilon))
+        center[part[move[part]]] = cert.center[move[part]]
+    return move, center, raw, localized
 
 
 def iterate_node(
@@ -275,59 +302,38 @@ def iterate_node(
     bounds: Mapping[Edge, IntervalBound],
     config: Optional[DisMinMaxConfig] = None,
 ) -> NodeState:
-    """One refinement round for one sensor.
+    """One refinement round for one sensor: :func:`_round` for one node.
 
     Intersects the sensor's certified ball with annuli around each
-    neighbor's current estimate and re-centers on the relaxed Chebyshev
-    center of that region.  Each annulus is widened by the neighbor's own
-    certified radius: the measured interval constrains the distance to the
-    neighbor's true position, and the estimate can sit anywhere within
-    that radius of it.  Without the widening the region can lose the true
-    position entirely (neighbor error shifts the annulus off it), which
-    both voids the certificate and empties the region when intervals are
-    tight.  The new center and raw radius are what the multipliers of the
-    exact QP certify (:func:`minmaxloc.central.certified_centers`); when they
-    certify nothing, or find the references inconsistent, the node keeps its
-    previous state for the round.  When the raw radius exceeds the
-    old one, which only rounding allows, the node keeps its old estimate and
-    radius too, and records the raw value.  :func:`run_dis_minmax` runs
-    every node of a round this way in batches, from the same references.
+    neighbor's current estimate, each widened by the neighbor's certified
+    radius, and re-centers on the relaxed Chebyshev center of that region.
+    Without the widening the region can lose the true position entirely
+    (neighbor error shifts the annulus off it), which both voids the
+    certificate and empties the region when intervals are tight.
     """
     if not neighbor_states:
         raise ValueError(f"sensor {sensor} has no neighbors to iterate against")
     cfg = config or DisMinMaxConfig()
-    if own.radius_sq <= cfg.epsilon:
-        # The radius cannot grow, so any solve outcome would change it by
-        # at most its current value; the node is localized by definition
-        # and needs no solve.
-        return replace(
-            own,
-            iteration=own.iteration + 1,
-            localized=True,
-            raw_radius_sq=own.radius_sq,
-        )
     ids = sorted(neighbor_states)
     states = [own, *(neighbor_states[j] for j in ids)]
-    edges = [_interval(bounds, sensor, j) for j in ids]
-    span = _round_bounds(
-        np.array([[state.radius_sq for state in states]]),
+    # the shortcut of _round reads no intervals, so a node inside it needs none
+    edges = [_interval(bounds, sensor, j) for j in ids] if own.radius_sq > cfg.epsilon else []
+    move, center, raw, localized = _round(
+        np.array([state.estimate for state in states], dtype=float),
+        np.array([state.radius_sq for state in states], dtype=float),
+        np.arange(len(states))[None],
         np.array([[0.0, *(b.lower for b in edges)]]),
         np.array([[0.0, *(b.upper for b in edges)]]),
+        np.array([len(states)]),
+        np.array([0]),
+        cfg.epsilon,
     )
-    cert = certified_centers([[state.estimate for state in states]], span, [len(states)])
-    move, localized, raw = _refine(np.array([own.radius_sq]), cert.value, cert.certified, cfg.epsilon)
+    raw_sq = float(raw[0])
+    state = replace(own, iteration=own.iteration + 1, localized=bool(localized[0]), raw_radius_sq=raw_sq)
     if not move[0]:
-        return replace(
-            own, iteration=own.iteration + 1, localized=bool(localized[0]), raw_radius_sq=float(raw[0])
-        )
-    x, y = cert.center[0].tolist()
-    return NodeState(
-        estimate=(x, y),
-        radius_sq=float(raw[0]),
-        localized=bool(localized[0]),
-        iteration=own.iteration + 1,
-        raw_radius_sq=float(raw[0]),
-    )
+        return state
+    x, y = center[0].tolist()
+    return replace(state, estimate=(x, y), radius_sq=raw_sq)
 
 
 class _RunStates:
@@ -467,11 +473,6 @@ class DisMinMaxResult:
     converged: bool
 
 
-# Nodes per batch of a round, so that the batch's padded references stay a
-# few hundred KB however many nodes the round solves
-_ROUND_NODES = 1024
-
-
 def _neighbor_table(scenario: NetworkScenario, bounds: Mapping[Edge, IntervalBound]):
     """Per sensor, in scenario order: the rows of its references, its own
     first and then its neighbors by id, in the stacked positions of the
@@ -503,34 +504,23 @@ def run_dis_minmax(
     estimate keeps serving neighbors.  Message accounting charges each
     active sensor two reals per sensor neighbor (its broadcast estimate);
     anchor neighbors cost nothing because their positions are already
-    known after the propagation phase.  The initial estimates are one batch
-    of :func:`minmaxloc.central.certified_centers`, and each round's
-    refinement of its active nodes runs in batches of up to
-    ``_ROUND_NODES``, with the rules of :func:`initial_estimate` and
-    :func:`iterate_node`.
+    known after the propagation phase.  The initial estimates are one call
+    of :func:`_initial_centers` and each round's refinement of its active
+    nodes one call of :func:`_round`.
     """
     cfg = config or DisMinMaxConfig()
     bounds = build_feasibility_intervals(scenario)
     table = propagate_distance_bounds(scenario, bounds)
     sensors = list(scenario.sensors)
     n = len(sensors)
-    anchor_ids = sorted(scenario.anchors)
-    anchor_pos = np.array([scenario.anchors[k] for k in anchor_ids], dtype=float).reshape(-1, 2)
-
-    first = _anchor_bounds(sensors, table, anchor_ids)
-    cert = certified_centers(
-        np.broadcast_to(anchor_pos, first.shape), first, np.full(n, len(anchor_ids))
-    )
-    failed = np.flatnonzero(~cert.certified)
-    if len(failed):
-        raise _initial_failure(sensors[failed[0]], bool(cert.consistent[failed[0]]))
-    estimate, radius_sq = cert.center, np.maximum(cert.value, 0.0)
+    anchor_pos = np.array([scenario.anchors[k] for k in sorted(scenario.anchors)], dtype=float)
+    estimate, radius_sq = _initial_centers(sensors, table, scenario.anchors)
     localized = np.zeros(n, dtype=bool)
 
     # the state rows written so far, each round's rows and flags, the keys
     # and values of raw radii that differ from radius_sq, and per round the
     # bound and the messages
-    states, rows, flags = [np.column_stack([estimate, radius_sq])], [np.arange(n)], [localized]
+    states, rows, flags = [np.column_stack([estimate, radius_sq])], [np.arange(n)], [localized.copy()]
     raw_keys: List[np.ndarray] = []
     raw_values: List[np.ndarray] = []
     bounds_and_messages = [(math.sqrt(radius_sq.sum() / n), 0)]
@@ -540,35 +530,21 @@ def run_dis_minmax(
         if localized.all():
             break
         active = np.flatnonzero(~localized)
-        solve = active[radius_sq[active] > cfg.epsilon]
-        # Jacobi: every reference reads the previous round's states
-        positions = np.concatenate([estimate, anchor_pos])
-        radii = np.concatenate([radius_sq, np.zeros(len(anchor_pos))])
-
-        estimate, old_radius_sq = estimate.copy(), radius_sq
-        radius_sq, raw, localized = radius_sq.copy(), np.zeros(n), localized.copy()
-        # a node with radius_sq <= epsilon cannot shrink by more than
-        # epsilon, so it is localized without a solve
-        raw[active], localized[active] = old_radius_sq[active], True
-        moved_parts = [solve[:0]]
-        for part in (solve[k : k + _ROUND_NODES] for k in range(0, len(solve), _ROUND_NODES)):
-            at = refs[part]
-            span = _round_bounds(radii[at], lower[part], upper[part])
-            cert = certified_centers(positions[at], span, count[part])
-            move, localized[part], raw[part] = _refine(
-                old_radius_sq[part], cert.value, cert.certified, cfg.epsilon
-            )
-            moved_parts.append(part[move])
-            estimate[part[move]] = cert.center[move]
-            radius_sq[part[move]] = raw[part[move]]
-        moved = np.concatenate(moved_parts)
+        # Jacobi: _round reads copies of the previous round's states
+        move, center, raw, localized[active] = _round(
+            np.concatenate([estimate, anchor_pos]),
+            np.concatenate([radius_sq, np.zeros(len(anchor_pos))]),
+            refs, lower, upper, count, active, cfg.epsilon,
+        )
+        moved = active[move]
+        estimate[moved], radius_sq[moved] = center[move], raw[move]
 
         rows.append(rows[-1].copy())
         rows[-1][moved] = sum(map(len, states)) + np.arange(len(moved))
         states.append(np.column_stack([estimate[moved], radius_sq[moved]]))
-        flags.append(localized)
-        differ = active[raw[active] != radius_sq[active]]
-        raw_keys.append(tau * n + differ)
+        flags.append(localized.copy())
+        differ = raw != radius_sq[active]
+        raw_keys.append(tau * n + active[differ])
         raw_values.append(raw[differ])
         bounds_and_messages.append((math.sqrt(radius_sq.sum() / n), int(sends[active].sum())))
 

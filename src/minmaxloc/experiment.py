@@ -241,8 +241,8 @@ class ExperimentSpec:
     trials: int = 20
     master_seed: int = 0
     mixture_sigma: float = 0.02
-    epsilon: float = 1e-6
-    max_rounds: int = 200
+    epsilon: float = dist.DisMinMaxConfig.epsilon
+    max_rounds: int = dist.DisMinMaxConfig.max_rounds
 
     def __post_init__(self):
         if self.error_family not in ERROR_FAMILIES:
@@ -256,8 +256,7 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 0")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0) or self.max_rounds < 1:
-            raise ValueError("epsilon must be positive and finite and max_rounds >= 1")
+        dist.DisMinMaxConfig(epsilon=self.epsilon, max_rounds=self.max_rounds)
 
     def error_model(self, sweep_value: float):
         if self.error_family == "uniform":
@@ -444,12 +443,12 @@ def spec_from_dict(doc: Mapping) -> ExperimentSpec:
         scenario=config,
         error_family=doc["error_family"],
         sweep_values=tuple(float(v) for v in doc["sweep_values"]),
-        estimators=tuple(doc.get("estimators", ESTIMATORS)),
-        trials=int(doc.get("trials", 20)),
-        master_seed=int(doc.get("master_seed", 0)),
-        mixture_sigma=float(doc.get("mixture_sigma", 0.02)),
-        epsilon=float(doc.get("epsilon", 1e-6)),
-        max_rounds=int(doc.get("max_rounds", 200)),
+        estimators=tuple(doc.get("estimators", ExperimentSpec.estimators)),
+        trials=int(doc.get("trials", ExperimentSpec.trials)),
+        master_seed=int(doc.get("master_seed", ExperimentSpec.master_seed)),
+        mixture_sigma=float(doc.get("mixture_sigma", ExperimentSpec.mixture_sigma)),
+        epsilon=float(doc.get("epsilon", ExperimentSpec.epsilon)),
+        max_rounds=int(doc.get("max_rounds", ExperimentSpec.max_rounds)),
     )
 
 

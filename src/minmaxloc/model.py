@@ -124,8 +124,9 @@ class NetworkScenario:
     Construction raises ValueError on an id that is both a sensor and an
     anchor, a repeated sensor id, a self edge, an edge listed twice in either
     orientation, a sensor edge whose ends are not both sensors, an anchor
-    edge that is not (sensor, anchor), a non-finite measurement, or a gamma
-    that is negative or not finite.  A measurement may be negative: an
+    edge that is not (sensor, anchor), an edge without a measurement or a
+    measurement on no edge, a non-finite measurement, or a gamma that is
+    negative or not finite.  A measurement may be negative: an
     unbounded error can read a short edge below zero, and its interval
     clamps at zero (see :func:`build_feasibility_intervals`).
     """
@@ -161,6 +162,13 @@ class NetworkScenario:
         for a, b in self.anchor_edges:
             if a not in sensors or b not in self.anchors:
                 raise ValueError(f"edge ({a}, {b}) links unknown nodes")
+        edges = set(self.all_edges())
+        missing = edges - self.measurements.keys()
+        if missing:
+            raise ValueError(f"edge {min(missing)} has no measurement")
+        extra = self.measurements.keys() - edges
+        if extra:
+            raise ValueError(f"measurement on {min(extra)}, which is not an edge")
         for (a, b), z in self.measurements.items():
             if not math.isfinite(z):
                 raise ValueError(f"edge ({a}, {b}) has non-finite measurement {z}")

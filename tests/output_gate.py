@@ -18,9 +18,10 @@ The solves come in families:
 * ``fixtures``: the single-sensor ``ORACLE_FIXTURES``;
 * ``exact``: 10 sensors at range 0.5 with exact measurements, seeds 0-39;
 * ``distributed``: the ``distributed`` workload's network at error seeds
-  1-13, and 400 sensors at range 0.125 with geometry and error seed 7,
-  ``UniformError(0.02)``, run by ``dist.run_dis_minmax``: round counts and
-  the final ``rmse_upper_bound``;
+  1-13, the same network at error seed 1 with ``epsilon`` 1e-2, so that
+  nodes take the shortcut of a radius already below it, and 400 sensors at
+  range 0.125 with geometry and error seed 7, ``UniformError(0.02)``, run by
+  ``dist.run_dis_minmax``: round counts and the final ``rmse_upper_bound``;
 * ``baseline``: the ``sweep`` workload's nine trials, each scenario fitted by
   ``experiment.baseline_least_squares`` with the trial's seeds: its RMSE,
   whether it converged and its Gauss-Newton iteration count;
@@ -91,8 +92,7 @@ def central_inputs():
 
 
 def record() -> dict:
-    import workloads
-    from minmaxloc import central, dist
+    from minmaxloc import central
 
     out: dict = {}
     for family, label, scen, bounds in central_inputs():
@@ -104,23 +104,13 @@ def record() -> dict:
             "positions": {str(i): list(p) for i, p in sorted(est.positions.items())},
         }
         print(family, label, est.solver_status.value, est.iterations, file=sys.stderr)
-    dist_workload = workloads.WORKLOADS["distributed"]
-    for seed in range(1, 14):
-        (scen,) = dist_workload.build(seed)
-        res = dist.run_dis_minmax(scen)
-        out.setdefault("distributed", {})[f"seed-{seed}"] = {
+    for label, res in distributed_runs():
+        out.setdefault("distributed", {})[label] = {
             "rounds": len(res.rounds) - 1,
             "converged": res.converged,
             "rmse_upper_bound": res.rounds[-1].rmse_upper_bound,
         }
-        print("distributed", seed, len(res.rounds) - 1, file=sys.stderr)
-    res = dist.run_dis_minmax(workloads.network(400, 0.125, 7, 0.02, 7))
-    out["distributed"]["n400"] = {
-        "rounds": len(res.rounds) - 1,
-        "converged": res.converged,
-        "rmse_upper_bound": res.rounds[-1].rmse_upper_bound,
-    }
-    print("distributed n400", len(res.rounds) - 1, file=sys.stderr)
+        print("distributed", label, len(res.rounds) - 1, file=sys.stderr)
     for label, res, value in baseline_fits():
         out.setdefault("baseline", {})[label] = {
             "rmse": value,
@@ -130,6 +120,20 @@ def record() -> dict:
         print("baseline", label, res.converged, res.iterations, file=sys.stderr)
     out["grid"] = grid_outputs()
     return out
+
+
+def distributed_runs():
+    """(label, result) for every ``distributed`` record."""
+    import workloads
+    from minmaxloc import dist
+
+    dist_workload = workloads.WORKLOADS["distributed"]
+    for seed in range(1, 14):
+        (scen,) = dist_workload.build(seed)
+        yield f"seed-{seed}", dist.run_dis_minmax(scen)
+    (scen,) = dist_workload.build(1)
+    yield "seed-1-eps-1e-2", dist.run_dis_minmax(scen, dist.DisMinMaxConfig(epsilon=1e-2))
+    yield "n400", dist.run_dis_minmax(workloads.network(400, 0.125, 7, 0.02, 7))
 
 
 PROBE = (0.31, -0.17)  # a fixed point to project and measure from

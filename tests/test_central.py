@@ -408,6 +408,7 @@ def test_strong_duality(n_sensors, seed):
 
 def test_unanchored_scenario_rejected():
     truth = {0: (0.1, 0.0), 1: (0.2, 0.0), 2: (0.2, 0.1)}
+    where = {**truth, 3: (0.0, 0.0)}
     cases = [
         # no anchor edge at all
         ((0, 1), ((0, 1),), (), [0, 1]),
@@ -417,15 +418,14 @@ def test_unanchored_scenario_rejected():
     for sensors, sensor_edges, anchor_edges, unanchored in cases:
         scen = model.NetworkScenario(
             sensors=sensors,
-            anchors={3: (0.0, 0.0)},
+            anchors={3: where[3]},
             true_positions={i: truth[i] for i in sensors},
             sensor_edges=sensor_edges,
             anchor_edges=anchor_edges,
-            measurements={},
+            measurements={(a, b): math.dist(where[a], where[b]) for a, b in sensor_edges + anchor_edges},
             gamma=0.05,
             sensing_range=1.0,
         )
-        scen.measurements = {e: scen.true_distance(e) for e in scen.all_edges()}
         named = re.escape(f"sensors {unanchored}")
         assert any(re.match(named, w) for w in model.validate_scenario(scen).warnings)
         with pytest.raises(ValueError, match=named):

@@ -585,10 +585,31 @@ def assert_same_runs(batched, per_node, scen):
             assert got.estimate == pytest.approx(want.estimate, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("seed", range(1, 14))
-def test_batched_rounds_match_node_by_node_run(workloads, seed):
+def shortcut_count(res, config):
+    """The refinements that took the epsilon shortcut: nodes still active
+    after a round with a radius already at most epsilon."""
+    return sum(
+        not s.localized and s.radius_sq <= config.epsilon
+        for rec in res.rounds[:-1]
+        for s in rec.states.values()
+    )
+
+
+# the default config, and an epsilon above some radii so that nodes take the
+# shortcut inside batched rounds
+ROUND_CONFIGS = [pytest.param(seed, DisMinMaxConfig(), id=str(seed)) for seed in range(1, 14)]
+ROUND_CONFIGS += [
+    pytest.param(seed, DisMinMaxConfig(epsilon=1e-2), id=f"eps-1e-2-{seed}") for seed in range(1, 14)
+]
+
+
+@pytest.mark.parametrize("seed, config", ROUND_CONFIGS)
+def test_batched_rounds_match_node_by_node_run(workloads, seed, config):
     (scen,) = workloads.WORKLOADS["distributed"].build(seed)
-    assert_same_runs(dist.run_dis_minmax(scen), reference_dist.run_dis_minmax(scen), scen)
+    batched = dist.run_dis_minmax(scen, config)
+    assert_same_runs(batched, reference_dist.run_dis_minmax(scen, config), scen)
+    if config.epsilon == 1e-2:
+        assert shortcut_count(batched, config) >= 5
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -304,6 +304,14 @@ CONTENT_RULES = {
         lambda sc: {"anchor_edges": sc.anchor_edges + [(0, 99)]},
         r"edge \(0, 99\) links unknown nodes",
     ),
+    "missing measurement": (
+        lambda sc: {"measurements": {e: sc.measurements[e] for e in sc.all_edges()[1:]}},
+        r"edge \(\d+, \d+\) has no measurement",
+    ),
+    "measurement on no edge": (
+        lambda sc: {"measurements": {**sc.measurements, (0, 99): 0.5}},
+        r"measurement on \(0, 99\), which is not an edge",
+    ),
     "nan measurement": (_first_sensor_edge(math.nan), "non-finite measurement nan"),
     "infinite measurement": (_first_sensor_edge(-math.inf), "non-finite measurement -inf"),
     "negative gamma": (lambda sc: {"gamma": -0.01}, "gamma must be finite and nonnegative"),
